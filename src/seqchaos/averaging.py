@@ -15,7 +15,7 @@ finite-N stand-ins for liminf / limsup of the averages.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +25,7 @@ from . import systems as sy
 from .errors import ConfigError, DomainError
 from .observables import Observable
 from .pool import parallel_map
-from .prf import child_seed
+from .prf import MASK64, child_seed
 from .seqgen import SequenceSpec, times_array
 
 SUM_ERROR_BOUND = 2.0**-50  # fsum is exactly rounded; this is a generous blanket
@@ -299,6 +299,30 @@ def _validate_partition(system, cells: Sequence) -> None:
         raise ConfigError(f"unknown cell type {type(cells[0]).__name__}")
 
 
+def _arc_visits(starts: list[int], alpha_num: int, x: int, ts: np.ndarray) -> np.ndarray:
+    """Visit counts of the orbit points in the arcs with sorted ``starts``.
+
+    A point v lies in arc j = #{starts <= v} - 1, compared exactly as
+    128-bit (hi, lo) words: starts whose high word is below v's all count,
+    and among those sharing v's high word (sorted by low word) the ones
+    with low word <= v's count too.
+    """
+    starts_hi = np.array([s >> 64 for s in starts], dtype=np.uint64)
+    starts_lo = np.array([s & MASK64 for s in starts], dtype=np.uint64)
+    widest_tie = max(Counter(starts_hi.tolist()).values())
+    last = len(starts) - 1
+    visits = np.zeros(len(starts), dtype=np.int64)
+    for _, hi, lo in sy.rotation_grid(alpha_num, x, ts):
+        first = np.searchsorted(starts_hi, hi, side="left")
+        end = np.searchsorted(starts_hi, hi, side="right")
+        arc = first - 1
+        for j in range(widest_tie):
+            k = first + j
+            arc += (k < end) & (starts_lo[np.minimum(k, last)] <= lo)
+        visits += np.bincount(arc, minlength=len(starts))
+    return visits
+
+
 def empirical_measure(
     system, x, partition: Sequence, seq: SequenceSpec, n_terms: int
 ) -> EmpiricalMeasure:
@@ -314,11 +338,9 @@ def empirical_measure(
     counts = [0] * len(partition)
     if isinstance(partition[0], ArcCell):
         ordered = sorted(range(len(partition)), key=lambda i: partition[i].lo)
-        starts = [partition[i].lo for i in ordered]
-        alpha = system.alpha_num
-        for m in ts.tolist():
-            v = (x + m * alpha) % sy.FRACTION_MOD
-            counts[ordered[bisect_right(starts, v) - 1]] += 1
+        visits = _arc_visits([partition[i].lo for i in ordered], system.alpha_num, x, ts)
+        for i, v in zip(ordered, visits.tolist()):
+            counts[i] = v
     else:
         remaining = np.ones(len(ts), dtype=bool)
         for i, cell in enumerate(partition):

@@ -33,7 +33,7 @@ from . import observables as ob
 from . import pinsker as pk
 from . import seqgen as sg
 from . import systems as sy
-from .errors import ConfigError, SequenceOverflowError
+from .errors import ConfigError, DomainError, SequenceOverflowError
 from .prf import child_seed
 from .reporting import write_csv, write_json
 
@@ -721,7 +721,7 @@ def run_config(
         out = out_dir or _get(cfg, "out", "config", None) or f"runs/{kind}"
         runner, _ = _RUNNERS[kind]
         output = runner(cfg, seed, workers)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SequenceOverflowError as exc:

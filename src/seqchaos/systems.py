@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SequenceOverflowError
 from .prf import MASK64, child_seed, prf64, prf64_np
 
 ONE_SIDED = "one_sided"
@@ -549,17 +549,82 @@ def project(point: ExtendedPoint) -> SymbolicPoint:
 # orbit evaluation helpers
 
 
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_SHIFT32 = _U64(32)
+_GRID_BLOCK = 1 << 14
+
+
+def _as_times(times) -> np.ndarray:
+    """``times`` as an int64 array; a time outside int64 raises, never wraps."""
+    try:
+        return np.asarray(times, dtype=np.int64)
+    except OverflowError:
+        index = next(i for i, m in enumerate(times) if not -(1 << 63) <= int(m) < 1 << 63)
+        raise SequenceOverflowError(
+            index, f"time #{index} lies outside the signed 64-bit range"
+        ) from None
+
+
+def rotation_grid(alpha_num: int, x0: int, times: np.ndarray):
+    """Exact orbit points (x0 + m * alpha_num) mod 2**128 on the dyadic grid.
+
+    ``times`` is an int64 array.  Yields ``(start, hi, lo)`` for consecutive
+    blocks of at most ``_GRID_BLOCK`` times starting at index ``start``:
+    ``hi`` and ``lo`` are the uint64 words of each block's grid points.
+    Blocks keep every temporary cache-sized.
+
+    Exact limb arithmetic in the style of Knuth's Algorithm M (TAOCP
+    vol. 2, 4.3.1).  With u = m mod 2**64 and alpha = A1*2**64 + A0,
+    u * alpha mod 2**128 has lo = u*A0 and hi = mulhi(u, A0) + u*A1, in
+    wrapping uint64.  mulhi(u, A0) is assembled from four 32x32-bit
+    partial products, none of which overflows.  A negative m equals
+    u - 2**64, so its product is smaller by A0 * 2**64 mod 2**128: A0
+    comes off the high word.  Adding x0 carries into the high word when
+    the low word wraps.  Only np.uint64 scalars enter the arithmetic, so
+    no operand is promoted to float64 on any numpy version.
+    """
+    x0 %= FRACTION_MOD
+    a1, a0 = _U64(alpha_num >> 64), _U64(alpha_num & MASK64)
+    x1, x0_lo = _U64(x0 >> 64), _U64(x0 & MASK64)
+    b1, b0 = a0 >> _SHIFT32, a0 & _LOW32
+    for start in range(0, len(times), _GRID_BLOCK):
+        t = times[start : start + _GRID_BLOCK]
+        u = t.view(_U64)
+        u1, u0 = u >> _SHIFT32, u & _LOW32
+        p01 = u0 * b1
+        p10 = u1 * b0
+        mid = (u0 * b0) >> _SHIFT32
+        mid += p01 & _LOW32
+        mid += p10 & _LOW32  # below 3 * 2**32
+        hi = u1 * b1
+        hi += p01 >> _SHIFT32
+        hi += p10 >> _SHIFT32
+        hi += mid >> _SHIFT32
+        hi += u * a1
+        hi -= (t >> 63).view(_U64) & a0
+        hi += x1
+        lo = u * a0
+        lo += x0_lo
+        hi += lo < x0_lo
+        yield start, hi, lo
+
+
 def rotation_orbit_fractions(system: Rotation, x0: int, times) -> np.ndarray:
     """Fractions (x0 + m*alpha mod 1) for each m, as float64.
 
-    Each value is the exact 128-bit grid point rounded down to 53 bits,
-    so the per-entry error is below 2**-53.
+    The orbit point is computed exactly on the 2**-128 grid by
+    :func:`rotation_grid` (128-bit multiply-add in uint64 limbs); its top
+    53 bits become the float, so the per-entry error is below 2**-53.
+    Every time must fit a signed 64-bit integer; one that does not raises
+    :class:`SequenceOverflowError` instead of wrapping.
     """
-    alpha = system.alpha_num
-    ts = times.tolist() if isinstance(times, np.ndarray) else times
-    vals = [(x0 + m * alpha) % FRACTION_MOD for m in ts]
-    scale = 2.0**-53
-    return np.array([v >> 75 for v in vals], dtype=np.float64) * scale
+    ts = _as_times(times)
+    out = np.empty(ts.shape, dtype=np.float64)
+    for start, hi, _ in rotation_grid(system.alpha_num, x0, ts):
+        out[start : start + len(hi)] = hi >> _U64(11)  # exact: below 2**53
+    out *= 2.0**-53
+    return out
 
 
 def rotation_point_to_float(x: int) -> float:

@@ -1,8 +1,11 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos.averaging import (
@@ -246,6 +249,42 @@ def test_arc_membership_is_exact_on_dyadics():
     m = empirical_measure(rot, 0, dyadic_arcs(1), NATURALS, 101)
     # orbit alternates 1/2, 0, 1/2, ... starting at a_1 = 1
     assert m.counts == (50, 51)
+
+
+def bisect_arc_counts(system, x, partition, times):
+    # reference path: one Python bigint per orbit point, bisected into arcs
+    counts = [0] * len(partition)
+    ordered = sorted(range(len(partition)), key=lambda i: partition[i].lo)
+    starts = [partition[i].lo for i in ordered]
+    for m in times:
+        v = (x + m * system.alpha_num) % sy.FRACTION_MOD
+        counts[ordered[bisect_right(starts, v) - 1]] += 1
+    return tuple(counts)
+
+
+@st.composite
+def arc_partitions(draw):
+    # cuts sharing one high word force the exact low-word tie break
+    high = draw(st.integers(0, 2**64 - 1))
+    shared = draw(st.lists(st.integers(0, 2**64 - 1), max_size=5))
+    free = draw(st.lists(st.integers(1, 2**128 - 1), max_size=6))
+    cuts = sorted(({(high << 64) | lo for lo in shared} | set(free)) - {0})
+    bounds = [0, *cuts, 2**128]
+    arcs = [ArcCell(a, b) for a, b in zip(bounds, bounds[1:])]
+    return draw(st.permutations(arcs))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    partition=arc_partitions(),
+    alpha_num=st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**8)),
+    x=st.integers(0, 2**128 - 1),
+    terms=st.lists(st.one_of(st.integers(1, 2**63 - 1), st.integers(1, 4)), min_size=1, max_size=60),
+)
+def test_arc_counts_match_bisect_oracle(partition, alpha_num, x, terms):
+    rot = sy.Rotation(alpha_num)
+    m = empirical_measure(rot, x, partition, SequenceSpec.explicit(terms), len(terms))
+    assert m.counts == bisect_arc_counts(rot, x, partition, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,14 @@ def test_overflow_is_status_3(tmp_path):
     assert status == 3
 
 
+def test_observable_outside_its_system_is_status_2(tmp_path, capsys):
+    cfg = dict(BASE_CONFIGS["VeryGoodDeviation"], system={"kind": "FullShift", "weights": ["1/2", "1/2"]})
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_assertion_is_status_1(tmp_path):
     cfg = dict(BASE_CONFIGS["VeryGoodDeviation"], tolerance=1e-15)
     status, out = run_tmp(tmp_path, cfg)

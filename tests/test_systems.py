@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
-from seqchaos.errors import ConfigError, DomainError
+from seqchaos.errors import ConfigError, DomainError, SequenceOverflowError
 
 FAIR = sy.FullShift.uniform(2)
 FAIR3 = sy.FullShift.uniform(3)
@@ -122,6 +122,58 @@ def test_rotation_monoid_action(m, n, alpha_num):
     rot = sy.Rotation(alpha_num)
     x = 777
     assert sy.iterate(rot, sy.iterate(rot, x, m), n) == sy.iterate(rot, x, m + n)
+
+
+def bigint_orbit_fractions(alpha_num, x0, times):
+    # reference path: one Python bigint per orbit point, top 53 bits kept
+    vals = [(x0 + m * alpha_num) % sy.FRACTION_MOD for m in times]
+    return np.array([v >> 75 for v in vals], dtype=np.float64) * 2.0**-53
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    alpha_num=st.integers(0, (1 << 128) - 1),
+    x0=st.integers(0, (1 << 128) - 1),
+    times=st.lists(st.one_of(INT64, st.integers(-3, 3)), max_size=40),
+)
+def test_rotation_orbit_fractions_match_bigint_oracle(alpha_num, x0, times):
+    got = sy.rotation_orbit_fractions(sy.Rotation(alpha_num), x0, np.array(times, dtype=np.int64))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, bigint_orbit_fractions(alpha_num, x0, times))
+    assert np.all((got >= 0.0) & (got < 1.0))
+
+
+def test_rotation_orbit_fractions_across_blocks():
+    rng = np.random.default_rng(3)
+    times = rng.integers(-(2**63), 2**63 - 1, size=3 * sy._GRID_BLOCK + 5, dtype=np.int64)
+    x0 = sy.sample_point(sy.Rotation.golden(), 1)
+    for alpha_num in (sy.GOLDEN_CONJUGATE, 0, (1 << 128) - 1):
+        got = sy.rotation_orbit_fractions(sy.Rotation(alpha_num), x0, times)
+        assert np.array_equal(got, bigint_orbit_fractions(alpha_num, x0, times.tolist()))
+
+
+def test_rotation_orbit_fractions_int64_extremes():
+    # |m| of -2**63 does not fit int64; the kernel must still match the oracle
+    golden = sy.Rotation.golden()
+    x0 = 2**128 - 1
+    extremes = [-(2**63), 2**63 - 1, -1, 0]
+    got = sy.rotation_orbit_fractions(golden, x0, np.array(extremes, dtype=np.int64))
+    assert np.array_equal(got, bigint_orbit_fractions(golden.alpha_num, x0, extremes))
+
+
+def test_rotation_orbit_fractions_empty_times():
+    got = sy.rotation_orbit_fractions(sy.Rotation.golden(), 5, np.array([], dtype=np.int64))
+    assert got.dtype == np.float64 and got.shape == (0,)
+
+
+@pytest.mark.parametrize("outside", [2**63, -(2**63) - 1])
+def test_rotation_orbit_fractions_time_outside_int64_raises(outside):
+    with pytest.raises(SequenceOverflowError) as info:
+        sy.rotation_orbit_fractions(sy.Rotation.golden(), 5, [1, 2, outside])
+    assert info.value.index == 2
 
 
 @settings(deadline=None, max_examples=50)
