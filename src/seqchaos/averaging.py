@@ -5,7 +5,8 @@ sequence spec {a_k}.  Summation uses exact-rounding compensated
 summation (math.fsum), so the average of up to 10**7 bounded terms
 carries well below 1e-12 of summation error; the only other error
 sources are the declared per-evaluation bounds of the observable, and
-they are reported on every trace.
+they are reported on every trace.  Series of 0/1 values (indicators)
+are summed by counting their ones, which gives the same float.
 
 Checkpointed traces record running extrema across the checkpoint
 ladder; the running minimum and maximum at the final checkpoint are the
@@ -40,6 +41,38 @@ def _validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
     return cps
 
 
+_BLOCK = 1 << 16
+
+
+def _is_indicator(vals: np.ndarray) -> bool:
+    """True when every value is 0.0 or 1.0; tested blockwise so that no
+    temporary grows with the series."""
+    for lo in range(0, len(vals), _BLOCK):
+        block = vals[lo : lo + _BLOCK]
+        if np.count_nonzero(block == 1.0) + np.count_nonzero(block == 0.0) != len(block):
+            return False
+    return True
+
+
+def exact_sums(vals: np.ndarray, ends: Sequence[int]) -> list[float]:
+    """``math.fsum(vals[:n])`` for each n of the increasing ``ends``, bit for bit.
+
+    A 0/1 series sums to its number of ones, which is exact below 2**53
+    and is the float fsum returns (fsum gives +0.0 for all-zero input);
+    the counts come from one running count across ``ends``.  Any other
+    series is summed by fsum.
+    """
+    if not _is_indicator(vals[: ends[-1]]):
+        return [math.fsum(vals[:n]) for n in ends]
+    sums = []
+    ones = start = 0
+    for n in ends:
+        ones += int(np.count_nonzero(vals[start:n]))
+        start = n
+        sums.append(float(ones))
+    return sums
+
+
 def geometric_checkpoints(start: int, stop: int, factor: int = 2) -> list[int]:
     """start, start*factor, ... capped at stop (stop always included)."""
     if start < 1 or factor < 2 or stop < start:
@@ -59,7 +92,7 @@ def ergodic_average(system, x, f: Observable, seq: SequenceSpec, n_terms: int) -
         raise ConfigError("n_terms must be >= 1")
     ts = times_array(seq, n_terms)
     vals = f.series(system, x, ts)
-    return math.fsum(vals) / n_terms
+    return exact_sums(vals, [n_terms])[0] / n_terms
 
 
 @dataclass(frozen=True)
@@ -126,8 +159,8 @@ def average_trace(
     entries = []
     run_min = math.inf
     run_max = -math.inf
-    for n in cps:
-        a = math.fsum(vals[:n]) / n
+    for n, total in zip(cps, exact_sums(vals, cps)):
+        a = total / n
         run_min = min(run_min, a)
         run_max = max(run_max, a)
         entries.append(TraceCheckpoint(n, a, run_min, run_max))

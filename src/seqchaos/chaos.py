@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import systems as sy
 from .averaging import SUM_ERROR_BOUND, _validate_checkpoints
@@ -122,28 +123,61 @@ def _series_from_intervals(
     return out
 
 
-def _series_from_windows(x, y, times: np.ndarray, window: int) -> np.ndarray:
-    if len(times) and int(times.max()) > MAX_TERM - window:
+def _window_layout(times: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay the windows [u, u + w) of the unique times u out as one tape.
+
+    Returns the coordinate position of every tape cell, the tape offset of
+    each unique time and the map from ``times`` to the unique times.
+    Overlapping windows share their cells, so the tape holds at most N*w
+    positions, and about N + w when the times are dense.
+    """
+    if int(times.max()) > MAX_TERM - window:
         raise DomainError("times too close to the 2**63 - 1 cap for the metric window")
+    u, inverse = np.unique(times, return_inverse=True)
+    lengths = np.append(np.minimum(np.diff(u), window), window)
+    offsets = np.cumsum(lengths) - lengths
+    positions = np.repeat(u - offsets, lengths) + np.arange(offsets[-1] + window)
+    return positions, offsets, inverse
+
+
+_LAYOUT = "layout"  # memo key of the tape layout; the other keys are id(point)
+
+
+def _series_from_windows(x, y, times: np.ndarray, window: int, memo: dict) -> np.ndarray:
+    # Each point's coordinates are read once onto the shared tape (kept in
+    # ``memo`` across the pairs of a tuple); every window is then a gather.
+    if not len(times):
+        return np.empty(0, dtype=np.float64)
+    layout = memo.get(_LAYOUT)
+    if layout is None or layout[0] is not times or layout[1] != window:
+        memo.clear()
+        layout = memo[_LAYOUT] = (times, window, *_window_layout(times, window))
+    _, _, positions, offsets, inverse = layout
+    tapes = []
+    for p in (x, y):
+        if id(p) not in memo:
+            memo[id(p)] = (p, p.coordinates(positions))  # holding p keeps its id unique
+        tapes.append(memo[id(p)][1])
+    windows = sliding_window_view((tapes[0] != tapes[1]).astype(np.float64), window)
     weights = np.ldexp(1.0, -np.arange(1, window + 1))
-    offsets = np.arange(window, dtype=np.int64)
-    out = np.empty(len(times), dtype=np.float64)
+    out = np.empty(len(offsets), dtype=np.float64)
     chunk = max(1, (1 << 21) // window)
-    for lo in range(0, len(times), chunk):
-        t = times[lo : lo + chunk]
-        idx = (t[:, None] + offsets[None, :]).ravel()
-        diff = x.coordinates(idx) != y.coordinates(idx)
-        out[lo : lo + len(t)] = diff.reshape(len(t), window).astype(np.float64) @ weights
-    return out
+    for lo in range(0, len(offsets), chunk):
+        out[lo : lo + chunk] = windows[offsets[lo : lo + chunk]] @ weights
+    return out[inverse]
 
 
-def distance_series(system, x, y, times: np.ndarray) -> np.ndarray:
+def distance_series(system, x, y, times: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """d(T**m x, T**m y) for every m in ``times``.
 
     Full shifts with the summed metric get a vectorized path (interval
-    algebra for piecewise-constant points, windowed PRF evaluation
-    otherwise); both agree bit-for-bit with the scalar metric.  Other
-    systems evaluate pointwise.
+    algebra for piecewise-constant points, a difference tape read window
+    by window otherwise); both agree bit-for-bit with the scalar metric.
+    Other systems evaluate pointwise.
+
+    ``memo`` is an optional dict shared by calls over the same ``times``:
+    it keeps each point's coordinate tape, so a point that belongs to
+    several pairs is evaluated once.  It is reset when ``times`` changes.
     """
     if (
         isinstance(system, sy.FullShift)
@@ -153,7 +187,7 @@ def distance_series(system, x, y, times: np.ndarray) -> np.ndarray:
         intervals = _difference_intervals(x, y)
         if intervals is not None:
             return _series_from_intervals(intervals, times, system.window)
-        return _series_from_windows(x, y, times, system.window)
+        return _series_from_windows(x, y, times, system.window, {} if memo is None else memo)
     return np.array(
         [
             sy.distance(system, sy.iterate(system, x, int(m)), sy.iterate(system, y, int(m)))
@@ -210,8 +244,9 @@ def tuple_distance_averages(
         raise DomainError("need at least two points")
     cps = _validate_checkpoints(checkpoints)
     ts = times_array(seq, cps[-1])
+    tapes: dict = {}
     pair_series = [
-        distance_series(system, points[i], points[j], ts)
+        distance_series(system, points[i], points[j], ts, memo=tapes)
         for i in range(len(points))
         for j in range(i + 1, len(points))
     ]

@@ -66,6 +66,12 @@ def _as_int(v, path: str, minimum: int | None = None) -> int:
     return v
 
 
+def _as_bool(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true or false, got {v!r}")
+    return v
+
+
 def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
@@ -272,7 +278,9 @@ def _run_condition_star_profile(cfg: dict, seed: int, workers: int) -> RunOutput
     if not isinstance(cps, list) or not cps:
         raise ConfigError("config.checkpoints: expected a non-empty list")
     cps = [_as_int(n, f"config.checkpoints[{i}]", 1) for i, n in enumerate(cps)]
-    require_decreasing = bool(_get(cfg, "require_decreasing", "config", False))
+    require_decreasing = _as_bool(
+        _get(cfg, "require_decreasing", "config", False), "config.require_decreasing"
+    )
     max_final = _get(cfg, "max_final_density", "config", None)
     if max_final is not None:
         max_final = _as_number(max_final, "config.max_final_density")

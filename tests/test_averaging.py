@@ -3,11 +3,13 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
+from seqchaos import averaging
 from seqchaos.averaging import (
     ArcCell,
     CylinderCell,
@@ -17,6 +19,7 @@ from seqchaos.averaging import (
     dyadic_arcs,
     empirical_measure,
     ergodic_average,
+    exact_sums,
     geometric_checkpoints,
     very_good_deviation,
 )
@@ -25,9 +28,10 @@ from seqchaos.observables import (
     Constant,
     CylinderIndicator,
     LinearCombination,
+    ProductOf,
     TrigOnRotation,
 )
-from seqchaos.seqgen import SequenceSpec
+from seqchaos.seqgen import SequenceSpec, generate_prefix
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
@@ -100,6 +104,70 @@ def test_linearity():
             FAIR, x, g, PRIMES, 2000
         )
         assert abs(lhs - rhs) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# exact reduction
+
+
+def fsum_sums(vals, ends):
+    # reference: compensated summation of every prefix
+    return [math.fsum(vals[:n]) for n in ends]
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3 * averaging._BLOCK + 7),
+    density=st.sampled_from([0.0, 0.001, 0.5, 0.999, 1.0]),
+    cuts=st.lists(st.floats(0, 1), max_size=6),
+)
+def test_counted_indicator_sums_match_fsum(seed, n, density, cuts):
+    rng = np.random.default_rng(seed)
+    vals = (rng.random(n) < density).astype(np.float64)
+    vals[(vals == 0) & (rng.random(n) < 0.1)] = -0.0  # fsum adds -0.0 as a zero too
+    ends = sorted({max(1, round(c * n)) for c in cuts} | {n})
+    assert averaging._is_indicator(vals)
+    assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
+    assert hex_list([exact_sums(vals, [n])[0] / n]) == hex_list([math.fsum(vals) / n])
+
+
+def test_non_indicator_series_keep_fsum():
+    x = GOLDEN.alpha_num // 3
+    cos_vals = TrigOnRotation(1, "cos").series(GOLDEN, x, np.arange(1, 5001, dtype=np.int64))
+    product = sy.ProductSystem((sy.FullShift.uniform(2), sy.Rotation.from_fraction("1/2")))
+    point = (sy.sample_point(product.components[0], 3), 0)
+    f = ProductOf((CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")))
+    prod_vals = f.series(product, point, np.arange(1, 5001, dtype=np.int64))
+    assert set(prod_vals.tolist()) == {0.0, 1.0, -1.0}
+    late = np.zeros(2 * averaging._BLOCK + 9)
+    late[-1] = 0.5  # the only non-0/1 value sits in the last block
+    for vals in (cos_vals, prod_vals, late):
+        assert not averaging._is_indicator(vals)
+        ends = [1, len(vals) // 2, len(vals)]
+        assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
+
+
+@pytest.mark.parametrize(
+    "system, x, f",
+    [
+        (FAIR, sy.sample_point(FAIR, 9), CylinderIndicator(((0, 0), (3, 1)))),
+        (FAIR, sy.PeriodicPoint((0,), 2), CylinderIndicator(((0, 1),))),
+        (GOLDEN, 12345, TrigOnRotation(1, "cos")),
+    ],
+    ids=["cylinder", "all-zero", "cos"],
+)
+def test_trace_checkpoints_equal_fsum_of_the_series(system, x, f):
+    cps = geometric_checkpoints(1, 70_000, 3)
+    tr = average_trace(system, x, f, PRIMES, cps)
+    vals = f.series(system, x, np.array(generate_prefix(PRIMES, cps[-1]), dtype=np.int64))
+    assert hex_list(c.value for c in tr.checkpoints) == hex_list(
+        s / n for s, n in zip(fsum_sums(vals, cps), cps)
+    )
 
 
 # ---------------------------------------------------------------------------

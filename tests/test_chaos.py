@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos.chaos import (
+    TupleCheckpoint,
     build_scrambled_family,
     distance_series,
     random_tuple_scan,
@@ -15,7 +18,7 @@ from seqchaos.chaos import (
     verify_scrambled,
 )
 from seqchaos.errors import ConfigError, DomainError
-from seqchaos.seqgen import SequenceSpec, generate_prefix
+from seqchaos.seqgen import MAX_TERM, SequenceSpec, generate_prefix
 
 FAIR = sy.FullShift.uniform(2)
 NATURALS = SequenceSpec.naturals()
@@ -63,6 +66,126 @@ def test_mixed_point_kinds_use_window_path():
     y = zeros()
     times = np.arange(1, 64, dtype=np.int64)
     assert distance_series(FAIR, x, y, times).tolist() == scalar_series(FAIR, x, y, times)
+
+
+# ---------------------------------------------------------------------------
+# difference tapes
+
+
+def window_gather(x, y, times, window):
+    # reference: every time's window read straight from both points
+    idx = (np.asarray(times, dtype=np.int64)[:, None] + np.arange(window)).ravel()
+    diff = (x.coordinates(idx) != y.coordinates(idx)).reshape(len(times), window)
+    return diff.astype(np.float64) @ np.ldexp(1.0, -np.arange(1, window + 1))
+
+
+class CountingPoint(sy.SymbolicPoint):
+    """Counts the vectorized coordinate reads of the point it wraps."""
+
+    def __init__(self, base):
+        self.base = base
+        self.alphabet_size = base.alphabet_size
+        self.side = base.side
+        self.reads = 0
+
+    def coordinate(self, i):
+        return self.base.coordinate(i)
+
+    def coordinates(self, indices):
+        self.reads += 1
+        return self.base.coordinates(indices)
+
+
+WEIGHTS = [
+    (Fraction(1, 2),) * 2,
+    (Fraction(1, 3),) * 3,
+    (Fraction(1, 10), Fraction(9, 10)),
+]
+
+
+@st.composite
+def tape_points(draw, weights):
+    seeded = sy.SeededRandomPoint(draw(st.integers(0, 2**64 - 1)), weights)
+    kind = draw(st.sampled_from(["seeded", "shifted", "blocks"]))
+    if kind == "shifted":
+        return sy.ShiftedPoint(seeded, draw(st.integers(1, 1000)))
+    if kind == "blocks":
+        boundaries = sorted(draw(st.sets(st.integers(1, 200), min_size=1, max_size=4)))
+        contents = draw(
+            st.lists(
+                st.one_of(st.integers(0, len(weights) - 1), st.just(seeded)),
+                min_size=len(boundaries) + 1,
+                max_size=len(boundaries) + 1,
+            )
+        )
+        return sy.BlockScheduledPoint(tuple(boundaries), tuple(contents), len(weights))
+    return seeded
+
+
+# unsorted, duplicated, dense near 0 and sparse up to 2**62 (span >> N*w)
+TIMES = st.lists(st.one_of(st.integers(0, 80), st.integers(0, 2**62)), max_size=40)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), window=st.integers(1, 53), times=TIMES)
+def test_tape_matches_window_gather_and_scalar_metric(data, window, times):
+    weights = data.draw(st.sampled_from(WEIGHTS))
+    x, y = data.draw(tape_points(weights)), data.draw(tape_points(weights))
+    system = sy.FullShift.bernoulli(weights, window=window)
+    ts = np.array(times, dtype=np.int64)
+    got = distance_series(system, x, y, ts)
+    assert got.dtype == np.float64 and got.shape == ts.shape
+    assert got.tobytes() == window_gather(x, y, ts, window).tobytes()
+    assert got.tolist() == scalar_series(system, x, y, ts)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    size=st.integers(3, 4),
+    window=st.integers(1, 53),
+    times=st.lists(st.one_of(st.integers(1, 80), st.integers(1, 2**62)), min_size=1, max_size=30),
+)
+def test_tuple_shares_one_tape_per_point(data, size, window, times):
+    weights = data.draw(st.sampled_from(WEIGHTS))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
+    pts = [CountingPoint(sy.SeededRandomPoint(s, weights)) for s in seeds]
+    system = sy.FullShift.bernoulli(weights, window=window)
+    ts = np.array(times, dtype=np.int64)
+    pairs = list(itertools.combinations(pts, 2))
+    oracle = [window_gather(x, y, ts, window) for x, y in pairs]
+    for p in pts:
+        p.reads = 0
+
+    memo = {}
+    for (x, y), ref in zip(pairs, oracle):
+        assert distance_series(system, x, y, ts, memo=memo).tobytes() == ref.tobytes()
+    assert [p.reads for p in pts] == [1] * size
+    # a memo handed other times starts over instead of reusing stale tapes
+    rev = ts[::-1].copy()
+    x, y = pairs[0]
+    assert distance_series(system, x, y, rev, memo=memo).tobytes() == oracle[0][::-1].tobytes()
+
+    for p in pts:
+        p.reads = 0
+    cps = sorted({1, len(ts)})
+    rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), cps)
+    assert [p.reads for p in pts] == [1] * size
+    dmax, dmin = np.maximum.reduce(oracle), np.minimum.reduce(oracle)
+    assert rep.checkpoints == tuple(
+        TupleCheckpoint(n, math.fsum(dmax[:n]) / n, math.fsum(dmin[:n]) / n) for n in cps
+    )
+
+
+@pytest.mark.parametrize("window", [1, 48, 53])
+def test_tape_times_at_the_term_cap(window):
+    system = sy.FullShift.uniform(2, window=window)
+    x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
+    last = MAX_TERM - window
+    ts = np.array([last, 0, last], dtype=np.int64)
+    assert distance_series(system, x, y, ts).tolist() == scalar_series(system, x, y, ts)
+    with pytest.raises(DomainError):
+        distance_series(system, x, y, np.array([0, last + 1], dtype=np.int64))
 
 
 def test_rotation_series_generic_path():

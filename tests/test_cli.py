@@ -167,6 +167,14 @@ def test_invalid_negative_parameter_is_status_2(tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1, None, [True]])
+def test_non_boolean_flag_is_status_2(tmp_path, flag):
+    cfg = dict(BASE_CONFIGS["ConditionStarProfile"], require_decreasing=flag)
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 2
+    assert not out.exists()
+
+
 def test_unknown_key_is_status_2(tmp_path):
     cfg = dict(BASE_CONFIGS["TupleScan"], bogus=1)
     status, _ = run_tmp(tmp_path, cfg)
