@@ -123,47 +123,77 @@ def _series_from_intervals(
     return out
 
 
-def _window_layout(times: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay the windows [u, u + w) of the unique times u out as one tape.
+# Tape cells read per coordinates call: small enough that the PRF's
+# temporaries stay in cache, large enough that a chunk's last window,
+# which is read again by the next chunk, costs little.
+_TAPE_CELLS = 1 << 17
+# Window cells weighted per matrix product (16 MB of float64); fewer, larger
+# products spare BLAS its per-call set-up.
+_GATHER_CELLS = 1 << 21
 
-    Returns the coordinate position of every tape cell, the tape offset of
-    each unique time and the map from ``times`` to the unique times.
-    Overlapping windows share their cells, so the tape holds at most N*w
-    positions, and about N + w when the times are dense.
+
+def _tape_chunks(u: np.ndarray, window: int):
+    """Lay the windows [t, t + w) of the sorted unique times u out as a tape.
+
+    Overlapping windows share their cells, so the tape holds at most
+    len(u)*w cells, and about len(u) + w when the times are dense.  The
+    tape is cut into chunks of about _TAPE_CELLS cells at the start of a
+    window; each chunk also holds its last window whole, so up to w - 1
+    cells at each cut are read twice.  Yields, per chunk, the index of its
+    first time in ``u``, the coordinate position of every cell and the
+    offset of each window.
     """
-    if int(times.max()) > MAX_TERM - window:
-        raise DomainError("times too close to the 2**63 - 1 cap for the metric window")
-    u, inverse = np.unique(times, return_inverse=True)
     lengths = np.append(np.minimum(np.diff(u), window), window)
-    offsets = np.cumsum(lengths) - lengths
-    positions = np.repeat(u - offsets, lengths) + np.arange(offsets[-1] + window)
-    return positions, offsets, inverse
+    starts = np.cumsum(lengths) - lengths
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, starts[-1] + 1, _TAPE_CELLS)))
+    for lo, hi in zip(cuts, [*cuts[1:], len(u)]):
+        spans = lengths[lo:hi].copy()
+        spans[-1] = window
+        offsets = starts[lo:hi] - starts[lo]
+        positions = np.repeat(u[lo:hi] - offsets, spans)
+        positions += np.arange(len(positions))
+        yield lo, positions, offsets
 
 
-_LAYOUT = "layout"  # memo key of the tape layout; the other keys are id(point)
+def _tape(p, positions: np.ndarray, memo: dict | None, chunk: int) -> np.ndarray:
+    if memo is None:
+        return p.coordinates(positions)
+    key = (id(p), chunk)
+    if key not in memo:
+        # one byte a cell up to 256 symbols; holding p keeps its id unique
+        symbols = p.coordinates(positions).astype(np.min_scalar_type(p.alphabet_size - 1))
+        memo[key] = (p, symbols)
+    return memo[key][1]
 
 
-def _series_from_windows(x, y, times: np.ndarray, window: int, memo: dict) -> np.ndarray:
-    # Each point's coordinates are read once onto the shared tape (kept in
-    # ``memo`` across the pairs of a tuple); every window is then a gather.
+_LAYOUT = "layout"  # memo key of the unique times; the other keys are (id(point), chunk)
+
+
+def _series_from_windows(x, y, times: np.ndarray, window: int, memo: dict | None) -> np.ndarray:
+    # Each point's coordinates are read once per tape chunk (kept in ``memo``
+    # across the pairs of a tuple); every window is then a gather, taken in
+    # blocks of at most _GATHER_CELLS weighted cells.
     if not len(times):
         return np.empty(0, dtype=np.float64)
-    layout = memo.get(_LAYOUT)
+    layout = None if memo is None else memo.get(_LAYOUT)
     if layout is None or layout[0] is not times or layout[1] != window:
-        memo.clear()
-        layout = memo[_LAYOUT] = (times, window, *_window_layout(times, window))
-    _, _, positions, offsets, inverse = layout
-    tapes = []
-    for p in (x, y):
-        if id(p) not in memo:
-            memo[id(p)] = (p, p.coordinates(positions))  # holding p keeps its id unique
-        tapes.append(memo[id(p)][1])
-    windows = sliding_window_view((tapes[0] != tapes[1]).astype(np.float64), window)
+        u, inverse = np.unique(times, return_inverse=True)
+        if int(u[-1]) > MAX_TERM - window:
+            raise DomainError("times too close to the 2**63 - 1 cap for the metric window")
+        layout = (times, window, u, inverse)
+        if memo is not None:
+            memo.clear()
+            memo[_LAYOUT] = layout
+    _, _, u, inverse = layout
     weights = np.ldexp(1.0, -np.arange(1, window + 1))
-    out = np.empty(len(offsets), dtype=np.float64)
-    chunk = max(1, (1 << 21) // window)
-    for lo in range(0, len(offsets), chunk):
-        out[lo : lo + chunk] = windows[offsets[lo : lo + chunk]] @ weights
+    rows = max(1, _GATHER_CELLS // window)
+    out = np.empty(len(u), dtype=np.float64)
+    for chunk, positions, offsets in _tape_chunks(u, window):
+        diff = _tape(x, positions, memo, chunk) != _tape(y, positions, memo, chunk)
+        windows = sliding_window_view(diff, window)
+        for lo in range(0, len(offsets), rows):
+            block = windows[offsets[lo : lo + rows]].astype(np.float64)
+            out[chunk + lo : chunk + lo + len(block)] = block @ weights
     return out[inverse]
 
 
@@ -172,12 +202,16 @@ def distance_series(system, x, y, times: np.ndarray, memo: dict | None = None) -
 
     Full shifts with the summed metric get a vectorized path (interval
     algebra for piecewise-constant points, a difference tape read window
-    by window otherwise); both agree bit-for-bit with the scalar metric.
-    Other systems evaluate pointwise.
+    by window otherwise); for windows up to 53 both agree bit-for-bit with
+    the scalar metric, and above 53 they may differ in the last bit.  Other
+    systems evaluate pointwise.
 
-    ``memo`` is an optional dict shared by calls over the same ``times``:
-    it keeps each point's coordinate tape, so a point that belongs to
-    several pairs is evaluated once.  It is reset when ``times`` changes.
+    The tape is read in chunks of about 2**17 cells, so working memory does
+    not grow with the gaps between times.  ``memo`` is an optional dict
+    shared by calls over the same ``times``: it keeps each point's tape
+    (one byte a cell for up to 256 symbols), so a point that belongs to
+    several pairs is evaluated once.  It is reset when ``times`` changes;
+    callers bound it by passing ``times`` in blocks.
     """
     if (
         isinstance(system, sy.FullShift)
@@ -187,7 +221,7 @@ def distance_series(system, x, y, times: np.ndarray, memo: dict | None = None) -
         intervals = _difference_intervals(x, y)
         if intervals is not None:
             return _series_from_intervals(intervals, times, system.window)
-        return _series_from_windows(x, y, times, system.window, {} if memo is None else memo)
+        return _series_from_windows(x, y, times, system.window, memo)
     return np.array(
         [
             sy.distance(system, sy.iterate(system, x, int(m)), sy.iterate(system, y, int(m)))
@@ -244,14 +278,17 @@ def tuple_distance_averages(
         raise DomainError("need at least two points")
     cps = _validate_checkpoints(checkpoints)
     ts = times_array(seq, cps[-1])
-    tapes: dict = {}
-    pair_series = [
-        distance_series(system, points[i], points[j], ts, memo=tapes)
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-    ]
-    dmax = np.maximum.reduce(pair_series)
-    dmin = np.minimum.reduce(pair_series)
+    pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1 :]]
+    # every pair of a block shares its points' tapes; blocks bound the memo
+    # to _TAPE_CELLS * window cells a point
+    dmax = np.empty(len(ts), dtype=np.float64)
+    dmin = np.empty(len(ts), dtype=np.float64)
+    for lo in range(0, len(ts), _TAPE_CELLS):
+        block = ts[lo : lo + _TAPE_CELLS]
+        tapes: dict = {}
+        pair_series = [distance_series(system, x, y, block, memo=tapes) for x, y in pairs]
+        dmax[lo : lo + len(block)] = np.maximum.reduce(pair_series)
+        dmin[lo : lo + len(block)] = np.minimum.reduce(pair_series)
     entries = [
         TupleCheckpoint(n, math.fsum(dmax[:n]) / n, math.fsum(dmin[:n]) / n) for n in cps
     ]

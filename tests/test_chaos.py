@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqchaos.chaos as chaos
 import seqchaos.systems as sy
 from seqchaos.chaos import (
     TupleCheckpoint,
@@ -87,12 +89,14 @@ class CountingPoint(sy.SymbolicPoint):
         self.alphabet_size = base.alphabet_size
         self.side = base.side
         self.reads = 0
+        self.most = 0  # largest read
 
     def coordinate(self, i):
         return self.base.coordinate(i)
 
     def coordinates(self, indices):
         self.reads += 1
+        self.most = max(self.most, len(indices))
         return self.base.coordinates(indices)
 
 
@@ -175,6 +179,66 @@ def test_tuple_shares_one_tape_per_point(data, size, window, times):
     assert rep.checkpoints == tuple(
         TupleCheckpoint(n, math.fsum(dmax[:n]) / n, math.fsum(dmin[:n]) / n) for n in cps
     )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    size=st.integers(2, 4),
+    window=st.integers(1, 53),
+    cells=st.integers(1, 120),
+    gather=st.integers(1, 400),
+    times=st.lists(st.one_of(st.integers(1, 80), st.integers(1, 2**62)), min_size=1, max_size=40),
+)
+def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times):
+    # shrink the chunks so that the times straddle many chunk and block edges
+    weights = data.draw(st.sampled_from(WEIGHTS))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
+    pts = [CountingPoint(sy.SeededRandomPoint(s, weights)) for s in seeds]
+    system = sy.FullShift.bernoulli(weights, window=window)
+    ts = np.array(times, dtype=np.int64)
+    pairs = list(itertools.combinations(pts, 2))
+    oracle = [window_gather(x, y, ts, window) for x, y in pairs]
+    for p in pts:
+        p.reads = p.most = 0
+
+    with mock.patch.object(chaos, "_TAPE_CELLS", cells), mock.patch.object(
+        chaos, "_GATHER_CELLS", gather
+    ):
+        memo = {}
+        for (x, y), ref in zip(pairs, oracle):
+            assert distance_series(system, x, y, ts, memo=memo).tobytes() == ref.tobytes()
+        rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), [len(ts)])
+    # a chunk ends at the window that starts before its last cell
+    assert max(p.most for p in pts) <= cells + window - 1
+    dmax, dmin = np.maximum.reduce(oracle), np.minimum.reduce(oracle)
+    n = len(ts)
+    assert rep.checkpoints == (TupleCheckpoint(n, math.fsum(dmax) / n, math.fsum(dmin) / n),)
+
+
+def test_sparse_tuple_reads_each_chunk_once():
+    # squares: past the first 24 terms every gap exceeds the window, so the
+    # tape is about N*w cells; no read may take more than one chunk, and
+    # each point reads each chunk of each block once for all its pairs
+    system = sy.FullShift.uniform(2, window=48)
+    pts = [CountingPoint(sy.sample_point(system, s)) for s in (1, 2, 3)]
+    with mock.patch.object(chaos, "_TAPE_CELLS", 480), mock.patch.object(
+        chaos, "distance_series", wraps=chaos.distance_series
+    ) as calls:
+        rep = tuple_distance_averages(system, pts, SQUARES, [1000])
+        ts = np.array(generate_prefix(SQUARES, 1000), dtype=np.int64)
+        chunks = sum(
+            len(list(chaos._tape_chunks(np.unique(ts[lo : lo + 480]), 48)))
+            for lo in range(0, 1000, 480)
+        )
+    assert chunks > 90
+    # the memo holds one block of times at a time
+    assert [len(c.args[3]) for c in calls.call_args_list] == [480] * 6 + [40] * 3
+    assert [p.reads for p in pts] == [chunks] * 3
+    assert max(p.most for p in pts) <= 480 + 47
+    oracle = [window_gather(x, y, ts, 48) for x, y in itertools.combinations(pts, 2)]
+    assert rep.checkpoints[0].max_average == math.fsum(np.maximum.reduce(oracle)) / 1000
+    assert rep.checkpoints[0].min_average == math.fsum(np.minimum.reduce(oracle)) / 1000
 
 
 @pytest.mark.parametrize("window", [1, 48, 53])
