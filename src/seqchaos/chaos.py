@@ -202,9 +202,10 @@ def distance_series(system, x, y, times: np.ndarray, memo: dict | None = None) -
 
     Full shifts with the summed metric get a vectorized path (interval
     algebra for piecewise-constant points, a difference tape read window
-    by window otherwise); for windows up to 53 both agree bit-for-bit with
-    the scalar metric, and above 53 they may differ in the last bit.  Other
-    systems evaluate pointwise.
+    by window otherwise); both agree bit-for-bit with the scalar metric,
+    since ``FullShift`` caps the window at ``MAX_WINDOW`` = 53 coordinates,
+    where the window sum is still exact in float64.  Other systems
+    evaluate pointwise.
 
     The tape is read in chunks of about 2**17 cells, so working memory does
     not grow with the gaps between times.  ``memo`` is an optional dict
@@ -586,6 +587,9 @@ class TupleScanResult:
     seeds: tuple[int, ...]
     max_average: float
     min_average: float
+
+    def to_json_dict(self) -> dict:
+        return {"index": self.index, "max_average": self.max_average, "min_average": self.min_average}
 
 
 def _scan_one(args) -> TupleScanResult:

@@ -190,6 +190,15 @@ class LacunaryContrastReport:
     lacunary_max_terms: int
     lacunary_extended_available: bool
 
+    CSV_HEADER = ["phase", "terms", "good_dispersion", "lacunary_dispersion"]
+
+    def csv_rows(self) -> list[list]:
+        return [
+            ["matched", self.matched_terms, self.good_dispersion, self.lacunary_dispersion],
+            # -1 marks the structurally unavailable lacunary long-horizon entry
+            ["extended", self.extended_terms, self.good_extended_dispersion, -1.0],
+        ]
+
     def to_json_dict(self) -> dict:
         return {
             "matched_terms": self.matched_terms,

@@ -127,6 +127,12 @@ class SequenceSpec:
             return f"Explicit[{len(self.explicit_terms)} terms]"
         return self.family
 
+    def to_json_dict(self) -> dict:
+        """The family and its parameters, keyed as in an experiment config."""
+        params = {"coefficients": self.coefficients, "exponent": self.exponent,
+                  "base": self.base, "terms": self.explicit_terms}
+        return {"family": self.family, **{k: v for k, v in params.items() if v is not None}}
+
 
 # ---------------------------------------------------------------------------
 # generators
@@ -356,6 +362,20 @@ class ClosePairProfile:
     sequence: str
     max_gap: int
     checkpoints: tuple[ClosePairCheckpoint, ...]
+
+    CSV_HEADER = ["N", "count", "density"]
+
+    def csv_rows(self) -> list[list]:
+        return [[c.n, c.count, c.density] for c in self.checkpoints]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "sequence": self.sequence,
+            "max_gap": self.max_gap,
+            "checkpoints": [
+                {"N": c.n, "count": c.count, "density": c.density} for c in self.checkpoints
+            ],
+        }
 
 
 def close_pair_count(prefix: Sequence[int], max_gap: int) -> int:

@@ -42,6 +42,10 @@ FRACTION_BITS = 128
 FRACTION_MOD = 1 << FRACTION_BITS
 
 DEFAULT_WINDOW = 48
+# Widest metric window.  Up to 53 coordinates the one-sided window distance,
+# a sum of distinct powers 2**-(i+1), is exact in float64, so the vectorized
+# and scalar paths give the same bits.
+MAX_WINDOW = 53
 
 METRIC_SUMMED = "summed"
 METRIC_FIRST_DIFFERENCE = "first_difference"
@@ -313,8 +317,10 @@ class FullShift:
             raise ConfigError(f"weights sum to {total}, expected 1 within 2**-52")
         if total != 1:  # exact renormalization of an in-tolerance sum
             object.__setattr__(self, "weights", tuple(w / total for w in self.weights))
-        if self.window < 1:
-            raise ConfigError("metric window must be >= 1")
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise ConfigError(f"metric window must be in [1, {MAX_WINDOW}], got {self.window}")
+        if self.side not in (ONE_SIDED, TWO_SIDED):
+            raise ConfigError(f"unknown side {self.side!r}")
         if self.metric not in (METRIC_SUMMED, METRIC_FIRST_DIFFERENCE):
             raise ConfigError(f"unknown metric {self.metric!r}")
 
@@ -336,6 +342,15 @@ class FullShift:
 
     def describe(self) -> str:
         return f"FullShift[s={self.alphabet_size}, weights=({','.join(map(str, self.weights))}), {self.side}, w={self.window}]"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "FullShift",
+            "weights": [str(w) for w in self.weights],
+            "window": self.window,
+            "side": self.side,
+            "metric": self.metric,
+        }
 
 
 @dataclass(frozen=True)
@@ -366,6 +381,9 @@ class Rotation:
     def describe(self) -> str:
         return f"Rotation[alpha=0x{self.alpha_num:032x}/2^128]"
 
+    def to_json_dict(self) -> dict:
+        return {"kind": "Rotation", "alpha_num_2pow128": f"0x{self.alpha_num:032x}"}
+
 
 @dataclass(frozen=True)
 class ProductSystem:
@@ -378,6 +396,9 @@ class ProductSystem:
     def describe(self) -> str:
         return "Product[" + ", ".join(c.describe() for c in self.components) + "]"
 
+    def to_json_dict(self) -> dict:
+        return {"kind": "Product", "components": [c.to_json_dict() for c in self.components]}
+
 
 @dataclass(frozen=True)
 class NaturalExtension:
@@ -386,6 +407,8 @@ class NaturalExtension:
     base: FullShift
 
     def __post_init__(self):
+        if not isinstance(self.base, FullShift):
+            raise ConfigError("natural extension base must be a FullShift")
         if self.base.side != ONE_SIDED:
             raise ConfigError("natural extension applies to one-sided shifts")
 
@@ -395,6 +418,9 @@ class NaturalExtension:
 
     def describe(self) -> str:
         return f"NaturalExtension[{self.base.describe()}]"
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "NaturalExtension", "base": self.base.to_json_dict()}
 
 
 SystemSpec = Union[FullShift, Rotation, ProductSystem, NaturalExtension]

@@ -11,7 +11,11 @@ import json
 import pytest
 
 from seqchaos import __version__
+from seqchaos import chaos as ch
+from seqchaos import pinsker as pk
+from seqchaos import systems as sy
 from seqchaos.cli import list_experiments, main, run_config
+from seqchaos.errors import ConfigError
 
 _HALF = ["1/2", "1/2"]
 _CYL0 = {"kind": "CylinderIndicator", "constraints": {"0": 0}}
@@ -263,8 +267,137 @@ def test_manifest_bytes_are_pinned(tmp_path, name):
     assert (out / "manifest.json").read_text(encoding="utf-8") == expected
 
 
-def test_config_out_is_used_but_not_written(tmp_path):
-    cfg = dict(CONFIGS["KolmogorovCheck/full"], out=str(tmp_path / "from_config"))
-    assert run_config(cfg) == 0
-    manifest = (tmp_path / "from_config" / "manifest.json").read_text(encoding="utf-8")
-    assert '"out"' not in manifest
+def _rejected(capsys, tmp_path, cfg, **kwargs):
+    """Run ``cfg`` into ``tmp_path/out``: it must exit 2 with a config error and write nothing."""
+    out = tmp_path / "out"
+    status = run_config(cfg, out_dir=str(out), **kwargs)
+    err = capsys.readouterr().err
+    assert status == 2, err
+    assert "config error:" in err
+    assert not out.exists()
+    return err
+
+
+def _base(name):
+    return json.loads(json.dumps(CONFIGS[name]))
+
+
+@pytest.mark.parametrize("kind", [[1], {"a": 1}, None, 3])
+def test_non_string_kind_is_status_2(capsys, tmp_path, kind):
+    _rejected(capsys, tmp_path, {"kind": kind})
+
+
+def test_non_string_family_is_status_2(capsys, tmp_path):
+    cfg = dict(_base("KolmogorovCheck/defaults"), sequence={"family": ["Primes"]})
+    _rejected(capsys, tmp_path, cfg)
+
+
+@pytest.mark.parametrize("out", [5, True, ["runs"], {"dir": "x"}])
+def test_non_string_out_is_status_2(capsys, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    assert run_config(dict(_base("ConditionStarProfile/defaults"), out=out)) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_json_number_is_status_2(capsys, tmp_path, literal):
+    text = json.dumps(CONFIGS["KolmogorovCheck/defaults"]).replace("0.5", literal)
+    assert literal in text
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("where", ["tolerance", "observable", "expected_means", "max_final_density"])
+def test_non_finite_number_in_a_dict_is_status_2(capsys, tmp_path, value, where):
+    if where == "tolerance":
+        cfg = dict(_base("KolmogorovCheck/defaults"), tolerance=value)
+    elif where == "observable":
+        cfg = dict(_base("KolmogorovCheck/full"), observable={"kind": "Constant", "value": value})
+    elif where == "expected_means":
+        cfg = dict(_base("FiberConstancy/full"), expected_means=[0, value, 0])
+    else:
+        cfg = dict(_base("ConditionStarProfile/defaults"), max_final_density=value)
+    _rejected(capsys, tmp_path, cfg)
+
+
+def test_unknown_side_is_status_2(capsys, tmp_path):
+    cfg = _base("TupleScan/defaults")
+    cfg["system"]["side"] = "bogus"
+    assert "bogus" in _rejected(capsys, tmp_path, cfg)
+    with pytest.raises(ConfigError):
+        sy.FullShift.bernoulli(["1/2", "1/2"], side="bogus")
+
+
+def test_natural_extension_of_a_rotation_is_status_2(capsys, tmp_path):
+    cfg = _base("TupleScan/defaults")
+    cfg["system"] = {"kind": "NaturalExtension", "base": {"kind": "Rotation", "alpha": "golden"}}
+    _rejected(capsys, tmp_path, cfg)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_negative_seed_flag_is_status_2(capsys, tmp_path, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CONFIGS["ConditionStarProfile/defaults"]))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--seed", seed]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    _rejected(capsys, tmp_path, _base("ConditionStarProfile/defaults"), seed_override=int(seed))
+
+
+def _with_window(name, window):
+    cfg = _base(name)
+    if "system" in cfg:
+        cfg["system"]["window"] = window
+    else:
+        cfg["window"] = window
+    return cfg
+
+
+WINDOWED = ["TupleScan/defaults", "ScrambledBuildVerify/defaults", "FiberConstancy/defaults",
+            "KolmogorovCheck/defaults", "LacunaryContrast/full"]
+
+
+@pytest.mark.parametrize("name", WINDOWED)
+def test_window_above_53_is_status_2(capsys, tmp_path, monkeypatch, name):
+    def never(*args, **kwargs):
+        raise AssertionError("the window must be refused before any work")
+
+    for module, entry in ((ch, "build_scrambled_family"), (ch, "random_tuple_scan"),
+                          (pk, "fiber_constancy_report"), (pk, "kolmogorov_limit_check"),
+                          (pk, "lacunary_contrast_report")):
+        monkeypatch.setattr(module, entry, never)
+    assert "53" in _rejected(capsys, tmp_path, _with_window(name, sy.MAX_WINDOW + 1))
+
+
+@pytest.mark.parametrize("name", WINDOWED)
+def test_window_53_is_accepted(tmp_path, name):
+    out = tmp_path / "out"
+    assert run_config(_with_window(name, sy.MAX_WINDOW), out_dir=str(out)) == 0
+    assert '"window":53' in (out / "manifest.json").read_text(encoding="utf-8")
+
+
+def test_full_shift_refuses_a_window_above_53():
+    assert sy.MAX_WINDOW == 53
+    sy.FullShift.uniform(2, window=53)
+    with pytest.raises(ConfigError):
+        sy.FullShift.uniform(2, window=54)
+
+
+def test_list_names_every_kind_in_the_table():
+    from seqchaos.cli import EXPERIMENTS
+
+    assert sorted(EXPERIMENTS) == sorted({name.split("/")[0] for name in CONFIGS})
+    lines = list_experiments().splitlines()
+    assert len(lines) == 1 + len(EXPERIMENTS)
+    for kind, line in zip(EXPERIMENTS, lines[1:]):
+        assert line.startswith(f"  {kind}: ")
+        for f in EXPERIMENTS[kind].fields:
+            assert f.key in line
