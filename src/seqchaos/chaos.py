@@ -589,7 +589,8 @@ class TupleScanResult:
     min_average: float
 
     def to_json_dict(self) -> dict:
-        return {"index": self.index, "max_average": self.max_average, "min_average": self.min_average}
+        return {"index": self.index, "max_average": self.max_average,
+                "min_average": self.min_average}
 
 
 def _scan_one(args) -> TupleScanResult:

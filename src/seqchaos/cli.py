@@ -74,6 +74,7 @@ _str = _typed("a string", lambda v: type(v) is str)
 _number = _typed("a finite number",
                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
 _fraction = _typed("an int or a 'p/q' string", lambda v: type(v) in (int, str), Fraction)
+_coordinate = _typed("an integer coordinate", lambda v: type(v) in (int, str), int)
 
 
 def _alpha(v, path: str, minimum=None) -> sy.Rotation:
@@ -83,14 +84,7 @@ def _alpha(v, path: str, minimum=None) -> sy.Rotation:
 def _constraints(v, path: str, minimum=None) -> tuple[tuple[int, int], ...]:
     if not isinstance(v, dict):
         raise ConfigError(f"{path}: expected an object coord -> symbol")
-    out = []
-    for c, s in v.items():
-        try:
-            coord = int(c)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: bad coordinate {c!r}") from None
-        out.append((coord, _int(s, f"{path}[{c}]", 0)))
-    return tuple(sorted(out))
+    return tuple(sorted((_coordinate(c, path), _int(s, f"{path}[{c}]", 0)) for c, s in v.items()))
 
 
 def _list_of(item: Callable) -> Callable:
@@ -175,7 +169,10 @@ _WINDOW = Field("window", _window, sy.DEFAULT_WINDOW, 1)
 
 SYSTEMS = {
     "FullShift": (sy.FullShift.bernoulli, (
-        _WEIGHTS, _WINDOW, Field("side", _str, sy.ONE_SIDED), Field("metric", _str, sy.METRIC_SUMMED),
+        _WEIGHTS,
+        _WINDOW,
+        Field("side", _str, sy.ONE_SIDED),
+        Field("metric", _str, sy.METRIC_SUMMED),
     )),
     "Rotation": (lambda alpha: alpha, (_ALPHA,)),
     "Product": (lambda components: sy.ProductSystem(tuple(components)),
@@ -186,7 +183,8 @@ SYSTEMS = {
 OBSERVABLES = {
     "Constant": (lambda value: ob.Constant(value), (Field("value", _number),)),
     "CylinderIndicator": (ob.CylinderIndicator, (Field("constraints", _constraints),)),
-    "TrigOnRotation": (ob.TrigOnRotation, (Field("frequency", _int), Field("component", _str, "cos"))),
+    "TrigOnRotation": (ob.TrigOnRotation,
+                       (Field("frequency", _int), Field("component", _str, "cos"))),
     "ProductOf": (lambda factors: ob.ProductOf(tuple(factors)),
                   (Field("factors", _list_of(parse_observable)),)),
 }
@@ -246,11 +244,7 @@ def _one_number(p, name: str, label: str, value: float, result: dict) -> RunOutp
     return RunOutput(result, (["samples", name], [[p.samples, value]]), checks)
 
 
-def _sequence(key: str) -> Field:
-    return Field(key, parse_sequence, show=lambda spec: spec.to_json_dict())
-
-
-_SEQUENCE = _sequence("sequence")
+_SEQUENCE = Field("sequence", parse_sequence, show=lambda spec: spec.to_json_dict())
 _SYSTEM = Field("system", parse_system, show=lambda system: system.to_json_dict())
 _OBSERVABLE = Field("observable", parse_observable, show=lambda f: f.describe())
 _N_TERMS = Field("n_terms", _int, minimum=1)
@@ -379,8 +373,8 @@ def _kolmogorov_check(p, workers: int) -> RunOutput:
 
 @_experiment(
     "LacunaryContrast", "matched-K dispersion of good vs lacunary averages",
-    _WEIGHTS, _OBSERVABLE, _sequence("good_sequence"),
-    _sequence("lacunary_sequence"), Field("matched_terms", _int, minimum=2),
+    _WEIGHTS, _OBSERVABLE, _SEQUENCE._replace(key="good_sequence"),
+    _SEQUENCE._replace(key="lacunary_sequence"), Field("matched_terms", _int, minimum=2),
     Field("samples", _int, minimum=2), Field("extended_terms", _int, 100_000, 2),
     Field("max_extended_dispersion", _number, None), _WINDOW,
 )

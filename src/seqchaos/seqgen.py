@@ -129,9 +129,16 @@ class SequenceSpec:
 
     def to_json_dict(self) -> dict:
         """The family and its parameters, keyed as in an experiment config."""
-        params = {"coefficients": self.coefficients, "exponent": self.exponent,
-                  "base": self.base, "terms": self.explicit_terms}
-        return {"family": self.family, **{k: v for k, v in params.items() if v is not None}}
+        out: dict = {"family": self.family}
+        if self.coefficients is not None:
+            out["coefficients"] = [str(c) for c in self.coefficients]
+        if self.exponent is not None:
+            out["exponent"] = str(self.exponent)
+        if self.base is not None:
+            out["base"] = self.base
+        if self.explicit_terms is not None:
+            out["terms"] = list(self.explicit_terms)
+        return out
 
 
 # ---------------------------------------------------------------------------

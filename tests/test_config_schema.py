@@ -392,6 +392,7 @@ def test_full_shift_refuses_a_window_above_53():
 
 
 def test_list_names_every_kind_in_the_table():
+    # imported here, so the pinned-manifest tests above run on any version of the cli
     from seqchaos.cli import EXPERIMENTS
 
     assert sorted(EXPERIMENTS) == sorted({name.split("/")[0] for name in CONFIGS})
