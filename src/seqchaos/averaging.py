@@ -1,12 +1,15 @@
 """Ergodic averages along integer sequences.
 
 The core quantity is A_N f(x) = (1/N) * sum_{k<=N} f(T**(a_k) x) for a
-sequence spec {a_k}.  Summation uses exact-rounding compensated
-summation (math.fsum), so the average of up to 10**7 bounded terms
-carries well below 1e-12 of summation error; the only other error
+sequence spec {a_k}.  Every sum is exactly rounded: it is the float
+math.fsum returns, bit for bit, so the average of up to 10**7 bounded
+terms carries well below 1e-12 of summation error; the only other error
 sources are the declared per-evaluation bounds of the observable, and
 they are reported on every trace.  Series of 0/1 values (indicators)
-are summed by counting their ones, which gives the same float.
+are summed by counting their ones.  Other series are summed exactly by
+a block superaccumulator (see :func:`exact_sums`; the design follows
+Neal, "Fast exact summation using small and large superaccumulators",
+arXiv:1505.05571) and rounded once per checkpoint.
 
 Checkpointed traces record running extrema across the checkpoint
 ladder; the running minimum and maximum at the final checkpoint are the
@@ -29,7 +32,7 @@ from .pool import parallel_map
 from .prf import MASK64, child_seed
 from .seqgen import SequenceSpec, times_array
 
-SUM_ERROR_BOUND = 2.0**-50  # fsum is exactly rounded; this is a generous blanket
+SUM_ERROR_BOUND = 2.0**-50  # sums are exactly rounded; this is a generous blanket
 
 
 def _validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
@@ -54,23 +57,90 @@ def _is_indicator(vals: np.ndarray) -> bool:
     return True
 
 
+# frexp writes a finite float as m * 2**e with 2**53 * m an integer and
+# -1073 <= e <= 1024, so every float is an integer number of 2**-1126.
+_UNIT_BITS = 1126
+_EXPONENTS = 1024 + 1073 + 1
+_LOW_BITS = 27
+_ROUNDER = 1.5 * 2.0**52  # x + _ROUNDER - _ROUNDER rounds |x| < 2**51 to an integer
+# Below this, n * max|x| bounds every partial sum of fsum as well as the
+# total, so neither can overflow and the total divides into a finite float.
+_SAFE_SUM = 2.0**1020
+# Per-exponent int64 sums stay exact for this many values between folds.
+_FOLD_EVERY = 1 << 36
+
+
 def exact_sums(vals: np.ndarray, ends: Sequence[int]) -> list[float]:
     """``math.fsum(vals[:n])`` for each n of the increasing ``ends``, bit for bit.
 
     A 0/1 series sums to its number of ones, which is exact below 2**53
     and is the float fsum returns (fsum gives +0.0 for all-zero input);
-    the counts come from one running count across ``ends``.  Any other
-    series is summed by fsum.
+    the counts come from one running count across ``ends``.
+
+    Any other series goes through one pass of blocks.  Each block's
+    mantissas, scaled to 53-bit integers and split into a high half of
+    26 bits and a low half of 27, are summed per binary exponent by
+    ``np.bincount``, exactly: a block's partial sums need at most 43
+    bits.  At each end the per-exponent sums fold into one Python int in
+    units of 2**-1126, and CPython's correctly rounded int division gives
+    the float, which is what fsum returns.  fsum itself sums the prefix
+    when the exact total is 0 (it owns the sign of zero), and from the
+    first end whose prefix holds a non-finite value or could overflow a
+    partial sum (fsum raises there).
     """
-    if not _is_indicator(vals[: ends[-1]]):
-        return [math.fsum(vals[:n]) for n in ends]
+    if _is_indicator(vals[: ends[-1]]):
+        sums = []
+        ones = start = 0
+        for n in ends:
+            ones += int(np.count_nonzero(vals[start:n]))
+            start = n
+            sums.append(float(ones))
+        return sums
+    high = np.zeros(_EXPONENTS, dtype=np.int64)
+    low = np.zeros(_EXPONENTS, dtype=np.int64)
+    total = pending = 0
+    biggest = 0.0
     sums = []
-    ones = start = 0
+    start = 0
     for n in ends:
-        ones += int(np.count_nonzero(vals[start:n]))
+        for lo in range(start, n, _BLOCK):
+            block = vals[lo : min(lo + _BLOCK, n)]
+            peak = float(np.max(np.abs(block)))
+            if not peak <= biggest:  # NaN stays NaN
+                biggest = peak
+            if not biggest * n < _SAFE_SUM:
+                return sums + [math.fsum(vals[:m]) for m in ends[len(sums) :]]
+            if pending + len(block) > _FOLD_EVERY:
+                total += _fold(high, low)
+                pending = 0
+            mantissas, exponents = np.frexp(block)
+            bins = exponents.astype(np.intp)
+            bins += 1073
+            # 2**53 * m = 2**27 * h + 2**27 * t: h the integer nearest
+            # 2**26 * m (26 bits and a sign), t the rest, a multiple of
+            # 2**-27 in [-1/2, 1/2]; every step is exact
+            rest = mantissas * 2.0**26
+            nearest = rest + _ROUNDER
+            nearest -= _ROUNDER
+            rest -= nearest
+            high += np.bincount(bins, nearest, _EXPONENTS).astype(np.int64)
+            low += (np.bincount(bins, rest, _EXPONENTS) * 2.0**_LOW_BITS).astype(np.int64)
+            pending += len(block)
         start = n
-        sums.append(float(ones))
+        total += _fold(high, low)
+        pending = 0
+        sums.append(total / (1 << _UNIT_BITS) if total else math.fsum(vals[:n]))
     return sums
+
+
+def _fold(high: np.ndarray, low: np.ndarray) -> int:
+    """The per-exponent sums as one int in units of 2**-1126; zeroes them."""
+    total = 0
+    for e in np.flatnonzero(high | low).tolist():
+        total += ((int(high[e]) << _LOW_BITS) + int(low[e])) << e
+    high[:] = 0
+    low[:] = 0
+    return total
 
 
 def geometric_checkpoints(start: int, stop: int, factor: int = 2) -> list[int]:

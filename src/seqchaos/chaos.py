@@ -21,7 +21,6 @@ checks every certified inequality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import systems as sy
-from .averaging import SUM_ERROR_BOUND, _validate_checkpoints
+from .averaging import SUM_ERROR_BOUND, _validate_checkpoints, exact_sums
 from .errors import ConfigError, DomainError, SequenceOverflowError
 from .pool import parallel_map
 from .prf import child_seed
@@ -291,7 +290,8 @@ def tuple_distance_averages(
         dmax[lo : lo + len(block)] = np.maximum.reduce(pair_series)
         dmin[lo : lo + len(block)] = np.minimum.reduce(pair_series)
     entries = [
-        TupleCheckpoint(n, math.fsum(dmax[:n]) / n, math.fsum(dmin[:n]) / n) for n in cps
+        TupleCheckpoint(n, high / n, low / n)
+        for n, high, low in zip(cps, exact_sums(dmax, cps), exact_sums(dmin, cps))
     ]
     return TupleChaosReport(
         tuple_size=len(points),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,7 +74,20 @@ _bool = _typed("true or false", lambda v: type(v) is bool)
 _str = _typed("a string", lambda v: type(v) is str)
 _number = _typed("a finite number",
                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
-_fraction = _typed("an int or a 'p/q' string", lambda v: type(v) in (int, str), Fraction)
+# Fraction builds 10**exponent for a decimal exponent, so "1e99999999"
+# would stall parsing; exponents beyond this are refused first.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _to_fraction(v: int | str) -> Fraction:
+    if isinstance(v, str) and (m := _EXPONENT.search(v)):
+        if abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {v!r}")
+    return Fraction(v)
+
+
+_fraction = _typed("an int or a 'p/q' string", lambda v: type(v) in (int, str), _to_fraction)
 _coordinate = _typed("an integer coordinate", lambda v: type(v) in (int, str), int)
 
 
@@ -409,6 +423,7 @@ def run_config(
         p = SimpleNamespace(**parse_fields(cfg, COMMON + exp.fields, "config", "kind"))
         if seed_override is not None:
             p.seed = _int(seed_override, "--seed", 0)
+        _int(workers, "--workers", 1)
         out = out_dir or p.out or f"runs/{kind}"
         output = exp.compute(p, workers)
     except (ConfigError, DomainError) as exc:

@@ -12,15 +12,20 @@ whose N**-2 density vanishing for every fixed L is the mildness
 condition separating the catalogued families from lacunary ones.
 
 All arithmetic that feeds a floor function is exact: polynomial values
-are evaluated over a common integer denominator and fractional powers
-k**(p/q) go through integer q-th roots of k**p, so the emitted integer
-parts are bit-exact on every platform.  Terms are capped at 2**63 - 1
-(`MAX_TERM`); generation raises instead of wrapping.
+are evaluated by Horner's rule over a common integer denominator, and
+the float64 root estimate of k**(p/q) is corrected by exact comparisons
+of r**q with k**p, so the emitted integer parts are bit-exact on every
+platform.  Both run in blocks of int64 numpy arithmetic wherever a bound
+proves that no value passes 2**62, and in Python ints elsewhere.  Terms
+are capped at 2**63 - 1 (`MAX_TERM`); generation raises instead of
+wrapping.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
@@ -145,25 +150,6 @@ class SequenceSpec:
 # generators
 
 
-def _iroot(x: int, q: int) -> int:
-    """Floor q-th root of a non-negative integer, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0 or q == 1:
-        return x
-    if q == 2:
-        return math.isqrt(x)
-    r = 1 << -(-x.bit_length() // q)  # upper seed: 2**ceil(bits/q) >= x**(1/q)
-    while True:
-        nxt = ((q - 1) * r + x // r ** (q - 1)) // q
-        if nxt >= r:
-            break
-        r = nxt
-    while r**q > x:
-        r -= 1
-    return r
-
-
 def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, via a boolean sieve (int64 array)."""
     if limit < 2:
@@ -198,43 +184,146 @@ def _prime_stream() -> Iterator[int]:
         segment = min(segment * 2, 1 << 22)
 
 
-def _polynomial_stream(coefficients: tuple[Fraction, ...]) -> Iterator[tuple[int, int]]:
-    """Yield (floor(p(k)), skipped_so_far) applying the positivity/monotonicity skip rule."""
-    denom = math.lcm(*(c.denominator for c in coefficients))
-    ints = [int(c * denom) for c in coefficients]
-    skipped = 0
-    last = 0
-    k = 0
-    while True:
-        k += 1
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * k + c
-        term = acc // denom
-        if term <= 0 or term <= last:
-            skipped += 1
-            continue
-        if term > MAX_TERM:
-            raise SequenceOverflowError(k)
-        last = term
-        yield term, skipped
+# Floor families are generated in blocks of _FLOOR_BLOCK consecutive k.  A
+# block runs as int64 numpy arithmetic when no value it forms can pass
+# _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints.
+_FLOOR_FAMILIES = ("PolynomialFloor", "FractionalPowerFloor")
+_FLOOR_BLOCK = 1 << 16
+_INT64_SAFE = 1 << 62
 
 
-def _fractional_power_stream(exponent: Fraction) -> Iterator[tuple[int, int]]:
-    p, q = exponent.numerator, exponent.denominator
-    skipped = 0
-    last = 0
-    k = 0
-    while True:
-        k += 1
-        term = _iroot(k**p, q)
-        if term <= last:  # only possible for r < 1, where floors repeat
-            skipped += 1
+def _power_is_safe(base: int, exponent: int) -> bool:
+    """base**exponent <= _INT64_SAFE for base >= 1, without forming huge powers."""
+    return exponent * (base.bit_length() - 1) <= 62 and base**exponent <= _INT64_SAFE
+
+
+def _int64_power_le(b: np.ndarray, q: int, x: np.ndarray) -> np.ndarray:
+    """``b**q <= x`` elementwise and exactly, for int64 ``b >= 1``, ``0 <= x <= 2**62``.
+
+    When a power could pass 2**62, each partial product is clipped just
+    above ``x`` first: the comparison keeps its answer and every product
+    stays below 2**63.
+    """
+    if _power_is_safe(int(b.max()), q):
+        return b**q <= x
+    acc = np.ones_like(b)
+    cap = x // b + 1  # acc * b > x exactly when acc >= cap
+    for _ in range(q):
+        acc = np.minimum(acc, cap) * b
+    return acc <= x
+
+
+def _power_floors(p: int, q: int, k: np.ndarray) -> np.ndarray:
+    """floor(k**(p/q)) for an int64 block with every k**p <= 2**62.
+
+    The float64 root is within one of the floor here (the root is below
+    2**31); the two loops step it to the exact floor whatever it is.
+    """
+    x = k**p
+    r = np.maximum(np.floor(np.power(k.astype(np.float64), p / q)), 1).astype(np.int64)
+    while (high := ~_int64_power_le(r, q, x)).any():
+        r -= high
+    while (low := _int64_power_le(r + 1, q, x)).any():
+        r += low
+    return r
+
+
+def _exact_root(x: int, q: int, estimate: float) -> int:
+    """floor(x**(1/q)) for an integer x >= 1, from a float estimate of it.
+
+    One integer Newton step from any r >= 1 lands at or above the floor
+    root (AM-GM), and within a unit of it when the estimate is close;
+    the loop then steps down to it.
+    """
+    r = max(int(estimate), 1)
+    r = ((q - 1) * r + x // r ** (q - 1)) // q
+    while r**q > x:
+        r -= 1
+    return r
+
+
+def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(terms, k) of a floor family, one block of candidates k at a time.
+
+    Candidate k is floor(p(k)) or floor(k**r).  It is kept when it
+    exceeds max(0, every earlier candidate), so the terms are positive
+    and strictly increasing; the others count as skipped.  The first kept
+    term above MAX_TERM raises SequenceOverflowError(k), after the block
+    of terms before it has been yielded.
+    """
+    if spec.family == "PolynomialFloor":
+        denom = math.lcm(*(c.denominator for c in spec.coefficients))
+        ints = [int(c * denom) for c in spec.coefficients]
+
+        def fits(k: int) -> bool:  # bounds every Horner partial at k
+            return sum(abs(c) * k**i for i, c in enumerate(ints)) <= _INT64_SAFE
+
+        def floors(k: np.ndarray) -> np.ndarray:
+            acc = np.full(len(k), ints[-1], dtype=np.int64)
+            for c in reversed(ints[:-1]):
+                acc *= k
+                acc += c
+            return acc // denom
+
+        def exact(k: int) -> int:
+            acc = 0
+            for c in reversed(ints):
+                acc = acc * k + c
+            return acc // denom
+    else:
+        p, q = spec.exponent.numerator, spec.exponent.denominator
+
+        def fits(k: int) -> bool:
+            return _power_is_safe(k, p)
+
+        def floors(k: np.ndarray) -> np.ndarray:
+            return _power_floors(p, q, k)
+
+        def exact(k: int) -> int:
+            x = k**p
+            if x >> (63 * q):  # the root is at least 2**63
+                return MAX_TERM + 1
+            return _exact_root(x, q, float(k) ** (p / q))
+
+    last = 0  # max(0, every candidate so far)
+    for k0 in itertools.count(1, _FLOOR_BLOCK):
+        k1 = k0 + _FLOOR_BLOCK
+        if fits(k1 - 1):
+            k = np.arange(k0, k1, dtype=np.int64)
+            t = floors(k)
+            running = np.maximum.accumulate(t)
+            before = np.empty_like(t)
+            before[0] = last
+            np.maximum(running[:-1], last, out=before[1:])
+            keep = t > before
+            last = max(last, int(running[-1]))
+            yield t[keep], k[keep]
             continue
-        if term > MAX_TERM:
-            raise SequenceOverflowError(k)
-        last = term
-        yield term, skipped
+        kept: list[int] = []
+        ks: list[int] = []
+        for k in range(k0, k1):
+            term = exact(k)
+            if term <= last:
+                continue
+            if term > MAX_TERM:
+                yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
+                raise SequenceOverflowError(k)
+            last = term
+            kept.append(term)
+            ks.append(k)
+        yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
+
+
+def _floor_prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
+    """The first ``count`` terms of a floor family and the candidates skipped."""
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    for block, ks in _floor_blocks(spec):
+        take = min(len(block), count - filled)
+        out[filled : filled + take] = block[:take]
+        filled += take
+        if filled == count:
+            return out, int(ks[take - 1]) - count
 
 
 def _thue_morse_stream() -> Iterator[int]:
@@ -255,12 +344,9 @@ def terms(spec: SequenceSpec) -> Iterator[int]:
         raise SequenceOverflowError(k + 1)
     if spec.family == "Primes":
         yield from _prime_stream()
-    elif spec.family == "PolynomialFloor":
-        for term, _ in _polynomial_stream(spec.coefficients):
-            yield term
-    elif spec.family == "FractionalPowerFloor":
-        for term, _ in _fractional_power_stream(spec.exponent):
-            yield term
+    elif spec.family in _FLOOR_FAMILIES:
+        for block, _ in _floor_blocks(spec):
+            yield from block.tolist()
     elif spec.family == "ThueMorseReturnTimes":
         yield from _thue_morse_stream()
     elif spec.family == "Lacunary":
@@ -285,27 +371,19 @@ def prefix_with_skips(spec: SequenceSpec, count: int) -> tuple[list[int], int]:
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    if spec.family == "PolynomialFloor":
-        gen = _polynomial_stream(spec.coefficients)
-    elif spec.family == "FractionalPowerFloor":
-        gen = _fractional_power_stream(spec.exponent)
-    else:
-        out = []
-        it = terms(spec)
-        for _ in range(count):
-            try:
-                out.append(next(it))
-            except StopIteration:
-                raise ConfigError(
-                    f"{spec.describe()} has only {len(out)} terms, {count} requested"
-                ) from None
-        return out, 0
+    if spec.family in _FLOOR_FAMILIES:
+        arr, skipped = _floor_prefix(spec, count)
+        return arr.tolist(), skipped
     out = []
-    skipped = 0
+    it = terms(spec)
     for _ in range(count):
-        term, skipped = next(gen)
-        out.append(term)
-    return out, skipped
+        try:
+            out.append(next(it))
+        except StopIteration:
+            raise ConfigError(
+                f"{spec.describe()} has only {len(out)} terms, {count} requested"
+            ) from None
+    return out, 0
 
 
 def generate_prefix(spec: SequenceSpec, count: int) -> list[int]:
@@ -313,11 +391,30 @@ def generate_prefix(spec: SequenceSpec, count: int) -> list[int]:
     return prefix_with_skips(spec, count)[0]
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(count: int) -> None:
+    """Refuse an int64 array of ``count`` terms that physical memory cannot hold."""
+    budget = _physical_memory()
+    if budget is not None and 8 * count > budget:
+        raise ConfigError(
+            f"{count} terms need {8 * count} bytes, more than the {budget} bytes"
+            " of physical memory"
+        )
+
+
 @lru_cache(maxsize=32)
 def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
     """First ``count`` terms as an int64 array (cached; do not mutate)."""
     if count < 1:
         raise ConfigError("count must be >= 1")
+    _check_memory(count)
     if spec.family == "Naturals":
         arr = np.arange(1, count + 1, dtype=np.int64)
     elif spec.family == "Primes":
@@ -332,6 +429,8 @@ def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
             bound *= 2
             primes = _primes_upto(bound)
         arr = primes[:count].copy()
+    elif spec.family in _FLOOR_FAMILIES:
+        arr = _floor_prefix(spec, count)[0]
     else:
         arr = np.array(generate_prefix(spec, count), dtype=np.int64)
     arr.setflags(write=False)

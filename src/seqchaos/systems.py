@@ -151,6 +151,8 @@ class SeededRandomPoint(SymbolicPoint):
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         h = prf64_np(self.seed, np.asarray(indices, dtype=np.int64))
+        if len(self._separators) == 1:
+            return (h >= self._separators_np[0]).astype(np.int64)
         return np.searchsorted(self._separators_np, h, side="right").astype(np.int64)
 
     def describe(self) -> str:

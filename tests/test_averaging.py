@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
-from seqchaos import averaging
+from seqchaos import averaging, chaos
 from seqchaos.averaging import (
     ArcCell,
     CylinderCell,
@@ -150,6 +151,157 @@ def test_non_indicator_series_keep_fsum():
         assert not averaging._is_indicator(vals)
         ends = [1, len(vals) // 2, len(vals)]
         assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
+
+
+def outcome(fn):
+    """The bits of the floats ``fn`` returns, or the type of what it raises."""
+    try:
+        return hex_list(fn())
+    except (OverflowError, ValueError) as exc:  # fsum: intermediate overflow, inf - inf
+        return type(exc)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+         1e308, -1e308, MAX_FLOAT, -MAX_FLOAT, 2.0**1023, 0.1]
+FINITE = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e-300, 1e-300),  # tiny and subnormal values
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGES),
+)
+
+
+def draw_ends(data, n):
+    return data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8, unique=True).map(sorted))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    data=st.data(),
+    values=st.lists(FINITE, min_size=1, max_size=120),
+    block=st.integers(1, 50),
+    fold=st.sampled_from([averaging._FOLD_EVERY, 1, 2, 5]),
+)
+def test_exact_sums_match_fsum_at_every_end(data, values, block, fold):
+    # small blocks, so that the ends cut across many block edges, and
+    # folds of the per-exponent sums between ends
+    vals = np.array(values)
+    ends = draw_ends(data, len(vals))
+    with mock.patch.object(averaging, "_BLOCK", block), mock.patch.object(
+        averaging, "_FOLD_EVERY", fold
+    ):
+        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+
+
+@pytest.mark.parametrize("block", [1, 16, averaging._BLOCK])
+def test_exact_sums_keep_fsums_intermediate_overflow(block):
+    # no value reaches 2**1020, but 32 of them reach 2**1024 on the way to a
+    # total of 1: fsum raises, and so must every end from the 32nd on
+    vals = np.array([2.0**1019] * 40 + [-(2.0**1019)] * 40 + [1.0])
+    with pytest.raises(OverflowError):
+        math.fsum(vals)
+    with mock.patch.object(averaging, "_BLOCK", block):
+        assert exact_sums(vals, [1, 15, 31]) == fsum_sums(vals, [1, 15, 31])
+        for ends in ([32], [1, 40], [81]):
+            with pytest.raises(OverflowError):
+                exact_sums(vals, ends)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    big=st.lists(st.sampled_from([1e308, -1e308, MAX_FLOAT, -MAX_FLOAT, 8e307]), min_size=1, max_size=12),
+    small=st.lists(st.floats(-1e3, 1e3), max_size=12),
+    block=st.integers(1, 50),
+)
+def test_exact_sums_of_huge_cancellations_match_fsum(data, big, small, block):
+    # fsum raises on an overflowing partial sum even when the total is small
+    values = data.draw(st.permutations(big + [-v for v in big] + small))
+    vals = np.array(values)
+    ends = draw_ends(data, len(vals))
+    with mock.patch.object(averaging, "_BLOCK", block):
+        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+       block=st.integers(1, 50))
+def test_exact_sums_of_zero_totals_match_fsum(data, values, block):
+    # an exact total of 0 takes fsum's sign of zero
+    vals = np.array(data.draw(st.permutations(values + [-v for v in values])))
+    ends = draw_ends(data, len(vals))
+    with mock.patch.object(averaging, "_BLOCK", block):
+        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60),
+    special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3),
+    block=st.integers(1, 50),
+)
+def test_exact_sums_with_non_finite_values_match_fsum(data, values, special, block):
+    for s in special:
+        values.insert(data.draw(st.integers(0, len(values))), s)
+    vals = np.array(values)
+    ends = draw_ends(data, len(vals))
+    with mock.patch.object(averaging, "_BLOCK", block):
+        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+
+
+@pytest.mark.parametrize("block", [1, 7, averaging._BLOCK])
+@pytest.mark.parametrize(
+    "vals",
+    [
+        np.zeros(130),
+        np.full(130, -0.0),
+        np.where(np.arange(130) % 3, 0.0, -0.0),
+        np.concatenate([np.ones(100), np.zeros(29), [0.3]]),  # one non-0/1 value, at the end
+        np.concatenate([np.zeros(129), [5e-324]]),
+        np.full(130, 5e-324),
+    ],
+    ids=["zeros", "negative-zeros", "mixed-zeros", "late-value", "late-subnormal", "subnormals"],
+)
+def test_exact_sums_edge_series_match_fsum(vals, block):
+    ends = [1, 2, 64, 65, 129, 130]
+    with mock.patch.object(averaging, "_BLOCK", block):
+        assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3 * averaging._BLOCK + 7),
+    spread=st.integers(0, 600),
+    cuts=st.lists(st.floats(0, 1), max_size=6),
+)
+def test_exact_sums_across_real_blocks_match_fsum(seed, n, spread, cuts):
+    # mantissas of every sign over up to 1200 binary orders of magnitude
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(n) * 2.0 ** rng.integers(-spread, spread + 1, size=n)
+    ends = sorted({max(1, round(c * n)) for c in cuts} | {n})
+    assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
+
+
+def test_tuple_checkpoints_equal_fsum_of_the_pair_series():
+    # window-48 distances are not 0/1, so the block sum runs; the checkpoints
+    # cut across summation blocks and across the tuple's blocks of terms
+    system = sy.FullShift.uniform(2, window=48)
+    pts = [sy.sample_point(system, s) for s in (4, 5, 6)]
+    cps = [1, 1000, averaging._BLOCK, averaging._BLOCK + 1, chaos._TAPE_CELLS + 5, 140_000]
+    rep = chaos.tuple_distance_averages(system, pts, NATURALS, cps)
+    ts = np.arange(1, cps[-1] + 1, dtype=np.int64)
+    series = [chaos.distance_series(system, x, y, ts) for i, x in enumerate(pts) for y in pts[i + 1 :]]
+    dmax, dmin = np.maximum.reduce(series), np.minimum.reduce(series)
+    assert not averaging._is_indicator(dmax)
+    assert hex_list(c.max_average for c in rep.checkpoints) == hex_list(
+        s / n for s, n in zip(fsum_sums(dmax, cps), cps)
+    )
+    assert hex_list(c.min_average for c in rep.checkpoints) == hex_list(
+        s / n for s, n in zip(fsum_sums(dmin, cps), cps)
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,13 @@ rendering shows here.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqchaos import __version__
+from seqchaos import __version__, cli
 from seqchaos import chaos as ch
 from seqchaos import pinsker as pk
 from seqchaos import systems as sy
@@ -402,3 +405,54 @@ def test_list_names_every_kind_in_the_table():
         assert line.startswith(f"  {kind}: ")
         for f in EXPERIMENTS[kind].fields:
             assert f.key in line
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True, None])
+def test_workers_below_one_or_not_an_int_are_status_2(capsys, tmp_path, workers):
+    err = _rejected(capsys, tmp_path, _base("KolmogorovCheck/defaults"), workers=workers)
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_is_status_2(capsys, tmp_path, workers):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CONFIGS["KolmogorovCheck/defaults"]))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value", ["1e99999999", "-1e-99999999", "1E1001", "2.5e+1_001", "1e-1001", "7e" + "9" * 5000]
+)
+def test_huge_decimal_exponents_are_status_2(capsys, tmp_path, value):
+    # Fraction would build 10**exponent; these are refused before it sees them
+    cfg = dict(_base("VeryGoodDeviation/defaults"),
+               sequence={"family": "FractionalPowerFloor", "exponent": value})
+    _rejected(capsys, tmp_path, cfg)
+    cfg = dict(_base("KolmogorovCheck/defaults"), weights=[value, "1/2"])
+    _rejected(capsys, tmp_path, cfg)
+
+
+decimal_strings = st.builds(
+    lambda sign, whole, frac, e, exp, pad: f"{pad}{sign}{whole}{frac}{e}{exp}{pad}",
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"\A[0-9]{1,4}(_[0-9]{1,3})?\Z"),
+    st.sampled_from(["", ".", ".5", ".25_0", ".000"]),
+    st.sampled_from(["e", "E"]),
+    st.builds(lambda s, n: f"{s}{n}", st.sampled_from(["", "+", "-"]), st.integers(0, 1000)),
+    st.sampled_from(["", " "]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(value=st.one_of(decimal_strings, st.sampled_from(["1/3", "-7/2", "3", "0.5", "1e1000",
+                                                            "-1E-1000", "1e0_1_0"])))
+def test_decimal_exponents_up_to_1000_parse_as_before(value):
+    assert cli._fraction(value, "x") == Fraction(value)
+
+
+def test_n_terms_beyond_physical_memory_is_status_2(capsys, tmp_path):
+    cfg = dict(_base("KolmogorovCheck/defaults"), n_terms=2**62)
+    assert "physical memory" in _rejected(capsys, tmp_path, cfg)

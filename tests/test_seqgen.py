@@ -1,13 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqchaos import seqgen
 from seqchaos.errors import ConfigError, SequenceOverflowError
 from seqchaos.seqgen import (
+    MAX_TERM,
     SequenceSpec,
     close_pair_count,
     close_pair_profile,
@@ -16,6 +20,7 @@ from seqchaos.seqgen import (
     is_lacunary,
     lacunary_max_terms,
     prefix_with_skips,
+    terms,
     thue_morse_return_times,
     times_array,
 )
@@ -161,6 +166,222 @@ def test_export_prefix(tmp_path):
     path = tmp_path / "primes.txt"
     export_prefix(SequenceSpec.primes(), 5, path)
     assert path.read_text() == "2\n3\n5\n7\n11\n"
+
+
+# ---------------------------------------------------------------------------
+# block floor kernel against the per-term generators it replaced
+
+
+def oracle_iroot(x, q):
+    """Floor q-th root of a non-negative integer, exactly."""
+    if x == 0 or q == 1:
+        return x
+    if q == 2:
+        return math.isqrt(x)
+    r = 1 << -(-x.bit_length() // q)
+    while True:
+        nxt = ((q - 1) * r + x // r ** (q - 1)) // q
+        if nxt >= r:
+            break
+        r = nxt
+    while r**q > x:
+        r -= 1
+    return r
+
+
+def oracle_polynomial_stream(coefficients):
+    """Yield (floor(p(k)), skipped_so_far) under the positivity/monotonicity skip rule."""
+    denom = math.lcm(*(c.denominator for c in coefficients))
+    ints = [int(c * denom) for c in coefficients]
+    skipped = last = k = 0
+    while True:
+        k += 1
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * k + c
+        term = acc // denom
+        if term <= 0 or term <= last:
+            skipped += 1
+            continue
+        if term > MAX_TERM:
+            raise SequenceOverflowError(k)
+        last = term
+        yield term, skipped
+
+
+def oracle_fractional_power_stream(exponent):
+    p, q = exponent.numerator, exponent.denominator
+    skipped = last = k = 0
+    while True:
+        k += 1
+        term = oracle_iroot(k**p, q)
+        if term <= last:  # only possible for r < 1, where floors repeat
+            skipped += 1
+            continue
+        if term > MAX_TERM:
+            raise SequenceOverflowError(k)
+        last = term
+        yield term, skipped
+
+
+def oracle_prefix(spec, count):
+    """(terms, skipped) of the oracle stream, or the index its overflow names."""
+    if spec.family == "PolynomialFloor":
+        stream = oracle_polynomial_stream(spec.coefficients)
+    else:
+        stream = oracle_fractional_power_stream(spec.exponent)
+    try:
+        pairs = list(itertools.islice(stream, count))
+    except SequenceOverflowError as exc:
+        return exc.index
+    return [t for t, _ in pairs], pairs[-1][1]
+
+
+def kernel_prefix(spec, count):
+    """The same from the block kernel, through every public entry point."""
+    try:
+        got = prefix_with_skips(spec, count)
+    except SequenceOverflowError as exc:
+        with pytest.raises(SequenceOverflowError) as again:
+            times_array(spec, count)
+        assert again.value.index == exc.index
+        return exc.index
+    assert times_array(spec, count).tolist() == got[0]
+    assert list(itertools.islice(terms(spec), count)) == got[0]
+    return got
+
+
+# the kernel's own block size, or a small one so that counts cross many edges
+BLOCKS = st.one_of(st.just(seqgen._FLOOR_BLOCK), st.integers(1, 50))
+
+
+def exponents(max_candidates):
+    """p/q with q in {2, 3, 5, 7}; r < 1 only where the oracle's candidates stay few."""
+    return st.builds(
+        Fraction, st.integers(1, 40), st.sampled_from([2, 3, 5, 7])
+    ).filter(lambda r: r.denominator > 1 and 300 ** (1 / r) <= max_candidates)
+
+
+@settings(deadline=None, max_examples=150)
+@given(exponent=exponents(3000), count=st.integers(1, 300), block=BLOCKS)
+def test_fractional_power_kernel_matches_oracle(exponent, count, block):
+    spec = SequenceSpec.fractional_power_floor(exponent)
+    times_array.cache_clear()
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+        assert kernel_prefix(spec, count) == oracle_prefix(spec, count)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    exponent=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]),
+    count=st.integers(1, 40),
+    block=BLOCKS,
+)
+def test_fractional_power_below_one_repeats_match_oracle(exponent, count, block):
+    # floors repeat: every repeat is a skipped candidate
+    spec = SequenceSpec.fractional_power_floor(exponent)
+    times_array.cache_clear()
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+        got = kernel_prefix(spec, count)
+    assert got == oracle_prefix(spec, count)
+    assert got[0] == list(range(1, count + 1))
+
+
+coefficient = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    lower=st.lists(coefficient, min_size=1, max_size=4),
+    leading=st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+    count=st.integers(1, 300),
+    block=BLOCKS,
+)
+def test_polynomial_kernel_matches_oracle(lower, leading, count, block):
+    # negative and zero coefficients: non-positive and non-monotone early values are skipped
+    spec = SequenceSpec.polynomial_floor(lower + [leading])
+    times_array.cache_clear()
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+        assert kernel_prefix(spec, count) == oracle_prefix(spec, count)
+
+
+def check_overflow_edge(spec, block, extra=0):
+    """The oracle overflows at some k; every entry point keeps the terms before it."""
+    overflow = oracle_prefix(spec, 10**6)
+    assert isinstance(overflow, int)
+    valid = 0
+    while not isinstance(oracle_prefix(spec, valid + 1), int):
+        valid += 1
+    times_array.cache_clear()
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+        if valid:
+            assert kernel_prefix(spec, valid) == oracle_prefix(spec, valid)
+            assert max(times_array(spec, valid)) <= MAX_TERM
+        assert kernel_prefix(spec, valid + 1 + extra) == overflow
+        with pytest.raises(SequenceOverflowError) as exc:
+            list(terms(spec))
+        assert exc.value.index == overflow
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    offset=st.integers(0, 200),
+    slope=st.integers(1, 9),
+    denom=st.integers(1, 5),
+    extra=st.integers(0, 3),
+    block=BLOCKS,
+)
+def test_polynomial_terms_at_max_term(offset, slope, denom, extra, block):
+    # (denom * MAX_TERM + slope * (k - offset)) / denom climbs past MAX_TERM
+    # near k = offset; its blocks pass the int64 bound and run in Python ints
+    base = Fraction(denom * MAX_TERM - offset * slope, denom)
+    check_overflow_edge(SequenceSpec.polynomial_floor([base, Fraction(slope, denom)]), block, extra)
+
+
+def test_polynomial_overflow_after_int64_blocks():
+    # 2**61 * k: k = 1, 2 run as int64 blocks of two, k = 3 in Python ints, k = 4 overflows
+    check_overflow_edge(SequenceSpec.polynomial_floor([0, 2**61]), 2)
+    assert generate_prefix(SequenceSpec.polynomial_floor([0, 2**61]), 3)[-1] == 3 * 2**61
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    exponent=st.builds(Fraction, st.integers(12, 300), st.sampled_from([2, 3, 5, 7])).filter(
+        lambda r: r.denominator > 1 and r >= 6
+    ),
+    block=BLOCKS,
+)
+def test_fractional_power_terms_at_max_term(exponent, block):
+    # k**r passes MAX_TERM below k = 2**(63/6), and k**p passes 2**62 much earlier
+    check_overflow_edge(SequenceSpec.fractional_power_floor(exponent), block)
+
+
+def test_fractional_power_overflow_at_exactly_two_to_the_63():
+    # 4**(63/2) == 2**63 is the first term past MAX_TERM; 3**(63/2) is not
+    spec = SequenceSpec.fractional_power_floor(Fraction(63, 2))
+    assert generate_prefix(spec, 3) == [1, oracle_iroot(2**63, 2), oracle_iroot(3**63, 2)]
+    with pytest.raises(SequenceOverflowError) as exc:
+        generate_prefix(spec, 4)
+    assert exc.value.index == 4
+
+
+def test_int64_power_le_clips_without_wrapping():
+    b = np.array([1, 2, 3, 2**20, 2**31 - 1, 2**31, 2**31 + 1], dtype=np.int64)
+    x = np.array([1, 8, 26, 2**60, 2**62, 2**62, 2**62], dtype=np.int64)
+    for q in (2, 3, 7):
+        expected = [int(bi) ** q <= int(xi) for bi, xi in zip(b, x)]
+        assert seqgen._int64_power_le(b, q, x).tolist() == expected
+
+
+def test_times_array_refuses_more_than_physical_memory(monkeypatch):
+    # the check runs before anything is allocated
+    with pytest.raises(ConfigError, match="physical memory"):
+        times_array(SequenceSpec.naturals(), 2**62)
+    monkeypatch.setattr(seqgen, "_physical_memory", lambda: 8 * 1000)
+    spec = SequenceSpec.polynomial_floor([3, 1])
+    with pytest.raises(ConfigError, match="physical memory"):
+        times_array(spec, 1001)
+    assert times_array(spec, 1000).tolist() == list(range(4, 1004))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,18 @@ def test_vectorized_coordinates_match_scalar(seed, idx):
     ):
         arr = np.array(idx, dtype=np.int64)
         assert point.coordinates(arr).tolist() == [point.coordinate(i) for i in idx]
+
+
+def test_two_symbol_coordinates_split_at_the_separator(monkeypatch):
+    # one comparison replaces the separator search; a word equal to the
+    # separator reads symbol 1, as bisect_right gives
+    point = sy.SeededRandomPoint(3, (Fraction(1, 3), Fraction(2, 3)))
+    sep = point._separators[0]
+    words = np.array([0, sep - 1, sep, sep + 1, 2**64 - 1], dtype=np.uint64)
+    monkeypatch.setattr(sy, "prf64_np", lambda seed, counters: words)
+    got = point.coordinates(np.arange(5)).tolist()
+    assert got == [0, 0, 1, 1, 1]
+    assert got == [bisect_right(point._separators, int(w)) for w in words]
 
 
 # ---------------------------------------------------------------------------
