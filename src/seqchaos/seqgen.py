@@ -11,6 +11,12 @@ together with exact counting of close index pairs
 whose N**-2 density vanishing for every fixed L is the mildness
 condition separating the catalogued families from lacunary ones.
 
+Each family has one generator, a source of int64 blocks of consecutive
+terms (`_blocks`).  Prefixes (`times_array`, `generate_prefix`) fill one
+array from it, and `close_pair_profile` counts pairs one block at a time
+with a binary search per term, keeping only the terms within the gap of
+the newest one.
+
 All arithmetic that feeds a floor function is exact: polynomial values
 are evaluated by Horner's rule over a common integer denominator, and
 the float64 root estimate of k**(p/q) is corrected by exact comparisons
@@ -26,8 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from bisect import bisect_left, bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,48 +152,53 @@ class SequenceSpec:
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-def _primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, via a boolean sieve (int64 array)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
-
-
-def _prime_stream() -> Iterator[int]:
-    """Primes in increasing order, sieving in growing segments."""
-    segment = 1 << 17
-    lo = 0
-    base: np.ndarray | None = None
-    while True:
-        hi = lo + segment
-        if base is None or (base.size and base[-1] ** 2 < hi):
-            base = _primes_upto(math.isqrt(hi) + 1)
-        mask = np.ones(segment, dtype=bool)
-        if lo == 0:
-            mask[:2] = False
-        for p in base.tolist():
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start - lo :: p] = False
-        for q in np.nonzero(mask)[0]:
-            yield lo + int(q)
-        lo = hi
-        segment = min(segment * 2, 1 << 22)
-
-
-# Floor families are generated in blocks of _FLOOR_BLOCK consecutive k.  A
-# block runs as int64 numpy arithmetic when no value it forms can pass
-# _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints.
+#
+# Naturals and Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime
+# sieve segments double from 2 * _FLOOR_BLOCK numbers up to _SIEVE_SEGMENT.
+# A floor block runs as int64 numpy arithmetic when no value it forms can
+# pass _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints.
 _FLOOR_FAMILIES = ("PolynomialFloor", "FractionalPowerFloor")
 _FLOOR_BLOCK = 1 << 16
+_SIEVE_SEGMENT = 1 << 21
 _INT64_SAFE = 1 << 62
+
+
+def _sieve(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes in [lo, hi), given every prime up to sqrt(hi) in ``base``."""
+    mask = np.ones(hi - lo, dtype=bool)
+    mask[: max(0, 2 - lo)] = False  # 0 and 1
+    for p in base.tolist():
+        start = max(p * p, -(-lo // p) * p)
+        if start < hi:
+            mask[start - lo :: p] = False
+    primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
+    primes += lo
+    return primes
+
+
+def _prime_blocks() -> Iterator[np.ndarray]:
+    """The primes in increasing order, one sieved segment at a time."""
+    lo, size = 0, 2 * _FLOOR_BLOCK
+    while True:
+        hi = lo + min(size, _SIEVE_SEGMENT)
+        root = math.isqrt(hi - 1)
+        # sieving by every integer up to isqrt(root), prime or not, is exact
+        yield _sieve(lo, hi, _sieve(0, root + 1, np.arange(2, math.isqrt(root) + 1)))
+        lo, size = hi, 2 * size
+
+
+def _natural_blocks() -> Iterator[np.ndarray]:
+    """1, 2, ..., MAX_TERM in blocks of _FLOOR_BLOCK."""
+    for k0 in range(1, MAX_TERM + 1, _FLOOR_BLOCK):
+        yield np.arange(k0, min(k0 + _FLOOR_BLOCK, MAX_TERM + 1), dtype=np.int64)
+
+
+def _odd_popcount(n: np.ndarray) -> np.ndarray:
+    """Whether each n >= 0 has an odd binary digit sum, by xor-folding its bits."""
+    x = n ^ (n >> 32)
+    for shift in (16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return (x & 1).astype(bool)
 
 
 def _power_is_safe(base: int, exponent: int) -> bool:
@@ -231,14 +240,15 @@ def _power_floors(p: int, q: int, k: np.ndarray) -> np.ndarray:
 def _exact_root(x: int, q: int, estimate: float) -> int:
     """floor(x**(1/q)) for an integer x >= 1, from a float estimate of it.
 
-    One integer Newton step from any r >= 1 lands at or above the floor
-    root (AM-GM), and within a unit of it when the estimate is close;
-    the loop then steps down to it.
+    From any r above the floor root, integer Newton steps decrease
+    strictly down to it (AM-GM) and then stop.  The estimate, pushed up,
+    is such an r when it is good to 2**-40; 2**ceil(bits/q) always is.
     """
-    r = max(int(estimate), 1)
-    r = ((q - 1) * r + x // r ** (q - 1)) // q
-    while r**q > x:
-        r -= 1
+    r = int(estimate * (1 + 2**-40)) + 1
+    if r**q <= x:
+        r = 1 << -(-x.bit_length() // q)
+    while (lower := ((q - 1) * r + x // r ** (q - 1)) // q) < r:
+        r = lower
     return r
 
 
@@ -314,52 +324,63 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
         yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
 
 
-def _floor_prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
-    """The first ``count`` terms of a floor family and the candidates skipped."""
+def _below_one(spec: SequenceSpec) -> bool:
+    """k**r with r < 1, whose floors climb by at most one: its terms are the naturals."""
+    return spec.family == "FractionalPowerFloor" and spec.exponent < 1
+
+
+def _blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The sequence as (terms, k) blocks of consecutive int64 terms.
+
+    ``k`` holds each term's candidate index for the floor families that
+    enumerate candidates, and is None otherwise (powers below one skip
+    candidates too; `_prefix` counts those in closed form).  The first
+    term above MAX_TERM raises SequenceOverflowError with its index;
+    Explicit simply ends.
+    """
+    if spec.family == "Naturals" or _below_one(spec):
+        for block in _natural_blocks():
+            yield block, None
+        raise SequenceOverflowError(MAX_TERM + 1)
+    if spec.family == "ThueMorseReturnTimes":
+        for block in _natural_blocks():
+            yield block[_odd_popcount(block)], None
+        raise SequenceOverflowError(2**62 + 1)  # half of 0..MAX_TERM has odd popcount
+    if spec.family == "Primes":
+        for block in _prime_blocks():
+            yield block, None
+    elif spec.family in _FLOOR_FAMILIES:
+        yield from _floor_blocks(spec)
+    elif spec.family == "Lacunary":
+        n = lacunary_max_terms(spec.base)
+        yield np.array([spec.base**k for k in range(1, n + 1)], dtype=np.int64), None
+        raise SequenceOverflowError(n + 1)
+    else:
+        yield np.array(spec.explicit_terms, dtype=np.int64), None
+
+
+def _prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
+    """The first ``count`` terms as a new int64 array, and the candidates skipped."""
+    if count < 1:
+        raise ConfigError("count must be >= 1")
     out = np.empty(count, dtype=np.int64)
     filled = 0
-    for block, ks in _floor_blocks(spec):
+    for block, ks in _blocks(spec):
         take = min(len(block), count - filled)
         out[filled : filled + take] = block[:take]
         filled += take
         if filled == count:
-            return out, int(ks[take - 1]) - count
-
-
-def _thue_morse_stream() -> Iterator[int]:
-    n = 0
-    while True:
-        n += 1
-        if n.bit_count() & 1:
-            yield n
-
-
-def terms(spec: SequenceSpec) -> Iterator[int]:
-    """The sequence a_1, a_2, ... as a lazy stream of checked positive ints."""
-    if spec.family == "Naturals":
-        k = 0
-        while k < MAX_TERM:
-            k += 1
-            yield k
-        raise SequenceOverflowError(k + 1)
-    if spec.family == "Primes":
-        yield from _prime_stream()
-    elif spec.family in _FLOOR_FAMILIES:
-        for block, _ in _floor_blocks(spec):
-            yield from block.tolist()
-    elif spec.family == "ThueMorseReturnTimes":
-        yield from _thue_morse_stream()
-    elif spec.family == "Lacunary":
-        term = 1
-        k = 0
-        while True:
-            k += 1
-            term *= spec.base
-            if term > MAX_TERM:
-                raise SequenceOverflowError(k)
-            yield term
-    elif spec.family == "Explicit":
-        yield from spec.explicit_terms
+            break
+    else:
+        raise ConfigError(f"{spec.describe()} has only {filled} terms, {count} requested")
+    if _below_one(spec):
+        # term N first appears at k = ceil(N**(q/p)), the least k with k**p >= N**q;
+        # the estimate is clipped below float overflow (any estimate is safe)
+        p, q = spec.exponent.numerator, spec.exponent.denominator
+        x = count**q
+        k = _exact_root(x, p, 2.0 ** min(math.log2(count) * q / p, 1000.0))
+        return out, k + (k**p < x) - count
+    return out, 0 if ks is None else int(ks[take - 1]) - count
 
 
 def prefix_with_skips(spec: SequenceSpec, count: int) -> tuple[list[int], int]:
@@ -369,21 +390,8 @@ def prefix_with_skips(spec: SequenceSpec, count: int) -> tuple[list[int], int]:
     early values) and FractionalPowerFloor with exponent < 1 (repeated
     floors); every other family reports 0.
     """
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    if spec.family in _FLOOR_FAMILIES:
-        arr, skipped = _floor_prefix(spec, count)
-        return arr.tolist(), skipped
-    out = []
-    it = terms(spec)
-    for _ in range(count):
-        try:
-            out.append(next(it))
-        except StopIteration:
-            raise ConfigError(
-                f"{spec.describe()} has only {len(out)} terms, {count} requested"
-            ) from None
-    return out, 0
+    terms, skipped = _prefix(spec, count)
+    return terms.tolist(), skipped
 
 
 def generate_prefix(spec: SequenceSpec, count: int) -> list[int]:
@@ -412,27 +420,8 @@ def _check_memory(count: int) -> None:
 @lru_cache(maxsize=32)
 def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
     """First ``count`` terms as an int64 array (cached; do not mutate)."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
     _check_memory(count)
-    if spec.family == "Naturals":
-        arr = np.arange(1, count + 1, dtype=np.int64)
-    elif spec.family == "Primes":
-        # Rosser-style upper bound for the count-th prime, then one sieve.
-        if count < 6:
-            bound = 15
-        else:
-            n = float(count)
-            bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-        primes = _primes_upto(bound)
-        while primes.size < count:
-            bound *= 2
-            primes = _primes_upto(bound)
-        arr = primes[:count].copy()
-    elif spec.family in _FLOOR_FAMILIES:
-        arr = _floor_prefix(spec, count)[0]
-    else:
-        arr = np.array(generate_prefix(spec, count), dtype=np.int64)
+    arr = _prefix(spec, count)[0]
     arr.setflags(write=False)
     return arr
 
@@ -441,13 +430,6 @@ def thue_morse_return_times(count: int) -> list[int]:
     """Indices n >= 1 where the Thue-Morse word (parity of binary digit sum,
     starting from t_0 = 0) reads 1; the return times of the 1-cylinder."""
     return generate_prefix(SequenceSpec.thue_morse_return_times(), count)
-
-
-def export_prefix(spec: SequenceSpec, count: int, path) -> None:
-    """Write the prefix as newline-delimited decimal integers."""
-    with open(path, "w", encoding="ascii") as fh:
-        for t in generate_prefix(spec, count):
-            fh.write(f"{t}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -484,37 +466,53 @@ class ClosePairProfile:
         }
 
 
+# Sorted int64 terms map to uint64 keys in the same order, so a key minus a
+# gap up to 2**64 - 1 (clipped at 0) never wraps, whatever the signs.
+_SIGN = np.uint64(1 << 63)
+
+
+def _pair_sums(window: np.ndarray, block: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running close-pair counts over a sorted ``block``, and the next window.
+
+    ``window`` holds, sorted, every earlier term within ``gap`` of the
+    block's terms, and none above them.  Term j of ``c = window + block``
+    is within ``gap`` of the terms c[lo:j], lo = searchsorted(c, c[j] - gap),
+    so it adds 2 * (j - lo) + 1 ordered pairs.  The next window is the
+    terms within ``gap`` of the newest one.
+    """
+    c = np.concatenate((window, block))
+    keys = c.view(np.uint64) ^ _SIGN
+    new = keys[len(window) :]
+    lo = np.searchsorted(keys, new - np.minimum(new, np.uint64(min(gap, 2**64 - 1))))
+    steps = 2 * (np.arange(len(window), len(c)) - lo) + 1
+    return np.cumsum(steps), c[lo[-1] :].copy()
+
+
 def close_pair_count(prefix: Sequence[int], max_gap: int) -> int:
     """#{(i, j) : |a_i - a_j| <= max_gap} over ordered index pairs.
 
-    O(N) two-pointer sweep on sorted input; unsorted prefixes are sorted
-    first (the count is invariant under permutations).
+    The terms must fit in int64; they are sorted first (the count is
+    invariant under permutations) and counted with one binary search
+    each.
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be non-empty")
     if max_gap < 0:
         raise ConfigError("max_gap must be >= 0")
-    a = list(prefix)
-    if any(a[i] > a[i + 1] for i in range(len(a) - 1)):
-        a.sort()
-    lo = 0
-    off_diagonal = 0
-    for j, aj in enumerate(a):
-        while a[lo] < aj - max_gap:
-            lo += 1
-        off_diagonal += j - lo
-    return len(a) + 2 * off_diagonal
+    a = np.sort(np.asarray(prefix, dtype=np.int64))
+    return int(_pair_sums(a[:0], a, max_gap)[0][-1])
 
 
 def close_pair_profile(
     spec: SequenceSpec, max_gap: int, checkpoints: Sequence[int]
 ) -> ClosePairProfile:
-    """Stream the sequence once, recording exact counts and densities.
+    """Exact close-pair counts and densities of a sequence prefix at each checkpoint.
 
-    For monotone streams only the terms within ``max_gap`` of the newest
-    one are retained, so memory stays proportional to the largest such
-    window rather than to N.  Explicit (possibly unsorted) sequences fall
-    back to an order-statistics buffer.
+    The terms are read once, one block at a time, in their increasing
+    order; only the terms within ``max_gap`` of the newest one are kept
+    from block to block, so memory stays at one block plus that window
+    whatever the largest checkpoint.  Explicit sequences, finite and
+    possibly unsorted, count each checkpoint's prefix sorted.
     """
     if not checkpoints:
         raise ConfigError("checkpoints must be non-empty")
@@ -524,30 +522,24 @@ def close_pair_profile(
     if max_gap < 0:
         raise ConfigError("max_gap must be >= 0")
 
-    out: list[ClosePairCheckpoint] = []
-    count = 0
     if spec.family == "Explicit":
-        seen: list[int] = []
-        it = iter(generate_prefix(spec, cps[-1]))
-        for n in range(1, cps[-1] + 1):
-            a = next(it)
-            neighbors = bisect_right(seen, a + max_gap) - bisect_left(seen, a - max_gap)
-            count += 2 * neighbors + 1
-            insort(seen, a)
-            if n == cps[len(out)]:
-                out.append(ClosePairCheckpoint(n, count, count / (n * n)))
+        prefix = _prefix(spec, cps[-1])[0]
+        counts = [close_pair_count(prefix[:n], max_gap) for n in cps]
     else:
-        window: deque[int] = deque()
-        stream = terms(spec)
-        for n in range(1, cps[-1] + 1):
-            a = next(stream)
-            while window and window[0] < a - max_gap:
-                window.popleft()
-            count += 2 * len(window) + 1
-            window.append(a)
-            if n == cps[len(out)]:
-                out.append(ClosePairCheckpoint(n, count, count / (n * n)))
-    return ClosePairProfile(spec.describe(), max_gap, tuple(out))
+        counts = []
+        total = n0 = 0
+        window = np.empty(0, dtype=np.int64)
+        for block, _ in _blocks(spec):
+            block = block[: cps[-1] - n0]
+            if len(block):
+                sums, window = _pair_sums(window, block, max_gap)
+                counts += [total + int(sums[n - n0 - 1]) for n in cps[len(counts) :]
+                           if n <= n0 + len(block)]
+                total, n0 = total + int(sums[-1]), n0 + len(block)
+            if n0 == cps[-1]:
+                break
+    out = tuple(ClosePairCheckpoint(n, c, c / (n * n)) for n, c in zip(cps, counts))
+    return ClosePairProfile(spec.describe(), max_gap, out)
 
 
 def is_lacunary(prefix: Sequence[int], ratio: Fraction | float | int) -> bool:

@@ -242,3 +242,16 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert float(density) == (10 + 2 * 9) / 100  # (N + 2(N-1)) / N**2 at N = 10
     # 17 significant digits round-trip the double exactly
     assert len(density.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def test_fractional_power_near_two_runs(tmp_path):
+    # the float root of 2**1.99 truncates to 3, below the integer root's start
+    cfg = {
+        "kind": "ConditionStarProfile",
+        "sequence": {"family": "FractionalPowerFloor", "exponent": "199/100"},
+        "max_gap": 1,
+        "checkpoints": [10],
+    }
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 0
+    assert json.loads((out / "result.json").read_text())["checkpoints"][0]["count"] == 10

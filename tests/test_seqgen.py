@@ -1,11 +1,13 @@
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqchaos import seqgen
@@ -15,12 +17,10 @@ from seqchaos.seqgen import (
     SequenceSpec,
     close_pair_count,
     close_pair_profile,
-    export_prefix,
     generate_prefix,
     is_lacunary,
     lacunary_max_terms,
     prefix_with_skips,
-    terms,
     thue_morse_return_times,
     times_array,
 )
@@ -34,6 +34,14 @@ def sieve_oracle(limit):
             for q in range(p * p, limit + 1, p):
                 flags[q] = False
     return [n for n, f in enumerate(flags) if f]
+
+
+def thue_morse_oracle(count):
+    """Positions of 1 in the fixed point of the substitution 0 -> 01, 1 -> 10."""
+    word = [0]
+    while len(word) < 4 * count:
+        word = [b for a in word for b in (a, 1 - a)]
+    return [n for n, t in enumerate(word) if t == 1][:count]
 
 
 def brute_pair_count(prefix, max_gap):
@@ -51,6 +59,22 @@ def test_primes_against_sieve():
     oracle = sieve_oracle(200_000)
     assert generate_prefix(SequenceSpec.primes(), 10_000) == oracle[:10_000]
     assert times_array(SequenceSpec.primes(), 10_000).tolist() == oracle[:10_000]
+
+
+@settings(deadline=None, max_examples=40)
+@given(block=st.integers(1, 50), segment=st.integers(1, 50))
+def test_primes_across_small_segments(block, segment):
+    oracle = sieve_oracle(2000)
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block), \
+            mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment):
+        assert generate_prefix(SequenceSpec.primes(), 300) == oracle[:300]
+
+
+@settings(deadline=None, max_examples=40)
+@given(block=st.integers(1, 50))
+def test_thue_morse_across_small_blocks(block):
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+        assert thue_morse_return_times(500) == thue_morse_oracle(500)
 
 
 def test_polynomial_squares():
@@ -110,11 +134,7 @@ def test_fractional_power_below_one_dedupes():
 
 
 def test_thue_morse_against_substitution():
-    # expand the fixed point of 0 -> 01, 1 -> 10 and list positions of 1
-    word = [0]
-    while len(word) < 4096:
-        word = [b for a in word for b in (a, 1 - a)]
-    oracle = [n for n, t in enumerate(word) if t == 1]
+    oracle = thue_morse_oracle(1000)
     assert thue_morse_return_times(1) == [1]
     assert thue_morse_return_times(4) == [1, 2, 4, 7]
     assert thue_morse_return_times(1000) == oracle[:1000]
@@ -160,12 +180,6 @@ def test_generate_prefix_is_pure():
         SequenceSpec.fractional_power_floor(Fraction(3, 2)),
     ):
         assert generate_prefix(spec, 500) == generate_prefix(spec, 500)
-
-
-def test_export_prefix(tmp_path):
-    path = tmp_path / "primes.txt"
-    export_prefix(SequenceSpec.primes(), 5, path)
-    assert path.read_text() == "2\n3\n5\n7\n11\n"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +261,17 @@ def kernel_prefix(spec, count):
         assert again.value.index == exc.index
         return exc.index
     assert times_array(spec, count).tolist() == got[0]
-    assert list(itertools.islice(terms(spec), count)) == got[0]
+    assert block_terms(spec, count) == got[0]
+    return got
+
+
+def block_terms(spec, count=None):
+    """The first ``count`` terms read straight off the block source (all if None)."""
+    got = []
+    for block, _ in seqgen._blocks(spec):
+        got += block.tolist()
+        if count is not None and len(got) >= count:
+            return got[:count]
     return got
 
 
@@ -273,7 +297,9 @@ def test_fractional_power_kernel_matches_oracle(exponent, count, block):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    exponent=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]),
+    exponent=st.sampled_from(
+        [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(3, 7), Fraction(5, 7)]
+    ),
     count=st.integers(1, 40),
     block=BLOCKS,
 )
@@ -285,6 +311,21 @@ def test_fractional_power_below_one_repeats_match_oracle(exponent, count, block)
         got = kernel_prefix(spec, count)
     assert got == oracle_prefix(spec, count)
     assert got[0] == list(range(1, count + 1))
+
+
+def test_fractional_power_below_one_is_the_naturals_at_scale():
+    # floor(k**(1/3)) first reaches N at k = N**3: 2.7e16 candidates, none enumerated
+    spec = SequenceSpec.fractional_power_floor(Fraction(1, 3))
+    n = 300_000
+    started = time.perf_counter()
+    times_array.cache_clear()
+    assert times_array(spec, n).tolist() == list(range(1, n + 1))
+    assert prefix_with_skips(spec, n)[1] == n**3 - n
+    assert time.perf_counter() - started < 5
+    # floor(k**(2/3)) first reaches N at the least k with k**2 >= N**3
+    for n in (1, 2, 1000, 12345):
+        k = math.isqrt(n**3 - 1) + 1
+        assert prefix_with_skips(SequenceSpec.fractional_power_floor(Fraction(2, 3)), n)[1] == k - n
 
 
 coefficient = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
@@ -319,7 +360,7 @@ def check_overflow_edge(spec, block, extra=0):
             assert max(times_array(spec, valid)) <= MAX_TERM
         assert kernel_prefix(spec, valid + 1 + extra) == overflow
         with pytest.raises(SequenceOverflowError) as exc:
-            list(terms(spec))
+            block_terms(spec)
         assert exc.value.index == overflow
 
 
@@ -373,6 +414,29 @@ def test_int64_power_le_clips_without_wrapping():
         assert seqgen._int64_power_le(b, q, x).tolist() == expected
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    k=st.integers(1, 1000),
+    p=st.integers(1, 300),
+    q=st.integers(1, 100),
+    scale=st.one_of(st.just(1.0), st.floats(0, 2)),
+)
+def test_exact_root_matches_oracle(k, p, q, scale):
+    # the floor path asks for roots below 2**63 with the float k**(p/q) as
+    # the estimate; any other estimate must only cost steps
+    x = k**p
+    assume(x.bit_length() <= 63 * q)
+    estimate = float(k) ** (p / q)
+    assert seqgen._exact_root(x, q, estimate) == oracle_iroot(x, q)
+    assert seqgen._exact_root(x, q, estimate * scale) == oracle_iroot(x, q)
+
+
+def test_exact_root_from_a_truncated_estimate():
+    # 2**1.99 = 3.97 truncates to 3; one Newton step from below lands near 4.6e12
+    assert seqgen._exact_root(2**199, 100, 2.0**1.99) == 3
+    assert seqgen._exact_root(2**199, 100, 3.0) == 3
+
+
 def test_times_array_refuses_more_than_physical_memory(monkeypatch):
     # the check runs before anything is allocated
     with pytest.raises(ConfigError, match="physical memory"):
@@ -382,6 +446,19 @@ def test_times_array_refuses_more_than_physical_memory(monkeypatch):
     with pytest.raises(ConfigError, match="physical memory"):
         times_array(spec, 1001)
     assert times_array(spec, 1000).tolist() == list(range(4, 1004))
+
+
+def test_primes_sieve_peak_memory():
+    # one segment at a time: the 8 MB output plus one mask and its primes
+    tracemalloc.start()
+    try:
+        times_array.cache_clear()
+        times_array(SequenceSpec.primes(), 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        times_array.cache_clear()
+    assert peak < 16_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +546,74 @@ def test_profile_validation():
         close_pair_profile(SequenceSpec.naturals(), 1, [10, 10])
     with pytest.raises(ConfigError):
         close_pair_count([], 1)
+
+
+UNSORTED = np.random.default_rng(7).integers(1, 60, size=150).tolist()
+PROFILE_SPECS = {
+    SequenceSpec.naturals(): lambda n: list(range(1, n + 1)),
+    SequenceSpec.primes(): lambda n: sieve_oracle(1000)[:n],
+    SequenceSpec.thue_morse_return_times(): thue_morse_oracle,
+    SequenceSpec.lacunary(2): lambda n: [2**k for k in range(1, n + 1)],
+    SequenceSpec.explicit(UNSORTED): lambda n: UNSORTED[:n],
+    SequenceSpec.polynomial_floor([Fraction(-7, 2), -1, Fraction(1, 3)]): None,
+    SequenceSpec.fractional_power_floor(Fraction(3, 2)): None,
+    SequenceSpec.fractional_power_floor(Fraction(2, 3)): None,
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    spec=st.sampled_from(list(PROFILE_SPECS)),
+    checkpoints=st.lists(st.integers(1, 150), min_size=1, max_size=5, unique=True),
+    max_gap=st.integers(0, 40),
+    block=st.integers(1, 50),
+    segment=st.integers(1, 50),
+)
+def test_profile_across_block_edges_matches_bruteforce(spec, checkpoints, max_gap, block, segment):
+    cps = sorted({min(n, 62) for n in checkpoints})  # Lacunary[2] has 62 terms
+    oracle = PROFILE_SPECS[spec]
+    prefix = oracle(cps[-1]) if oracle else oracle_prefix(spec, cps[-1])[0]
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block), \
+            mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment):
+        profile = close_pair_profile(spec, max_gap, cps)
+    assert [(c.n, c.count) for c in profile.checkpoints] == [
+        (n, brute_pair_count(prefix[:n], max_gap)) for n in cps
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    terms=st.lists(st.integers(1, 30), min_size=1, max_size=60),
+    max_gap=st.integers(0, 10),
+    data=st.data(),
+)
+def test_profile_explicit_unsorted_with_repeats(terms, max_gap, data):
+    cps = sorted(data.draw(st.sets(st.integers(1, len(terms)), min_size=1)))
+    profile = close_pair_profile(SequenceSpec.explicit(terms), max_gap, cps)
+    assert [c.count for c in profile.checkpoints] == [
+        brute_pair_count(terms[:n], max_gap) for n in cps
+    ]
+
+
+def test_close_pair_gaps_do_not_wrap():
+    # differences of int64 terms reach 2**64 - 1; larger gaps admit every pair
+    low = -MAX_TERM - 1
+    prefix = [MAX_TERM, low, 0, low + 1, -1, MAX_TERM - 1, 1, low]
+    for max_gap in (0, 1, 2, MAX_TERM - 1, MAX_TERM, MAX_TERM + 1, 2**64 - 2, 2**64 - 1, 2**70):
+        expected = brute_pair_count(prefix, max_gap)
+        assert close_pair_count(prefix, max_gap) == expected
+        assert close_pair_count(np.array(prefix, dtype=np.int64), max_gap) == expected
+    assert close_pair_count(prefix, 2**70) == len(prefix) ** 2
+    for max_gap in (2**62 - 3, MAX_TERM, 2**70):
+        profile = close_pair_profile(SequenceSpec.lacunary(2), max_gap, [3, 62])
+        powers = [2**k for k in range(1, 63)]
+        assert profile.max_gap == max_gap
+        assert [c.count for c in profile.checkpoints] == [
+            brute_pair_count(powers[:3], max_gap), brute_pair_count(powers, max_gap)
+        ]
+        explicit = SequenceSpec.explicit([MAX_TERM, 1, MAX_TERM, 2**62])
+        counts = [c.count for c in close_pair_profile(explicit, max_gap, [4]).checkpoints]
+        assert counts == [brute_pair_count(explicit.explicit_terms, max_gap)]
 
 
 # ---------------------------------------------------------------------------
