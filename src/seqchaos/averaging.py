@@ -30,18 +30,9 @@ from .errors import ConfigError, DomainError
 from .observables import Observable
 from .pool import parallel_map
 from .prf import MASK64, child_seed
-from .seqgen import SequenceSpec, times_array
+from .seqgen import SequenceSpec, _validate_checkpoints, times_array
 
 SUM_ERROR_BOUND = 2.0**-50  # sums are exactly rounded; this is a generous blanket
-
-
-def _validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
-    cps = [int(n) for n in checkpoints]
-    if not cps or any(n < 1 for n in cps):
-        raise ConfigError("checkpoints must be positive")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ConfigError("checkpoints must be strictly increasing")
-    return cps
 
 
 _BLOCK = 1 << 16
@@ -247,9 +238,28 @@ def average_trace(
     )
 
 
-def _average_for_seed(args) -> float:
-    system, f, seq, n_terms, seed = args
-    return ergodic_average(system, sy.sample_point(system, seed), f, seq, n_terms)
+def _average_task(args) -> float:
+    return ergodic_average(*args)
+
+
+def sampled_averages(
+    system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int, workers: int = 1
+) -> list[float]:
+    """A_N f(x) for every x of ``points``, in order, whatever the worker count."""
+    tasks = [(system, x, f, seq, n_terms) for x in points]
+    return parallel_map(_average_task, tasks, workers=workers)
+
+
+def sample_seeds(seed: int, count: int) -> list[int]:
+    """The seeds labelled ``sample/{j}``, j < count, under ``seed``."""
+    return [child_seed(seed, f"sample/{j}") for j in range(count)]
+
+
+def _integral(system, f: Observable) -> float:
+    target = f.integral(system)
+    if target is None:
+        raise ConfigError(f"observable {f.describe()} declares no exact integral")
+    return target
 
 
 def very_good_deviation(
@@ -261,11 +271,9 @@ def very_good_deviation(
     workers: int = 1,
 ) -> float:
     """max over sampled points of |A_N f(x) - integral(f)|."""
-    target = f.integral(system)
-    if target is None:
-        raise ConfigError(f"observable {f.describe()} declares no exact integral")
-    tasks = [(system, f, seq, n_terms, s) for s in seeds]
-    averages = parallel_map(_average_for_seed, tasks, workers=workers)
+    target = _integral(system, f)
+    points = [sy.sample_point(system, s) for s in seeds]
+    averages = sampled_averages(system, points, f, seq, n_terms, workers)
     return max(abs(a - target) for a in averages)
 
 
@@ -283,14 +291,11 @@ def disintegration_consistency(
     Monte-Carlo form of the identity that averaging the per-point limits
     against the invariant measure recovers the space average.
     """
-    target = f.integral(system)
-    if target is None:
-        raise ConfigError(f"observable {f.describe()} declares no exact integral")
+    target = _integral(system, f)
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
-    seeds = [child_seed(seed, f"sample/{j}") for j in range(sample_count)]
-    tasks = [(system, f, seq, n_terms, s) for s in seeds]
-    averages = parallel_map(_average_for_seed, tasks, workers=workers)
+    points = [sy.sample_point(system, s) for s in sample_seeds(seed, sample_count)]
+    averages = sampled_averages(system, points, f, seq, n_terms, workers)
     return abs(math.fsum(averages) / sample_count - target)
 
 

@@ -21,6 +21,7 @@ checks every certified inequality.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,11 +30,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import systems as sy
-from .averaging import SUM_ERROR_BOUND, _validate_checkpoints, exact_sums
+from .averaging import SUM_ERROR_BOUND, exact_sums
 from .errors import ConfigError, DomainError, SequenceOverflowError
 from .pool import parallel_map
 from .prf import child_seed
-from .seqgen import MAX_TERM, SequenceSpec, times_array
+from .seqgen import MAX_TERM, SequenceSpec, _validate_checkpoints, times_array
 
 # ---------------------------------------------------------------------------
 # vectorized distance series
@@ -80,14 +81,7 @@ def _difference_intervals(x, y) -> list[tuple[int, int | None]] | None:
         return None
 
     def symbol_at(runs: list[tuple[int, int]], pos: int) -> int:
-        lo, hi = 0, len(runs)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if runs[mid][0] <= pos:
-                lo = mid
-            else:
-                hi = mid
-        return runs[lo][1]
+        return runs[bisect_right(runs, pos, key=lambda run: run[0]) - 1][1]
 
     marks = sorted({s for s, _ in rx} | {s for s, _ in ry})
     intervals: list[tuple[int, int | None]] = []

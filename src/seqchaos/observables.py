@@ -7,6 +7,10 @@ Each kind optionally declares its exact integral against the ambient
 invariant measure (cylinder mass under a Bernoulli law, zero mean for
 nonconstant circle harmonics), which is what the deviation-style
 experiments compare against.
+
+Every kind defines one vectorized path, :meth:`Observable.series`, the
+values f(T**m x) at an array of times.  A single value f(x) is its
+length-1 case at time 0.
 """
 
 from __future__ import annotations
@@ -25,15 +29,13 @@ TWO_PI = 2.0 * math.pi
 
 
 class Observable:
-    def value(self, system, point) -> float:
+    def series(self, system, point, times: np.ndarray) -> np.ndarray:
+        """Values f(T**m point) for each m in ``times``."""
         raise NotImplementedError
 
-    def series(self, system, point, times: np.ndarray) -> np.ndarray:
-        """Values f(T**m point) for each m in ``times`` (vectorized)."""
-        return np.array(
-            [self.value(system, sy.iterate(system, point, int(m))) for m in times],
-            dtype=np.float64,
-        )
+    def value(self, system, point) -> float:
+        """f(point): the length-1 case of :meth:`series`."""
+        return float(self.series(system, point, [0])[0])
 
     def integral(self, system) -> float | None:
         """Exact integral of f against the invariant measure, when declared."""
@@ -43,7 +45,7 @@ class Observable:
         raise NotImplementedError
 
     def error_bound(self) -> float:
-        """Worst-case evaluation error of a single value() call."""
+        """Worst-case evaluation error of each value of :meth:`series`."""
         return 0.0
 
     def describe(self) -> str:
@@ -53,9 +55,6 @@ class Observable:
 @dataclass(frozen=True)
 class Constant(Observable):
     c: float
-
-    def value(self, system, point) -> float:
-        return self.c
 
     def series(self, system, point, times) -> np.ndarray:
         return np.full(len(times), self.c, dtype=np.float64)
@@ -84,14 +83,11 @@ class CylinderIndicator(Observable):
         if len(set(coords)) != len(coords):
             raise ConfigError("cylinder constraints must use distinct coordinates")
 
-    def value(self, system, point) -> float:
-        if not isinstance(point, sy.SymbolicPoint):
-            raise DomainError("cylinder observable needs a symbolic point")
-        return 1.0 if all(point.coordinate(c) == s for c, s in self.constraints) else 0.0
-
     def series(self, system, point, times) -> np.ndarray:
         if not isinstance(point, sy.SymbolicPoint):
             raise DomainError("cylinder observable needs a symbolic point")
+        if point.side == sy.ONE_SIDED and any(c < 0 for c, _ in self.constraints):
+            raise DomainError("cylinder coordinate < 0 on a one-sided point")
         ts = np.asarray(times, dtype=np.int64)
         out = np.ones(ts.shape, dtype=bool)
         for c, s in self.constraints:
@@ -132,17 +128,15 @@ class TrigOnRotation(Observable):
     def _fn(self):
         return np.cos if self.component == "cos" else np.sin
 
-    def value(self, system, point) -> float:
-        if not isinstance(point, int):
-            raise DomainError("trig observable needs a rotation point")
-        angle = TWO_PI * self.frequency * sy.rotation_point_to_float(point)
-        return float(self._fn()(angle))
-
     def series(self, system, point, times) -> np.ndarray:
-        if not isinstance(system, sy.Rotation):
-            raise DomainError("trig observable needs a rotation system")
-        fr = sy.rotation_orbit_fractions(system, point, times)
-        return self._fn()(TWO_PI * self.frequency * fr)
+        if not isinstance(system, sy.Rotation) or not isinstance(point, int):
+            raise DomainError("trig observable needs a rotation system and point")
+        # h * (x + m * alpha) = h * x + m * (h * alpha) mod 1, exactly on the
+        # 2**-128 grid: the phase is reduced before it is rounded, whatever h
+        h = self.frequency
+        rotation = sy.Rotation((h * system.alpha_num) % sy.FRACTION_MOD)
+        fr = sy.rotation_orbit_fractions(rotation, (h * point) % sy.FRACTION_MOD, times)
+        return self._fn()(TWO_PI * fr)
 
     def integral(self, system) -> float:
         return 0.0
@@ -151,8 +145,12 @@ class TrigOnRotation(Observable):
         return (-1.0, 1.0)
 
     def error_bound(self) -> float:
-        # 2**-53 fraction granularity into a Lipschitz-(2 pi h) function.
-        return TWO_PI * abs(self.frequency) * 2.0**-53 + 1e-16
+        # cos and sin are 1-Lipschitz, so the angle's errors pass through:
+        # the reduced phase fr is below 2**-53 short of exact (times 2 pi),
+        # TWO_PI is within 2**-51 of 2 pi (times fr < 1), and TWO_PI * fr < 8
+        # rounds by at most 2**-51.  cos/sin then add an ulp of a value in
+        # [-1, 1], taken as 2**-52.  No term depends on h.
+        return TWO_PI * 2.0**-53 + 2.0**-51 + 2.0**-51 + 2.0**-52
 
     def describe(self) -> str:
         return f"{self.component}[2pi*{self.frequency}x]"
@@ -172,12 +170,6 @@ class ProductOf(Observable):
         if not isinstance(system, sy.ProductSystem) or len(system.components) != len(self.factors):
             raise DomainError("factor count must match the product components")
         return zip(self.factors, system.components, point)
-
-    def value(self, system, point) -> float:
-        out = 1.0
-        for f, comp, x in self._split(system, point):
-            out *= f.value(comp, x)
-        return out
 
     def series(self, system, point, times) -> np.ndarray:
         out = np.ones(len(times), dtype=np.float64)
@@ -214,9 +206,6 @@ class LinearCombination(Observable):
     """sum of coef * observable; used mainly to exercise linearity."""
 
     parts: tuple[tuple[float, Observable], ...]
-
-    def value(self, system, point) -> float:
-        return math.fsum(c * f.value(system, point) for c, f in self.parts)
 
     def series(self, system, point, times) -> np.ndarray:
         out = np.zeros(len(times), dtype=np.float64)

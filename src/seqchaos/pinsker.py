@@ -26,10 +26,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import systems as sy
-from .averaging import ergodic_average
+from .averaging import sample_seeds, sampled_averages, very_good_deviation
 from .errors import ConfigError
 from .observables import Observable
-from .pool import parallel_map
 from .prf import child_seed
 from .seqgen import SequenceSpec, lacunary_max_terms
 
@@ -71,11 +70,6 @@ class FiberReport:
         }
 
 
-def _fiber_task(args) -> float:
-    product, point, f, seq, n_terms = args
-    return ergodic_average(product, point, f, seq, n_terms)
-
-
 def fiber_constancy_report(
     shift: sy.FullShift,
     rotation: sy.Rotation,
@@ -97,7 +91,7 @@ def fiber_constancy_report(
     if not thetas:
         raise ConfigError("need at least one theta")
     product = sy.ProductSystem((shift, rotation))
-    tasks = []
+    points = []
     for fi, theta in enumerate(thetas):
         fr = Fraction(theta)
         if not (0 <= fr < 1):
@@ -105,8 +99,8 @@ def fiber_constancy_report(
         theta_point = (fr.numerator << sy.FRACTION_BITS) // fr.denominator
         for j in range(sample_count):
             omega = sy.sample_point(shift, child_seed(seed, f"theta/{fi}/omega/{j}"))
-            tasks.append((product, (omega, theta_point), f, seq, n_terms))
-    flat = parallel_map(_fiber_task, tasks, workers=workers)
+            points.append((omega, theta_point))
+    flat = sampled_averages(product, points, f, seq, n_terms, workers)
     values = tuple(
         tuple(flat[fi * sample_count : (fi + 1) * sample_count]) for fi in range(len(thetas))
     )
@@ -128,15 +122,12 @@ def kolmogorov_limit_check(
     workers: int = 1,
 ) -> float:
     """max over sampled points of |A_N f - integral(f)| on the shift alone."""
-    target = f.integral(shift)
-    if target is None:
-        raise ConfigError("observable must declare an exact integral")
-    tasks = [
-        (shift, sy.sample_point(shift, child_seed(seed, f"sample/{j}")), f, seq, n_terms)
-        for j in range(sample_count)
-    ]
-    averages = parallel_map(_fiber_task, tasks, workers=workers)
-    return max(abs(a - target) for a in averages)
+    seeds = sample_seeds(seed, sample_count)
+    return very_good_deviation(shift, seeds, f, seq, n_terms, workers=workers)
+
+
+def _sampled_points(shift: sy.FullShift, seed: int, sample_count: int) -> list:
+    return [sy.sample_point(shift, s) for s in sample_seeds(seed, sample_count)]
 
 
 def _spread(values: Sequence[float]) -> float:
@@ -172,12 +163,10 @@ def lacunary_dispersion_contrast(
         cap = lacunary_max_terms(lacunary_seq.base)
         if n_terms > cap:
             raise ConfigError(f"lacunary base {lacunary_seq.base} has only {cap} terms")
-    seeds = [child_seed(seed, f"sample/{j}") for j in range(sample_count)]
-    out = []
-    for s in (good_seq, lacunary_seq):
-        tasks = [(shift, sy.sample_point(shift, sd), f, s, n_terms) for sd in seeds]
-        out.append(_spread(parallel_map(_fiber_task, tasks, workers=workers)))
-    return out[0], out[1]
+    points = _sampled_points(shift, seed, sample_count)
+    good = _spread(sampled_averages(shift, points, f, good_seq, n_terms, workers))
+    lacunary = _spread(sampled_averages(shift, points, f, lacunary_seq, n_terms, workers))
+    return good, lacunary
 
 
 @dataclass(frozen=True)
@@ -226,9 +215,8 @@ def lacunary_contrast_report(
     good_disp, lac_disp = lacunary_dispersion_contrast(
         shift, f, good_seq, lacunary_seq, n_terms, sample_count, seed, workers=workers
     )
-    seeds = [child_seed(seed, f"sample/{j}") for j in range(sample_count)]
-    tasks = [(shift, sy.sample_point(shift, sd), f, good_seq, extended_terms) for sd in seeds]
-    good_ext = _spread(parallel_map(_fiber_task, tasks, workers=workers))
+    points = _sampled_points(shift, seed, sample_count)
+    good_ext = _spread(sampled_averages(shift, points, f, good_seq, extended_terms, workers))
     cap = (
         lacunary_max_terms(lacunary_seq.base)
         if lacunary_seq.family == "Lacunary"

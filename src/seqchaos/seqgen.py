@@ -156,9 +156,11 @@ class SequenceSpec:
 # Naturals and Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime
 # sieve segments double from 2 * _FLOOR_BLOCK numbers up to _SIEVE_SEGMENT.
 # A floor block runs as int64 numpy arithmetic when no value it forms can
-# pass _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints.
+# pass _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints,
+# yielded every _EXACT_BLOCK candidates so a short prefix stays cheap.
 _FLOOR_FAMILIES = ("PolynomialFloor", "FractionalPowerFloor")
 _FLOOR_BLOCK = 1 << 16
+_EXACT_BLOCK = 1 << 10
 _SIEVE_SEGMENT = 1 << 21
 _INT64_SAFE = 1 << 62
 
@@ -309,19 +311,20 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
             last = max(last, int(running[-1]))
             yield t[keep], k[keep]
             continue
-        kept: list[int] = []
-        ks: list[int] = []
-        for k in range(k0, k1):
-            term = exact(k)
-            if term <= last:
-                continue
-            if term > MAX_TERM:
-                yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
-                raise SequenceOverflowError(k)
-            last = term
-            kept.append(term)
-            ks.append(k)
-        yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
+        for lo in range(k0, k1, _EXACT_BLOCK):
+            kept: list[int] = []
+            ks: list[int] = []
+            for k in range(lo, min(lo + _EXACT_BLOCK, k1)):
+                term = exact(k)
+                if term <= last:
+                    continue
+                if term > MAX_TERM:
+                    yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
+                    raise SequenceOverflowError(k)
+                last = term
+                kept.append(term)
+                ks.append(k)
+            yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
 
 
 def _below_one(spec: SequenceSpec) -> bool:
@@ -488,6 +491,16 @@ def _pair_sums(window: np.ndarray, block: np.ndarray, gap: int) -> tuple[np.ndar
     return np.cumsum(steps), c[lo[-1] :].copy()
 
 
+def _validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
+    """The checkpoints as ints: non-empty, positive and strictly increasing."""
+    cps = [int(n) for n in checkpoints]
+    if not cps or any(n < 1 for n in cps):
+        raise ConfigError("checkpoints must be non-empty and positive")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ConfigError("checkpoints must be strictly increasing")
+    return cps
+
+
 def close_pair_count(prefix: Sequence[int], max_gap: int) -> int:
     """#{(i, j) : |a_i - a_j| <= max_gap} over ordered index pairs.
 
@@ -514,11 +527,7 @@ def close_pair_profile(
     whatever the largest checkpoint.  Explicit sequences, finite and
     possibly unsorted, count each checkpoint's prefix sorted.
     """
-    if not checkpoints:
-        raise ConfigError("checkpoints must be non-empty")
-    cps = [int(n) for n in checkpoints]
-    if any(n < 1 for n in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ConfigError("checkpoints must be positive and strictly increasing")
+    cps = _validate_checkpoints(checkpoints)
     if max_gap < 0:
         raise ConfigError("max_gap must be >= 0")
 

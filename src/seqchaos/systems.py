@@ -4,7 +4,9 @@ Phase spaces come in four kinds:
 
 * full shifts over a finite alphabet with a Bernoulli measure, whose
   points are lazy symbol tapes with O(1) coordinate access (periodic,
-  counter-PRF-seeded, or block-scheduled);
+  counter-PRF-seeded, or block-scheduled).  Each point kind defines one
+  vectorized read, ``coordinates(indices)``; a single ``coordinate(i)``
+  is its length-1 case;
 * circle rotations stored as exact 128-bit binary fractions, iterated
   by exact modular arithmetic so that T**m at m up to 2**63 loses no
   precision;
@@ -24,7 +26,6 @@ share across any number of workers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,8 +44,8 @@ FRACTION_MOD = 1 << FRACTION_BITS
 
 DEFAULT_WINDOW = 48
 # Widest metric window.  Up to 53 coordinates the one-sided window distance,
-# a sum of distinct powers 2**-(i+1), is exact in float64, so the vectorized
-# and scalar paths give the same bits.
+# a sum of distinct powers 2**-(i+1), is exact in float64, so the windowed
+# distance series and :func:`distance` give the same bits.
 MAX_WINDOW = 53
 
 METRIC_SUMMED = "summed"
@@ -63,14 +64,14 @@ def golden_conjugate_fraction() -> int:
 GOLDEN_CONJUGATE = golden_conjugate_fraction()
 
 
-def _weights_to_separators(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
+def _weights_to_separators(weights: tuple[Fraction, ...]) -> np.ndarray:
     # Cumulative thresholds on the 2**64 grid; symbol(h) = #separators <= h.
     cum = Fraction(0)
     seps = []
     for w in weights[:-1]:
         cum += w
         seps.append((cum.numerator << 64) // cum.denominator)
-    return tuple(seps)
+    return np.array(seps, dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +84,15 @@ class SymbolicPoint:
     alphabet_size: int
     side: str
 
-    def coordinate(self, i: int) -> int:
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+        """The symbols at every index of ``indices``, as int64."""
         raise NotImplementedError
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized coordinate access; default falls back to a loop."""
-        return np.array([self.coordinate(int(i)) for i in indices], dtype=np.int64)
-
-    def _check_index(self, i: int) -> None:
+    def coordinate(self, i: int) -> int:
+        """The symbol at index ``i``: the length-1 case of :meth:`coordinates`."""
         if self.side == ONE_SIDED and i < 0:
             raise DomainError(f"coordinate {i} < 0 on a one-sided point")
+        return int(self.coordinates(np.array([i], dtype=np.int64))[0])
 
     def describe(self) -> str:
         return type(self).__name__
@@ -109,10 +109,6 @@ class PeriodicPoint(SymbolicPoint):
             raise ConfigError("periodic word must be non-empty")
         if any(not (0 <= s < self.alphabet_size) for s in self.word):
             raise ConfigError("periodic word symbol out of range")
-
-    def coordinate(self, i: int) -> int:
-        self._check_index(i)
-        return self.word[i % len(self.word)]
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         w = np.array(self.word, dtype=np.int64)
@@ -138,22 +134,14 @@ class SeededRandomPoint(SymbolicPoint):
         return len(self.weights)
 
     @cached_property
-    def _separators(self) -> tuple[int, ...]:
+    def _separators(self) -> np.ndarray:
         return _weights_to_separators(self.weights)
-
-    @cached_property
-    def _separators_np(self) -> np.ndarray:
-        return np.array(self._separators, dtype=np.uint64)
-
-    def coordinate(self, i: int) -> int:
-        self._check_index(i)
-        return bisect_right(self._separators, prf64(self.seed, i))
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         h = prf64_np(self.seed, np.asarray(indices, dtype=np.int64))
         if len(self._separators) == 1:
-            return (h >= self._separators_np[0]).astype(np.int64)
-        return np.searchsorted(self._separators_np, h, side="right").astype(np.int64)
+            return (h >= self._separators[0]).astype(np.int64)
+        return np.searchsorted(self._separators, h, side="right").astype(np.int64)
 
     def describe(self) -> str:
         return f"SeededRandom[seed={self.seed}]"
@@ -185,11 +173,6 @@ class BlockScheduledPoint(SymbolicPoint):
             if isinstance(c, int) and not (0 <= c < self.alphabet_size):
                 raise ConfigError("block symbol out of range")
 
-    def coordinate(self, i: int) -> int:
-        self._check_index(i)
-        c = self.contents[bisect_right(self.boundaries, i)]
-        return c if isinstance(c, int) else c.coordinate(i)
-
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         out = np.empty(idx.shape, dtype=np.int64)
@@ -217,10 +200,6 @@ class ShiftedPoint(SymbolicPoint):
     @property
     def side(self) -> str:
         return self.base.side
-
-    def coordinate(self, i: int) -> int:
-        self._check_index(i)
-        return self.base.coordinate(i + self.offset)
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         return self.base.coordinates(np.asarray(indices, dtype=np.int64) + self.offset)
@@ -261,9 +240,15 @@ class ExtendedPoint:
     def alphabet_size(self) -> int:
         return self.base.alphabet_size
 
-    def tape_coordinate(self, j: int) -> int:
-        jj = j + self.offset
-        return self.base.coordinate(jj) if jj >= 0 else self.past.coordinate(-1 - jj)
+    def tape_coordinates(self, indices: np.ndarray) -> np.ndarray:
+        """Tape symbols at every coordinate of ``indices``, negative ones included."""
+        jj = np.asarray(indices, dtype=np.int64) + self.offset
+        out = np.empty(jj.shape, dtype=np.int64)
+        ahead = jj >= 0
+        for mask, point, idx in ((ahead, self.base, jj), (~ahead, self.past, -1 - jj)):
+            if mask.any():
+                out[mask] = point.coordinates(idx[mask])
+        return out
 
     def component(self, depth: int) -> SymbolicPoint:
         """The one-sided point x_depth (depth >= 1) of the backward orbit."""
@@ -288,9 +273,8 @@ class _TapeView(SymbolicPoint):
     def alphabet_size(self) -> int:
         return self.ext.alphabet_size
 
-    def coordinate(self, i: int) -> int:
-        self._check_index(i)
-        return self.ext.tape_coordinate(i - (self.depth - 1))
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+        return self.ext.tape_coordinates(np.asarray(indices, dtype=np.int64) - (self.depth - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +439,15 @@ def iterate(system: SystemSpec, point: Point, m: int):
 
 
 def _shift_distance(x: SymbolicPoint, y: SymbolicPoint, window: int, side: str, metric: str) -> float:
+    # One read of each point's window: coordinates [0, w), or (-w, w) for the
+    # two-sided summed metric, where coordinate j weighs 2**-(|j| + 1).
+    lo = 1 - window if side == TWO_SIDED and metric == METRIC_SUMMED else 0
+    idx = np.arange(lo, window)
+    differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
     if metric == METRIC_FIRST_DIFFERENCE:
-        for i in range(window):
-            if x.coordinate(i) != y.coordinate(i):
-                return 2.0 ** (-i)
-        return 0.0
-    if side == ONE_SIDED:
-        return math.fsum(
-            2.0 ** (-(i + 1)) for i in range(window) if x.coordinate(i) != y.coordinate(i)
-        )
-    parts = [0.5] if x.coordinate(0) != y.coordinate(0) else []
-    for i in range(1, window):
-        for j in (i, -i):
-            if x.coordinate(j) != y.coordinate(j):
-                parts.append(2.0 ** (-(i + 1)))
-    return math.fsum(parts) / 2.0
+        return 2.0 ** -differ[0] if differ else 0.0
+    total = math.fsum(2.0 ** -(abs(j) + 1) for j in differ)
+    return total / 2.0 if side == TWO_SIDED else total
 
 
 def distance(system: SystemSpec, x: Point, y: Point) -> float:
@@ -502,10 +480,8 @@ def distance(system: SystemSpec, x: Point, y: Point) -> float:
                 for i in range(1, w + 1)
             )
         # component i reads tape coordinates [-(i-1), w-i); fetch the union once
-        span = range(-w + 1, w)
-        neq = np.array(
-            [x.tape_coordinate(j) != y.tape_coordinate(j) for j in span], dtype=np.float64
-        )
+        span = np.arange(-w + 1, w)
+        neq = (x.tape_coordinates(span) != y.tape_coordinates(span)).astype(np.float64)
         weights = np.ldexp(1.0, -(np.arange(w) + 1))
         parts = [
             2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1)
@@ -521,9 +497,10 @@ def metric_error_bound(system: SystemSpec) -> float:
     if isinstance(system, Rotation):
         return 2.0**-53
     if isinstance(system, ProductSystem):
+        # plus fsum's rounding of the weighted sum, which lies below 1
         return math.fsum(
             2.0 ** (-(j + 1)) * metric_error_bound(c) for j, c in enumerate(system.components)
-        )
+        ) + 2.0**-54
     if isinstance(system, NaturalExtension):
         return 2.0 ** (1 - system.window)
     raise ConfigError(f"unknown system {system!r}")
@@ -653,7 +630,3 @@ def rotation_orbit_fractions(system: Rotation, x0: int, times) -> np.ndarray:
         out[start : start + len(hi)] = hi >> _U64(11)  # exact: below 2**53
     out *= 2.0**-53
     return out
-
-
-def rotation_point_to_float(x: int) -> float:
-    return (x >> 75) * 2.0**-53

@@ -406,6 +406,41 @@ def test_fractional_power_overflow_at_exactly_two_to_the_63():
     assert exc.value.index == 4
 
 
+def test_short_prefix_reads_one_exact_sub_block():
+    # k**199 passes 2**62 from k = 2, so every candidate takes the Python-int path
+    spec = SequenceSpec.fractional_power_floor(Fraction(199, 100))
+    calls = 0
+    exact_root = seqgen._exact_root
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return exact_root(*args)
+
+    with mock.patch.object(seqgen, "_exact_root", counting):
+        terms, skipped = seqgen._prefix(spec, 10)
+    assert (terms.tolist(), skipped) == tuple(oracle_prefix(spec, 10))
+    assert 10 <= calls <= 1024
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    exponent=st.builds(Fraction, st.integers(64, 300), st.sampled_from([2, 3, 5, 7])).filter(
+        lambda r: r.denominator > 1
+    ),
+    count=st.integers(1, 60),
+    block=BLOCKS,
+    sub_block=st.integers(1, 9),
+)
+def test_exact_sub_blocks_match_oracle(exponent, count, block, sub_block):
+    # p >= 64: every candidate past k = 1 goes through Python ints
+    spec = SequenceSpec.fractional_power_floor(exponent)
+    times_array.cache_clear()
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block), \
+            mock.patch.object(seqgen, "_EXACT_BLOCK", sub_block):
+        assert kernel_prefix(spec, count) == oracle_prefix(spec, count)
+
+
 def test_int64_power_le_clips_without_wrapping():
     b = np.array([1, 2, 3, 2**20, 2**31 - 1, 2**31, 2**31 + 1], dtype=np.int64)
     x = np.array([1, 8, 26, 2**60, 2**62, 2**62, 2**62], dtype=np.int64)

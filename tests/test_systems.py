@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos.errors import ConfigError, DomainError, SequenceOverflowError
+from seqchaos.prf import prf64
 
 FAIR = sy.FullShift.uniform(2)
 FAIR3 = sy.FullShift.uniform(3)
@@ -86,12 +87,12 @@ def test_two_symbol_coordinates_split_at_the_separator(monkeypatch):
     # one comparison replaces the separator search; a word equal to the
     # separator reads symbol 1, as bisect_right gives
     point = sy.SeededRandomPoint(3, (Fraction(1, 3), Fraction(2, 3)))
-    sep = point._separators[0]
+    sep = int(point._separators[0])
     words = np.array([0, sep - 1, sep, sep + 1, 2**64 - 1], dtype=np.uint64)
     monkeypatch.setattr(sy, "prf64_np", lambda seed, counters: words)
     got = point.coordinates(np.arange(5)).tolist()
     assert got == [0, 0, 1, 1, 1]
-    assert got == [bisect_right(point._separators, int(w)) for w in words]
+    assert got == [bisect_right(point._separators.tolist(), int(w)) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +306,14 @@ def test_product_components_independent():
     for s in range(10_000):
         omega, theta = sy.sample_point(prod, s)
         symbols.append(float(omega.coordinate(0)))
-        fracs.append(sy.rotation_point_to_float(theta))
+        fracs.append(sy.rotation_orbit_fractions(sy.Rotation.golden(), theta, [0])[0])
     rho = np.corrcoef(symbols, fracs)[0, 1]
     assert abs(rho) < 0.05
 
 
 def test_rotation_sample_uniform():
-    vals = [sy.rotation_point_to_float(sy.sample_point(sy.Rotation.golden(), s)) for s in range(10_000)]
+    golden = sy.Rotation.golden()
+    vals = [sy.rotation_orbit_fractions(golden, sy.sample_point(golden, s), [0])[0] for s in range(10_000)]
     assert abs(np.mean(vals) - 0.5) < 0.02
 
 
@@ -333,8 +335,7 @@ def test_expected_distance_of_independent_fair_points():
 
 def test_lift_construction():
     ext = sy.natural_extension_lift(FAIR, zeros(), past=ones())
-    assert ext.tape_coordinate(-1) == 1
-    assert ext.tape_coordinate(0) == 0
+    assert ext.tape_coordinates([-1, 0]).tolist() == [1, 0]
 
 
 def test_lift_projection_commutes_with_shift():
@@ -385,3 +386,239 @@ def test_weight_validation():
         sy.Rotation.from_fraction(Fraction(5, 4))
     with pytest.raises(ConfigError):
         sy.NaturalExtension(sy.FullShift.uniform(2, side=sy.TWO_SIDED))
+
+
+# ---------------------------------------------------------------------------
+# scalar reads and distances against the per-class scalar code they replaced
+
+
+def oracle_separators(weights):
+    cum, seps = Fraction(0), []
+    for w in weights[:-1]:
+        cum += w
+        seps.append((cum.numerator << 64) // cum.denominator)
+    return seps
+
+
+def oracle_coordinate(point, i):
+    if point.side == sy.ONE_SIDED and i < 0:
+        raise DomainError("negative coordinate")
+    if isinstance(point, sy.PeriodicPoint):
+        return point.word[i % len(point.word)]
+    if isinstance(point, sy.SeededRandomPoint):
+        return bisect_right(oracle_separators(point.weights), prf64(point.seed, i))
+    if isinstance(point, sy.BlockScheduledPoint):
+        c = point.contents[bisect_right(point.boundaries, i)]
+        return c if isinstance(c, int) else oracle_coordinate(c, i)
+    if isinstance(point, sy.ShiftedPoint):
+        return oracle_coordinate(point.base, i + point.offset)
+    assert isinstance(point, sy._TapeView)
+    return oracle_tape(point.ext, i - (point.depth - 1))
+
+
+def oracle_tape(ext, j):
+    jj = j + ext.offset
+    return oracle_coordinate(ext.base, jj) if jj >= 0 else oracle_coordinate(ext.past, -1 - jj)
+
+
+def oracle_shift_distance(x, y, window, side, metric):
+    if metric == sy.METRIC_FIRST_DIFFERENCE:
+        for i in range(window):
+            if oracle_coordinate(x, i) != oracle_coordinate(y, i):
+                return 2.0 ** (-i)
+        return 0.0
+    if side == sy.ONE_SIDED:
+        return math.fsum(
+            2.0 ** (-(i + 1))
+            for i in range(window)
+            if oracle_coordinate(x, i) != oracle_coordinate(y, i)
+        )
+    parts = [0.5] if oracle_coordinate(x, 0) != oracle_coordinate(y, 0) else []
+    for i in range(1, window):
+        for j in (i, -i):
+            if oracle_coordinate(x, j) != oracle_coordinate(y, j):
+                parts.append(2.0 ** (-(i + 1)))
+    return math.fsum(parts) / 2.0
+
+
+def oracle_distance(system, x, y):
+    if isinstance(system, sy.FullShift):
+        return oracle_shift_distance(x, y, system.window, system.side, system.metric)
+    if isinstance(system, sy.Rotation):
+        return sy.distance(system, x, y)
+    if isinstance(system, sy.ProductSystem):
+        return math.fsum(
+            2.0 ** (-(j + 1)) * oracle_distance(c, xc, yc)
+            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
+        )
+    w = system.window
+    if system.base.metric != sy.METRIC_SUMMED:
+        return math.fsum(
+            2.0 ** (-i)
+            * oracle_shift_distance(x.component(i), y.component(i), w, sy.ONE_SIDED,
+                                    system.base.metric)
+            for i in range(1, w + 1)
+        )
+    neq = np.array(
+        [oracle_tape(x, j) != oracle_tape(y, j) for j in range(-w + 1, w)], dtype=np.float64
+    )
+    weights = np.ldexp(1.0, -(np.arange(w) + 1))
+    return math.fsum(2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1))
+
+
+WEIGHTS3 = st.sampled_from([(Fraction(1, 3),) * 3, (Fraction(1, 10), Fraction(3, 10), Fraction(3, 5))])
+
+
+def leaf_points(side):
+    seeded = st.builds(
+        lambda seed, weights: sy.SeededRandomPoint(seed, weights, side=side),
+        st.integers(0, 2**64 - 1), WEIGHTS3,
+    )
+    periodic = st.lists(st.integers(0, 2), min_size=1, max_size=6).map(
+        lambda word: sy.PeriodicPoint(tuple(word), 3, side=side)
+    )
+    return st.one_of(seeded, periodic)
+
+
+def scheduled_points(side):
+    lowest = 1 if side == sy.ONE_SIDED else -100
+    return st.lists(st.integers(lowest, 200), max_size=4, unique=True).flatmap(
+        lambda bounds: st.lists(
+            st.one_of(st.integers(0, 2), leaf_points(side)),
+            min_size=len(bounds) + 1, max_size=len(bounds) + 1,
+        ).map(lambda cs: sy.BlockScheduledPoint(tuple(sorted(bounds)), tuple(cs), 3, side=side))
+    )
+
+
+def symbolic_points(side):
+    base = st.one_of(leaf_points(side), scheduled_points(side))
+    lowest = 0 if side == sy.ONE_SIDED else -(10**6)
+    return st.one_of(base, st.builds(sy.shift_point, base, st.integers(lowest, 10**6)))
+
+
+# depth-1..3 views of extended points whose shift count may be negative
+TAPE_VIEWS = st.builds(
+    lambda base, past, offset, depth: sy.ExtendedPoint(base, past, offset).component(depth),
+    symbolic_points(sy.ONE_SIDED), symbolic_points(sy.ONE_SIDED),
+    st.integers(-300, 300), st.integers(1, 3),
+)
+ONE_SIDED_POINTS = st.one_of(symbolic_points(sy.ONE_SIDED), TAPE_VIEWS)
+NEAR = st.integers(0, 400)
+FAR = st.integers(0, 2**40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    case=st.one_of(
+        st.tuples(ONE_SIDED_POINTS, st.lists(st.one_of(NEAR, FAR), min_size=1, max_size=30)),
+        st.tuples(
+            symbolic_points(sy.TWO_SIDED),
+            st.lists(st.one_of(NEAR, FAR, NEAR.map(lambda i: -i), FAR.map(lambda i: -i)),
+                     min_size=1, max_size=30),
+        ),
+    )
+)
+def test_every_point_kind_matches_the_scalar_oracle(case):
+    point, idx = case
+    expected = [oracle_coordinate(point, i) for i in idx]
+    assert point.coordinates(np.array(idx, dtype=np.int64)).tolist() == expected
+    got = [point.coordinate(i) for i in idx]
+    assert got == expected and all(type(s) is int for s in got)
+
+
+@settings(deadline=None, max_examples=100)
+@given(point=ONE_SIDED_POINTS, i=st.one_of(st.just(-1), st.integers(-(2**40), -1)))
+def test_negative_coordinate_of_a_one_sided_point_raises(point, i):
+    with pytest.raises(DomainError):
+        point.coordinate(i)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    base=symbolic_points(sy.ONE_SIDED), past=symbolic_points(sy.ONE_SIDED),
+    offset=st.integers(-300, 300), idx=st.lists(st.integers(-400, 400), min_size=1, max_size=30),
+)
+def test_tape_coordinates_match_the_scalar_tape(base, past, offset, idx):
+    ext = sy.ExtendedPoint(base, past, offset)
+    got = ext.tape_coordinates(np.array(idx, dtype=np.int64)).tolist()
+    assert got == [oracle_tape(ext, j) for j in idx]
+
+
+FAIR_TWO_SIDED = sy.FullShift.uniform(2, side=sy.TWO_SIDED)
+EXTREMES = [sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((1,), 2)]
+
+
+def metric_cases():
+    """(system, x, y): the four kinds of distance that read symbol windows."""
+    windows = st.integers(1, sy.MAX_WINDOW)
+    sides = st.sampled_from([sy.ONE_SIDED, sy.TWO_SIDED])
+    metrics = st.sampled_from([sy.METRIC_SUMMED, sy.METRIC_FIRST_DIFFERENCE])
+    seeds = st.integers(0, 2**63 - 1)
+    shifts = st.builds(
+        lambda w, side, metric: sy.FullShift.uniform(2, side=side, window=w, metric=metric),
+        windows, sides, metrics,
+    )
+    products = st.builds(
+        lambda shift: sy.ProductSystem((shift, sy.Rotation.golden())),
+        shifts.filter(lambda s: s.side == sy.ONE_SIDED),
+    )
+    extensions = st.builds(
+        lambda w, metric: sy.NaturalExtension(sy.FullShift.uniform(2, window=w, metric=metric)),
+        windows, metrics,
+    )
+    sampled = st.builds(
+        lambda system, a, b: (system, sy.sample_point(system, a), sy.sample_point(system, b)),
+        st.one_of(shifts, products, extensions), seeds, seeds,
+    )
+    # tapes that differ at every coordinate make the truncation error largest
+    extreme = st.builds(
+        lambda w, metric, r: (
+            sy.ProductSystem((sy.FullShift.uniform(2, window=w, metric=metric), sy.Rotation.golden())),
+            (EXTREMES[0], r[0]), (EXTREMES[1], r[1]),
+        ),
+        windows, metrics, st.tuples(st.integers(0, sy.FRACTION_MOD - 1), st.integers(0, sy.FRACTION_MOD - 1)),
+    )
+    return st.one_of(sampled, extreme)
+
+
+def fraction_distance(system, x, y, span=200):
+    """The metric in exact rationals, over ``span`` coordinates in place of the window."""
+    if isinstance(system, sy.Rotation):
+        delta = abs(x - y)
+        return Fraction(min(delta, sy.FRACTION_MOD - delta), sy.FRACTION_MOD)
+    if isinstance(system, sy.ProductSystem):
+        return sum(
+            Fraction(1, 2 ** (j + 1)) * fraction_distance(c, xc, yc, span)
+            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
+        )
+    if isinstance(system, sy.FullShift):
+        lo = 1 - span if system.side == sy.TWO_SIDED else 0
+        idx = np.arange(lo, span)
+        differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
+        if system.metric == sy.METRIC_FIRST_DIFFERENCE:
+            first = [j for j in differ if j >= 0]
+            return Fraction(1, 2 ** first[0]) if first else Fraction(0)
+        if system.side == sy.TWO_SIDED:
+            return sum((Fraction(1, 2 ** (abs(j) + 2)) for j in differ), Fraction(0))
+        return sum((Fraction(1, 2 ** (j + 1)) for j in differ), Fraction(0))
+    base = system.base
+    return sum(
+        Fraction(1, 2**i) * fraction_distance(base, x.component(i), y.component(i), span)
+        for i in range(1, span + 1)
+    )
+
+
+@settings(deadline=None, max_examples=120)
+@given(case=metric_cases())
+def test_distance_within_its_bound_of_a_fraction_oracle(case):
+    system, x, y = case
+    got = sy.distance(system, x, y)
+    exact = fraction_distance(system, x, y)
+    assert abs(Fraction(got) - exact) <= Fraction(sy.metric_error_bound(system))
+
+
+@settings(deadline=None, max_examples=120)
+@given(case=metric_cases())
+def test_distance_keeps_the_bits_of_the_scalar_code(case):
+    system, x, y = case
+    assert sy.distance(system, x, y).hex() == oracle_distance(system, x, y).hex()
