@@ -29,3 +29,4 @@ report = verification.report
 print(f"liminf proxy (min max-average): {report.liminf_proxy:.6g}")
 print(f"limsup proxy (max min-average): {report.limsup_proxy:.6g}")
 print(f"verification passed: {verification.passed}")
+raise SystemExit(0 if verification.passed else 1)

@@ -22,7 +22,6 @@ from .chaos import (
     ScrambledVerification,
     TupleChaosReport,
     build_scrambled_family,
-    distance_series,
     random_tuple_scan,
     tuple_distance_averages,
     verify_scrambled,
@@ -66,6 +65,7 @@ from .systems import (
     Rotation,
     SeededRandomPoint,
     distance,
+    distance_series,
     iterate,
     metric_error_bound,
     natural_extension_lift,

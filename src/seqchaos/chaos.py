@@ -7,6 +7,9 @@ tracked along a checkpoint ladder:
     max-average(N) = (1/N) sum_{k<=N} max_{i<j} d(T**(a_k) x_i, T**(a_k) x_j)
     min-average(N) = (1/N) sum_{k<=N} min_{i<j} d(T**(a_k) x_i, T**(a_k) x_j)
 
+The pairwise series come from :func:`systems.distance_series`, which
+shares each point's tape across the pairs of a tuple.
+
 A tuple behaves chaotically in the mean sense when the running minimum
 of the max-average (the liminf proxy) is near zero while the running
 maximum of the min-average (the limsup proxy) stays above a positive
@@ -21,13 +24,11 @@ checks every certified inequality.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import systems as sy
 from .averaging import SUM_ERROR_BOUND, exact_sums
@@ -35,195 +36,7 @@ from .errors import ConfigError, DomainError, SequenceOverflowError
 from .pool import parallel_map
 from .prf import child_seed
 from .seqgen import MAX_TERM, SequenceSpec, _validate_checkpoints, times_array
-
-# ---------------------------------------------------------------------------
-# vectorized distance series
-
-
-def _symbol_runs(point) -> list[tuple[int, int]] | None:
-    """Change points [(start, symbol), ...] of a piecewise-constant point.
-
-    Returns None when the point is not piecewise constant (e.g. PRF-seeded
-    tapes), in which case callers fall back to windowed evaluation.
-    """
-    if isinstance(point, sy.PeriodicPoint):
-        if len(set(point.word)) == 1:
-            return [(0, point.word[0])]
-        return None
-    if isinstance(point, sy.ShiftedPoint):
-        base = _symbol_runs(point.base)
-        if base is None:
-            return None
-        out: list[tuple[int, int]] = []
-        for start, symbol in base:
-            start -= point.offset
-            if start <= 0:
-                out = [(0, symbol)]
-            else:
-                out.append((start, symbol))
-        return out
-    if isinstance(point, sy.BlockScheduledPoint):
-        if not all(isinstance(c, int) for c in point.contents):
-            return None
-        runs = [(0, point.contents[0])]
-        for start, symbol in zip(point.boundaries, point.contents[1:]):
-            if symbol != runs[-1][1]:
-                runs.append((start, symbol))
-        return runs
-    return None
-
-
-def _difference_intervals(x, y) -> list[tuple[int, int | None]] | None:
-    """Coordinate intervals on which two piecewise-constant points differ."""
-    rx = _symbol_runs(x)
-    ry = _symbol_runs(y)
-    if rx is None or ry is None:
-        return None
-
-    def symbol_at(runs: list[tuple[int, int]], pos: int) -> int:
-        return runs[bisect_right(runs, pos, key=lambda run: run[0]) - 1][1]
-
-    marks = sorted({s for s, _ in rx} | {s for s, _ in ry})
-    intervals: list[tuple[int, int | None]] = []
-    open_start: int | None = None
-    for pos in marks:
-        differ = symbol_at(rx, pos) != symbol_at(ry, pos)
-        if differ and open_start is None:
-            open_start = pos
-        elif not differ and open_start is not None:
-            intervals.append((open_start, pos))
-            open_start = None
-    if open_start is not None:
-        intervals.append((open_start, None))
-    return intervals
-
-
-def _series_from_intervals(
-    intervals: list[tuple[int, int | None]], times: np.ndarray, window: int
-) -> np.ndarray:
-    # contribution of a difference interval [s, e) to d(T**m x, T**m y):
-    #   2**-clip(s - m, 0, w) - 2**-clip(e - m, 0, w)
-    out = np.zeros(len(times), dtype=np.float64)
-    tail = 2.0 ** (-window)
-    for start, end in intervals:
-        lo = np.clip(start - times, 0, window).astype(np.int32)
-        out += np.ldexp(1.0, -lo)
-        if end is None:
-            out -= tail
-        else:
-            hi = np.clip(end - times, 0, window).astype(np.int32)
-            out -= np.ldexp(1.0, -hi)
-    return out
-
-
-# Tape cells read per coordinates call: small enough that the PRF's
-# temporaries stay in cache, large enough that a chunk's last window,
-# which is read again by the next chunk, costs little.
-_TAPE_CELLS = 1 << 17
-# Window cells weighted per matrix product (16 MB of float64); fewer, larger
-# products spare BLAS its per-call set-up.
-_GATHER_CELLS = 1 << 21
-
-
-def _tape_chunks(u: np.ndarray, window: int):
-    """Lay the windows [t, t + w) of the sorted unique times u out as a tape.
-
-    Overlapping windows share their cells, so the tape holds at most
-    len(u)*w cells, and about len(u) + w when the times are dense.  The
-    tape is cut into chunks of about _TAPE_CELLS cells at the start of a
-    window; each chunk also holds its last window whole, so up to w - 1
-    cells at each cut are read twice.  Yields, per chunk, the index of its
-    first time in ``u``, the coordinate position of every cell and the
-    offset of each window.
-    """
-    lengths = np.append(np.minimum(np.diff(u), window), window)
-    starts = np.cumsum(lengths) - lengths
-    cuts = np.unique(np.searchsorted(starts, np.arange(0, starts[-1] + 1, _TAPE_CELLS)))
-    for lo, hi in zip(cuts, [*cuts[1:], len(u)]):
-        spans = lengths[lo:hi].copy()
-        spans[-1] = window
-        offsets = starts[lo:hi] - starts[lo]
-        positions = np.repeat(u[lo:hi] - offsets, spans)
-        positions += np.arange(len(positions))
-        yield lo, positions, offsets
-
-
-def _tape(p, positions: np.ndarray, memo: dict | None, chunk: int) -> np.ndarray:
-    if memo is None:
-        return p.coordinates(positions)
-    key = (id(p), chunk)
-    if key not in memo:
-        # one byte a cell up to 256 symbols; holding p keeps its id unique
-        symbols = p.coordinates(positions).astype(np.min_scalar_type(p.alphabet_size - 1))
-        memo[key] = (p, symbols)
-    return memo[key][1]
-
-
-_LAYOUT = "layout"  # memo key of the unique times; the other keys are (id(point), chunk)
-
-
-def _series_from_windows(x, y, times: np.ndarray, window: int, memo: dict | None) -> np.ndarray:
-    # Each point's coordinates are read once per tape chunk (kept in ``memo``
-    # across the pairs of a tuple); every window is then a gather, taken in
-    # blocks of at most _GATHER_CELLS weighted cells.
-    if not len(times):
-        return np.empty(0, dtype=np.float64)
-    layout = None if memo is None else memo.get(_LAYOUT)
-    if layout is None or layout[0] is not times or layout[1] != window:
-        u, inverse = np.unique(times, return_inverse=True)
-        if int(u[-1]) > MAX_TERM - window:
-            raise DomainError("times too close to the 2**63 - 1 cap for the metric window")
-        layout = (times, window, u, inverse)
-        if memo is not None:
-            memo.clear()
-            memo[_LAYOUT] = layout
-    _, _, u, inverse = layout
-    weights = np.ldexp(1.0, -np.arange(1, window + 1))
-    rows = max(1, _GATHER_CELLS // window)
-    out = np.empty(len(u), dtype=np.float64)
-    for chunk, positions, offsets in _tape_chunks(u, window):
-        diff = _tape(x, positions, memo, chunk) != _tape(y, positions, memo, chunk)
-        windows = sliding_window_view(diff, window)
-        for lo in range(0, len(offsets), rows):
-            block = windows[offsets[lo : lo + rows]].astype(np.float64)
-            out[chunk + lo : chunk + lo + len(block)] = block @ weights
-    return out[inverse]
-
-
-def distance_series(system, x, y, times: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """d(T**m x, T**m y) for every m in ``times``.
-
-    Full shifts with the summed metric get a vectorized path (interval
-    algebra for piecewise-constant points, a difference tape read window
-    by window otherwise); both agree bit-for-bit with the scalar metric,
-    since ``FullShift`` caps the window at ``MAX_WINDOW`` = 53 coordinates,
-    where the window sum is still exact in float64.  Other systems
-    evaluate pointwise.
-
-    The tape is read in chunks of about 2**17 cells, so working memory does
-    not grow with the gaps between times.  ``memo`` is an optional dict
-    shared by calls over the same ``times``: it keeps each point's tape
-    (one byte a cell for up to 256 symbols), so a point that belongs to
-    several pairs is evaluated once.  It is reset when ``times`` changes;
-    callers bound it by passing ``times`` in blocks.
-    """
-    if (
-        isinstance(system, sy.FullShift)
-        and system.side == sy.ONE_SIDED
-        and system.metric == sy.METRIC_SUMMED
-    ):
-        intervals = _difference_intervals(x, y)
-        if intervals is not None:
-            return _series_from_intervals(intervals, times, system.window)
-        return _series_from_windows(x, y, times, system.window, memo)
-    return np.array(
-        [
-            sy.distance(system, sy.iterate(system, x, int(m)), sy.iterate(system, y, int(m)))
-            for m in times
-        ],
-        dtype=np.float64,
-    )
-
+from .systems import distance_series
 
 # ---------------------------------------------------------------------------
 # tuple reports
@@ -274,11 +87,11 @@ def tuple_distance_averages(
     ts = times_array(seq, cps[-1])
     pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1 :]]
     # every pair of a block shares its points' tapes; blocks bound the memo
-    # to _TAPE_CELLS * window cells a point
+    # to sy._TAPE_CELLS windows a point
     dmax = np.empty(len(ts), dtype=np.float64)
     dmin = np.empty(len(ts), dtype=np.float64)
-    for lo in range(0, len(ts), _TAPE_CELLS):
-        block = ts[lo : lo + _TAPE_CELLS]
+    for lo in range(0, len(ts), sy._TAPE_CELLS):
+        block = ts[lo : lo + sy._TAPE_CELLS]
         tapes: dict = {}
         pair_series = [distance_series(system, x, y, block, memo=tapes) for x, y in pairs]
         dmax[lo : lo + len(block)] = np.maximum.reduce(pair_series)

@@ -140,6 +140,15 @@ def _spread(values: Sequence[float]) -> float:
     return 2.0 * math.sqrt(var)
 
 
+def _lacunary_terms(seq: SequenceSpec) -> int:
+    """How many terms the lacunary side has: a finite family is required."""
+    if seq.family == "Lacunary":
+        return lacunary_max_terms(seq.base)
+    if seq.family == "Explicit":
+        return len(seq.explicit_terms)
+    raise ConfigError(f"the lacunary sequence must be Lacunary or Explicit, got {seq.describe()}")
+
+
 def lacunary_dispersion_contrast(
     shift: sy.FullShift,
     f: Observable,
@@ -159,10 +168,9 @@ def lacunary_dispersion_contrast(
     (see :func:`lacunary_contrast_report`), the lacunary one runs out of
     representable terms.
     """
-    if lacunary_seq.family == "Lacunary":
-        cap = lacunary_max_terms(lacunary_seq.base)
-        if n_terms > cap:
-            raise ConfigError(f"lacunary base {lacunary_seq.base} has only {cap} terms")
+    cap = _lacunary_terms(lacunary_seq)
+    if n_terms > cap:
+        raise ConfigError(f"{lacunary_seq.describe()} has only {cap} terms")
     points = _sampled_points(shift, seed, sample_count)
     good = _spread(sampled_averages(shift, points, f, good_seq, n_terms, workers))
     lacunary = _spread(sampled_averages(shift, points, f, lacunary_seq, n_terms, workers))
@@ -217,11 +225,7 @@ def lacunary_contrast_report(
     )
     points = _sampled_points(shift, seed, sample_count)
     good_ext = _spread(sampled_averages(shift, points, f, good_seq, extended_terms, workers))
-    cap = (
-        lacunary_max_terms(lacunary_seq.base)
-        if lacunary_seq.family == "Lacunary"
-        else len(lacunary_seq.explicit_terms or ())
-    )
+    cap = _lacunary_terms(lacunary_seq)
     return LacunaryContrastReport(
         matched_terms=n_terms,
         good_dispersion=good_disp,

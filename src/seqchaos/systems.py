@@ -18,6 +18,9 @@ Iteration at time m costs O(polylog m): shifts return a shifted view,
 rotations a single multiply-reduce.  Every metric is truncated at a
 configurable coordinate window ``w`` and the truncation error bound
 (2**-w style) is available alongside via :func:`metric_error_bound`.
+:func:`distance_series` evaluates d(T**m x, T**m y) for a whole array of
+times without iterating: a shift-type metric is one reduction of the
+windows of a difference tape, and :func:`distance` is the length-1 case.
 
 Nothing here mutates after construction; points and systems are safe to
 share across any number of workers.
@@ -26,12 +29,14 @@ share across any number of workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, SequenceOverflowError
 from .prf import MASK64, child_seed, prf64, prf64_np
@@ -438,56 +443,231 @@ def iterate(system: SystemSpec, point: Point, m: int):
     raise ConfigError(f"unknown system {system!r}")
 
 
-def _shift_distance(x: SymbolicPoint, y: SymbolicPoint, window: int, side: str, metric: str) -> float:
-    # One read of each point's window: coordinates [0, w), or (-w, w) for the
-    # two-sided summed metric, where coordinate j weighs 2**-(|j| + 1).
-    lo = 1 - window if side == TWO_SIDED and metric == METRIC_SUMMED else 0
-    idx = np.arange(lo, window)
-    differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
-    if metric == METRIC_FIRST_DIFFERENCE:
-        return 2.0 ** -differ[0] if differ else 0.0
-    total = math.fsum(2.0 ** -(abs(j) + 1) for j in differ)
-    return total / 2.0 if side == TWO_SIDED else total
+# ---------------------------------------------------------------------------
+# distances
+#
+# Every shift-type metric reads a window [m + lo, m + lo + span) of both
+# points at each time m and reduces the rows of the difference tape; a
+# system's kind picks only the window, the reader and the row reducer.
+
+
+_POWERS = np.ldexp(1.0, -np.arange(1, MAX_WINDOW + 1))  # 2**-1 .. 2**-53
+
+
+def _summed(rows: np.ndarray) -> np.ndarray:
+    # coordinate j of a row weighs 2**-(j + 1); a sum of distinct powers of
+    # two over at most 53 coordinates, so exact in float64
+    return np.asarray(rows, dtype=np.float64) @ _POWERS[: rows.shape[1]]
+
+
+def _first_difference(rows: np.ndarray) -> np.ndarray:
+    return np.where(rows.any(axis=1), np.ldexp(1.0, -rows.argmax(axis=1)), 0.0)
+
+
+def _two_sided(rows: np.ndarray) -> np.ndarray:
+    # rows cover (-w, w); coordinate j weighs 2**-(|j| + 1), halved.  Both
+    # one-sided sums are exact, so their one correctly rounded add is fsum.
+    w = (rows.shape[1] + 1) // 2
+    return (_summed(rows[:, w - 1 :]) + _summed(rows[:, : w - 1][:, ::-1]) / 2) / 2
+
+
+def _row_fsums(parts: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in parts.tolist()], dtype=np.float64)
+
+
+def _extension(base, rows: np.ndarray) -> np.ndarray:
+    # rows cover tape coordinates (-w, w); component i reads [1 - i, w + 1 - i)
+    w = (rows.shape[1] + 1) // 2
+    rows = rows.astype(np.float64)
+    parts = np.stack([base(rows[:, w - i : 2 * w - i]) for i in range(1, w + 1)], axis=1)
+    return _row_fsums(parts * _POWERS[:w])
+
+
+def _metric_window(system: FullShift | NaturalExtension):
+    """(reader, lo, span, row reducer) of a shift-type metric."""
+    w = system.window
+    if isinstance(system, NaturalExtension):
+        base = _summed if system.base.metric == METRIC_SUMMED else _first_difference
+        return "tape_coordinates", 1 - w, 2 * w - 1, partial(_extension, base)
+    if system.metric == METRIC_FIRST_DIFFERENCE:
+        return "coordinates", 0, w, _first_difference
+    if system.side == TWO_SIDED:
+        return "coordinates", 1 - w, 2 * w - 1, _two_sided
+    return "coordinates", 0, w, _summed
+
+
+def _from_zero(runs) -> list[tuple[int, int]]:
+    # runs that start at or before coordinate 0 collapse into the last of them
+    runs = list(runs)
+    last = max((i for i, (start, _) in enumerate(runs) if start <= 0), default=0)
+    return [(0, runs[last][1]), *runs[last + 1 :]]
+
+
+def _symbol_runs(point) -> list[tuple[int, int]] | None:
+    """Change points [(start, symbol), ...] of a piecewise-constant point,
+    or None for other points (e.g. PRF-seeded ones), which are read as tapes."""
+    if isinstance(point, PeriodicPoint):
+        return [(0, point.word[0])] if len(set(point.word)) == 1 else None
+    if isinstance(point, ShiftedPoint):
+        base = _symbol_runs(point.base)
+        return None if base is None else _from_zero((s - point.offset, c) for s, c in base)
+    if isinstance(point, BlockScheduledPoint) and all(isinstance(c, int) for c in point.contents):
+        return _from_zero(zip((0, *point.boundaries), point.contents))
+    return None
+
+
+def _series_from_runs(rx, ry, times: np.ndarray, window: int) -> np.ndarray:
+    # a difference interval [s, e) adds 2**-clip(s - m, 0, w) - 2**-clip(e - m, 0, w)
+    # to d(T**m x, T**m y), and 2**-clip(s - m, 0, w) - 2**-w when it never ends
+    def symbol_at(runs: list[tuple[int, int]], pos: int) -> int:
+        return runs[bisect_right(runs, pos, key=lambda run: run[0]) - 1][1]
+
+    out = np.zeros(len(times), dtype=np.float64)
+    differ = False
+    for pos in sorted({s for s, _ in rx} | {s for s, _ in ry}):
+        if differ != (symbol_at(rx, pos) != symbol_at(ry, pos)):
+            differ = not differ
+            exponent = -np.clip(pos - times, 0, window).astype(np.int32)
+            out += np.ldexp(1.0 if differ else -1.0, exponent)
+    if differ:
+        out -= 2.0 ** (-window)
+    return out
+
+
+# Tape cells read per coordinates call: small enough that the PRF's
+# temporaries stay in cache, large enough that a chunk's last window,
+# which is read again by the next chunk, costs little.
+_TAPE_CELLS = 1 << 17
+# Window cells reduced per gather block (16 MB of float64); fewer, larger
+# matrix products spare BLAS its per-call set-up.
+_GATHER_CELLS = 1 << 21
+
+
+def _tape_chunks(u: np.ndarray, lo: int, window: int):
+    """Lay the windows [t + lo, t + lo + w) of the sorted unique times u out as a tape.
+
+    Overlapping windows share their cells, so the tape holds at most
+    len(u)*w cells, and about len(u) + w when the times are dense.  The
+    tape is cut into chunks of about _TAPE_CELLS cells at the start of a
+    window; each chunk also holds its last window whole, so up to w - 1
+    cells at each cut are read twice.  Yields, per chunk, the index of its
+    first time in ``u``, the coordinate position of every cell and the
+    offset of each window.
+    """
+    # gaps of sorted int64 times as uint64: exact even where they pass 2**63
+    gaps = np.minimum(np.diff(u.view(np.uint64)), window).astype(np.int64)
+    lengths = np.append(gaps, window)
+    starts = np.cumsum(lengths) - lengths
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, starts[-1] + 1, _TAPE_CELLS)))
+    for first, end in zip(cuts, [*cuts[1:], len(u)]):
+        spans = lengths[first:end].copy()
+        spans[-1] = window
+        offsets = starts[first:end] - starts[first]
+        positions = np.repeat(u[first:end] - offsets, spans)
+        positions += np.arange(lo, lo + len(positions))
+        yield first, positions, offsets
+
+
+def _tape(p, reader: str, positions: np.ndarray, memo: dict | None, chunk: int) -> np.ndarray:
+    read = getattr(p, reader)
+    if memo is None:
+        return read(positions)
+    key = (id(p), chunk)
+    if key not in memo:
+        # one byte a cell up to 256 symbols; holding p keeps its id unique
+        symbols = read(positions).astype(np.min_scalar_type(p.alphabet_size - 1))
+        memo[key] = (p, symbols)
+    return memo[key][1]
+
+
+# memo key of the window layout; tapes are keyed (id(point), chunk), and a
+# product's component j keeps its own memo under the key j
+_LAYOUT = "layout"
+
+
+def _series_from_windows(system, x, y, times: np.ndarray, memo: dict | None) -> np.ndarray:
+    # Each point's tape is read once per chunk (kept in ``memo`` across the
+    # pairs of a tuple); every window is then a gather, reduced in blocks of
+    # at most _GATHER_CELLS cells.
+    if not len(times):
+        return np.empty(0, dtype=np.float64)
+    reader, lo, span, reduce = _metric_window(system)
+    layout = None if memo is None else memo.get(_LAYOUT)
+    if layout is None or layout[0] is not times or layout[1] != (lo, span):
+        u, inverse = np.unique(times, return_inverse=True)
+        if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
+            raise DomainError("times too close to the 64-bit range for the metric window")
+        layout = (times, (lo, span), u, inverse)
+        if memo is not None:
+            memo.clear()
+            memo[_LAYOUT] = layout
+    _, _, u, inverse = layout
+    rows = max(1, _GATHER_CELLS // span)
+    out = np.empty(len(u), dtype=np.float64)
+    for chunk, positions, offsets in _tape_chunks(u, lo, span):
+        diff = _tape(x, reader, positions, memo, chunk) != _tape(y, reader, positions, memo, chunk)
+        windows = sliding_window_view(diff, span)
+        for i in range(0, len(offsets), rows):
+            block = windows[offsets[i : i + rows]]
+            out[chunk + i : chunk + i + len(block)] = reduce(block)
+    return out[inverse]
+
+
+def distance_series(
+    system: SystemSpec, x: Point, y: Point, times, memo: dict | None = None
+) -> np.ndarray:
+    """d(T**m x, T**m y) for every m in ``times``, truncated at the metric window.
+
+    Shift-type metrics (every full shift and the natural extension) reduce
+    the windows of a difference tape, or take interval algebra for
+    piecewise-constant points of a one-sided summed shift.  A rotation's
+    series is constant, and a product ``fsum``s its weighted component
+    series.  Every value has the bits of the scalar metric: ``FullShift``
+    caps the window at 53 coordinates, where window sums are exact.
+    Whatever :func:`iterate` refuses at some time raises ``DomainError``.
+
+    The tape is read in chunks of about 2**17 cells, so working memory does
+    not grow with the gaps between times.  ``memo`` is an optional dict
+    shared by calls over the same ``times``: it keeps each point's tape
+    (one byte a cell for up to 256 symbols), so a point that belongs to
+    several pairs is evaluated once.  It is reset when ``times`` or the
+    window changes; callers bound it by passing ``times`` in blocks.
+    """
+    ts = _as_times(times)
+    if not isinstance(system, (Rotation, NaturalExtension)) and len(ts) and ts.min() < 0:
+        raise DomainError("negative iteration on a non-invertible system")
+    if isinstance(system, Rotation):
+        delta = (x - y) % FRACTION_MOD
+        return np.full(len(ts), min(delta, FRACTION_MOD - delta) / FRACTION_MOD)
+    if isinstance(system, ProductSystem):
+        if len(x) != len(system.components) or len(y) != len(system.components):
+            raise DomainError("component count mismatch")
+        parts = [
+            2.0 ** (-(j + 1))
+            * distance_series(c, xc, yc, ts, None if memo is None else memo.setdefault(j, {}))
+            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
+        ]
+        return _row_fsums(np.stack(parts, axis=1))
+    if isinstance(system, FullShift):
+        if getattr(x, "side", None) != system.side or getattr(y, "side", None) != system.side:
+            raise DomainError("points do not live in this shift space")
+        rx, ry = _symbol_runs(x), _symbol_runs(y)
+        if system.side == ONE_SIDED and system.metric == METRIC_SUMMED and None not in (rx, ry):
+            return _series_from_runs(rx, ry, ts, system.window)
+    elif not isinstance(system, NaturalExtension):
+        raise ConfigError(f"unknown system {system!r}")
+    elif not (isinstance(x, ExtendedPoint) and isinstance(y, ExtendedPoint)):
+        raise DomainError("natural extension iterates ExtendedPoint values")
+    return _series_from_windows(system, x, y, ts, memo)
 
 
 def distance(system: SystemSpec, x: Point, y: Point) -> float:
-    """Metric evaluation, truncated at the system's coordinate window.
+    """Metric evaluation: the length-1 case of :func:`distance_series`.
 
     The certified truncation bound is :func:`metric_error_bound`; the
     true distance lies within that bound of the returned value.
     """
-    if isinstance(system, FullShift):
-        if getattr(x, "side", None) != system.side or getattr(y, "side", None) != system.side:
-            raise DomainError("points do not live in this shift space")
-        return _shift_distance(x, y, system.window, system.side, system.metric)
-    if isinstance(system, Rotation):
-        delta = abs(x - y)
-        delta = min(delta, FRACTION_MOD - delta)
-        return delta / FRACTION_MOD
-    if isinstance(system, ProductSystem):
-        if len(x) != len(system.components) or len(y) != len(system.components):
-            raise DomainError("component count mismatch")
-        return math.fsum(
-            2.0 ** (-(j + 1)) * distance(c, xc, yc)
-            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
-        )
-    if isinstance(system, NaturalExtension):
-        w = system.window
-        if system.base.metric != METRIC_SUMMED:
-            return math.fsum(
-                2.0 ** (-i)
-                * _shift_distance(x.component(i), y.component(i), w, ONE_SIDED, system.base.metric)
-                for i in range(1, w + 1)
-            )
-        # component i reads tape coordinates [-(i-1), w-i); fetch the union once
-        span = np.arange(-w + 1, w)
-        neq = (x.tape_coordinates(span) != y.tape_coordinates(span)).astype(np.float64)
-        weights = np.ldexp(1.0, -(np.arange(w) + 1))
-        parts = [
-            2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1)
-        ]
-        return math.fsum(parts)
-    raise ConfigError(f"unknown system {system!r}")
+    return float(distance_series(system, x, y, [0])[0])
 
 
 def metric_error_bound(system: SystemSpec) -> float:

@@ -290,7 +290,7 @@ def test_tuple_checkpoints_equal_fsum_of_the_pair_series():
     # cut across summation blocks and across the tuple's blocks of terms
     system = sy.FullShift.uniform(2, window=48)
     pts = [sy.sample_point(system, s) for s in (4, 5, 6)]
-    cps = [1, 1000, averaging._BLOCK, averaging._BLOCK + 1, chaos._TAPE_CELLS + 5, 140_000]
+    cps = [1, 1000, averaging._BLOCK, averaging._BLOCK + 1, sy._TAPE_CELLS + 5, 140_000]
     rep = chaos.tuple_distance_averages(system, pts, NATURALS, cps)
     ts = np.arange(1, cps[-1] + 1, dtype=np.int64)
     series = [chaos.distance_series(system, x, y, ts) for i, x in enumerate(pts) for y in pts[i + 1 :]]

@@ -70,6 +70,29 @@ def test_mixed_point_kinds_use_window_path():
     assert distance_series(FAIR, x, y, times).tolist() == scalar_series(FAIR, x, y, times)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (zeros(), sy.BlockScheduledPoint((3,), (0, 1), alphabet_size=2)),  # interval path
+        (sy.sample_point(FAIR, 1), sy.sample_point(FAIR, 2)),  # tape path
+    ],
+    ids=["intervals", "tape"],
+)
+def test_series_refuses_what_iterate_refuses(x, y):
+    with pytest.raises(DomainError):
+        distance_series(FAIR, x, y, np.array([-5, 3], dtype=np.int64))
+    two_sided = sy.PeriodicPoint((0,), 2, side=sy.TWO_SIDED)
+    for a, b in ((x, two_sided), (two_sided, y)):
+        with pytest.raises(DomainError):
+            distance_series(FAIR, a, b, np.array([0, 3], dtype=np.int64))
+    prod = sy.ProductSystem((FAIR, sy.Rotation.golden()))
+    for a, b in (((x,), (y, 0)), ((x, 0), (y, 0, 0))):
+        with pytest.raises(DomainError):
+            distance_series(prod, a, b, np.array([0, 3], dtype=np.int64))
+    with pytest.raises(DomainError):
+        distance_series(prod, (x, 0), (y, 0), np.array([-1], dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # difference tapes
 
@@ -181,6 +204,32 @@ def test_tuple_shares_one_tape_per_point(data, size, window, times):
     )
 
 
+def metric_terms(system):
+    """(lo, span, cols, weights): d sums weights[k] over the cells cols[k] of
+    the window [m + lo, m + lo + span) where the two tapes differ."""
+    w = system.window
+    if isinstance(system, sy.NaturalExtension):
+        # component i's coordinate j is tape coordinate j - (i - 1)
+        terms = [(j - (i - 1), 2.0 ** -(i + j + 1)) for i in range(1, w + 1) for j in range(w)]
+    elif system.side == sy.TWO_SIDED:
+        terms = [(j, 2.0 ** -(abs(j) + 2)) for j in range(1 - w, w)]
+    else:
+        terms = [(j, 2.0 ** -(j + 1)) for j in range(w)]
+    lo = min(j for j, _ in terms)
+    span = max(j for j, _ in terms) - lo + 1
+    cols, weights = zip(*terms)
+    return lo, span, np.array(cols) - lo, np.array(weights)
+
+
+def summed_reference(system, x, y, times):
+    # the summed metric term by term, read straight from both points
+    lo, span, cols, weights = metric_terms(system)
+    read = "tape_coordinates" if isinstance(system, sy.NaturalExtension) else "coordinates"
+    idx = (np.asarray(times, dtype=np.int64)[:, None] + np.arange(lo, lo + span)).ravel()
+    diff = (getattr(x, read)(idx) != getattr(y, read)(idx)).reshape(len(times), span)
+    return np.array([math.fsum(weights[row[cols]]) for row in diff], dtype=np.float64)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     data=st.data(),
@@ -189,28 +238,35 @@ def test_tuple_shares_one_tape_per_point(data, size, window, times):
     cells=st.integers(1, 120),
     gather=st.integers(1, 400),
     times=st.lists(st.one_of(st.integers(1, 80), st.integers(1, 2**62)), min_size=1, max_size=40),
+    kind=st.sampled_from(["one_sided", "two_sided", "extension"]),
 )
-def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times):
+def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, kind):
     # shrink the chunks so that the times straddle many chunk and block edges
     weights = data.draw(st.sampled_from(WEIGHTS))
-    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
-    pts = [CountingPoint(sy.SeededRandomPoint(s, weights)) for s in seeds]
-    system = sy.FullShift.bernoulli(weights, window=window)
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=2 * size, max_size=2 * size))
+    side = sy.TWO_SIDED if kind == "two_sided" else sy.ONE_SIDED
+    reads = [CountingPoint(sy.SeededRandomPoint(s, weights, side=side)) for s in seeds]
+    system = sy.FullShift.bernoulli(weights, side=side, window=window)
+    pts = reads[:size]
+    if kind == "extension":
+        system = sy.NaturalExtension(system)
+        pts = [sy.ExtendedPoint(base, past) for base, past in zip(reads[:size], reads[size:])]
     ts = np.array(times, dtype=np.int64)
     pairs = list(itertools.combinations(pts, 2))
-    oracle = [window_gather(x, y, ts, window) for x, y in pairs]
-    for p in pts:
+    oracle = [summed_reference(system, x, y, ts) for x, y in pairs]
+    for p in reads:
         p.reads = p.most = 0
 
-    with mock.patch.object(chaos, "_TAPE_CELLS", cells), mock.patch.object(
-        chaos, "_GATHER_CELLS", gather
+    with mock.patch.object(sy, "_TAPE_CELLS", cells), mock.patch.object(
+        sy, "_GATHER_CELLS", gather
     ):
         memo = {}
         for (x, y), ref in zip(pairs, oracle):
             assert distance_series(system, x, y, ts, memo=memo).tobytes() == ref.tobytes()
         rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), [len(ts)])
     # a chunk ends at the window that starts before its last cell
-    assert max(p.most for p in pts) <= cells + window - 1
+    span = metric_terms(system)[1]
+    assert max(p.most for p in reads) <= cells + span - 1
     dmax, dmin = np.maximum.reduce(oracle), np.minimum.reduce(oracle)
     n = len(ts)
     assert rep.checkpoints == (TupleCheckpoint(n, math.fsum(dmax) / n, math.fsum(dmin) / n),)
@@ -222,13 +278,13 @@ def test_sparse_tuple_reads_each_chunk_once():
     # each point reads each chunk of each block once for all its pairs
     system = sy.FullShift.uniform(2, window=48)
     pts = [CountingPoint(sy.sample_point(system, s)) for s in (1, 2, 3)]
-    with mock.patch.object(chaos, "_TAPE_CELLS", 480), mock.patch.object(
+    with mock.patch.object(sy, "_TAPE_CELLS", 480), mock.patch.object(
         chaos, "distance_series", wraps=chaos.distance_series
     ) as calls:
         rep = tuple_distance_averages(system, pts, SQUARES, [1000])
         ts = np.array(generate_prefix(SQUARES, 1000), dtype=np.int64)
         chunks = sum(
-            len(list(chaos._tape_chunks(np.unique(ts[lo : lo + 480]), 48)))
+            len(list(sy._tape_chunks(np.unique(ts[lo : lo + 480]), 0, 48)))
             for lo in range(0, 1000, 480)
         )
     assert chunks > 90
@@ -250,6 +306,20 @@ def test_tape_times_at_the_term_cap(window):
     assert distance_series(system, x, y, ts).tolist() == scalar_series(system, x, y, ts)
     with pytest.raises(DomainError):
         distance_series(system, x, y, np.array([0, last + 1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("window", [1, 48, 53])
+def test_extension_times_at_both_ends_of_int64(window):
+    # the window (-w, w) of a natural extension must fit int64 at every time
+    system = sy.NaturalExtension(sy.FullShift.uniform(2, window=window))
+    x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
+    first, last = -(2**63) + window - 1, MAX_TERM - window
+    ts = np.array([last, first, 0, first], dtype=np.int64)
+    assert distance_series(system, x, y, ts).tolist() == scalar_series(system, x, y, ts)
+    # at w = 1 every int64 time fits, and first - 1 is no int64
+    for bad in [last + 1] + ([first - 1] if window > 1 else []):
+        with pytest.raises(DomainError):
+            distance_series(system, x, y, np.array([0, bad], dtype=np.int64))
 
 
 def test_rotation_series_generic_path():

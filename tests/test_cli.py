@@ -219,6 +219,30 @@ def test_observable_outside_its_system_is_status_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lacunary", [{"family": "PolynomialFloor", "coefficients": [0, 0, 1]}, {"family": "Naturals"}]
+)
+def test_infinite_lacunary_sequence_is_status_2(tmp_path, capsys, lacunary):
+    cfg = dict(BASE_CONFIGS["LacunaryContrast"], lacunary_sequence=lacunary)
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explicit_lacunary_sequence_caps_its_terms(tmp_path, capsys):
+    terms = [2**k for k in range(40)]
+    cfg = dict(BASE_CONFIGS["LacunaryContrast"], lacunary_sequence={"family": "Explicit", "terms": terms})
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["lacunary_max_terms"] == 40
+    assert result["lacunary_extended_available"] is False
+    status, _ = run_tmp(tmp_path, dict(cfg, matched_terms=41), name="over.json")
+    assert status == 2
+    assert "has only 40 terms" in capsys.readouterr().err
+
+
 def test_failed_assertion_is_status_1(tmp_path):
     cfg = dict(BASE_CONFIGS["VeryGoodDeviation"], tolerance=1e-15)
     status, out = run_tmp(tmp_path, cfg)

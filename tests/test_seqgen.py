@@ -238,14 +238,16 @@ def oracle_fractional_power_stream(exponent):
         yield term, skipped
 
 
+def oracle_stream(spec):
+    if spec.family == "PolynomialFloor":
+        return oracle_polynomial_stream(spec.coefficients)
+    return oracle_fractional_power_stream(spec.exponent)
+
+
 def oracle_prefix(spec, count):
     """(terms, skipped) of the oracle stream, or the index its overflow names."""
-    if spec.family == "PolynomialFloor":
-        stream = oracle_polynomial_stream(spec.coefficients)
-    else:
-        stream = oracle_fractional_power_stream(spec.exponent)
     try:
-        pairs = list(itertools.islice(stream, count))
+        pairs = list(itertools.islice(oracle_stream(spec), count))
     except SequenceOverflowError as exc:
         return exc.index
     return [t for t, _ in pairs], pairs[-1][1]
@@ -348,15 +350,15 @@ def test_polynomial_kernel_matches_oracle(lower, leading, count, block):
 
 def check_overflow_edge(spec, block, extra=0):
     """The oracle overflows at some k; every entry point keeps the terms before it."""
-    overflow = oracle_prefix(spec, 10**6)
-    assert isinstance(overflow, int)
-    valid = 0
-    while not isinstance(oracle_prefix(spec, valid + 1), int):
-        valid += 1
+    # one pass of the oracle stream, up to its overflow
+    pairs = []
+    with pytest.raises(SequenceOverflowError) as exc:
+        pairs.extend(itertools.islice(oracle_stream(spec), 10**6))
+    overflow, valid = exc.value.index, len(pairs)
     times_array.cache_clear()
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
         if valid:
-            assert kernel_prefix(spec, valid) == oracle_prefix(spec, valid)
+            assert kernel_prefix(spec, valid) == ([t for t, _ in pairs], pairs[-1][1])
             assert max(times_array(spec, valid)) <= MAX_TERM
         assert kernel_prefix(spec, valid + 1 + extra) == overflow
         with pytest.raises(SequenceOverflowError) as exc:

@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,7 +446,8 @@ def oracle_distance(system, x, y):
     if isinstance(system, sy.FullShift):
         return oracle_shift_distance(x, y, system.window, system.side, system.metric)
     if isinstance(system, sy.Rotation):
-        return sy.distance(system, x, y)
+        delta = abs(x - y)
+        return min(delta, sy.FRACTION_MOD - delta) / sy.FRACTION_MOD
     if isinstance(system, sy.ProductSystem):
         return math.fsum(
             2.0 ** (-(j + 1)) * oracle_distance(c, xc, yc)
@@ -622,3 +624,42 @@ def test_distance_within_its_bound_of_a_fraction_oracle(case):
 def test_distance_keeps_the_bits_of_the_scalar_code(case):
     system, x, y = case
     assert sy.distance(system, x, y).hex() == oracle_distance(system, x, y).hex()
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=metric_cases(), data=st.data())
+def test_distance_series_keeps_the_bits_of_the_scalar_code(case, data):
+    system, x, y = case
+    times = st.one_of(NEAR, FAR)
+    if isinstance(system, sy.NaturalExtension):
+        times = st.one_of(times, times.map(lambda m: -m))
+    ts = data.draw(st.lists(times, max_size=6))
+    got = sy.distance_series(system, x, y, np.array(ts, dtype=np.int64))
+    assert got.dtype == np.float64 and got.shape == (len(ts),)
+    expected = [
+        oracle_distance(system, sy.iterate(system, x, m), sy.iterate(system, y, m)) for m in ts
+    ]
+    assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected]
+
+
+SERIES_CASES = [
+    (FAIR, zeros(), ones()),
+    (FAIR, sy.sample_point(FAIR, 1), sy.sample_point(FAIR, 2)),
+    (FAIR_TWO_SIDED, sy.sample_point(FAIR_TWO_SIDED, 1), sy.sample_point(FAIR_TWO_SIDED, 2)),
+    (sy.FullShift.uniform(2, metric=sy.METRIC_FIRST_DIFFERENCE), zeros(), ones()),
+    (sy.Rotation.golden(), 1, 2**127),
+    (sy.ProductSystem((FAIR, sy.Rotation.golden())), (zeros(), 1), (ones(), 2**127)),
+    (sy.NaturalExtension(FAIR), sy.sample_point(sy.NaturalExtension(FAIR), 1),
+     sy.sample_point(sy.NaturalExtension(FAIR), 2)),
+]
+
+
+@pytest.mark.parametrize("system, x, y", SERIES_CASES)
+def test_distance_series_never_iterates(system, x, y):
+    ts = np.array([0, 5, 2**40, 5], dtype=np.int64)
+    expected = [
+        sy.distance(system, sy.iterate(system, x, m), sy.iterate(system, y, m)) for m in ts.tolist()
+    ]
+    with mock.patch.object(sy, "iterate", side_effect=AssertionError("iterate called")):
+        assert sy.distance_series(system, x, y, ts).tolist() == expected
+        assert sy.distance(system, x, y) == expected[0]
