@@ -46,6 +46,7 @@ TWO_SIDED = "two_sided"
 
 FRACTION_BITS = 128
 FRACTION_MOD = 1 << FRACTION_BITS
+_INT64 = range(-(1 << 63), 1 << 63)
 
 DEFAULT_WINDOW = 48
 # Widest metric window.  Up to 53 coordinates the one-sided window distance,
@@ -101,6 +102,14 @@ class SymbolicPoint:
 
     def describe(self) -> str:
         return type(self).__name__
+
+
+def _offset(indices, offset: int) -> np.ndarray:
+    """int64 ``indices + offset``; DomainError where an index would leave int64."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if not all(int(e) + int(offset) in _INT64 for e in (idx.min(initial=0), idx.max(initial=0))):
+        raise DomainError("coordinate outside the 64-bit range")
+    return idx + offset
 
 
 @dataclass(frozen=True)
@@ -207,7 +216,7 @@ class ShiftedPoint(SymbolicPoint):
         return self.base.side
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.base.coordinates(np.asarray(indices, dtype=np.int64) + self.offset)
+        return self.base.coordinates(_offset(indices, self.offset))
 
     def describe(self) -> str:
         return f"Shifted[{self.base.describe()}, {self.offset}]"
@@ -247,7 +256,7 @@ class ExtendedPoint:
 
     def tape_coordinates(self, indices: np.ndarray) -> np.ndarray:
         """Tape symbols at every coordinate of ``indices``, negative ones included."""
-        jj = np.asarray(indices, dtype=np.int64) + self.offset
+        jj = _offset(indices, self.offset)
         out = np.empty(jj.shape, dtype=np.int64)
         ahead = jj >= 0
         for mask, point, idx in ((ahead, self.base, jj), (~ahead, self.past, -1 - jj)):
@@ -279,7 +288,7 @@ class _TapeView(SymbolicPoint):
         return self.ext.alphabet_size
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.ext.tape_coordinates(np.asarray(indices, dtype=np.int64) - (self.depth - 1))
+        return self.ext.tape_coordinates(_offset(indices, 1 - self.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +513,7 @@ def _from_zero(runs) -> list[tuple[int, int]]:
 
 
 def _symbol_runs(point) -> list[tuple[int, int]] | None:
-    """Change points [(start, symbol), ...] of a piecewise-constant point,
-    or None for other points (e.g. PRF-seeded ones), which are read as tapes."""
+    """Change points [(start, symbol), ...] of a piecewise-constant point, else None."""
     if isinstance(point, PeriodicPoint):
         return [(0, point.word[0])] if len(set(point.word)) == 1 else None
     if isinstance(point, ShiftedPoint):
@@ -569,38 +577,33 @@ def _tape_chunks(u: np.ndarray, lo: int, window: int):
 
 
 def _tape(p, reader: str, positions: np.ndarray, memo: dict | None, chunk: int) -> np.ndarray:
-    read = getattr(p, reader)
     if memo is None:
-        return read(positions)
+        return getattr(p, reader)(positions)
     key = (id(p), chunk)
     if key not in memo:
         # one byte a cell up to 256 symbols; holding p keeps its id unique
-        symbols = read(positions).astype(np.min_scalar_type(p.alphabet_size - 1))
+        symbols = getattr(p, reader)(positions).astype(np.min_scalar_type(p.alphabet_size - 1))
         memo[key] = (p, symbols)
     return memo[key][1]
 
 
-# memo key of the window layout; tapes are keyed (id(point), chunk), and a
-# product's component j keeps its own memo under the key j
-_LAYOUT = "layout"
-
-
 def _series_from_windows(system, x, y, times: np.ndarray, memo: dict | None) -> np.ndarray:
-    # Each point's tape is read once per chunk (kept in ``memo`` across the
-    # pairs of a tuple); every window is then a gather, reduced in blocks of
-    # at most _GATHER_CELLS cells.
+    # Each point's tape is read once per chunk and kept in ``memo`` under
+    # (id(point), chunk) across the pairs of a tuple, next to the window
+    # layout under "layout"; every window is then a gather, reduced in
+    # blocks of at most _GATHER_CELLS cells.
     if not len(times):
         return np.empty(0, dtype=np.float64)
     reader, lo, span, reduce = _metric_window(system)
-    layout = None if memo is None else memo.get(_LAYOUT)
+    layout = None if memo is None else memo.get("layout")
     if layout is None or layout[0] is not times or layout[1] != (lo, span):
-        u, inverse = np.unique(times, return_inverse=True)
+        u, inverse = (times, [0]) if len(times) == 1 else np.unique(times, return_inverse=True)
         if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
             raise DomainError("times too close to the 64-bit range for the metric window")
         layout = (times, (lo, span), u, inverse)
         if memo is not None:
             memo.clear()
-            memo[_LAYOUT] = layout
+            memo["layout"] = layout
     _, _, u, inverse = layout
     rows = max(1, _GATHER_CELLS // span)
     out = np.empty(len(u), dtype=np.float64)
@@ -620,10 +623,9 @@ def distance_series(
 
     Shift-type metrics (every full shift and the natural extension) reduce
     the windows of a difference tape, or take interval algebra for
-    piecewise-constant points of a one-sided summed shift.  A rotation's
-    series is constant, and a product ``fsum``s its weighted component
-    series.  Every value has the bits of the scalar metric: ``FullShift``
-    caps the window at 53 coordinates, where window sums are exact.
+    piecewise-constant points of a one-sided summed shift; both are exact,
+    as ``FullShift`` caps the window at 53 coordinates.  A rotation's series
+    is constant; a product ``fsum``s its weighted component series.
     Whatever :func:`iterate` refuses at some time raises ``DomainError``.
 
     The tape is read in chunks of about 2**17 cells, so working memory does

@@ -1,0 +1,97 @@
+"""Scalar oracles: the metric and the coordinate reads written per class,
+one coordinate at a time, independent of the vectorized code under test."""
+
+import math
+from bisect import bisect_right
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+import seqchaos.systems as sy
+from seqchaos.errors import DomainError
+from seqchaos.prf import prf64
+
+
+@lru_cache(maxsize=None)
+def oracle_separators(weights):
+    cum, seps = Fraction(0), []
+    for w in weights[:-1]:
+        cum += w
+        seps.append((cum.numerator << 64) // cum.denominator)
+    return tuple(seps)
+
+
+def oracle_coordinate(point, i):
+    if point.side == sy.ONE_SIDED and i < 0:
+        raise DomainError("negative coordinate")
+    if isinstance(point, sy.PeriodicPoint):
+        return point.word[i % len(point.word)]
+    if isinstance(point, sy.SeededRandomPoint):
+        return bisect_right(oracle_separators(point.weights), prf64(point.seed, i))
+    if isinstance(point, sy.BlockScheduledPoint):
+        c = point.contents[bisect_right(point.boundaries, i)]
+        return c if isinstance(c, int) else oracle_coordinate(c, i)
+    if isinstance(point, sy.ShiftedPoint):
+        return oracle_coordinate(point.base, i + point.offset)
+    assert isinstance(point, sy._TapeView)
+    return oracle_tape(point.ext, i - (point.depth - 1))
+
+
+def oracle_tape(ext, j):
+    jj = j + ext.offset
+    return oracle_coordinate(ext.base, jj) if jj >= 0 else oracle_coordinate(ext.past, -1 - jj)
+
+
+def oracle_shift_distance(x, y, window, side, metric):
+    if metric == sy.METRIC_FIRST_DIFFERENCE:
+        for i in range(window):
+            if oracle_coordinate(x, i) != oracle_coordinate(y, i):
+                return 2.0 ** (-i)
+        return 0.0
+    if side == sy.ONE_SIDED:
+        return math.fsum(
+            2.0 ** (-(i + 1))
+            for i in range(window)
+            if oracle_coordinate(x, i) != oracle_coordinate(y, i)
+        )
+    parts = [0.5] if oracle_coordinate(x, 0) != oracle_coordinate(y, 0) else []
+    for i in range(1, window):
+        for j in (i, -i):
+            if oracle_coordinate(x, j) != oracle_coordinate(y, j):
+                parts.append(2.0 ** (-(i + 1)))
+    return math.fsum(parts) / 2.0
+
+
+def oracle_distance(system, x, y):
+    if isinstance(system, sy.FullShift):
+        return oracle_shift_distance(x, y, system.window, system.side, system.metric)
+    if isinstance(system, sy.Rotation):
+        delta = abs(x - y)
+        return min(delta, sy.FRACTION_MOD - delta) / sy.FRACTION_MOD
+    if isinstance(system, sy.ProductSystem):
+        return math.fsum(
+            2.0 ** (-(j + 1)) * oracle_distance(c, xc, yc)
+            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
+        )
+    w = system.window
+    if system.base.metric != sy.METRIC_SUMMED:
+        return math.fsum(
+            2.0 ** (-i)
+            * oracle_shift_distance(x.component(i), y.component(i), w, sy.ONE_SIDED,
+                                    system.base.metric)
+            for i in range(1, w + 1)
+        )
+    neq = np.array(
+        [oracle_tape(x, j) != oracle_tape(y, j) for j in range(-w + 1, w)], dtype=np.float64
+    )
+    weights = np.ldexp(1.0, -(np.arange(w) + 1))
+    return math.fsum(2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1))
+
+
+def oracle_series(system, x, y, times):
+    """The oracle distance of the iterates T**m x, T**m y at every time m."""
+    return [
+        oracle_distance(system, sy.iterate(system, x, int(m)), sy.iterate(system, y, int(m)))
+        for m in times
+    ]

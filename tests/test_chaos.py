@@ -22,17 +22,12 @@ from seqchaos.chaos import (
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.seqgen import MAX_TERM, SequenceSpec, generate_prefix
 
+from oracles import oracle_series
+
 FAIR = sy.FullShift.uniform(2)
 NATURALS = SequenceSpec.naturals()
 PRIMES = SequenceSpec.primes()
 SQUARES = SequenceSpec.polynomial_floor([0, 0, 1])
-
-
-def scalar_series(system, x, y, times):
-    return [
-        sy.distance(system, sy.iterate(system, x, int(m)), sy.iterate(system, y, int(m)))
-        for m in times
-    ]
 
 
 def zeros(s=2):
@@ -52,7 +47,7 @@ def test_interval_path_matches_scalar_metric():
     y = sy.BlockScheduledPoint((15, 40), (1, 0, 1), alphabet_size=2)
     times = np.arange(1, 101, dtype=np.int64)
     fast = distance_series(FAIR, x, y, times)
-    assert fast.tolist() == scalar_series(FAIR, x, y, times)
+    assert fast.tolist() == oracle_series(FAIR, x, y, times)
 
 
 def test_window_path_matches_scalar_metric():
@@ -60,14 +55,14 @@ def test_window_path_matches_scalar_metric():
     y = sy.sample_point(FAIR, 2)
     times = np.array([1, 2, 3, 50, 1000, 12345], dtype=np.int64)
     fast = distance_series(FAIR, x, y, times)
-    assert fast.tolist() == scalar_series(FAIR, x, y, times)
+    assert fast.tolist() == oracle_series(FAIR, x, y, times)
 
 
 def test_mixed_point_kinds_use_window_path():
     x = sy.sample_point(FAIR, 3)
     y = zeros()
     times = np.arange(1, 64, dtype=np.int64)
-    assert distance_series(FAIR, x, y, times).tolist() == scalar_series(FAIR, x, y, times)
+    assert distance_series(FAIR, x, y, times).tolist() == oracle_series(FAIR, x, y, times)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +158,7 @@ def test_tape_matches_window_gather_and_scalar_metric(data, window, times):
     got = distance_series(system, x, y, ts)
     assert got.dtype == np.float64 and got.shape == ts.shape
     assert got.tobytes() == window_gather(x, y, ts, window).tobytes()
-    assert got.tolist() == scalar_series(system, x, y, ts)
+    assert got.tolist() == oracle_series(system, x, y, ts)
 
 
 @settings(deadline=None, max_examples=60)
@@ -303,7 +298,7 @@ def test_tape_times_at_the_term_cap(window):
     x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
     last = MAX_TERM - window
     ts = np.array([last, 0, last], dtype=np.int64)
-    assert distance_series(system, x, y, ts).tolist() == scalar_series(system, x, y, ts)
+    assert distance_series(system, x, y, ts).tolist() == oracle_series(system, x, y, ts)
     with pytest.raises(DomainError):
         distance_series(system, x, y, np.array([0, last + 1], dtype=np.int64))
 
@@ -315,11 +310,28 @@ def test_extension_times_at_both_ends_of_int64(window):
     x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
     first, last = -(2**63) + window - 1, MAX_TERM - window
     ts = np.array([last, first, 0, first], dtype=np.int64)
-    assert distance_series(system, x, y, ts).tolist() == scalar_series(system, x, y, ts)
+    assert distance_series(system, x, y, ts).tolist() == oracle_series(system, x, y, ts)
     # at w = 1 every int64 time fits, and first - 1 is no int64
     for bad in [last + 1] + ([first - 1] if window > 1 else []):
         with pytest.raises(DomainError):
             distance_series(system, x, y, np.array([0, bad], dtype=np.int64))
+
+
+@pytest.mark.parametrize("window", [1, 48])
+@pytest.mark.parametrize("kind", ["one_sided", "two_sided", "extension"])
+def test_shifted_points_near_int64_raise_instead_of_wrapping(kind, window):
+    # T**10 x at time t reads coordinates up to t + w - 1 + 10
+    shift = sy.FullShift.uniform(2, side=sy.TWO_SIDED if kind == "two_sided" else sy.ONE_SIDED,
+                                 window=window)
+    system = sy.NaturalExtension(shift) if kind == "extension" else shift
+    x, y = (sy.iterate(system, sy.sample_point(system, s), 10) for s in (1, 2))
+    last = MAX_TERM - window - 9
+    ts = np.array([last, 0], dtype=np.int64)
+    assert distance_series(system, x, y, ts).tolist() == oracle_series(system, x, y, ts)
+    with pytest.raises(DomainError):
+        distance_series(system, x, y, np.array([0, last + 1], dtype=np.int64))
+    with pytest.raises(DomainError):
+        sy.distance(system, sy.iterate(system, x, last + 1), sy.iterate(system, y, last + 1))
 
 
 def test_rotation_series_generic_path():
@@ -434,7 +446,7 @@ def test_verify_measured_respects_bruteforce():
     system = sy.FullShift.uniform(2, window=8)
     ver = verify_scrambled(pts, cert, system, NATURALS)
     times = np.arange(1, 10, dtype=np.int64)
-    brute = scalar_series(system, pts[0], pts[1], times)
+    brute = oracle_series(system, pts[0], pts[1], times)
     assert distance_series(system, pts[0], pts[1], times).tolist() == brute
     n1, n2 = cert.checkpoint_indices
     assert ver.report.checkpoints[0].max_average == math.fsum(brute[:n1]) / n1
@@ -502,7 +514,7 @@ def test_scan_matches_bruteforce_at_small_n():
     times = np.arange(1, 101, dtype=np.int64)
     for r in results:
         x, y = (sy.sample_point(FAIR, s) for s in r.seeds)
-        brute = scalar_series(FAIR, x, y, times)
+        brute = oracle_series(FAIR, x, y, times)
         assert r.max_average == math.fsum(brute) / 100
         assert r.min_average == r.max_average  # single pair
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos.errors import ConfigError, DomainError, SequenceOverflowError
-from seqchaos.prf import prf64
+
+from oracles import oracle_coordinate, oracle_distance, oracle_series, oracle_tape
 
 FAIR = sy.FullShift.uniform(2)
 FAIR3 = sy.FullShift.uniform(3)
@@ -393,81 +394,6 @@ def test_weight_validation():
 # scalar reads and distances against the per-class scalar code they replaced
 
 
-def oracle_separators(weights):
-    cum, seps = Fraction(0), []
-    for w in weights[:-1]:
-        cum += w
-        seps.append((cum.numerator << 64) // cum.denominator)
-    return seps
-
-
-def oracle_coordinate(point, i):
-    if point.side == sy.ONE_SIDED and i < 0:
-        raise DomainError("negative coordinate")
-    if isinstance(point, sy.PeriodicPoint):
-        return point.word[i % len(point.word)]
-    if isinstance(point, sy.SeededRandomPoint):
-        return bisect_right(oracle_separators(point.weights), prf64(point.seed, i))
-    if isinstance(point, sy.BlockScheduledPoint):
-        c = point.contents[bisect_right(point.boundaries, i)]
-        return c if isinstance(c, int) else oracle_coordinate(c, i)
-    if isinstance(point, sy.ShiftedPoint):
-        return oracle_coordinate(point.base, i + point.offset)
-    assert isinstance(point, sy._TapeView)
-    return oracle_tape(point.ext, i - (point.depth - 1))
-
-
-def oracle_tape(ext, j):
-    jj = j + ext.offset
-    return oracle_coordinate(ext.base, jj) if jj >= 0 else oracle_coordinate(ext.past, -1 - jj)
-
-
-def oracle_shift_distance(x, y, window, side, metric):
-    if metric == sy.METRIC_FIRST_DIFFERENCE:
-        for i in range(window):
-            if oracle_coordinate(x, i) != oracle_coordinate(y, i):
-                return 2.0 ** (-i)
-        return 0.0
-    if side == sy.ONE_SIDED:
-        return math.fsum(
-            2.0 ** (-(i + 1))
-            for i in range(window)
-            if oracle_coordinate(x, i) != oracle_coordinate(y, i)
-        )
-    parts = [0.5] if oracle_coordinate(x, 0) != oracle_coordinate(y, 0) else []
-    for i in range(1, window):
-        for j in (i, -i):
-            if oracle_coordinate(x, j) != oracle_coordinate(y, j):
-                parts.append(2.0 ** (-(i + 1)))
-    return math.fsum(parts) / 2.0
-
-
-def oracle_distance(system, x, y):
-    if isinstance(system, sy.FullShift):
-        return oracle_shift_distance(x, y, system.window, system.side, system.metric)
-    if isinstance(system, sy.Rotation):
-        delta = abs(x - y)
-        return min(delta, sy.FRACTION_MOD - delta) / sy.FRACTION_MOD
-    if isinstance(system, sy.ProductSystem):
-        return math.fsum(
-            2.0 ** (-(j + 1)) * oracle_distance(c, xc, yc)
-            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
-        )
-    w = system.window
-    if system.base.metric != sy.METRIC_SUMMED:
-        return math.fsum(
-            2.0 ** (-i)
-            * oracle_shift_distance(x.component(i), y.component(i), w, sy.ONE_SIDED,
-                                    system.base.metric)
-            for i in range(1, w + 1)
-        )
-    neq = np.array(
-        [oracle_tape(x, j) != oracle_tape(y, j) for j in range(-w + 1, w)], dtype=np.float64
-    )
-    weights = np.ldexp(1.0, -(np.arange(w) + 1))
-    return math.fsum(2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1))
-
-
 WEIGHTS3 = st.sampled_from([(Fraction(1, 3),) * 3, (Fraction(1, 10), Fraction(3, 10), Fraction(3, 5))])
 
 
@@ -626,19 +552,60 @@ def test_distance_keeps_the_bits_of_the_scalar_code(case):
     assert sy.distance(system, x, y).hex() == oracle_distance(system, x, y).hex()
 
 
-@settings(deadline=None, max_examples=100)
-@given(case=metric_cases(), data=st.data())
+def piecewise_points(side):
+    """Periodic points of short words and constant-block points, shifted or
+    not: mostly the points whose one-sided summed series is computed from
+    their change points."""
+    lowest = 0 if side == sy.ONE_SIDED else -100
+    periodic = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(
+        lambda word: sy.PeriodicPoint(tuple(word), 3, side=side)
+    )
+    blocks = st.lists(st.integers(lowest, 200), min_size=1, max_size=4, unique=True).flatmap(
+        lambda bounds: st.lists(
+            st.integers(0, 2), min_size=len(bounds) + 1, max_size=len(bounds) + 1
+        ).map(lambda cs: sy.BlockScheduledPoint(tuple(sorted(bounds)), tuple(cs), 3, side=side))
+    )
+    # shifts below the last boundary keep a change point past coordinate 0
+    shifted = blocks.flatmap(
+        lambda p: st.integers(0 if side == sy.ONE_SIDED else -150, max(p.boundaries)).map(
+            lambda k: sy.shift_point(p, k)
+        )
+    )
+    return st.one_of(periodic, blocks, shifted)
+
+
+def piecewise_cases():
+    """(system, x, y): two points of ``piecewise_points``, mostly on a
+    one-sided summed shift over three symbols."""
+    shifts = st.one_of(
+        st.integers(1, sy.MAX_WINDOW).map(lambda w: sy.FullShift.uniform(3, window=w)),
+        st.builds(
+            lambda w, side, metric: sy.FullShift.uniform(3, side=side, window=w, metric=metric),
+            st.integers(1, sy.MAX_WINDOW), st.sampled_from([sy.ONE_SIDED, sy.TWO_SIDED]),
+            st.sampled_from([sy.METRIC_SUMMED, sy.METRIC_FIRST_DIFFERENCE]),
+        ),
+    )
+    return shifts.flatmap(
+        lambda s: st.tuples(st.just(s), piecewise_points(s.side), piecewise_points(s.side))
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=st.one_of(metric_cases(), piecewise_cases()), data=st.data())
 def test_distance_series_keeps_the_bits_of_the_scalar_code(case, data):
     system, x, y = case
-    times = st.one_of(NEAR, FAR)
+    times = st.lists(st.one_of(NEAR, FAR), max_size=6)
     if isinstance(system, sy.NaturalExtension):
-        times = st.one_of(times, times.map(lambda m: -m))
-    ts = data.draw(st.lists(times, max_size=6))
+        times = st.lists(st.one_of(NEAR, FAR, NEAR.map(lambda m: -m), FAR.map(lambda m: -m)),
+                         max_size=6)
+    if isinstance(system, sy.FullShift):
+        # a shift's scalar oracle is cheap: more times, many of them up to
+        # the last change point of a piecewise-constant point
+        times = st.lists(st.one_of(NEAR, FAR, st.integers(0, 200)), min_size=10, max_size=30)
+    ts = data.draw(times)
     got = sy.distance_series(system, x, y, np.array(ts, dtype=np.int64))
     assert got.dtype == np.float64 and got.shape == (len(ts),)
-    expected = [
-        oracle_distance(system, sy.iterate(system, x, m), sy.iterate(system, y, m)) for m in ts
-    ]
+    expected = oracle_series(system, x, y, ts)
     assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected]
 
 
@@ -657,9 +624,7 @@ SERIES_CASES = [
 @pytest.mark.parametrize("system, x, y", SERIES_CASES)
 def test_distance_series_never_iterates(system, x, y):
     ts = np.array([0, 5, 2**40, 5], dtype=np.int64)
-    expected = [
-        sy.distance(system, sy.iterate(system, x, m), sy.iterate(system, y, m)) for m in ts.tolist()
-    ]
+    expected = oracle_series(system, x, y, ts)
     with mock.patch.object(sy, "iterate", side_effect=AssertionError("iterate called")):
         assert sy.distance_series(system, x, y, ts).tolist() == expected
         assert sy.distance(system, x, y) == expected[0]
