@@ -5,11 +5,20 @@ sequence spec {a_k}.  Every sum is exactly rounded: it is the float
 math.fsum returns, bit for bit, so the average of up to 10**7 bounded
 terms carries well below 1e-12 of summation error; the only other error
 sources are the declared per-evaluation bounds of the observable, and
-they are reported on every trace.  Series of 0/1 values (indicators)
-are summed by counting their ones.  Other series are summed exactly by
-a block superaccumulator (see :func:`exact_sums`; the design follows
-Neal, "Fast exact summation using small and large superaccumulators",
-arXiv:1505.05571) and rounded once per checkpoint.
+they are reported on every trace.  Sums run through a row-wise block
+superaccumulator (:class:`_RowSums`; the design follows Neal, "Fast
+exact summation using small and large superaccumulators",
+arXiv:1505.05571): a block of 0/1 values (indicators) adds its count of
+ones, any other block its mantissas per binary exponent, and each sum
+is rounded once.
+
+Sampled points are rows: :func:`ergodic_average` evaluates all of its
+points in one :meth:`Observable.series` call per block of times, so the
+PRF's counter mix and a rotation's products m * alpha are computed once
+per block for every point, and no points x N array is ever built.  A
+single point is the length-1 case.  Each row's sum is exact, so the
+averages never depend on how the points are cut into blocks or chunks,
+nor on the worker count of :func:`sampled_averages`.
 
 Checkpointed traces record running extrema across the checkpoint
 ladder; the running minimum and maximum at the final checkpoint are the
@@ -35,23 +44,20 @@ from .seqgen import SequenceSpec, _validate_checkpoints, times_array
 SUM_ERROR_BOUND = 2.0**-50  # sums are exactly rounded; this is a generous blanket
 
 
+# Values per block of :func:`exact_sums`; cells (rows x values) per step
+# of the superaccumulator on a block that is not 0/1; and cells per
+# :meth:`Observable.series` call of :func:`ergodic_average`.  Steps and
+# series blocks keep their temporaries in cache.  Series blocks of 2**16
+# cells and more, or steps as large as them, measured slower on
+# Linux/glibc: their temporaries pass the heap-trim threshold, so every
+# block faults its pages in again.
 _BLOCK = 1 << 16
-
-
-def _is_indicator(vals: np.ndarray) -> bool:
-    """True when every value is 0.0 or 1.0; tested blockwise so that no
-    temporary grows with the series."""
-    for lo in range(0, len(vals), _BLOCK):
-        block = vals[lo : lo + _BLOCK]
-        if np.count_nonzero(block == 1.0) + np.count_nonzero(block == 0.0) != len(block):
-            return False
-    return True
-
+_STEP_CELLS = 1 << 14
+_CELLS = 1 << 15
 
 # frexp writes a finite float as m * 2**e with 2**53 * m an integer and
 # -1073 <= e <= 1024, so every float is an integer number of 2**-1126.
 _UNIT_BITS = 1126
-_EXPONENTS = 1024 + 1073 + 1
 _LOW_BITS = 27
 _ROUNDER = 1.5 * 2.0**52  # x + _ROUNDER - _ROUNDER rounds |x| < 2**51 to an integer
 # Below this, n * max|x| bounds every partial sum of fsum as well as the
@@ -61,77 +67,120 @@ _SAFE_SUM = 2.0**1020
 _FOLD_EVERY = 1 << 36
 
 
+def _is_indicator(vals: np.ndarray) -> bool:
+    """True when every value is 0.0 or 1.0."""
+    return np.count_nonzero(vals == 1.0) + np.count_nonzero(vals == 0.0) == vals.size
+
+
+class _RowSums:
+    """Exact running sums of the rows of a stream of blocks: a row-wise
+    superaccumulator.
+
+    A block that holds only 0.0 and 1.0 adds each row's count of ones.
+    In any other block each mantissa, scaled to a 53-bit integer and
+    split into a high half of 26 bits and a low half of 27, is summed per
+    row and binary exponent by ``np.bincount``, in steps of at most
+    _STEP_CELLS cells, exactly: a row's partial sums over a step need
+    fewer than 53 bits.  The int64 per-exponent sums ``parts`` (high and
+    low) cover only the exponents ``first``, ``first + 1``, ... seen so
+    far, and widen when a block brings new ones.  :meth:`totals` folds
+    every row into one int in units of 2**-1126.  A row turns ``bad``
+    from the first block where it holds a non-finite value or
+    n * max|x| reaches _SAFE_SUM; its total then means nothing, and fsum
+    must sum the row.
+    """
+
+    def __init__(self, rows: int):
+        self.ones = np.zeros(rows, dtype=np.int64)
+        self.parts = np.zeros((2, rows, 0), dtype=np.int64)
+        self.first = 0
+        self.bad = np.zeros(rows, dtype=bool)
+        self.folded = [0] * rows
+        self.pending = 0
+
+    def add(self, block: np.ndarray, n: int) -> None:
+        """Add the next columns of every row; no row holds more than n values."""
+        if _is_indicator(block):
+            self.ones += block.sum(axis=1).astype(np.int64)  # exact: below 2**53 ones
+            return
+        step = max(1, _STEP_CELLS // len(block))
+        for lo in range(0, block.shape[1], step):
+            self._add_exact(block[:, lo : lo + step], n)
+
+    def _add_exact(self, block: np.ndarray, n: int) -> None:
+        with np.errstate(over="ignore"):
+            self.bad |= ~(np.max(np.abs(block), axis=1) * n < _SAFE_SUM)  # NaN is bad too
+        if self.bad.any():
+            block = np.where(self.bad[:, None], 0.0, block)
+        if self.pending + block.shape[1] > _FOLD_EVERY:
+            self._fold()
+        self.pending += block.shape[1]
+        mantissas, exponents = np.frexp(block)
+        self._widen(int(exponents.min()), int(exponents.max()) + 1)
+        rows, width = self.parts.shape[1:]
+        bins = exponents.astype(np.intp)
+        bins += (np.arange(rows) * width - self.first)[:, None]
+        # 2**53 * m = 2**27 * h + 2**27 * t: h the integer nearest
+        # 2**26 * m (26 bits and a sign), t the rest, a multiple of
+        # 2**-27 in [-1/2, 1/2]; every step is exact
+        rest = mantissas * 2.0**26
+        nearest = rest + _ROUNDER
+        nearest -= _ROUNDER
+        rest -= nearest
+        high = np.bincount(bins.ravel(), nearest.ravel(), rows * width)
+        low = np.bincount(bins.ravel(), rest.ravel(), rows * width) * 2.0**_LOW_BITS
+        self.parts[0] += high.reshape(rows, width).astype(np.int64)
+        self.parts[1] += low.reshape(rows, width).astype(np.int64)
+
+    def _widen(self, lo: int, hi: int) -> None:
+        """Make ``parts`` cover the exponents lo <= e < hi too."""
+        width = self.parts.shape[2]
+        if width:
+            lo, hi = min(lo, self.first), max(hi, self.first + width)
+        if hi - lo > width:
+            parts = np.zeros(self.parts.shape[:2] + (hi - lo,), dtype=np.int64)
+            parts[:, :, self.first - lo : self.first - lo + width] = self.parts
+            self.parts, self.first = parts, lo
+
+    def _fold(self) -> None:
+        exps = np.flatnonzero(self.parts.any(axis=(0, 1)))
+        # m * 2**e is the integer 2**53 * m in units of 2**(e - 53)
+        shifts = (exps + self.first + _UNIT_BITS - 53).tolist()
+        highs, lows = self.parts[:, :, exps].tolist()
+        for r, (hs, ls) in enumerate(zip(highs, lows)):
+            for e, h, lo in zip(shifts, hs, ls):
+                self.folded[r] += ((h << _LOW_BITS) + lo) << e
+        self.parts[:] = 0
+        self.pending = 0
+
+    def totals(self) -> list[int]:
+        """Every row's exact sum so far, in units of 2**-1126."""
+        self._fold()
+        return [t + (k << _UNIT_BITS) for t, k in zip(self.folded, self.ones.tolist())]
+
+
 def exact_sums(vals: np.ndarray, ends: Sequence[int]) -> list[float]:
     """``math.fsum(vals[:n])`` for each n of the increasing ``ends``, bit for bit.
 
-    A 0/1 series sums to its number of ones, which is exact below 2**53
-    and is the float fsum returns (fsum gives +0.0 for all-zero input);
-    the counts come from one running count across ``ends``.
-
-    Any other series goes through one pass of blocks.  Each block's
-    mantissas, scaled to 53-bit integers and split into a high half of
-    26 bits and a low half of 27, are summed per binary exponent by
-    ``np.bincount``, exactly: a block's partial sums need at most 43
-    bits.  At each end the per-exponent sums fold into one Python int in
-    units of 2**-1126, and CPython's correctly rounded int division gives
-    the float, which is what fsum returns.  fsum itself sums the prefix
-    when the exact total is 0 (it owns the sign of zero), and from the
-    first end whose prefix holds a non-finite value or could overflow a
-    partial sum (fsum raises there).
+    The series goes once through :class:`_RowSums` as one row, in blocks
+    of _BLOCK values.  At each end CPython's correctly rounded int
+    division turns the exact sum into the float fsum returns.  fsum itself
+    sums the prefix when the exact total is 0 (it owns the sign of zero),
+    and from the first end whose prefix holds a non-finite value or could
+    overflow a partial sum (fsum raises there).
     """
-    if _is_indicator(vals[: ends[-1]]):
-        sums = []
-        ones = start = 0
-        for n in ends:
-            ones += int(np.count_nonzero(vals[start:n]))
-            start = n
-            sums.append(float(ones))
-        return sums
-    high = np.zeros(_EXPONENTS, dtype=np.int64)
-    low = np.zeros(_EXPONENTS, dtype=np.int64)
-    total = pending = 0
-    biggest = 0.0
+    acc = _RowSums(1)
     sums = []
     start = 0
     for n in ends:
         for lo in range(start, n, _BLOCK):
-            block = vals[lo : min(lo + _BLOCK, n)]
-            peak = float(np.max(np.abs(block)))
-            if not peak <= biggest:  # NaN stays NaN
-                biggest = peak
-            if not biggest * n < _SAFE_SUM:
-                return sums + [math.fsum(vals[:m]) for m in ends[len(sums) :]]
-            if pending + len(block) > _FOLD_EVERY:
-                total += _fold(high, low)
-                pending = 0
-            mantissas, exponents = np.frexp(block)
-            bins = exponents.astype(np.intp)
-            bins += 1073
-            # 2**53 * m = 2**27 * h + 2**27 * t: h the integer nearest
-            # 2**26 * m (26 bits and a sign), t the rest, a multiple of
-            # 2**-27 in [-1/2, 1/2]; every step is exact
-            rest = mantissas * 2.0**26
-            nearest = rest + _ROUNDER
-            nearest -= _ROUNDER
-            rest -= nearest
-            high += np.bincount(bins, nearest, _EXPONENTS).astype(np.int64)
-            low += (np.bincount(bins, rest, _EXPONENTS) * 2.0**_LOW_BITS).astype(np.int64)
-            pending += len(block)
+            acc.add(vals[None, lo : min(lo + _BLOCK, n)], n)
+        if acc.bad[0]:
+            return sums + [math.fsum(vals[:m]) for m in ends[len(sums) :]]
         start = n
-        total += _fold(high, low)
-        pending = 0
+        total = acc.totals()[0]
         sums.append(total / (1 << _UNIT_BITS) if total else math.fsum(vals[:n]))
     return sums
-
-
-def _fold(high: np.ndarray, low: np.ndarray) -> int:
-    """The per-exponent sums as one int in units of 2**-1126; zeroes them."""
-    total = 0
-    for e in np.flatnonzero(high | low).tolist():
-        total += ((int(high[e]) << _LOW_BITS) + int(low[e])) << e
-    high[:] = 0
-    low[:] = 0
-    return total
 
 
 def geometric_checkpoints(start: int, stop: int, factor: int = 2) -> list[int]:
@@ -147,13 +196,29 @@ def geometric_checkpoints(start: int, stop: int, factor: int = 2) -> list[int]:
     return out
 
 
-def ergodic_average(system, x, f: Observable, seq: SequenceSpec, n_terms: int) -> float:
-    """(1/N) sum_{k=1}^{N} f(T**(a_k) x), exactly summed."""
+def ergodic_average(
+    system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int
+) -> list[float]:
+    """(1/N) sum_{k=1}^{N} f(T**(a_k) x) for every x of ``points``, exactly summed.
+
+    The points are the rows of one :meth:`Observable.series` call per
+    block of at most about _CELLS rows x times, and each row's block goes
+    into its row of one :class:`_RowSums`; no points x N array is built.
+    A row whose exact sum is 0, or that fsum must sum, is evaluated again
+    on its own and summed by fsum, as :func:`exact_sums` does.
+    """
     if n_terms < 1:
         raise ConfigError("n_terms must be >= 1")
     ts = times_array(seq, n_terms)
-    vals = f.series(system, x, ts)
-    return exact_sums(vals, [n_terms])[0] / n_terms
+    acc = _RowSums(len(points))
+    step = max(1, _CELLS // max(1, len(points)))
+    for lo in range(0, n_terms, step):
+        acc.add(f.series(system, points, ts[lo : lo + step]), n_terms)
+    return [
+        (total / (1 << _UNIT_BITS) if total and not bad
+         else math.fsum(f.series(system, [x], ts)[0])) / n_terms
+        for x, total, bad in zip(points, acc.totals(), acc.bad.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -216,7 +281,7 @@ def average_trace(
     """
     cps = _validate_checkpoints(checkpoints)
     ts = times_array(seq, cps[-1])
-    vals = f.series(system, x, ts)
+    vals = f.series(system, [x], ts)[0]
     entries = []
     run_min = math.inf
     run_max = -math.inf
@@ -238,16 +303,23 @@ def average_trace(
     )
 
 
-def _average_task(args) -> float:
+def _average_task(args) -> list[float]:
     return ergodic_average(*args)
 
 
 def sampled_averages(
     system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int, workers: int = 1
 ) -> list[float]:
-    """A_N f(x) for every x of ``points``, in order, whatever the worker count."""
-    tasks = [(system, x, f, seq, n_terms) for x in points]
-    return parallel_map(_average_task, tasks, workers=workers)
+    """A_N f(x) for every x of ``points``, in order, whatever the worker count.
+
+    :func:`ergodic_average` takes the points as rows, in at most
+    ``workers`` contiguous chunks; every row's sum is exact, so no average
+    depends on how the points were cut.
+    """
+    k = max(1, min(workers, len(points)))
+    cuts = [len(points) * i // k for i in range(k + 1)]
+    tasks = [(system, points[a:b], f, seq, n_terms) for a, b in zip(cuts, cuts[1:])]
+    return [a for chunk in parallel_map(_average_task, tasks, workers=workers) for a in chunk]
 
 
 def sample_seeds(seed: int, count: int) -> list[int]:

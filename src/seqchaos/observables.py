@@ -9,8 +9,9 @@ nonconstant circle harmonics), which is what the deviation-style
 experiments compare against.
 
 Every kind defines one vectorized path, :meth:`Observable.series`, the
-values f(T**m x) at an array of times.  A single value f(x) is its
-length-1 case at time 0.
+values f(T**m x) for a sequence of points x and an array of times m,
+one row per point.  A single value f(x) is its length-1 case: one point
+at time 0.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ TWO_PI = 2.0 * math.pi
 
 
 class Observable:
-    def series(self, system, point, times: np.ndarray) -> np.ndarray:
-        """Values f(T**m point) for each m in ``times``."""
+    def series(self, system, points, times: np.ndarray) -> np.ndarray:
+        """Values f(T**m x): one row per point x of ``points``, one column per m."""
         raise NotImplementedError
 
     def value(self, system, point) -> float:
         """f(point): the length-1 case of :meth:`series`."""
-        return float(self.series(system, point, [0])[0])
+        return float(self.series(system, [point], [0])[0, 0])
 
     def integral(self, system) -> float | None:
         """Exact integral of f against the invariant measure, when declared."""
@@ -56,8 +57,8 @@ class Observable:
 class Constant(Observable):
     c: float
 
-    def series(self, system, point, times) -> np.ndarray:
-        return np.full(len(times), self.c, dtype=np.float64)
+    def series(self, system, points, times) -> np.ndarray:
+        return np.full((len(points), len(times)), self.c, dtype=np.float64)
 
     def integral(self, system) -> float:
         return self.c
@@ -83,15 +84,17 @@ class CylinderIndicator(Observable):
         if len(set(coords)) != len(coords):
             raise ConfigError("cylinder constraints must use distinct coordinates")
 
-    def series(self, system, point, times) -> np.ndarray:
-        if not isinstance(point, sy.SymbolicPoint):
-            raise DomainError("cylinder observable needs a symbolic point")
-        if point.side == sy.ONE_SIDED and any(c < 0 for c, _ in self.constraints):
-            raise DomainError("cylinder coordinate < 0 on a one-sided point")
+    def series(self, system, points, times) -> np.ndarray:
+        negative = any(c < 0 for c, _ in self.constraints)
+        for point in points:
+            if not isinstance(point, sy.SymbolicPoint):
+                raise DomainError("cylinder observable needs a symbolic point")
+            if negative and point.side == sy.ONE_SIDED:
+                raise DomainError("cylinder coordinate < 0 on a one-sided point")
         ts = np.asarray(times, dtype=np.int64)
-        out = np.ones(ts.shape, dtype=bool)
+        out = np.ones((len(points), len(ts)), dtype=bool)
         for c, s in self.constraints:
-            out &= point.coordinates(ts + c) == s
+            out &= sy.coordinates_of(points, ts + c) == s
         return out.astype(np.float64)
 
     def integral(self, system) -> float | None:
@@ -128,15 +131,17 @@ class TrigOnRotation(Observable):
     def _fn(self):
         return np.cos if self.component == "cos" else np.sin
 
-    def series(self, system, point, times) -> np.ndarray:
-        if not isinstance(system, sy.Rotation) or not isinstance(point, int):
+    def series(self, system, points, times) -> np.ndarray:
+        if not isinstance(system, sy.Rotation) or not all(isinstance(x, int) for x in points):
             raise DomainError("trig observable needs a rotation system and point")
         # h * (x + m * alpha) = h * x + m * (h * alpha) mod 1, exactly on the
         # 2**-128 grid: the phase is reduced before it is rounded, whatever h
         h = self.frequency
         rotation = sy.Rotation((h * system.alpha_num) % sy.FRACTION_MOD)
-        fr = sy.rotation_orbit_fractions(rotation, (h * point) % sy.FRACTION_MOD, times)
-        return self._fn()(TWO_PI * fr)
+        starts = [(h * x) % sy.FRACTION_MOD for x in points]
+        fr = sy.rotation_orbit_fractions(rotation, starts, times)
+        fr *= TWO_PI
+        return self._fn()(fr, out=fr)
 
     def integral(self, system) -> float:
         return 0.0
@@ -166,15 +171,15 @@ class ProductOf(Observable):
         if not self.factors:
             raise ConfigError("need at least one factor")
 
-    def _split(self, system, point):
-        if not isinstance(system, sy.ProductSystem) or len(system.components) != len(self.factors):
+    def series(self, system, points, times) -> np.ndarray:
+        k = len(self.factors)
+        if not isinstance(system, sy.ProductSystem) or len(system.components) != k:
             raise DomainError("factor count must match the product components")
-        return zip(self.factors, system.components, point)
-
-    def series(self, system, point, times) -> np.ndarray:
-        out = np.ones(len(times), dtype=np.float64)
-        for f, comp, x in self._split(system, point):
-            out *= f.series(comp, x, times)
+        if any(len(x) != k for x in points):
+            raise DomainError("product points need one component per factor")
+        out = np.ones((len(points), len(times)), dtype=np.float64)
+        for j, (f, comp) in enumerate(zip(self.factors, system.components)):
+            out *= f.series(comp, [x[j] for x in points], times)
         return out
 
     def integral(self, system) -> float | None:
@@ -207,10 +212,10 @@ class LinearCombination(Observable):
 
     parts: tuple[tuple[float, Observable], ...]
 
-    def series(self, system, point, times) -> np.ndarray:
-        out = np.zeros(len(times), dtype=np.float64)
+    def series(self, system, points, times) -> np.ndarray:
+        out = np.zeros((len(points), len(times)), dtype=np.float64)
         for c, f in self.parts:
-            out += c * f.series(system, point, times)
+            out += c * f.series(system, points, times)
         return out
 
     def integral(self, system) -> float | None:

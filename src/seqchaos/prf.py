@@ -42,22 +42,35 @@ def prf64(seed: int, n: int) -> int:
 
 
 def _splitmix64_np(z: np.ndarray) -> np.ndarray:
-    z = z + np.uint64(PHI64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MULT1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MULT2)
-    return z ^ (z >> np.uint64(31))
+    """:func:`splitmix64` of every entry of the uint64 array ``z``, in place."""
+    z += np.uint64(PHI64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_SM_MULT1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_SM_MULT2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def prf64_np(seed: int, counters: np.ndarray) -> np.ndarray:
+def prf64_np(seed, counters: np.ndarray) -> np.ndarray:
     """Vectorized :func:`prf64`; bit-identical to the scalar version.
 
     ``counters`` may be any integer dtype; int64 values are reinterpreted
-    mod 2**64 exactly like the scalar path.
+    mod 2**64 exactly like the scalar path.  ``seed`` is one seed, giving
+    one value per counter, or a 1-D sequence of seeds, giving one row per
+    seed; the counter half of the mix is computed once for every row.
     """
     n = np.ascontiguousarray(counters, dtype=np.int64).view(np.uint64)
-    key = np.uint64(splitmix64(seed & MASK64))
     with np.errstate(over="ignore"):
-        return _splitmix64_np(key ^ _splitmix64_np(n ^ np.uint64(PHI64)))
+        if isinstance(seed, (int, np.integer)):
+            keys = np.uint64(splitmix64(int(seed) & MASK64))
+        else:
+            try:
+                keys = np.array(seed, dtype=np.uint64)
+            except OverflowError:  # a seed outside [0, 2**64) is reduced mod 2**64
+                keys = np.array([int(s) & MASK64 for s in seed], dtype=np.uint64)
+            keys = _splitmix64_np(keys).reshape((len(keys),) + (1,) * n.ndim)
+        return _splitmix64_np(keys ^ _splitmix64_np(n ^ np.uint64(PHI64)))
 
 
 def fnv1a64(data: bytes) -> int:

@@ -178,11 +178,23 @@ def _sieve(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return primes
 
 
-def _prime_blocks() -> Iterator[np.ndarray]:
-    """The primes in increasing order, one sieved segment at a time."""
+def _prime_bound(count: int | None) -> int | None:
+    """An integer above the count-th prime (Rosser: p_n < n (ln n + ln ln n), n >= 6)."""
+    if count is None or count < 6:
+        return None
+    return int(count * (math.log(count) + math.log(math.log(count)))) + 2
+
+
+def _prime_blocks(stop: int | None = None) -> Iterator[np.ndarray]:
+    """The primes in increasing order, one sieved segment at a time.
+
+    With ``stop``, the segment that reaches it ends there and is the last.
+    """
     lo, size = 0, 2 * _FLOOR_BLOCK
-    while True:
+    while stop is None or lo < stop:
         hi = lo + min(size, _SIEVE_SEGMENT)
+        if stop is not None:
+            hi = min(hi, stop)
         root = math.isqrt(hi - 1)
         # sieving by every integer up to isqrt(root), prime or not, is exact
         yield _sieve(lo, hi, _sieve(0, root + 1, np.arange(2, math.isqrt(root) + 1)))
@@ -332,8 +344,13 @@ def _below_one(spec: SequenceSpec) -> bool:
     return spec.family == "FractionalPowerFloor" and spec.exponent < 1
 
 
-def _blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+def _blocks(
+    spec: SequenceSpec, count: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The sequence as (terms, k) blocks of consecutive int64 terms.
+
+    A caller that needs only the first ``count`` terms may say so: the
+    prime sieve then stops at a bound on the count-th prime.
 
     ``k`` holds each term's candidate index for the floor families that
     enumerate candidates, and is None otherwise (powers below one skip
@@ -350,7 +367,7 @@ def _blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray | None]
             yield block[_odd_popcount(block)], None
         raise SequenceOverflowError(2**62 + 1)  # half of 0..MAX_TERM has odd popcount
     if spec.family == "Primes":
-        for block in _prime_blocks():
+        for block in _prime_blocks(_prime_bound(count)):
             yield block, None
     elif spec.family in _FLOOR_FAMILIES:
         yield from _floor_blocks(spec)
@@ -368,7 +385,7 @@ def _prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
         raise ConfigError("count must be >= 1")
     out = np.empty(count, dtype=np.int64)
     filled = 0
-    for block, ks in _blocks(spec):
+    for block, ks in _blocks(spec, count):
         take = min(len(block), count - filled)
         out[filled : filled + take] = block[:take]
         filled += take

@@ -152,13 +152,44 @@ class SeededRandomPoint(SymbolicPoint):
         return _weights_to_separators(self.weights)
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        h = prf64_np(self.seed, np.asarray(indices, dtype=np.int64))
+        return self._symbols(prf64_np(self.seed, np.asarray(indices, dtype=np.int64)))
+
+    def _symbols(self, h: np.ndarray) -> np.ndarray:
+        """The symbols that the PRF words ``h`` select under these weights."""
         if len(self._separators) == 1:
             return (h >= self._separators[0]).astype(np.int64)
         return np.searchsorted(self._separators, h, side="right").astype(np.int64)
 
     def describe(self) -> str:
         return f"SeededRandom[seed={self.seed}]"
+
+
+def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
+    """The symbols of each point at every index of ``indices``, one row per point.
+
+    Row r is ``points[r].coordinates(indices)``, except that the seeded
+    random points sharing one weights tuple read one :func:`prf64_np`
+    table, which mixes each index once for all of their seeds.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    keys = [id(p.weights) if type(p) is SeededRandomPoint else ~r for r, p in enumerate(points)]
+    groups: dict[int, list[int]] = {}
+    if keys and keys.count(keys[0]) == len(keys):
+        groups[keys[0]] = list(range(len(keys)))  # the common case: a single group
+    else:
+        for r, key in enumerate(keys):
+            groups.setdefault(key, []).append(r)
+    out = np.empty((len(points), len(idx)), dtype=np.int64)
+    for key, rows in groups.items():
+        p = points[rows[0]]
+        if key < 0:
+            table = p.coordinates(idx)
+        else:
+            table = p._symbols(prf64_np([points[r].seed for r in rows], idx))
+        if len(rows) == len(points):
+            return table.reshape(out.shape)
+        out[rows] = table
+    return out
 
 
 BlockContent = Union[int, SymbolicPoint]
@@ -753,13 +784,15 @@ def _as_times(times) -> np.ndarray:
         ) from None
 
 
-def rotation_grid(alpha_num: int, x0: int, times: np.ndarray):
+def rotation_grid(alpha_num: int, x0, times: np.ndarray):
     """Exact orbit points (x0 + m * alpha_num) mod 2**128 on the dyadic grid.
 
-    ``times`` is an int64 array.  Yields ``(start, hi, lo)`` for consecutive
-    blocks of at most ``_GRID_BLOCK`` times starting at index ``start``:
-    ``hi`` and ``lo`` are the uint64 words of each block's grid points.
-    Blocks keep every temporary cache-sized.
+    ``times`` is an int64 array and ``x0`` one start or a 1-D sequence of
+    starts.  Yields ``(start, hi, lo)`` for consecutive blocks of times
+    starting at index ``start``, each block at most ``_GRID_BLOCK`` grid
+    points over all starts: ``hi`` and ``lo`` are the uint64 words of the
+    block's grid points, with one row per start when ``x0`` is a
+    sequence.  Blocks keep every temporary cache-sized.
 
     Exact limb arithmetic in the style of Knuth's Algorithm M (TAOCP
     vol. 2, 4.3.1).  With u = m mod 2**64 and alpha = A1*2**64 + A0,
@@ -767,16 +800,20 @@ def rotation_grid(alpha_num: int, x0: int, times: np.ndarray):
     wrapping uint64.  mulhi(u, A0) is assembled from four 32x32-bit
     partial products, none of which overflows.  A negative m equals
     u - 2**64, so its product is smaller by A0 * 2**64 mod 2**128: A0
-    comes off the high word.  Adding x0 carries into the high word when
-    the low word wraps.  Only np.uint64 scalars enter the arithmetic, so
-    no operand is promoted to float64 on any numpy version.
+    comes off the high word.  The product is formed once per block; each
+    start then adds its words, with a carry into the high word when the
+    low word wraps.  Only uint64 operands enter the arithmetic, so no
+    operand is promoted to float64 on any numpy version.
     """
-    x0 %= FRACTION_MOD
+    rows = np.ndim(x0) > 0
+    starts = [int(x) % FRACTION_MOD for x in (x0 if rows else [x0])]
+    x1 = np.array([x >> 64 for x in starts], dtype=_U64)[:, None]
+    x0_lo = np.array([x & MASK64 for x in starts], dtype=_U64)[:, None]
     a1, a0 = _U64(alpha_num >> 64), _U64(alpha_num & MASK64)
-    x1, x0_lo = _U64(x0 >> 64), _U64(x0 & MASK64)
     b1, b0 = a0 >> _SHIFT32, a0 & _LOW32
-    for start in range(0, len(times), _GRID_BLOCK):
-        t = times[start : start + _GRID_BLOCK]
+    step = max(1, _GRID_BLOCK // max(1, len(starts)))
+    for start in range(0, len(times), step):
+        t = times[start : start + step]
         u = t.view(_U64)
         u1, u0 = u >> _SHIFT32, u & _LOW32
         p01 = u0 * b1
@@ -790,16 +827,17 @@ def rotation_grid(alpha_num: int, x0: int, times: np.ndarray):
         hi += mid >> _SHIFT32
         hi += u * a1
         hi -= (t >> 63).view(_U64) & a0
-        hi += x1
-        lo = u * a0
-        lo += x0_lo
+        lo = x0_lo + u * a0
+        hi = hi + x1
         hi += lo < x0_lo
-        yield start, hi, lo
+        yield start, (hi if rows else hi[0]), (lo if rows else lo[0])
 
 
-def rotation_orbit_fractions(system: Rotation, x0: int, times) -> np.ndarray:
+def rotation_orbit_fractions(system: Rotation, x0, times) -> np.ndarray:
     """Fractions (x0 + m*alpha mod 1) for each m, as float64.
 
+    ``x0`` is one start, giving one fraction per time, or a 1-D sequence
+    of starts, giving one row per start that shares the products m*alpha.
     The orbit point is computed exactly on the 2**-128 grid by
     :func:`rotation_grid` (128-bit multiply-add in uint64 limbs); its top
     53 bits become the float, so the per-entry error is below 2**-53.
@@ -807,8 +845,8 @@ def rotation_orbit_fractions(system: Rotation, x0: int, times) -> np.ndarray:
     :class:`SequenceOverflowError` instead of wrapping.
     """
     ts = _as_times(times)
-    out = np.empty(ts.shape, dtype=np.float64)
+    out = np.empty(np.shape(x0)[:1] + ts.shape, dtype=np.float64)
     for start, hi, _ in rotation_grid(system.alpha_num, x0, ts):
-        out[start : start + len(hi)] = hi >> _U64(11)  # exact: below 2**53
+        out[..., start : start + hi.shape[-1]] = hi >> _U64(11)  # exact: below 2**53
     out *= 2.0**-53
     return out

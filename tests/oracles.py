@@ -1,5 +1,6 @@
 """Scalar oracles: the metric and the coordinate reads written per class,
-one coordinate at a time, independent of the vectorized code under test."""
+one coordinate at a time, independent of the vectorized code under test;
+and the ergodic average of one point at a time."""
 
 import math
 from bisect import bisect_right
@@ -9,8 +10,10 @@ from functools import lru_cache
 import numpy as np
 
 import seqchaos.systems as sy
+from seqchaos.averaging import exact_sums
 from seqchaos.errors import DomainError
 from seqchaos.prf import prf64
+from seqchaos.seqgen import times_array
 
 
 @lru_cache(maxsize=None)
@@ -95,3 +98,9 @@ def oracle_series(system, x, y, times):
         oracle_distance(system, sy.iterate(system, x, int(m)), sy.iterate(system, y, int(m)))
         for m in times
     ]
+
+
+def oracle_average(system, x, f, seq, n_terms):
+    """A_N f(x) of one point: its whole series at once, exactly summed."""
+    vals = f.series(system, [x], times_array(seq, n_terms))[0]
+    return exact_sums(vals, [n_terms])[0] / n_terms

@@ -237,15 +237,15 @@ def test_criterion_9_invariant_suites():
     f = CylinderIndicator(((0, 0),))
     g = CylinderIndicator(((2, 1),))
     x = sy.sample_point(FAIR, 5)
-    a_f = ergodic_average(FAIR, x, f, PRIMES, 5000)
+    a_f = ergodic_average(FAIR, [x], f, PRIMES, 5000)[0]
     if not (0.0 - 1e-12 <= a_f <= 1.0 + 1e-12):
         failures.append("average bounds")
     rng = random.Random(5)
     for _ in range(10):
         al, be = rng.uniform(-1, 1), rng.uniform(-1, 1)
         combo = LinearCombination(((al, f), (be, g)))
-        lhs = ergodic_average(FAIR, x, combo, PRIMES, 5000)
-        rhs = al * a_f + be * ergodic_average(FAIR, x, g, PRIMES, 5000)
+        lhs = ergodic_average(FAIR, [x], combo, PRIMES, 5000)[0]
+        rhs = al * a_f + be * ergodic_average(FAIR, [x], g, PRIMES, 5000)[0]
         if abs(lhs - rhs) > 1e-10:
             failures.append("linearity")
 

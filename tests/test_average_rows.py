@@ -1,0 +1,276 @@
+"""Averages over sampled points as rows: every row must keep the bits of
+the per-point average, whatever the block sizes and the worker count."""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seqchaos.systems as sy
+from seqchaos import averaging
+from seqchaos.averaging import SUM_ERROR_BOUND, ergodic_average, sampled_averages
+from seqchaos.errors import DomainError
+from seqchaos.observables import (
+    Constant,
+    CylinderIndicator,
+    LinearCombination,
+    ProductOf,
+    TrigOnRotation,
+)
+from seqchaos.seqgen import SequenceSpec, times_array
+
+from oracles import oracle_average
+
+BIASED = sy.FullShift.bernoulli(["1/3", "2/3"])
+TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
+GOLDEN = sy.Rotation.golden()
+PRODUCT = sy.ProductSystem((BIASED, GOLDEN))
+EXTENSION = sy.NaturalExtension(BIASED)
+SEQUENCES = [
+    SequenceSpec.naturals(),
+    SequenceSpec.primes(),
+    SequenceSpec.polynomial_floor([0, 0, 1]),
+]
+
+EDGES = [0.0, -0.0, 1.0, 0.5, -0.5, math.inf, -math.inf, math.nan, 1e308, -1e308,
+         2.0**1000, 5e-324]
+VALUES = st.one_of(st.floats(-4, 4), st.sampled_from(EDGES))
+CONSTANTS = VALUES.map(Constant)
+
+
+def combined(base):
+    """Linear combinations of base observables, and pairs c*g - c*g that cancel."""
+    parts = st.lists(st.tuples(VALUES, base), min_size=1, max_size=3)
+    cancel = st.tuples(st.floats(-4, 4), base).map(lambda cg: ((cg[0], cg[1]), (-cg[0], cg[1])))
+    return st.one_of(parts, cancel).map(lambda ps: LinearCombination(tuple(ps)))
+
+
+def with_combinations(base):
+    return st.one_of(base, combined(base))
+
+
+def cylinders(system):
+    lowest = 0 if system.side == sy.ONE_SIDED else -4
+    coords = st.lists(st.integers(lowest, 6), max_size=3, unique=True)
+    return coords.flatmap(
+        lambda cs: st.tuples(*[st.integers(0, system.alphabet_size - 1) for _ in cs]).map(
+            lambda ss: CylinderIndicator(tuple(zip(cs, ss)))
+        )
+    )
+
+
+def shift_points(system):
+    """Point kinds mixed in one batch: seeded points share the system's weights
+    tuple, an equal copy of it or other weights; periodic, shifted and block points."""
+    k = system.alphabet_size
+    weights = st.sampled_from([system.weights, tuple(list(system.weights)), (Fraction(1, k),) * k])
+    seeded = st.builds(
+        lambda seed, w: sy.SeededRandomPoint(seed, w, side=system.side),
+        st.integers(0, 2**64 - 1), weights,
+    )
+    periodic = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(
+        lambda word: sy.PeriodicPoint(tuple(word), k, side=system.side)
+    )
+    shifted = st.builds(sy.shift_point, seeded, st.integers(0, 10**6))
+    block = st.builds(
+        lambda b, s, p: sy.BlockScheduledPoint((b,), (s, p), k, side=system.side),
+        st.integers(1, 300), st.integers(0, k - 1), seeded,
+    )
+    return st.one_of(seeded, seeded, periodic, shifted, block)
+
+
+ROTATION_POINTS = st.one_of(
+    st.integers(0, sy.FRACTION_MOD - 1),
+    st.integers(sy.FRACTION_MOD - 2**70, sy.FRACTION_MOD - 1),
+)
+TRIG = st.builds(
+    TrigOnRotation,
+    st.integers(-50, 50).filter(bool),
+    st.sampled_from(["cos", "sin"]),
+)
+
+
+def cases():
+    """(system, points, observable): every observable kind on every system kind."""
+    shift = [
+        st.tuples(st.just(s), st.lists(shift_points(s), min_size=1, max_size=6),
+                  with_combinations(st.one_of(cylinders(s), CONSTANTS, TRIG)))
+        for s in (BIASED, TWO_SIDED)
+    ]
+    rotation = st.tuples(
+        st.just(GOLDEN), st.lists(ROTATION_POINTS, min_size=1, max_size=6),
+        with_combinations(st.one_of(TRIG, CONSTANTS, cylinders(BIASED))),
+    )
+    factors = st.tuples(st.one_of(cylinders(BIASED), CONSTANTS), st.one_of(TRIG, CONSTANTS))
+    product = st.tuples(
+        st.just(PRODUCT),
+        st.lists(st.tuples(shift_points(BIASED), ROTATION_POINTS), min_size=1, max_size=6),
+        with_combinations(st.one_of(factors.map(ProductOf), CONSTANTS)),
+    )
+    extension = st.tuples(
+        st.just(EXTENSION),
+        st.lists(st.integers(0, 2**64 - 1).map(lambda s: sy.sample_point(EXTENSION, s)),
+                 min_size=1, max_size=4),
+        with_combinations(st.one_of(CONSTANTS, cylinders(BIASED), TRIG)),
+    )
+    return st.one_of(*shift, rotation, product, extension)
+
+
+def outcome(fn):
+    """The bits of the floats ``fn`` returns, or the type of what it raises."""
+    try:
+        return [float(v).hex() for v in fn()]
+    except (DomainError, OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def check_rows(system, points, f, seq, n):
+    """Rows equal the per-point oracle; raising rows raise what some point raises."""
+    rows = outcome(lambda: ergodic_average(system, points, f, seq, n))
+    each = [outcome(lambda: [oracle_average(system, x, f, seq, n)]) for x in points]
+    raised = {o for o in each if isinstance(o, type)}
+    if raised:
+        assert isinstance(rows, type) and rows in raised
+    else:
+        assert rows == [o[0] for o in each]
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    case=cases(),
+    seq=st.sampled_from(SEQUENCES),
+    n=st.integers(1, 150),
+    cells=st.one_of(st.just(averaging._CELLS), st.integers(1, 50)),
+    step=st.one_of(st.just(averaging._STEP_CELLS), st.integers(1, 50)),
+)
+def test_rows_keep_the_bits_of_the_per_point_average(case, seq, n, cells, step):
+    # small cell budgets cut the times into many blocks, so that a row mixes
+    # 0/1 blocks with other blocks and the superaccumulator widens often
+    system, points, f = case
+    with mock.patch.object(averaging, "_CELLS", cells), \
+            mock.patch.object(averaging, "_STEP_CELLS", step):
+        rows = check_rows(system, points, f, seq, n)
+    if isinstance(rows, list):  # the oracle's sum is fsum's, bit for bit
+        ts = times_array(seq, n)
+        fsums = [math.fsum(f.series(system, [x], ts)[0]) / n for x in points]
+        assert rows == [v.hex() for v in fsums]
+
+
+def test_rows_with_zero_totals_take_fsums_zero():
+    # a rotation by 1/2 from 0: cos is 1, -1, 1, ... (not 0/1), total 0 for even N
+    half = sy.Rotation(1 << 127)
+    f = TrigOnRotation(1, "cos")
+    naturals = SequenceSpec.naturals()
+    for n in (2, 10, 1000):
+        assert check_rows(half, [0, 1 << 127, 0], f, naturals, n) == [0.0.hex()] * 3
+    cancel = LinearCombination(((0.5, CylinderIndicator(((0, 0),))), (-0.5, Constant(1.0))))
+    points = [sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((1,), 2), sy.PeriodicPoint((0, 1), 2)]
+    assert check_rows(BIASED, points, cancel, naturals, 4) == [
+        0.0.hex(), (-0.5).hex(), (-0.25).hex()
+    ]
+
+
+@pytest.mark.parametrize("cells", [1, 7, averaging._CELLS])
+def test_rows_with_non_finite_and_near_overflow_values(cells):
+    cyl = CylinderIndicator(((0, 1),))
+    points = [sy.PeriodicPoint((1,), 2), sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((0, 1), 2)]
+    naturals = SequenceSpec.naturals()
+    observables = [
+        LinearCombination(((math.inf, cyl),)),  # inf * 0 is nan
+        LinearCombination(((1e308, cyl),)),  # fsum raises: intermediate overflow
+        LinearCombination(((2.0**1000, cyl), (-(2.0**1000), Constant(0.5)))),
+        Constant(math.nan),
+    ]
+    with mock.patch.object(averaging, "_CELLS", cells):
+        for f in observables:
+            for n in (1, 2, 9):
+                check_rows(BIASED, points, f, naturals, n)
+                check_rows(BIASED, points[1:], f, naturals, n)
+    # a row whose values turn non-finite, or whose partial sums pass 2**1024,
+    # only after some finite blocks: fsum sums the whole row again
+    late = [sy.BlockScheduledPoint((41,), (1, 0), 2), sy.PeriodicPoint((1, 0), 2)]
+    cyl0 = CylinderIndicator(((0, 0),))
+    turns_infinite = LinearCombination(((0.5, Constant(1.0)), (1e308, cyl0), (1e308, cyl0)))
+    climbs = LinearCombination(((2.0**1020, cyl), (-(2.0**1019), Constant(1.0))))
+    with mock.patch.object(averaging, "_CELLS", cells):
+        assert check_rows(BIASED, late, turns_infinite, naturals, 79) == [math.inf.hex()] * 2
+        assert check_rows(BIASED, late, turns_infinite, naturals, 40)[0] == 0.5.hex()
+        # 40 values of 2**1019, then 39 of -2**1019: the exact total is finite
+        assert check_rows(BIASED, late, climbs, naturals, 79) is OverflowError
+        assert check_rows(BIASED, late, climbs, naturals, 2)[0] == (2.0**1019).hex()
+
+
+# ---------------------------------------------------------------------------
+# SUM_ERROR_BOUND against an exact Fraction sum
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.lists(st.lists(st.floats(-1, 1), min_size=1, max_size=60), min_size=1, max_size=5)
+        .filter(lambda rs: len({len(r) for r in rs}) == 1),
+    step=st.integers(1, 50),
+)
+def test_row_sums_are_the_exact_sum_rounded_once(rows, step):
+    # each row's total is its Fraction sum rounded once, so the average of N
+    # values bounded by 1 is within about 2 ulp of 1 of the exact average
+    vals = np.array(rows)
+    n = vals.shape[1]
+    acc = averaging._RowSums(len(vals))
+    with mock.patch.object(averaging, "_STEP_CELLS", step):
+        for lo in range(0, n, 3):
+            acc.add(vals[:, lo : lo + 3], n)
+    for row, total in zip(rows, acc.totals()):
+        exact = sum(map(Fraction, row), Fraction(0))
+        assert Fraction(total, 1 << averaging._UNIT_BITS) == exact
+        if exact:
+            assert total / (1 << averaging._UNIT_BITS) == float(exact)
+            error = abs(Fraction(float(exact) / n) - exact / n)
+            assert error <= 2.0**-52 < SUM_ERROR_BOUND
+
+
+def test_sum_error_bound_holds_for_long_sampled_averages():
+    f = TrigOnRotation(1, "cos")
+    points = [sy.sample_point(GOLDEN, s) for s in range(3)]
+    naturals = SequenceSpec.naturals()
+    averages = ergodic_average(GOLDEN, points, f, naturals, 20_000)
+    ts = times_array(naturals, 20_000)
+    for x, a in zip(points, averages):
+        exact = sum(map(Fraction, f.series(GOLDEN, [x], ts)[0].tolist()), Fraction(0))
+        assert abs(Fraction(a) - exact / 20_000) <= SUM_ERROR_BOUND * 2.0**-8
+
+
+# ---------------------------------------------------------------------------
+# worker independence
+
+
+def test_sampled_averages_do_not_depend_on_the_worker_count():
+    f = CylinderIndicator(((0, 0),))
+    points = [sy.sample_point(BIASED, s) for s in range(5)]
+    primes = SequenceSpec.primes()
+    serial = sampled_averages(BIASED, points, f, primes, 3000, workers=1)
+    assert serial == [oracle_average(BIASED, x, f, primes, 3000) for x in points]
+    for workers in (2, 3, 8):
+        assert sampled_averages(BIASED, points, f, primes, 3000, workers=workers) == serial
+
+
+@pytest.mark.parametrize("workers, n_points", [(1, 5), (2, 5), (3, 5), (8, 5), (4, 1), (2, 0)])
+def test_parallel_map_gets_at_most_one_chunk_per_worker(workers, n_points):
+    seen = []
+
+    def serial_map(fn, items, workers=1):
+        seen.append([len(task[1]) for task in items])
+        return [fn(item) for item in items]
+
+    f = Constant(0.25)
+    points = [sy.sample_point(BIASED, s) for s in range(n_points)]
+    with mock.patch.object(averaging, "parallel_map", serial_map):
+        got = sampled_averages(BIASED, points, f, SequenceSpec.naturals(), 10, workers=workers)
+    assert got == [0.25] * n_points
+    (sizes,) = seen
+    assert len(sizes) <= max(1, workers) and sum(sizes) == n_points
+    assert max(sizes) - min(sizes) <= 1  # contiguous chunks of near-equal size

@@ -52,12 +52,12 @@ def test_fixed_point_average_is_one():
     x = sy.PeriodicPoint((0,), 2)
     f = CylinderIndicator(((0, 0),))
     for seq in (NATURALS, PRIMES, SequenceSpec.lacunary(2)):
-        assert ergodic_average(FAIR, x, f, seq, 20) == 1.0
+        assert ergodic_average(FAIR, [x], f, seq, 20)[0] == 1.0
 
 
 def test_rotation_four_cycle_cancels():
     rot = sy.Rotation.from_fraction(Fraction(1, 4))
-    a = ergodic_average(rot, 0, TrigOnRotation(1, "cos"), NATURALS, 4)
+    a = ergodic_average(rot, [0], TrigOnRotation(1, "cos"), NATURALS, 4)[0]
     assert abs(a) < 1e-12
 
 
@@ -65,11 +65,11 @@ def test_vectorized_average_matches_bruteforce():
     x = sy.sample_point(FAIR, 7)
     f = CylinderIndicator(((0, 0),))
     for n in (1, 17, 1000):
-        assert ergodic_average(FAIR, x, f, PRIMES, n) == pytest.approx(
+        assert ergodic_average(FAIR, [x], f, PRIMES, n)[0] == pytest.approx(
             brute_average(FAIR, x, f, PRIMES, n), abs=1e-14
         )
     g = TrigOnRotation(1, "cos")
-    assert ergodic_average(GOLDEN, 5, g, NATURALS, 500) == pytest.approx(
+    assert ergodic_average(GOLDEN, [5], g, NATURALS, 500)[0] == pytest.approx(
         brute_average(GOLDEN, 5, g, NATURALS, 500), abs=1e-12
     )
 
@@ -77,7 +77,7 @@ def test_vectorized_average_matches_bruteforce():
 def test_bernoulli_average_near_half_across_seeds():
     f = CylinderIndicator(((0, 0),))
     devs = [
-        abs(ergodic_average(FAIR, sy.sample_point(FAIR, s), f, PRIMES, 10_000) - 0.5)
+        abs(ergodic_average(FAIR, [sy.sample_point(FAIR, s)], f, PRIMES, 10_000)[0] - 0.5)
         for s in range(30)
     ]
     assert max(devs) < 0.03
@@ -86,7 +86,7 @@ def test_bernoulli_average_near_half_across_seeds():
 def test_average_within_observable_bounds():
     f = CylinderIndicator(((0, 0), (3, 1)))
     x = sy.sample_point(FAIR, 3)
-    a = ergodic_average(FAIR, x, f, NATURALS, 1000)
+    a = ergodic_average(FAIR, [x], f, NATURALS, 1000)[0]
     lo, hi = f.bounds()
     assert lo - 1e-12 <= a <= hi + 1e-12
 
@@ -100,10 +100,10 @@ def test_linearity():
         alpha = rng.uniform(-1, 1)
         beta = rng.uniform(-1, 1)
         combo = LinearCombination(((alpha, f), (beta, g)))
-        lhs = ergodic_average(FAIR, x, combo, PRIMES, 2000)
-        rhs = alpha * ergodic_average(FAIR, x, f, PRIMES, 2000) + beta * ergodic_average(
-            FAIR, x, g, PRIMES, 2000
-        )
+        lhs = ergodic_average(FAIR, [x], combo, PRIMES, 2000)[0]
+        rhs = alpha * ergodic_average(FAIR, [x], f, PRIMES, 2000)[0] + beta * ergodic_average(
+            FAIR, [x], g, PRIMES, 2000
+        )[0]
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -139,11 +139,11 @@ def test_counted_indicator_sums_match_fsum(seed, n, density, cuts):
 
 def test_non_indicator_series_keep_fsum():
     x = GOLDEN.alpha_num // 3
-    cos_vals = TrigOnRotation(1, "cos").series(GOLDEN, x, np.arange(1, 5001, dtype=np.int64))
+    cos_vals = TrigOnRotation(1, "cos").series(GOLDEN, [x], np.arange(1, 5001, dtype=np.int64))[0]
     product = sy.ProductSystem((sy.FullShift.uniform(2), sy.Rotation.from_fraction("1/2")))
     point = (sy.sample_point(product.components[0], 3), 0)
     f = ProductOf((CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")))
-    prod_vals = f.series(product, point, np.arange(1, 5001, dtype=np.int64))
+    prod_vals = f.series(product, [point], np.arange(1, 5001, dtype=np.int64))[0]
     assert set(prod_vals.tolist()) == {0.0, 1.0, -1.0}
     late = np.zeros(2 * averaging._BLOCK + 9)
     late[-1] = 0.5  # the only non-0/1 value sits in the last block
@@ -316,7 +316,7 @@ def test_tuple_checkpoints_equal_fsum_of_the_pair_series():
 def test_trace_checkpoints_equal_fsum_of_the_series(system, x, f):
     cps = geometric_checkpoints(1, 70_000, 3)
     tr = average_trace(system, x, f, PRIMES, cps)
-    vals = f.series(system, x, np.array(generate_prefix(PRIMES, cps[-1]), dtype=np.int64))
+    vals = f.series(system, [x], np.array(generate_prefix(PRIMES, cps[-1]), dtype=np.int64))[0]
     assert hex_list(c.value for c in tr.checkpoints) == hex_list(
         s / n for s, n in zip(fsum_sums(vals, cps), cps)
     )
@@ -343,7 +343,7 @@ def test_trace_matches_fresh_averages_bit_for_bit():
     f = CylinderIndicator(((0, 0),))
     tr = average_trace(FAIR, x, f, PRIMES, [10, 100, 1000])
     for cp in tr.checkpoints:
-        assert cp.value == ergodic_average(FAIR, x, f, PRIMES, cp.n)
+        assert cp.value == ergodic_average(FAIR, [x], f, PRIMES, cp.n)[0]
 
 
 def test_trace_running_extrema():

@@ -130,7 +130,7 @@ CASES = st.one_of(shift_cases(BIASED), shift_cases(TWO_SIDED), rotation_cases(),
 def test_series_and_value_match_the_scalar_oracle(case, times):
     system, point, f = case
     expected = [oracle_value(f, system, sy.iterate(system, point, m)) for m in times]
-    got = f.series(system, point, np.array(times, dtype=np.int64))
+    got = f.series(system, [point], np.array(times, dtype=np.int64))[0]
     assert got.dtype == np.float64
     assert got.tolist() == expected  # float equality: a zero sum may differ in sign
     assert f.value(system, point) == oracle_value(f, system, point)
@@ -162,11 +162,11 @@ def test_negative_cylinder_coordinate_needs_a_two_sided_point():
     f = CylinderIndicator(((-1, 0),))
     one_sided = sy.SeededRandomPoint(1, BIASED.weights)
     with pytest.raises(DomainError):
-        f.series(BIASED, one_sided, [0, 1, 2])
+        f.series(BIASED, [one_sided], [0, 1, 2])
     with pytest.raises(DomainError):
         f.value(BIASED, one_sided)
     two_sided = sy.PeriodicPoint((0, 1, 2), 3, side=sy.TWO_SIDED)
-    assert f.series(TWO_SIDED, two_sided, [0, 1, 2]).tolist() == [0.0, 1.0, 0.0]
+    assert f.series(TWO_SIDED, [two_sided], [0, 1, 2]).tolist() == [[0.0, 1.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_trig_error_bound_holds_against_mpmath(h, component):
     rng = random.Random(h)
     x0 = rng.getrandbits(128)
     times = [0] + [rng.randrange(2**40) for _ in range(1000)]
-    got = f.series(GOLDEN, x0, np.array(times, dtype=np.int64)).tolist()
+    got = f.series(GOLDEN, [x0], np.array(times, dtype=np.int64))[0].tolist()
     exact_fn = mp.cos if component == "cos" else mp.sin
     worst = 0.0
     with mp.workprec(400):

@@ -28,9 +28,9 @@ def test_frozen_rotation_factorizes():
     theta_point = (theta.numerator << sy.FRACTION_BITS) // theta.denominator
     omega = sy.sample_point(FAIR, 424242)
     product = sy.ProductSystem((FAIR, HALF))
-    lhs = ergodic_average(product, (omega, theta_point), F_PROD, EVEN, 2000)
+    lhs = ergodic_average(product, [(omega, theta_point)], F_PROD, EVEN, 2000)[0]
     g_theta = math.cos(2 * math.pi * sy.rotation_orbit_fractions(HALF, theta_point, [0])[0])
-    bernoulli_part = ergodic_average(FAIR, omega, CylinderIndicator(((0, 0),)), EVEN, 2000)
+    bernoulli_part = ergodic_average(FAIR, [omega], CylinderIndicator(((0, 0),)), EVEN, 2000)[0]
     assert lhs == pytest.approx(g_theta * bernoulli_part, abs=1e-12)
 
 

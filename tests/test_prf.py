@@ -49,3 +49,34 @@ def test_fnv1a64_known_vector():
     # standard FNV-1a 64-bit test vector
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seeds=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=MASK64),
+            st.integers(min_value=2**63, max_value=MASK64),
+            st.integers(min_value=-(2**64), max_value=2**65),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    counters=st.lists(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=0, max_size=30
+    ),
+)
+def test_seed_rows_match_stacked_scalar_seed_calls(seeds, counters):
+    # one row per seed; a seed outside [0, 2**64) is reduced like the scalar path
+    arr = np.array(counters, dtype=np.int64)
+    rows = prf64_np(seeds, arr)
+    assert rows.dtype == np.uint64 and rows.shape == (len(seeds), len(counters))
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, prf64_np(seed, arr))
+        assert row.tolist() == [prf64(seed, n) for n in counters]
+    uint64_seeds = np.array([s & MASK64 for s in seeds], dtype=np.uint64)
+    assert np.array_equal(prf64_np(uint64_seeds, arr), rows)
+
+
+def test_seed_rows_of_no_seeds():
+    assert prf64_np([], np.arange(5)).shape == (0, 5)

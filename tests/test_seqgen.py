@@ -70,6 +70,50 @@ def test_primes_across_small_segments(block, segment):
         assert generate_prefix(SequenceSpec.primes(), 300) == oracle[:300]
 
 
+@pytest.mark.parametrize(
+    "count, segment", [(10**4, 997), (10**5, 1 << 14), (10**6, 1 << 18)]
+)
+def test_prime_prefix_sieves_up_to_the_rosser_bound(count, segment):
+    # a known count ends the last segment at n (ln n + ln ln n), above p_n;
+    # the streaming blocks (no count) keep doubling and give the same primes
+    streamed = np.array(block_terms(SequenceSpec.primes(), count), dtype=np.int64)
+    ends = []
+    sieve = seqgen._sieve
+
+    def recording(lo, hi, base):
+        ends.append(hi)
+        return sieve(lo, hi, base)
+
+    with mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment), \
+            mock.patch.object(seqgen, "_sieve", recording):
+        got = seqgen._prefix(SequenceSpec.primes(), count)[0]
+    assert np.array_equal(got, streamed)
+    bound = count * (math.log(count) + math.log(math.log(count)))
+    assert streamed[-1] < bound and max(ends) <= bound + 2
+
+
+def test_prime_prefix_of_1e5_sieves_1_4m_numbers():
+    ends = []
+    sieve = seqgen._sieve
+
+    def recording(lo, hi, base):
+        ends.append(hi)
+        return sieve(lo, hi, base)
+
+    with mock.patch.object(seqgen, "_sieve", recording):
+        seqgen._prefix(SequenceSpec.primes(), 10**5)
+    # segments [0, 2**17), [2**17, 3 * 2**17), [3 * 2**17, 7 * 2**17) and the
+    # last one cut at the bound; the doubling segments sieved 1,966,080 numbers
+    assert max(ends) == seqgen._prime_bound(10**5) == 1_395_641
+
+
+def test_prime_bound_starts_at_six():
+    assert seqgen._prime_bound(5) is None
+    assert seqgen._prime_bound(None) is None
+    assert generate_prefix(SequenceSpec.primes(), 6) == [2, 3, 5, 7, 11, 13]
+    assert seqgen._prime_bound(6) > 13
+
+
 @settings(deadline=None, max_examples=40)
 @given(block=st.integers(1, 50))
 def test_thue_morse_across_small_blocks(block):

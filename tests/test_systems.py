@@ -162,6 +162,68 @@ def test_rotation_orbit_fractions_match_bigint_oracle(alpha_num, x0, times):
     assert np.all((got >= 0.0) & (got < 1.0))
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**64 - 1)), max_size=8),
+    indices=st.lists(st.integers(0, 2**40), max_size=20),
+)
+def test_coordinates_of_rows_match_each_point(picks, indices):
+    # seeded points share the fair weights tuple, an equal copy or other weights
+    copy = tuple(list(FAIR.weights))
+
+    def point(kind, seed):
+        if kind == 0:
+            return sy.SeededRandomPoint(seed, FAIR.weights)
+        if kind == 1:
+            return sy.SeededRandomPoint(seed, copy)
+        if kind == 2:
+            return sy.SeededRandomPoint(seed, FAIR3.weights)
+        if kind == 3:
+            return sy.PeriodicPoint((seed % 2, 1), 2)
+        if kind == 4:
+            return sy.shift_point(sy.SeededRandomPoint(seed, FAIR.weights), seed % 1000)
+        tail = sy.SeededRandomPoint(seed, FAIR.weights)
+        return sy.BlockScheduledPoint((seed % 50 + 1,), (1, tail), 2)
+
+    points = [point(kind, seed) for kind, seed in picks]
+    idx = np.array(indices, dtype=np.int64)
+    rows = sy.coordinates_of(points, idx)
+    assert rows.dtype == np.int64 and rows.shape == (len(points), len(indices))
+    for p, row in zip(points, rows):
+        assert row.tolist() == [oracle_coordinate(p, i) for i in indices]
+
+
+NEAR_TOP = st.integers((1 << 128) - (1 << 70), (1 << 128) - 1)  # the low-word add carries
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    alpha_num=st.one_of(st.integers(0, (1 << 128) - 1), st.just(sy.GOLDEN_CONJUGATE)),
+    h=st.integers(-10**9, 10**9).filter(lambda h: abs(h) != 1),
+    starts=st.lists(st.one_of(st.integers(0, (1 << 128) - 1), NEAR_TOP), max_size=6),
+    times=st.lists(st.one_of(INT64, st.integers(-3, 3)), max_size=30),
+)
+def test_rotation_rows_match_per_start_calls(alpha_num, h, starts, times):
+    ts = np.array(times, dtype=np.int64)
+    for alpha in (alpha_num, (h * alpha_num) % sy.FRACTION_MOD):
+        rows = sy.rotation_orbit_fractions(sy.Rotation(alpha), starts, ts)
+        assert rows.shape == (len(starts), len(times))
+        for x0, row in zip(starts, rows):
+            assert np.array_equal(row, sy.rotation_orbit_fractions(sy.Rotation(alpha), x0, ts))
+            assert np.array_equal(row, bigint_orbit_fractions(alpha, x0, times))
+
+
+def test_rotation_rows_across_blocks_carry_into_the_high_word():
+    # 3 rows share each block of _GRID_BLOCK grid points; x0 = 2**128 - 1 makes
+    # almost every low-word add carry
+    rng = np.random.default_rng(4)
+    times = rng.integers(-(2**63), 2**63 - 1, size=sy._GRID_BLOCK + 7, dtype=np.int64)
+    starts = [(1 << 128) - 1, (1 << 128) - (1 << 64), 12345]
+    rows = sy.rotation_orbit_fractions(sy.Rotation.golden(), starts, times)
+    for x0, row in zip(starts, rows):
+        assert np.array_equal(row, bigint_orbit_fractions(sy.GOLDEN_CONJUGATE, x0, times.tolist()))
+
+
 def test_rotation_orbit_fractions_across_blocks():
     rng = np.random.default_rng(3)
     times = rng.integers(-(2**63), 2**63 - 1, size=3 * sy._GRID_BLOCK + 5, dtype=np.int64)
