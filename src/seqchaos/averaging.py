@@ -5,20 +5,24 @@ sequence spec {a_k}.  Every sum is exactly rounded: it is the float
 math.fsum returns, bit for bit, so the average of up to 10**7 bounded
 terms carries well below 1e-12 of summation error; the only other error
 sources are the declared per-evaluation bounds of the observable, and
-they are reported on every trace.  Sums run through a row-wise block
-superaccumulator (:class:`_RowSums`; the design follows Neal, "Fast
-exact summation using small and large superaccumulators",
-arXiv:1505.05571): a block of 0/1 values (indicators) adds its count of
-ones, any other block its mantissas per binary exponent, and each sum
-is rounded once.
+they are reported on every trace.  One routine, :func:`checkpoint_sums`,
+sums every average along a sequence: it reads a block source row by row
+into a row-wise superaccumulator (:class:`_RowSums`; the design follows
+Neal, "Fast exact summation using small and large superaccumulators",
+arXiv:1505.05571), where a block of 0/1 values (indicators) adds its
+count of ones and any other block its mantissas per binary exponent, and
+rounds each row's sum once at each checkpoint.  It alone holds the rule
+for the rows that ``math.fsum`` must sum itself.
 
 Sampled points are rows: :func:`ergodic_average` evaluates all of its
 points in one :meth:`Observable.series` call per block of times, so the
 PRF's counter mix and a rotation's products m * alpha are computed once
-per block for every point, and no points x N array is ever built.  A
-single point is the length-1 case.  Each row's sum is exact, so the
-averages never depend on how the points are cut into blocks or chunks,
-nor on the worker count of :func:`sampled_averages`.
+per block for every point, and no points x N array is ever built;
+:func:`average_trace` and the tuple averages of :mod:`seqchaos.chaos`
+read their series in blocks too.  A single point is the length-1 case.
+Each row's sum is exact, so the averages never depend on how the points
+are cut into blocks or chunks, nor on the worker count of
+:func:`sampled_averages`.
 
 Checkpointed traces record running extrema across the checkpoint
 ladder; the running minimum and maximum at the final checkpoint are the
@@ -44,14 +48,12 @@ from .seqgen import SequenceSpec, _validate_checkpoints, times_array
 SUM_ERROR_BOUND = 2.0**-50  # sums are exactly rounded; this is a generous blanket
 
 
-# Values per block of :func:`exact_sums`; cells (rows x values) per step
-# of the superaccumulator on a block that is not 0/1; and cells per
-# :meth:`Observable.series` call of :func:`ergodic_average`.  Steps and
-# series blocks keep their temporaries in cache.  Series blocks of 2**16
-# cells and more, or steps as large as them, measured slower on
+# Cells (rows x values) per step of the superaccumulator on a block that
+# is not 0/1, and per block that :func:`checkpoint_sums` asks of its
+# source.  Steps and blocks keep their temporaries in cache.  Blocks of
+# 2**16 cells and more, or steps as large as them, measured slower on
 # Linux/glibc: their temporaries pass the heap-trim threshold, so every
 # block faults its pages in again.
-_BLOCK = 1 << 16
 _STEP_CELLS = 1 << 14
 _CELLS = 1 << 15
 
@@ -159,27 +161,32 @@ class _RowSums:
         return [t + (k << _UNIT_BITS) for t, k in zip(self.folded, self.ones.tolist())]
 
 
-def exact_sums(vals: np.ndarray, ends: Sequence[int]) -> list[float]:
-    """``math.fsum(vals[:n])`` for each n of the increasing ``ends``, bit for bit.
+def checkpoint_sums(block, rows: int, ends: Sequence[int], again) -> list[list[float]]:
+    """Every row's exactly rounded sum at each of the increasing ``ends``.
 
-    The series goes once through :class:`_RowSums` as one row, in blocks
-    of _BLOCK values.  At each end CPython's correctly rounded int
-    division turns the exact sum into the float fsum returns.  fsum itself
-    sums the prefix when the exact total is 0 (it owns the sign of zero),
-    and from the first end whose prefix holds a non-finite value or could
-    overflow a partial sum (fsum raises there).
+    ``block(lo, hi)`` gives columns lo..hi-1 of every row as a rows x
+    (hi - lo) array.  The columns go once through :class:`_RowSums`, in
+    blocks of about _CELLS cells cut at every end, so no source is ever
+    held whole.  At each end n CPython's correctly rounded int division
+    turns a row's exact sum into the float ``math.fsum`` returns, bit for
+    bit.  A row falls back to ``math.fsum(again(r, n))``, where
+    ``again(r, n)`` gives row r's first n values, when its exact sum is 0
+    (fsum owns the sign of zero) and from the first end where it has
+    turned bad: it holds a non-finite value or could overflow a partial
+    sum (fsum raises there).  Returns one list of sums per row.
     """
-    acc = _RowSums(1)
-    sums = []
+    acc = _RowSums(rows)
+    step = max(1, _CELLS // max(1, rows))
+    sums: list[list[float]] = [[] for _ in range(rows)]
     start = 0
     for n in ends:
-        for lo in range(start, n, _BLOCK):
-            acc.add(vals[None, lo : min(lo + _BLOCK, n)], n)
-        if acc.bad[0]:
-            return sums + [math.fsum(vals[:m]) for m in ends[len(sums) :]]
+        for lo in range(start, n, step):
+            acc.add(block(lo, min(lo + step, n)), n)
         start = n
-        total = acc.totals()[0]
-        sums.append(total / (1 << _UNIT_BITS) if total else math.fsum(vals[:n]))
+        for r, (total, bad) in enumerate(zip(acc.totals(), acc.bad.tolist())):
+            sums[r].append(
+                total / (1 << _UNIT_BITS) if total and not bad else math.fsum(again(r, n))
+            )
     return sums
 
 
@@ -202,23 +209,19 @@ def ergodic_average(
     """(1/N) sum_{k=1}^{N} f(T**(a_k) x) for every x of ``points``, exactly summed.
 
     The points are the rows of one :meth:`Observable.series` call per
-    block of at most about _CELLS rows x times, and each row's block goes
-    into its row of one :class:`_RowSums`; no points x N array is built.
-    A row whose exact sum is 0, or that fsum must sum, is evaluated again
-    on its own and summed by fsum, as :func:`exact_sums` does.
+    block of times, summed by :func:`checkpoint_sums`; no points x N array
+    is built.  A row that fsum must sum is evaluated again on its own.
     """
     if n_terms < 1:
         raise ConfigError("n_terms must be >= 1")
     ts = times_array(seq, n_terms)
-    acc = _RowSums(len(points))
-    step = max(1, _CELLS // max(1, len(points)))
-    for lo in range(0, n_terms, step):
-        acc.add(f.series(system, points, ts[lo : lo + step]), n_terms)
-    return [
-        (total / (1 << _UNIT_BITS) if total and not bad
-         else math.fsum(f.series(system, [x], ts)[0])) / n_terms
-        for x, total, bad in zip(points, acc.totals(), acc.bad.tolist())
-    ]
+    sums = checkpoint_sums(
+        lambda lo, hi: f.series(system, points, ts[lo:hi]),
+        len(points),
+        [n_terms],
+        lambda r, n: f.series(system, [points[r]], ts[:n])[0],
+    )
+    return [total / n_terms for (total,) in sums]
 
 
 @dataclass(frozen=True)
@@ -281,11 +284,15 @@ def average_trace(
     """
     cps = _validate_checkpoints(checkpoints)
     ts = times_array(seq, cps[-1])
-    vals = f.series(system, [x], ts)[0]
+
+    def values(lo: int, hi: int) -> np.ndarray:
+        return f.series(system, [x], ts[lo:hi])
+
+    (sums,) = checkpoint_sums(values, 1, cps, lambda r, n: values(0, n)[r])
     entries = []
     run_min = math.inf
     run_max = -math.inf
-    for n, total in zip(cps, exact_sums(vals, cps)):
+    for n, total in zip(cps, sums):
         a = total / n
         run_min = min(run_min, a)
         run_max = max(run_max, a)
@@ -526,7 +533,7 @@ def empirical_measure(
         for i, cell in enumerate(partition):
             mask = np.ones(len(ts), dtype=bool)
             for c, s in cell.constraints:
-                mask &= x.coordinates(ts + c) == s
+                mask &= x.coordinates(sy._offset(ts, c)) == s
             counts[i] = int(np.count_nonzero(mask & remaining))
             remaining &= ~mask
     return EmpiricalMeasure(

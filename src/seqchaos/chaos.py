@@ -7,8 +7,11 @@ tracked along a checkpoint ladder:
     max-average(N) = (1/N) sum_{k<=N} max_{i<j} d(T**(a_k) x_i, T**(a_k) x_j)
     min-average(N) = (1/N) sum_{k<=N} min_{i<j} d(T**(a_k) x_i, T**(a_k) x_j)
 
-The pairwise series come from :func:`systems.distance_series`, which
-shares each point's tape across the pairs of a tuple.
+Each block of times is one :func:`systems.distance_series` call with the
+pairs i < j as rows, so each point reads its tape once for all of its
+pairs; the block's max and min over the rows are the two rows that
+:func:`averaging.checkpoint_sums` sums exactly, and no array as long as
+the run is built.
 
 A tuple behaves chaotically in the mean sense when the running minimum
 of the max-average (the liminf proxy) is near zero while the running
@@ -24,6 +27,7 @@ checks every certified inequality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import systems as sy
-from .averaging import SUM_ERROR_BOUND, exact_sums
+from .averaging import SUM_ERROR_BOUND, checkpoint_sums
 from .errors import ConfigError, DomainError, SequenceOverflowError
 from .pool import parallel_map
 from .prf import child_seed
@@ -85,21 +89,14 @@ def tuple_distance_averages(
         raise DomainError("need at least two points")
     cps = _validate_checkpoints(checkpoints)
     ts = times_array(seq, cps[-1])
-    pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1 :]]
-    # every pair of a block shares its points' tapes; blocks bound the memo
-    # to sy._TAPE_CELLS windows a point
-    dmax = np.empty(len(ts), dtype=np.float64)
-    dmin = np.empty(len(ts), dtype=np.float64)
-    for lo in range(0, len(ts), sy._TAPE_CELLS):
-        block = ts[lo : lo + sy._TAPE_CELLS]
-        tapes: dict = {}
-        pair_series = [distance_series(system, x, y, block, memo=tapes) for x, y in pairs]
-        dmax[lo : lo + len(block)] = np.maximum.reduce(pair_series)
-        dmin[lo : lo + len(block)] = np.minimum.reduce(pair_series)
-    entries = [
-        TupleCheckpoint(n, high / n, low / n)
-        for n, high, low in zip(cps, exact_sums(dmax, cps), exact_sums(dmin, cps))
-    ]
+    xs, ys = zip(*itertools.combinations(points, 2))
+
+    def extremes(lo: int, hi: int) -> np.ndarray:
+        pairs = distance_series(system, xs, ys, ts[lo:hi])
+        return np.stack([pairs.max(axis=0), pairs.min(axis=0)])
+
+    highs, lows = checkpoint_sums(extremes, 2, cps, lambda r, n: extremes(0, n)[r])
+    entries = [TupleCheckpoint(n, high / n, low / n) for n, high, low in zip(cps, highs, lows)]
     return TupleChaosReport(
         tuple_size=len(points),
         checkpoints=tuple(entries),

@@ -94,7 +94,7 @@ class CylinderIndicator(Observable):
         ts = np.asarray(times, dtype=np.int64)
         out = np.ones((len(points), len(ts)), dtype=bool)
         for c, s in self.constraints:
-            out &= sy.coordinates_of(points, ts + c) == s
+            out &= sy.coordinates_of(points, sy._offset(ts, c)) == s
         return out.astype(np.float64)
 
     def integral(self, system) -> float | None:
@@ -199,8 +199,11 @@ class ProductOf(Observable):
         return lo, hi
 
     def error_bound(self) -> float:
-        # factors are bounded by 1 in magnitude for all supported kinds
-        return math.fsum(f.error_bound() for f in self.factors)
+        # factors are bounded by 1 in magnitude for all supported kinds, so
+        # their errors add; each product after the first rounds a value below
+        # 1 in magnitude, by at most 2**-54
+        factors = math.fsum(f.error_bound() for f in self.factors)
+        return factors + (len(self.factors) - 1) * 2.0**-54
 
     def describe(self) -> str:
         return "Product[" + " * ".join(f.describe() for f in self.factors) + "]"

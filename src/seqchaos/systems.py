@@ -18,9 +18,11 @@ Iteration at time m costs O(polylog m): shifts return a shifted view,
 rotations a single multiply-reduce.  Every metric is truncated at a
 configurable coordinate window ``w`` and the truncation error bound
 (2**-w style) is available alongside via :func:`metric_error_bound`.
-:func:`distance_series` evaluates d(T**m x, T**m y) for a whole array of
-times without iterating: a shift-type metric is one reduction of the
-windows of a difference tape, and :func:`distance` is the length-1 case.
+:func:`distance_series` evaluates d(T**m x, T**m y) for a list of pairs
+(x, y), one row each, and a whole array of times without iterating: a
+shift-type metric is one reduction of the windows of a difference tape,
+and each distinct point reads its tape once for all of its pairs.
+:func:`distance` is the one-pair, one-time case.
 
 Nothing here mutates after construction; points and systems are safe to
 share across any number of workers.
@@ -285,7 +287,7 @@ class ExtendedPoint:
     def alphabet_size(self) -> int:
         return self.base.alphabet_size
 
-    def tape_coordinates(self, indices: np.ndarray) -> np.ndarray:
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
         """Tape symbols at every coordinate of ``indices``, negative ones included."""
         jj = _offset(indices, self.offset)
         out = np.empty(jj.shape, dtype=np.int64)
@@ -319,7 +321,7 @@ class _TapeView(SymbolicPoint):
         return self.ext.alphabet_size
 
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.ext.tape_coordinates(_offset(indices, 1 - self.depth))
+        return self.ext.coordinates(_offset(indices, 1 - self.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +490,7 @@ def iterate(system: SystemSpec, point: Point, m: int):
 #
 # Every shift-type metric reads a window [m + lo, m + lo + span) of both
 # points at each time m and reduces the rows of the difference tape; a
-# system's kind picks only the window, the reader and the row reducer.
+# system's kind picks only the window and the row reducer.
 
 
 _POWERS = np.ldexp(1.0, -np.arange(1, MAX_WINDOW + 1))  # 2**-1 .. 2**-53
@@ -524,16 +526,16 @@ def _extension(base, rows: np.ndarray) -> np.ndarray:
 
 
 def _metric_window(system: FullShift | NaturalExtension):
-    """(reader, lo, span, row reducer) of a shift-type metric."""
+    """(lo, span, row reducer) of a shift-type metric."""
     w = system.window
     if isinstance(system, NaturalExtension):
         base = _summed if system.base.metric == METRIC_SUMMED else _first_difference
-        return "tape_coordinates", 1 - w, 2 * w - 1, partial(_extension, base)
+        return 1 - w, 2 * w - 1, partial(_extension, base)
     if system.metric == METRIC_FIRST_DIFFERENCE:
-        return "coordinates", 0, w, _first_difference
+        return 0, w, _first_difference
     if system.side == TWO_SIDED:
-        return "coordinates", 1 - w, 2 * w - 1, _two_sided
-    return "coordinates", 0, w, _summed
+        return 1 - w, 2 * w - 1, _two_sided
+    return 0, w, _summed
 
 
 def _from_zero(runs) -> list[tuple[int, int]]:
@@ -607,100 +609,85 @@ def _tape_chunks(u: np.ndarray, lo: int, window: int):
         yield first, positions, offsets
 
 
-def _tape(p, reader: str, positions: np.ndarray, memo: dict | None, chunk: int) -> np.ndarray:
-    if memo is None:
-        return getattr(p, reader)(positions)
-    key = (id(p), chunk)
-    if key not in memo:
-        # one byte a cell up to 256 symbols; holding p keeps its id unique
-        symbols = getattr(p, reader)(positions).astype(np.min_scalar_type(p.alphabet_size - 1))
-        memo[key] = (p, symbols)
-    return memo[key][1]
-
-
-def _series_from_windows(system, x, y, times: np.ndarray, memo: dict | None) -> np.ndarray:
-    # Each point's tape is read once per chunk and kept in ``memo`` under
-    # (id(point), chunk) across the pairs of a tuple, next to the window
-    # layout under "layout"; every window is then a gather, reduced in
-    # blocks of at most _GATHER_CELLS cells.
+def _series_from_windows(system, xs, ys, times: np.ndarray) -> np.ndarray:
+    # Every distinct point (by identity) reads each tape chunk once through
+    # its own ``coordinates``, for all of its rows; every window is then a
+    # gather, reduced in blocks of at most _GATHER_CELLS cells.
     if not len(times):
-        return np.empty(0, dtype=np.float64)
-    reader, lo, span, reduce = _metric_window(system)
-    layout = None if memo is None else memo.get("layout")
-    if layout is None or layout[0] is not times or layout[1] != (lo, span):
-        u, inverse = (times, [0]) if len(times) == 1 else np.unique(times, return_inverse=True)
-        if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
-            raise DomainError("times too close to the 64-bit range for the metric window")
-        layout = (times, (lo, span), u, inverse)
-        if memo is not None:
-            memo.clear()
-            memo["layout"] = layout
-    _, _, u, inverse = layout
+        return np.empty((len(xs), 0), dtype=np.float64)
+    lo, span, reduce = _metric_window(system)
+    u, inverse = (times, [0]) if len(times) == 1 else np.unique(times, return_inverse=True)
+    if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
+        raise DomainError("times too close to the 64-bit range for the metric window")
+    points = {id(p): p for p in (*xs, *ys)}
     rows = max(1, _GATHER_CELLS // span)
-    out = np.empty(len(u), dtype=np.float64)
-    for chunk, positions, offsets in _tape_chunks(u, lo, span):
-        diff = _tape(x, reader, positions, memo, chunk) != _tape(y, reader, positions, memo, chunk)
-        windows = sliding_window_view(diff, span)
-        for i in range(0, len(offsets), rows):
-            block = windows[offsets[i : i + rows]]
-            out[chunk + i : chunk + i + len(block)] = reduce(block)
-    return out[inverse]
+    out = np.empty((len(xs), len(u)), dtype=np.float64)
+    for first, positions, offsets in _tape_chunks(u, lo, span):
+        tapes = {key: p.coordinates(positions) for key, p in points.items()}
+        for r, (x, y) in enumerate(zip(xs, ys)):
+            windows = sliding_window_view(tapes[id(x)] != tapes[id(y)], span)
+            for i in range(0, len(offsets), rows):
+                block = windows[offsets[i : i + rows]]
+                out[r, first + i : first + i + len(block)] = reduce(block)
+    return out[:, inverse]
 
 
-def distance_series(
-    system: SystemSpec, x: Point, y: Point, times, memo: dict | None = None
-) -> np.ndarray:
-    """d(T**m x, T**m y) for every m in ``times``, truncated at the metric window.
+def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np.ndarray:
+    """d(T**m x, T**m y) for every pair (x, y) of ``zip(xs, ys)`` and every m
+    in ``times``, truncated at the metric window: one row per pair.
 
     Shift-type metrics (every full shift and the natural extension) reduce
-    the windows of a difference tape, or take interval algebra for
-    piecewise-constant points of a one-sided summed shift; both are exact,
-    as ``FullShift`` caps the window at 53 coordinates.  A rotation's series
-    is constant; a product ``fsum``s its weighted component series.
-    Whatever :func:`iterate` refuses at some time raises ``DomainError``.
+    the windows of a difference tape, or take interval algebra when every
+    point is piecewise constant on a one-sided summed shift; both are
+    exact, as ``FullShift`` caps the window at 53 coordinates.  A
+    rotation's rows are constant; a product ``fsum``s its weighted
+    component rows.  Whatever :func:`iterate` refuses at some time raises
+    ``DomainError``.
 
-    The tape is read in chunks of about 2**17 cells, so working memory does
-    not grow with the gaps between times.  ``memo`` is an optional dict
-    shared by calls over the same ``times``: it keeps each point's tape
-    (one byte a cell for up to 256 symbols), so a point that belongs to
-    several pairs is evaluated once.  It is reset when ``times`` or the
-    window changes; callers bound it by passing ``times`` in blocks.
+    Each distinct point reads its tape once per chunk of about 2**17
+    cells for all the rows it belongs to, so working memory does not grow
+    with the gaps between times and a tuple's pairs share their reads.
     """
+    if len(xs) != len(ys):
+        raise DomainError("need one y for every x")
     ts = _as_times(times)
     if not isinstance(system, (Rotation, NaturalExtension)) and len(ts) and ts.min() < 0:
         raise DomainError("negative iteration on a non-invertible system")
     if isinstance(system, Rotation):
-        delta = (x - y) % FRACTION_MOD
-        return np.full(len(ts), min(delta, FRACTION_MOD - delta) / FRACTION_MOD)
+        deltas = [(x - y) % FRACTION_MOD for x, y in zip(xs, ys)]
+        rows = np.array([min(d, FRACTION_MOD - d) / FRACTION_MOD for d in deltas])
+        return np.repeat(rows.reshape(-1, 1), len(ts), axis=1)
     if isinstance(system, ProductSystem):
-        if len(x) != len(system.components) or len(y) != len(system.components):
+        k = len(system.components)
+        if any(len(p) != k for p in (*xs, *ys)):
             raise DomainError("component count mismatch")
         parts = [
-            2.0 ** (-(j + 1))
-            * distance_series(c, xc, yc, ts, None if memo is None else memo.setdefault(j, {}))
-            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
+            2.0 ** (-(j + 1)) * distance_series(c, [x[j] for x in xs], [y[j] for y in ys], ts)
+            for j, c in enumerate(system.components)
         ]
-        return _row_fsums(np.stack(parts, axis=1))
+        return _row_fsums(np.stack(parts, axis=-1).reshape(-1, k)).reshape(len(xs), len(ts))
     if isinstance(system, FullShift):
-        if getattr(x, "side", None) != system.side or getattr(y, "side", None) != system.side:
+        if any(getattr(p, "side", None) != system.side for p in (*xs, *ys)):
             raise DomainError("points do not live in this shift space")
-        rx, ry = _symbol_runs(x), _symbol_runs(y)
-        if system.side == ONE_SIDED and system.metric == METRIC_SUMMED and None not in (rx, ry):
-            return _series_from_runs(rx, ry, ts, system.window)
+        if system.side == ONE_SIDED and system.metric == METRIC_SUMMED:
+            runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
+            if all(None not in pair for pair in runs):
+                rows = [_series_from_runs(rx, ry, ts, system.window) for rx, ry in runs]
+                return np.array(rows, dtype=np.float64).reshape(len(xs), len(ts))
     elif not isinstance(system, NaturalExtension):
         raise ConfigError(f"unknown system {system!r}")
-    elif not (isinstance(x, ExtendedPoint) and isinstance(y, ExtendedPoint)):
+    elif not all(isinstance(p, ExtendedPoint) for p in (*xs, *ys)):
         raise DomainError("natural extension iterates ExtendedPoint values")
-    return _series_from_windows(system, x, y, ts, memo)
+    return _series_from_windows(system, xs, ys, ts)
 
 
 def distance(system: SystemSpec, x: Point, y: Point) -> float:
-    """Metric evaluation: the length-1 case of :func:`distance_series`.
+    """Metric evaluation: the one-pair, one-time case of :func:`distance_series`.
 
     The certified truncation bound is :func:`metric_error_bound`; the
     true distance lies within that bound of the returned value.
     """
-    return float(distance_series(system, x, y, [0])[0])
+    return float(distance_series(system, [x], [y], [0])[0, 0])
 
 
 def metric_error_bound(system: SystemSpec) -> float:

@@ -10,7 +10,6 @@ from functools import lru_cache
 import numpy as np
 
 import seqchaos.systems as sy
-from seqchaos.averaging import exact_sums
 from seqchaos.errors import DomainError
 from seqchaos.prf import prf64
 from seqchaos.seqgen import times_array
@@ -101,6 +100,6 @@ def oracle_series(system, x, y, times):
 
 
 def oracle_average(system, x, f, seq, n_terms):
-    """A_N f(x) of one point: its whole series at once, exactly summed."""
+    """A_N f(x) of one point: its whole series at once, summed by fsum."""
     vals = f.series(system, [x], times_array(seq, n_terms))[0]
-    return exact_sums(vals, [n_terms])[0] / n_terms
+    return math.fsum(vals) / n_terms

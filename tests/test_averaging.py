@@ -20,11 +20,10 @@ from seqchaos.averaging import (
     dyadic_arcs,
     empirical_measure,
     ergodic_average,
-    exact_sums,
     geometric_checkpoints,
     very_good_deviation,
 )
-from seqchaos.errors import ConfigError
+from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
     Constant,
     CylinderIndicator,
@@ -111,6 +110,12 @@ def test_linearity():
 # exact reduction
 
 
+def exact_sums(vals, ends):
+    # the one summation routine with an array as its single row
+    return averaging.checkpoint_sums(lambda lo, hi: vals[None, lo:hi], 1, ends,
+                                     lambda r, n: vals[:n])[0]
+
+
 def fsum_sums(vals, ends):
     # reference: compensated summation of every prefix
     return [math.fsum(vals[:n]) for n in ends]
@@ -123,7 +128,7 @@ def hex_list(values):
 @settings(deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 3 * averaging._BLOCK + 7),
+    n=st.integers(1, 3 * averaging._CELLS + 7),
     density=st.sampled_from([0.0, 0.001, 0.5, 0.999, 1.0]),
     cuts=st.lists(st.floats(0, 1), max_size=6),
 )
@@ -145,7 +150,7 @@ def test_non_indicator_series_keep_fsum():
     f = ProductOf((CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")))
     prod_vals = f.series(product, [point], np.arange(1, 5001, dtype=np.int64))[0]
     assert set(prod_vals.tolist()) == {0.0, 1.0, -1.0}
-    late = np.zeros(2 * averaging._BLOCK + 9)
+    late = np.zeros(2 * averaging._CELLS + 9)
     late[-1] = 0.5  # the only non-0/1 value sits in the last block
     for vals in (cos_vals, prod_vals, late):
         assert not averaging._is_indicator(vals)
@@ -188,20 +193,20 @@ def test_exact_sums_match_fsum_at_every_end(data, values, block, fold):
     # folds of the per-exponent sums between ends
     vals = np.array(values)
     ends = draw_ends(data, len(vals))
-    with mock.patch.object(averaging, "_BLOCK", block), mock.patch.object(
+    with mock.patch.object(averaging, "_CELLS", block), mock.patch.object(
         averaging, "_FOLD_EVERY", fold
     ):
         assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
 
 
-@pytest.mark.parametrize("block", [1, 16, averaging._BLOCK])
+@pytest.mark.parametrize("block", [1, 16, 1 << 16])  # 1 << 16: one block for the whole series
 def test_exact_sums_keep_fsums_intermediate_overflow(block):
     # no value reaches 2**1020, but 32 of them reach 2**1024 on the way to a
     # total of 1: fsum raises, and so must every end from the 32nd on
     vals = np.array([2.0**1019] * 40 + [-(2.0**1019)] * 40 + [1.0])
     with pytest.raises(OverflowError):
         math.fsum(vals)
-    with mock.patch.object(averaging, "_BLOCK", block):
+    with mock.patch.object(averaging, "_CELLS", block):
         assert exact_sums(vals, [1, 15, 31]) == fsum_sums(vals, [1, 15, 31])
         for ends in ([32], [1, 40], [81]):
             with pytest.raises(OverflowError):
@@ -220,7 +225,7 @@ def test_exact_sums_of_huge_cancellations_match_fsum(data, big, small, block):
     values = data.draw(st.permutations(big + [-v for v in big] + small))
     vals = np.array(values)
     ends = draw_ends(data, len(vals))
-    with mock.patch.object(averaging, "_BLOCK", block):
+    with mock.patch.object(averaging, "_CELLS", block):
         assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
 
 
@@ -231,7 +236,7 @@ def test_exact_sums_of_zero_totals_match_fsum(data, values, block):
     # an exact total of 0 takes fsum's sign of zero
     vals = np.array(data.draw(st.permutations(values + [-v for v in values])))
     ends = draw_ends(data, len(vals))
-    with mock.patch.object(averaging, "_BLOCK", block):
+    with mock.patch.object(averaging, "_CELLS", block):
         assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
 
 
@@ -247,11 +252,11 @@ def test_exact_sums_with_non_finite_values_match_fsum(data, values, special, blo
         values.insert(data.draw(st.integers(0, len(values))), s)
     vals = np.array(values)
     ends = draw_ends(data, len(vals))
-    with mock.patch.object(averaging, "_BLOCK", block):
+    with mock.patch.object(averaging, "_CELLS", block):
         assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
 
 
-@pytest.mark.parametrize("block", [1, 7, averaging._BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])  # 1 << 16: one block for the whole series
 @pytest.mark.parametrize(
     "vals",
     [
@@ -266,14 +271,14 @@ def test_exact_sums_with_non_finite_values_match_fsum(data, values, special, blo
 )
 def test_exact_sums_edge_series_match_fsum(vals, block):
     ends = [1, 2, 64, 65, 129, 130]
-    with mock.patch.object(averaging, "_BLOCK", block):
+    with mock.patch.object(averaging, "_CELLS", block):
         assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
 
 
 @settings(deadline=None, max_examples=25)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 3 * averaging._BLOCK + 7),
+    n=st.integers(1, 3 * averaging._CELLS + 7),
     spread=st.integers(0, 600),
     cuts=st.lists(st.floats(0, 1), max_size=6),
 )
@@ -287,13 +292,16 @@ def test_exact_sums_across_real_blocks_match_fsum(seed, n, spread, cuts):
 
 def test_tuple_checkpoints_equal_fsum_of_the_pair_series():
     # window-48 distances are not 0/1, so the block sum runs; the checkpoints
-    # cut across summation blocks and across the tuple's blocks of terms
+    # cut across the tuple's blocks of terms (two rows fill the cell budget)
+    # and across tape chunks
     system = sy.FullShift.uniform(2, window=48)
     pts = [sy.sample_point(system, s) for s in (4, 5, 6)]
-    cps = [1, 1000, averaging._BLOCK, averaging._BLOCK + 1, sy._TAPE_CELLS + 5, 140_000]
+    block = averaging._CELLS // 2
+    cps = [1, 1000, block, block + 1, sy._TAPE_CELLS + 5, 140_000]
     rep = chaos.tuple_distance_averages(system, pts, NATURALS, cps)
     ts = np.arange(1, cps[-1] + 1, dtype=np.int64)
-    series = [chaos.distance_series(system, x, y, ts) for i, x in enumerate(pts) for y in pts[i + 1 :]]
+    xs, ys = zip(*((x, y) for i, x in enumerate(pts) for y in pts[i + 1 :]))
+    series = chaos.distance_series(system, xs, ys, ts)
     dmax, dmin = np.maximum.reduce(series), np.minimum.reduce(series)
     assert not averaging._is_indicator(dmax)
     assert hex_list(c.max_average for c in rep.checkpoints) == hex_list(
@@ -469,6 +477,15 @@ def test_arc_membership_is_exact_on_dyadics():
     m = empirical_measure(rot, 0, dyadic_arcs(1), NATURALS, 101)
     # orbit alternates 1/2, 0, 1/2, ... starting at a_1 = 1
     assert m.counts == (50, 51)
+
+
+def test_cylinder_cells_past_int64_raise_instead_of_wrapping():
+    x = sy.sample_point(FAIR, 2)
+    cells = cylinder_partition(2, [0, 1])
+    last = SequenceSpec.explicit([2**63 - 2])
+    assert empirical_measure(FAIR, x, cells, last, 1).total == 1
+    with pytest.raises(DomainError):
+        empirical_measure(FAIR, x, cells, SequenceSpec.explicit([2**63 - 1]), 1)
 
 
 def bisect_arc_counts(system, x, partition, times):

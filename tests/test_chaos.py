@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqchaos.averaging as averaging
 import seqchaos.chaos as chaos
 import seqchaos.systems as sy
 from seqchaos.chaos import (
@@ -46,7 +47,7 @@ def test_interval_path_matches_scalar_metric():
     x = sy.BlockScheduledPoint((10, 25, 60), (0, 1, 0, 1), alphabet_size=2)
     y = sy.BlockScheduledPoint((15, 40), (1, 0, 1), alphabet_size=2)
     times = np.arange(1, 101, dtype=np.int64)
-    fast = distance_series(FAIR, x, y, times)
+    fast = distance_series(FAIR, [x], [y], times)[0]
     assert fast.tolist() == oracle_series(FAIR, x, y, times)
 
 
@@ -54,7 +55,7 @@ def test_window_path_matches_scalar_metric():
     x = sy.sample_point(FAIR, 1)
     y = sy.sample_point(FAIR, 2)
     times = np.array([1, 2, 3, 50, 1000, 12345], dtype=np.int64)
-    fast = distance_series(FAIR, x, y, times)
+    fast = distance_series(FAIR, [x], [y], times)[0]
     assert fast.tolist() == oracle_series(FAIR, x, y, times)
 
 
@@ -62,7 +63,30 @@ def test_mixed_point_kinds_use_window_path():
     x = sy.sample_point(FAIR, 3)
     y = zeros()
     times = np.arange(1, 64, dtype=np.int64)
-    assert distance_series(FAIR, x, y, times).tolist() == oracle_series(FAIR, x, y, times)
+    assert distance_series(FAIR, [x], [y], times)[0].tolist() == oracle_series(FAIR, x, y, times)
+
+
+@pytest.mark.parametrize(
+    "system, pairs",
+    [
+        (FAIR, [(zeros(), sy.BlockScheduledPoint((3, 40), (0, 1, 0), 2)), (zeros(), ones())]),
+        (FAIR, [(zeros(), ones()), (sy.sample_point(FAIR, 1), sy.sample_point(FAIR, 2)),
+                (sy.sample_point(FAIR, 2), zeros())]),
+        (sy.ProductSystem((FAIR, sy.Rotation.golden())),
+         [((zeros(), 1), (ones(), 2**127)), ((sy.sample_point(FAIR, 1), 5), (zeros(), 7))]),
+    ],
+    ids=["intervals", "mixed", "product"],
+)
+def test_pairs_as_rows_keep_each_pairs_series(system, pairs):
+    # the pairs of one call share their points' reads, never their values
+    times = np.array([3, 0, 41, 2**40, 3], dtype=np.int64)
+    xs, ys = zip(*pairs)
+    got = distance_series(system, xs, ys, times)
+    assert got.tolist() == [oracle_series(system, x, y, times) for x, y in pairs]
+    assert distance_series(system, [], [], times).shape == (0, len(times))
+    assert distance_series(system, xs, ys, []).shape == (len(pairs), 0)
+    with pytest.raises(DomainError):
+        distance_series(system, xs, ys[:1], times)
 
 
 @pytest.mark.parametrize(
@@ -75,17 +99,17 @@ def test_mixed_point_kinds_use_window_path():
 )
 def test_series_refuses_what_iterate_refuses(x, y):
     with pytest.raises(DomainError):
-        distance_series(FAIR, x, y, np.array([-5, 3], dtype=np.int64))
+        distance_series(FAIR, [x], [y], np.array([-5, 3], dtype=np.int64))
     two_sided = sy.PeriodicPoint((0,), 2, side=sy.TWO_SIDED)
     for a, b in ((x, two_sided), (two_sided, y)):
         with pytest.raises(DomainError):
-            distance_series(FAIR, a, b, np.array([0, 3], dtype=np.int64))
+            distance_series(FAIR, [a], [b], np.array([0, 3], dtype=np.int64))
     prod = sy.ProductSystem((FAIR, sy.Rotation.golden()))
     for a, b in (((x,), (y, 0)), ((x, 0), (y, 0, 0))):
         with pytest.raises(DomainError):
-            distance_series(prod, a, b, np.array([0, 3], dtype=np.int64))
+            distance_series(prod, [a], [b], np.array([0, 3], dtype=np.int64))
     with pytest.raises(DomainError):
-        distance_series(prod, (x, 0), (y, 0), np.array([-1], dtype=np.int64))
+        distance_series(prod, [(x, 0)], [(y, 0)], np.array([-1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +179,9 @@ def test_tape_matches_window_gather_and_scalar_metric(data, window, times):
     x, y = data.draw(tape_points(weights)), data.draw(tape_points(weights))
     system = sy.FullShift.bernoulli(weights, window=window)
     ts = np.array(times, dtype=np.int64)
-    got = distance_series(system, x, y, ts)
-    assert got.dtype == np.float64 and got.shape == ts.shape
+    got = distance_series(system, [x], [y], ts)
+    assert got.dtype == np.float64 and got.shape == (1, len(ts))
+    got = got[0]
     assert got.tobytes() == window_gather(x, y, ts, window).tobytes()
     assert got.tolist() == oracle_series(system, x, y, ts)
 
@@ -174,25 +199,27 @@ def test_tuple_shares_one_tape_per_point(data, size, window, times):
     pts = [CountingPoint(sy.SeededRandomPoint(s, weights)) for s in seeds]
     system = sy.FullShift.bernoulli(weights, window=window)
     ts = np.array(times, dtype=np.int64)
-    pairs = list(itertools.combinations(pts, 2))
-    oracle = [window_gather(x, y, ts, window) for x, y in pairs]
+    xs, ys = zip(*itertools.combinations(pts, 2))
+    oracle = [window_gather(x, y, ts, window) for x, y in zip(xs, ys)]
     for p in pts:
         p.reads = 0
 
-    memo = {}
-    for (x, y), ref in zip(pairs, oracle):
-        assert distance_series(system, x, y, ts, memo=memo).tobytes() == ref.tobytes()
+    # one call for every pair of the tuple: each point reads its tape once
+    got = distance_series(system, xs, ys, ts)
+    assert got.tobytes() == np.stack(oracle).tobytes()
     assert [p.reads for p in pts] == [1] * size
-    # a memo handed other times starts over instead of reusing stale tapes
     rev = ts[::-1].copy()
-    x, y = pairs[0]
-    assert distance_series(system, x, y, rev, memo=memo).tobytes() == oracle[0][::-1].tobytes()
+    assert distance_series(system, xs[:1], ys[:1], rev)[0].tobytes() == oracle[0][::-1].tobytes()
 
     for p in pts:
         p.reads = 0
     cps = sorted({1, len(ts)})
-    rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), cps)
-    assert [p.reads for p in pts] == [1] * size
+    with mock.patch.object(chaos, "distance_series", wraps=chaos.distance_series) as calls:
+        rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), cps)
+    # one block of times up to each checkpoint, and one fsum pass for each
+    # row (max, min) whose exact sum is 0 there; each call reads each tape once
+    assert len(calls.call_args_list) <= 3 * len(cps)
+    assert [p.reads for p in pts] == [len(calls.call_args_list)] * size
     dmax, dmin = np.maximum.reduce(oracle), np.minimum.reduce(oracle)
     assert rep.checkpoints == tuple(
         TupleCheckpoint(n, math.fsum(dmax[:n]) / n, math.fsum(dmin[:n]) / n) for n in cps
@@ -219,9 +246,8 @@ def metric_terms(system):
 def summed_reference(system, x, y, times):
     # the summed metric term by term, read straight from both points
     lo, span, cols, weights = metric_terms(system)
-    read = "tape_coordinates" if isinstance(system, sy.NaturalExtension) else "coordinates"
     idx = (np.asarray(times, dtype=np.int64)[:, None] + np.arange(lo, lo + span)).ravel()
-    diff = (getattr(x, read)(idx) != getattr(y, read)(idx)).reshape(len(times), span)
+    diff = (x.coordinates(idx) != y.coordinates(idx)).reshape(len(times), span)
     return np.array([math.fsum(weights[row[cols]]) for row in diff], dtype=np.float64)
 
 
@@ -247,17 +273,15 @@ def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, 
         system = sy.NaturalExtension(system)
         pts = [sy.ExtendedPoint(base, past) for base, past in zip(reads[:size], reads[size:])]
     ts = np.array(times, dtype=np.int64)
-    pairs = list(itertools.combinations(pts, 2))
-    oracle = [summed_reference(system, x, y, ts) for x, y in pairs]
+    xs, ys = zip(*itertools.combinations(pts, 2))
+    oracle = [summed_reference(system, x, y, ts) for x, y in zip(xs, ys)]
     for p in reads:
         p.reads = p.most = 0
 
     with mock.patch.object(sy, "_TAPE_CELLS", cells), mock.patch.object(
         sy, "_GATHER_CELLS", gather
     ):
-        memo = {}
-        for (x, y), ref in zip(pairs, oracle):
-            assert distance_series(system, x, y, ts, memo=memo).tobytes() == ref.tobytes()
+        assert distance_series(system, xs, ys, ts).tobytes() == np.stack(oracle).tobytes()
         rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), [len(ts)])
     # a chunk ends at the window that starts before its last cell
     span = metric_terms(system)[1]
@@ -274,8 +298,8 @@ def test_sparse_tuple_reads_each_chunk_once():
     system = sy.FullShift.uniform(2, window=48)
     pts = [CountingPoint(sy.sample_point(system, s)) for s in (1, 2, 3)]
     with mock.patch.object(sy, "_TAPE_CELLS", 480), mock.patch.object(
-        chaos, "distance_series", wraps=chaos.distance_series
-    ) as calls:
+        averaging, "_CELLS", 2 * 480
+    ), mock.patch.object(chaos, "distance_series", wraps=chaos.distance_series) as calls:
         rep = tuple_distance_averages(system, pts, SQUARES, [1000])
         ts = np.array(generate_prefix(SQUARES, 1000), dtype=np.int64)
         chunks = sum(
@@ -283,8 +307,10 @@ def test_sparse_tuple_reads_each_chunk_once():
             for lo in range(0, 1000, 480)
         )
     assert chunks > 90
-    # the memo holds one block of times at a time
-    assert [len(c.args[3]) for c in calls.call_args_list] == [480] * 6 + [40] * 3
+    # one call a block of times (2 rows of 480 times fill the cell budget),
+    # with the three pairs as its rows
+    assert [len(c.args[3]) for c in calls.call_args_list] == [480, 480, 40]
+    assert [len(c.args[1]) for c in calls.call_args_list] == [3] * 3
     assert [p.reads for p in pts] == [chunks] * 3
     assert max(p.most for p in pts) <= 480 + 47
     oracle = [window_gather(x, y, ts, 48) for x, y in itertools.combinations(pts, 2)]
@@ -298,9 +324,9 @@ def test_tape_times_at_the_term_cap(window):
     x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
     last = MAX_TERM - window
     ts = np.array([last, 0, last], dtype=np.int64)
-    assert distance_series(system, x, y, ts).tolist() == oracle_series(system, x, y, ts)
+    assert distance_series(system, [x], [y], ts)[0].tolist() == oracle_series(system, x, y, ts)
     with pytest.raises(DomainError):
-        distance_series(system, x, y, np.array([0, last + 1], dtype=np.int64))
+        distance_series(system, [x], [y], np.array([0, last + 1], dtype=np.int64))
 
 
 @pytest.mark.parametrize("window", [1, 48, 53])
@@ -310,11 +336,11 @@ def test_extension_times_at_both_ends_of_int64(window):
     x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
     first, last = -(2**63) + window - 1, MAX_TERM - window
     ts = np.array([last, first, 0, first], dtype=np.int64)
-    assert distance_series(system, x, y, ts).tolist() == oracle_series(system, x, y, ts)
+    assert distance_series(system, [x], [y], ts)[0].tolist() == oracle_series(system, x, y, ts)
     # at w = 1 every int64 time fits, and first - 1 is no int64
     for bad in [last + 1] + ([first - 1] if window > 1 else []):
         with pytest.raises(DomainError):
-            distance_series(system, x, y, np.array([0, bad], dtype=np.int64))
+            distance_series(system, [x], [y], np.array([0, bad], dtype=np.int64))
 
 
 @pytest.mark.parametrize("window", [1, 48])
@@ -327,9 +353,9 @@ def test_shifted_points_near_int64_raise_instead_of_wrapping(kind, window):
     x, y = (sy.iterate(system, sy.sample_point(system, s), 10) for s in (1, 2))
     last = MAX_TERM - window - 9
     ts = np.array([last, 0], dtype=np.int64)
-    assert distance_series(system, x, y, ts).tolist() == oracle_series(system, x, y, ts)
+    assert distance_series(system, [x], [y], ts)[0].tolist() == oracle_series(system, x, y, ts)
     with pytest.raises(DomainError):
-        distance_series(system, x, y, np.array([0, last + 1], dtype=np.int64))
+        distance_series(system, [x], [y], np.array([0, last + 1], dtype=np.int64))
     with pytest.raises(DomainError):
         sy.distance(system, sy.iterate(system, x, last + 1), sy.iterate(system, y, last + 1))
 
@@ -337,8 +363,8 @@ def test_shifted_points_near_int64_raise_instead_of_wrapping(kind, window):
 def test_rotation_series_generic_path():
     rot = sy.Rotation.from_fraction(Fraction(1, 4))
     times = np.arange(4, dtype=np.int64)
-    got = distance_series(rot, 0, sy.FRACTION_MOD // 4, times)
-    assert got.tolist() == [0.25, 0.25, 0.25, 0.25]
+    got = distance_series(rot, [0, 1], [sy.FRACTION_MOD // 4, 1], times)
+    assert got.tolist() == [[0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +473,7 @@ def test_verify_measured_respects_bruteforce():
     ver = verify_scrambled(pts, cert, system, NATURALS)
     times = np.arange(1, 10, dtype=np.int64)
     brute = oracle_series(system, pts[0], pts[1], times)
-    assert distance_series(system, pts[0], pts[1], times).tolist() == brute
+    assert distance_series(system, [pts[0]], [pts[1]], times)[0].tolist() == brute
     n1, n2 = cert.checkpoint_indices
     assert ver.report.checkpoints[0].max_average == math.fsum(brute[:n1]) / n1
     assert ver.report.checkpoints[1].min_average == math.fsum(brute[:n2]) / n2

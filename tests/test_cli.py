@@ -219,6 +219,22 @@ def test_observable_outside_its_system_is_status_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cylinder_coordinate_past_int64_is_status_2(tmp_path, capsys):
+    # the time 2**63 - 1 plus the constraint coordinate 1 leaves int64: the
+    # run must refuse it, not read the wrapped coordinate -2**63
+    cfg = dict(
+        BASE_CONFIGS["VeryGoodDeviation"],
+        system={"kind": "FullShift", "weights": ["1/2", "1/2"]},
+        observable={"kind": "CylinderIndicator", "constraints": {"1": 0}},
+        sequence={"family": "Explicit", "terms": [2**63 - 1]},
+        n_terms=1,
+    )
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 2
+    assert "64-bit range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "lacunary", [{"family": "PolynomialFloor", "coefficients": [0, 0, 1]}, {"family": "Naturals"}]
 )

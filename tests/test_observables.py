@@ -169,6 +169,20 @@ def test_negative_cylinder_coordinate_needs_a_two_sided_point():
     assert f.series(TWO_SIDED, [two_sided], [0, 1, 2]).tolist() == [[0.0, 1.0, 0.0]]
 
 
+def test_cylinder_coordinate_past_int64_raises_instead_of_wrapping():
+    f = CylinderIndicator(((1, 0),))
+    points = [sy.sample_point(BIASED, 1), sy.PeriodicPoint((0,), 2)]
+    last = 2**63 - 2
+    assert f.series(BIASED, points, [last]).shape == (2, 1)
+    with pytest.raises(DomainError):
+        f.series(BIASED, points, [0, last + 1])
+    low = CylinderIndicator(((-1, 0),))
+    two_sided = [sy.PeriodicPoint((0,), 3, side=sy.TWO_SIDED)]
+    assert low.series(TWO_SIDED, two_sided, [-(2**63) + 1]).tolist() == [[1.0]]
+    with pytest.raises(DomainError):
+        low.series(TWO_SIDED, two_sided, [-(2**63)])
+
+
 # ---------------------------------------------------------------------------
 # TrigOnRotation against mpmath
 
@@ -201,3 +215,79 @@ def test_trig_error_bound_does_not_depend_on_frequency():
     bounds = {TrigOnRotation(h, c).error_bound() for h in FREQUENCIES for c in ("cos", "sin")}
     assert len(bounds) == 1
     assert bounds.pop() < 2e-15
+
+
+# ---------------------------------------------------------------------------
+# ProductOf and LinearCombination against mpmath
+
+
+def mp_trig(mp, f, rotation, x, m):
+    """cos or sin(2 pi h (x + m alpha)) at 400 bits, from the exact grid phase."""
+    phase = (f.frequency * (x + m * rotation.alpha_num)) % sy.FRACTION_MOD
+    fn = mp.cos if f.component == "cos" else mp.sin
+    return fn(2 * mp.pi * mp.mpf(phase) / sy.FRACTION_MOD)
+
+
+def worst_error(mp, f, system, points, times, exact):
+    """Largest |series - exact(point, m)| over the points and times."""
+    got = f.series(system, points, np.array(times, dtype=np.int64))
+    with mp.workprec(400):
+        return max(
+            float(abs(mp.mpf(value) - exact(x, m)))
+            for x, row in zip(points, got.tolist())
+            for m, value in zip(times, row)
+        )
+
+
+@pytest.mark.parametrize("h1, h2", [(1, 1), (-7, 10**6), (10**9, 3)])
+def test_trig_product_error_bound_holds_against_mpmath(h1, h2):
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(h1 * h2)
+    other = sy.Rotation(rng.getrandbits(128))
+    system = sy.ProductSystem((GOLDEN, other))
+    cos, sin = TrigOnRotation(h1, "cos"), TrigOnRotation(h2, "sin")
+    f = ProductOf((cos, sin))
+    points = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(3)]
+    times = [0] + [rng.randrange(2**40) for _ in range(400)]
+
+    def exact(x, m):
+        return mp_trig(mp, cos, GOLDEN, x[0], m) * mp_trig(mp, sin, other, x[1], m)
+
+    assert worst_error(mp, f, system, points, times, exact) <= f.error_bound()
+
+
+def test_cylinder_times_cos_error_bound_holds_against_mpmath():
+    # the FiberConstancy product: a fair shift times the rotation by 1/2,
+    # sampled on the fibers theta = 0 and theta = 1/3
+    mp = pytest.importorskip("mpmath")
+    shift, rotation = sy.FullShift.uniform(2), sy.Rotation.from_fraction("1/2")
+    system = sy.ProductSystem((shift, rotation))
+    cylinder, cos = CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")
+    f = ProductOf((cylinder, cos))
+    thetas = [0, sy.FRACTION_MOD // 3]
+    points = [(sy.sample_point(shift, s), theta) for s in range(3) for theta in thetas]
+    rng = random.Random(5)
+    times = [0] + [rng.randrange(2**40) for _ in range(400)]
+
+    def exact(x, m):
+        inside = oracle_coordinate(x[0], m) == 0
+        return mp_trig(mp, cos, rotation, x[1], m) if inside else mp.mpf(0)
+
+    assert worst_error(mp, f, system, points, times, exact) <= f.error_bound()
+
+
+@pytest.mark.parametrize(
+    "coefficients", [(0.3, -1.7, 2.5), (1.0, 1.0, 1.0), (3.7, -2.9, 5.1)]
+)
+def test_linear_combination_error_bound_holds_against_mpmath(coefficients):
+    mp = pytest.importorskip("mpmath")
+    parts = [TrigOnRotation(1, "cos"), TrigOnRotation(-7, "sin"), TrigOnRotation(10**6, "cos")]
+    f = LinearCombination(tuple(zip(coefficients, parts)))
+    rng = random.Random(len(coefficients))
+    points = [rng.getrandbits(128) for _ in range(3)]
+    times = [0] + [rng.randrange(2**40) for _ in range(400)]
+
+    def exact(x, m):
+        return mp.fsum(mp.mpf(c) * mp_trig(mp, g, GOLDEN, x, m) for c, g in zip(coefficients, parts))
+
+    assert worst_error(mp, f, GOLDEN, points, times, exact) <= f.error_bound()

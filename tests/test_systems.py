@@ -399,7 +399,7 @@ def test_expected_distance_of_independent_fair_points():
 
 def test_lift_construction():
     ext = sy.natural_extension_lift(FAIR, zeros(), past=ones())
-    assert ext.tape_coordinates([-1, 0]).tolist() == [1, 0]
+    assert ext.coordinates([-1, 0]).tolist() == [1, 0]
 
 
 def test_lift_projection_commutes_with_shift():
@@ -530,7 +530,7 @@ def test_negative_coordinate_of_a_one_sided_point_raises(point, i):
 )
 def test_tape_coordinates_match_the_scalar_tape(base, past, offset, idx):
     ext = sy.ExtendedPoint(base, past, offset)
-    got = ext.tape_coordinates(np.array(idx, dtype=np.int64)).tolist()
+    got = ext.coordinates(np.array(idx, dtype=np.int64)).tolist()
     assert got == [oracle_tape(ext, j) for j in idx]
 
 
@@ -665,8 +665,9 @@ def test_distance_series_keeps_the_bits_of_the_scalar_code(case, data):
         # the last change point of a piecewise-constant point
         times = st.lists(st.one_of(NEAR, FAR, st.integers(0, 200)), min_size=10, max_size=30)
     ts = data.draw(times)
-    got = sy.distance_series(system, x, y, np.array(ts, dtype=np.int64))
-    assert got.dtype == np.float64 and got.shape == (len(ts),)
+    got = sy.distance_series(system, [x], [y], np.array(ts, dtype=np.int64))
+    assert got.dtype == np.float64 and got.shape == (1, len(ts))
+    got = got[0]
     expected = oracle_series(system, x, y, ts)
     assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected]
 
@@ -688,5 +689,5 @@ def test_distance_series_never_iterates(system, x, y):
     ts = np.array([0, 5, 2**40, 5], dtype=np.int64)
     expected = oracle_series(system, x, y, ts)
     with mock.patch.object(sy, "iterate", side_effect=AssertionError("iterate called")):
-        assert sy.distance_series(system, x, y, ts).tolist() == expected
+        assert sy.distance_series(system, [x], [y], ts)[0].tolist() == expected
         assert sy.distance(system, x, y) == expected[0]
