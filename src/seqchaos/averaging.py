@@ -67,6 +67,9 @@ _ROUNDER = 1.5 * 2.0**52  # x + _ROUNDER - _ROUNDER rounds |x| < 2**51 to an int
 _SAFE_SUM = 2.0**1020
 # Per-exponent int64 sums stay exact for this many values between folds.
 _FOLD_EVERY = 1 << 36
+# fsum's exact zero: +0.0, but an all -0.0 row may sum to -0.0 on some
+# Pythons; any other zero-sum row takes +0.0 everywhere.
+_NEG_ZERO_SUM = math.fsum([-0.0, -0.0])
 
 
 def _is_indicator(vals: np.ndarray) -> bool:
@@ -89,7 +92,9 @@ class _RowSums:
     every row into one int in units of 2**-1126.  A row turns ``bad``
     from the first block where it holds a non-finite value or
     n * max|x| reaches _SAFE_SUM; its total then means nothing, and fsum
-    must sum the row.
+    must sum the row.  ``neg_zero`` stays set on a row while every value
+    added to it is -0.0, the one case where fsum's zero may be -0.0; it is
+    checked only while some row still has it.
     """
 
     def __init__(self, rows: int):
@@ -97,11 +102,14 @@ class _RowSums:
         self.parts = np.zeros((2, rows, 0), dtype=np.int64)
         self.first = 0
         self.bad = np.zeros(rows, dtype=bool)
+        self.neg_zero = np.ones(rows, dtype=bool)
         self.folded = [0] * rows
         self.pending = 0
 
     def add(self, block: np.ndarray, n: int) -> None:
         """Add the next columns of every row; no row holds more than n values."""
+        if self.neg_zero.any():
+            self.neg_zero &= ((block == 0.0) & np.signbit(block)).all(axis=1)
         if _is_indicator(block):
             self.ones += block.sum(axis=1).astype(np.int64)  # exact: below 2**53 ones
             return
@@ -169,11 +177,12 @@ def checkpoint_sums(block, rows: int, ends: Sequence[int], again) -> list[list[f
     blocks of about _CELLS cells cut at every end, so no source is ever
     held whole.  At each end n CPython's correctly rounded int division
     turns a row's exact sum into the float ``math.fsum`` returns, bit for
-    bit.  A row falls back to ``math.fsum(again(r, n))``, where
-    ``again(r, n)`` gives row r's first n values, when its exact sum is 0
-    (fsum owns the sign of zero) and from the first end where it has
-    turned bad: it holds a non-finite value or could overflow a partial
-    sum (fsum raises there).  Returns one list of sums per row.
+    bit; an exact sum of 0 is fsum's -0.0 sum on a row of -0.0 only, and
+    +0.0 otherwise.  A row falls back to ``math.fsum(again(r, n))``, where
+    ``again(r, n)`` gives row r's first n values, only from the first end
+    where it has turned bad: it holds a non-finite value or could
+    overflow a partial sum (fsum raises there).  Returns one list of sums
+    per row.
     """
     acc = _RowSums(rows)
     step = max(1, _CELLS // max(1, rows))
@@ -183,10 +192,14 @@ def checkpoint_sums(block, rows: int, ends: Sequence[int], again) -> list[list[f
         for lo in range(start, n, step):
             acc.add(block(lo, min(lo + step, n)), n)
         start = n
-        for r, (total, bad) in enumerate(zip(acc.totals(), acc.bad.tolist())):
-            sums[r].append(
-                total / (1 << _UNIT_BITS) if total and not bad else math.fsum(again(r, n))
-            )
+        rows_state = zip(acc.totals(), acc.bad.tolist(), acc.neg_zero.tolist())
+        for r, (total, bad, neg_zero) in enumerate(rows_state):
+            if bad:
+                sums[r].append(math.fsum(again(r, n)))
+            elif total:
+                sums[r].append(total / (1 << _UNIT_BITS))
+            else:
+                sums[r].append(_NEG_ZERO_SUM if neg_zero else 0.0)
     return sums
 
 

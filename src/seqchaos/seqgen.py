@@ -11,8 +11,9 @@ together with exact counting of close index pairs
 whose N**-2 density vanishing for every fixed L is the mildness
 condition separating the catalogued families from lacunary ones.
 
-Each family has one generator, a source of int64 blocks of consecutive
-terms (`_blocks`).  Prefixes (`times_array`, `generate_prefix`) fill one
+Each family has one generator, a source of int64 blocks of at most 2**16
+consecutive terms (`_blocks`); the primes come from an odd-only
+segmented sieve.  Prefixes (`times_array`, `generate_prefix`) fill one
 array from it, and `close_pair_profile` counts pairs one block at a time
 with a binary search per term, keeping only the terms within the gap of
 the newest one.
@@ -153,8 +154,9 @@ class SequenceSpec:
 # ---------------------------------------------------------------------------
 # generators
 #
-# Naturals and Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime
-# sieve segments double from 2 * _FLOOR_BLOCK numbers up to _SIEVE_SEGMENT.
+# Every family yields blocks of at most _FLOOR_BLOCK terms.  Naturals and
+# Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime sieve segments
+# double from 2 * _FLOOR_BLOCK numbers up to _SIEVE_SEGMENT and are sliced.
 # A floor block runs as int64 numpy arithmetic when no value it forms can
 # pass _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints,
 # yielded every _EXACT_BLOCK candidates so a short prefix stays cheap.
@@ -166,16 +168,28 @@ _INT64_SAFE = 1 << 62
 
 
 def _sieve(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """The primes in [lo, hi), given every prime up to sqrt(hi) in ``base``."""
-    mask = np.ones(hi - lo, dtype=bool)
-    mask[: max(0, 2 - lo)] = False  # 0 and 1
-    for p in base.tolist():
+    """The primes in [lo, hi), given every prime up to sqrt(hi) in ``base``.
+
+    The mask holds only the odd numbers of [lo, hi), and 2 is prepended
+    when it lies in the range (Bays and Hudson, BIT 17, 1977, keep odd
+    candidates only).  ``base`` may hold composites too, as sieving by
+    an odd composite strikes only composites; its even entries are
+    skipped.  Each odd p strikes its odd multiples from max(p**2, lo)
+    on, every p-th mask entry.
+    """
+    first = lo | 1  # the odd numbers first, first + 2, ... below hi
+    mask = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)
+    mask[: int(first == 1)] = False  # 1
+    for p in base[base % 2 == 1].tolist():
         start = max(p * p, -(-lo // p) * p)
+        if start % 2 == 0:
+            start += p
         if start < hi:
-            mask[start - lo :: p] = False
-    primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
-    primes += lo
-    return primes
+            mask[(start - first) // 2 :: p] = False
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes *= 2
+    primes += first
+    return np.concatenate(([2], primes)) if lo <= 2 < hi else primes
 
 
 def _prime_bound(count: int | None) -> int | None:
@@ -339,6 +353,13 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
             yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
 
 
+def _slices(arrays) -> Iterator[tuple[np.ndarray, None]]:
+    """Each array in views of at most _FLOOR_BLOCK terms, as (terms, None) blocks."""
+    for a in arrays:
+        for lo in range(0, len(a), _FLOOR_BLOCK):
+            yield a[lo : lo + _FLOOR_BLOCK], None
+
+
 def _below_one(spec: SequenceSpec) -> bool:
     """k**r with r < 1, whose floors climb by at most one: its terms are the naturals."""
     return spec.family == "FractionalPowerFloor" and spec.exponent < 1
@@ -347,7 +368,8 @@ def _below_one(spec: SequenceSpec) -> bool:
 def _blocks(
     spec: SequenceSpec, count: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The sequence as (terms, k) blocks of consecutive int64 terms.
+    """The sequence as (terms, k) blocks of at most _FLOOR_BLOCK consecutive
+    int64 terms.
 
     A caller that needs only the first ``count`` terms may say so: the
     prime sieve then stops at a bound on the count-th prime.
@@ -367,16 +389,15 @@ def _blocks(
             yield block[_odd_popcount(block)], None
         raise SequenceOverflowError(2**62 + 1)  # half of 0..MAX_TERM has odd popcount
     if spec.family == "Primes":
-        for block in _prime_blocks(_prime_bound(count)):
-            yield block, None
+        yield from _slices(_prime_blocks(_prime_bound(count)))
     elif spec.family in _FLOOR_FAMILIES:
         yield from _floor_blocks(spec)
     elif spec.family == "Lacunary":
         n = lacunary_max_terms(spec.base)
-        yield np.array([spec.base**k for k in range(1, n + 1)], dtype=np.int64), None
+        yield from _slices([np.array([spec.base**k for k in range(1, n + 1)], dtype=np.int64)])
         raise SequenceOverflowError(n + 1)
     else:
-        yield np.array(spec.explicit_terms, dtype=np.int64), None
+        yield from _slices([np.array(spec.explicit_terms, dtype=np.int64)])
 
 
 def _prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
@@ -538,11 +559,13 @@ def close_pair_profile(
 ) -> ClosePairProfile:
     """Exact close-pair counts and densities of a sequence prefix at each checkpoint.
 
-    The terms are read once, one block at a time, in their increasing
-    order; only the terms within ``max_gap`` of the newest one are kept
-    from block to block, so memory stays at one block plus that window
-    whatever the largest checkpoint.  Explicit sequences, finite and
-    possibly unsorted, count each checkpoint's prefix sorted.
+    The terms are read once, in blocks of at most _FLOOR_BLOCK, in their
+    increasing order; only the terms within ``max_gap`` of the newest one
+    are kept from block to block, so memory stays at one block's
+    temporaries plus that window (and one prime sieve segment) whatever
+    the largest checkpoint.  The prime sieve stops at a bound on the
+    last checkpoint's prime.  Explicit sequences, finite and possibly
+    unsorted, count each checkpoint's prefix sorted.
     """
     cps = _validate_checkpoints(checkpoints)
     if max_gap < 0:
@@ -555,7 +578,7 @@ def close_pair_profile(
         counts = []
         total = n0 = 0
         window = np.empty(0, dtype=np.int64)
-        for block, _ in _blocks(spec):
+        for block, _ in _blocks(spec, cps[-1]):
             block = block[: cps[-1] - n0]
             if len(block):
                 sums, window = _pair_sums(window, block, max_gap)

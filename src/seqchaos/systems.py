@@ -558,21 +558,67 @@ def _symbol_runs(point) -> list[tuple[int, int]] | None:
 
 
 def _series_from_runs(rx, ry, times: np.ndarray, window: int) -> np.ndarray:
-    # a difference interval [s, e) adds 2**-clip(s - m, 0, w) - 2**-clip(e - m, 0, w)
-    # to d(T**m x, T**m y), and 2**-clip(s - m, 0, w) - 2**-w when it never ends
+    """d(T**m x, T**m y) at strictly increasing ``times`` from the change
+    points of x and y, by interval algebra.
+
+    The pair differs between toggles p_1 < p_2 < ...; toggle i adds
+    (-1)**(i+1) 2**-clip(p_i - m, 0, w) to the distance at time m, and a
+    difference that never ends takes 2**-w off.  A toggle at or below m
+    adds +-1 and one at or past m + w adds +-2**-w, so the distance is
+
+        D(m) + sum of +-2**-(p - m) over the toggles p in (m, m + w) - 2**-w G(m)
+
+    with D(m) and G(m) the parities of the toggles at or below m and below
+    m + w.  Per pair that is two searches per toggle and a few passes over
+    the times, and only the fewer than w times before each toggle take a
+    power.  Every partial sum, in toggle order, is a multiple of 2**-w in
+    [0, 1], so it is exact (w <= 53) and the result is the same bits
+    whatever the order of the additions.
+    """
     def symbol_at(runs: list[tuple[int, int]], pos: int) -> int:
         return runs[bisect_right(runs, pos, key=lambda run: run[0]) - 1][1]
 
-    out = np.zeros(len(times), dtype=np.float64)
-    differ = False
+    toggles = []
     for pos in sorted({s for s, _ in rx} | {s for s, _ in ry}):
-        if differ != (symbol_at(rx, pos) != symbol_at(ry, pos)):
-            differ = not differ
-            exponent = -np.clip(pos - times, 0, window).astype(np.int32)
-            out += np.ldexp(1.0 if differ else -1.0, exponent)
-    if differ:
-        out -= 2.0 ** (-window)
+        if (len(toggles) % 2 == 1) != (symbol_at(rx, pos) != symbol_at(ry, pos)):
+            toggles.append(pos)
+    n = len(times)
+    if not toggles or not n:
+        return np.zeros(n, dtype=np.float64)
+    # clamped into [t_min - w, t_max], a toggle keeps its side of every time
+    # and of every m + w, and its search stays in int64
+    lo, hi = int(times[0]) - window, int(times[-1])
+
+    def searched(shift: int) -> tuple[np.ndarray, np.ndarray]:
+        keys = np.array([min(max(p - shift, lo), hi) for p in toggles], dtype=np.int64)
+        return keys, np.searchsorted(times, keys, side="right")
+
+    starts, j0 = searched(window)  # times[:j0] <= p - w
+    _, j1 = searched(1)  # times[:j1] < p
+    parity = (np.arange(len(toggles) + 1) & 1).astype(np.float64)
+
+    def runs_of(cuts: np.ndarray) -> np.ndarray:  # lengths between 0, the cuts and n
+        return np.diff(np.concatenate(([0], cuts, [n])))
+
+    out = np.repeat(parity, runs_of(j1))
+    lengths = j1 - j0
+    if lengths.any():
+        # the times in (p - w, p); there p - w is unclamped
+        k = np.repeat(j0 - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+        exponents = times[k] - np.repeat(starts, lengths) - window  # m - p, in (-w, 0)
+        signs = np.repeat(1.0 - 2.0 * parity[:-1], lengths)
+        out += np.bincount(k, np.ldexp(signs, exponents.astype(np.int32)), minlength=n)
+    out -= np.repeat(parity * 2.0**-window, runs_of(j0))
     return out
+
+
+def _on_distinct(times: np.ndarray, series) -> np.ndarray:
+    """The rows ``series(u)`` on the strictly increasing distinct times u,
+    read back at every time; times that already increase skip the sort."""
+    if (times[1:] > times[:-1]).all():
+        return series(times)
+    u, inverse = np.unique(times, return_inverse=True)
+    return series(u)[:, inverse]
 
 
 # Tape cells read per coordinates call: small enough that the PRF's
@@ -609,14 +655,14 @@ def _tape_chunks(u: np.ndarray, lo: int, window: int):
         yield first, positions, offsets
 
 
-def _series_from_windows(system, xs, ys, times: np.ndarray) -> np.ndarray:
-    # Every distinct point (by identity) reads each tape chunk once through
-    # its own ``coordinates``, for all of its rows; every window is then a
-    # gather, reduced in blocks of at most _GATHER_CELLS cells.
-    if not len(times):
+def _series_from_windows(system, xs, ys, u: np.ndarray) -> np.ndarray:
+    # At strictly increasing times u, every distinct point (by identity)
+    # reads each tape chunk once through its own ``coordinates``, for all of
+    # its rows; every window is then a gather, reduced in blocks of at most
+    # _GATHER_CELLS cells.
+    if not len(u):
         return np.empty((len(xs), 0), dtype=np.float64)
     lo, span, reduce = _metric_window(system)
-    u, inverse = (times, [0]) if len(times) == 1 else np.unique(times, return_inverse=True)
     if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
         raise DomainError("times too close to the 64-bit range for the metric window")
     points = {id(p): p for p in (*xs, *ys)}
@@ -629,7 +675,7 @@ def _series_from_windows(system, xs, ys, times: np.ndarray) -> np.ndarray:
             for i in range(0, len(offsets), rows):
                 block = windows[offsets[i : i + rows]]
                 out[r, first + i : first + i + len(block)] = reduce(block)
-    return out[:, inverse]
+    return out
 
 
 def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np.ndarray:
@@ -647,6 +693,9 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     Each distinct point reads its tape once per chunk of about 2**17
     cells for all the rows it belongs to, so working memory does not grow
     with the gaps between times and a tuple's pairs share their reads.
+    The interval path costs O(w) per change point beyond a few passes per
+    pair.  Both paths run on the distinct times, sorted only when they do
+    not already increase.
     """
     if len(xs) != len(ys):
         raise DomainError("need one y for every x")
@@ -672,13 +721,15 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
         if system.side == ONE_SIDED and system.metric == METRIC_SUMMED:
             runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
             if all(None not in pair for pair in runs):
-                rows = [_series_from_runs(rx, ry, ts, system.window) for rx, ry in runs]
-                return np.array(rows, dtype=np.float64).reshape(len(xs), len(ts))
+                return _on_distinct(ts, lambda u: np.array(
+                    [_series_from_runs(rx, ry, u, system.window) for rx, ry in runs],
+                    dtype=np.float64,
+                ).reshape(len(xs), len(u)))
     elif not isinstance(system, NaturalExtension):
         raise ConfigError(f"unknown system {system!r}")
     elif not all(isinstance(p, ExtendedPoint) for p in (*xs, *ys)):
         raise DomainError("natural extension iterates ExtendedPoint values")
-    return _series_from_windows(system, xs, ys, ts)
+    return _on_distinct(ts, partial(_series_from_windows, system, xs, ys))
 
 
 def distance(system: SystemSpec, x: Point, y: Point) -> float:

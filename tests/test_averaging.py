@@ -275,6 +275,32 @@ def test_exact_sums_edge_series_match_fsum(vals, block):
         assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
 
 
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+@pytest.mark.parametrize(
+    "vals",
+    [
+        np.full(130, -0.0),
+        np.zeros(130),
+        np.where(np.arange(130) % 3, -0.0, 0.0),
+        np.concatenate([np.full(64, -0.0), [0.25, -0.25], np.full(64, -0.0)]),
+    ],
+    ids=["negative-zeros", "zeros", "mixed-zeros", "cancelling"],
+)
+def test_zero_totals_need_no_second_pass(vals, block):
+    # an exact zero takes fsum's sign from the row's -0.0 flag, not from again
+    calls = []
+
+    def again(r, n):
+        calls.append(n)
+        return vals[:n]
+
+    ends = [1, 2, 64, 65, 66, 129, 130]
+    with mock.patch.object(averaging, "_CELLS", block):
+        got = averaging.checkpoint_sums(lambda lo, hi: vals[None, lo:hi], 1, ends, again)[0]
+    assert hex_list(got) == hex_list(fsum_sums(vals, ends))
+    assert calls == []
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -51,6 +51,55 @@ def test_interval_path_matches_scalar_metric():
     assert fast.tolist() == oracle_series(FAIR, x, y, times)
 
 
+# change points: coordinate 0, a few near 2**40, and the rest close together
+INTERVAL_STARTS = st.one_of(st.integers(1, 120), st.integers(2**40 - 60, 2**40 + 60))
+
+
+@st.composite
+def piecewise_points(draw, alphabet=3):
+    starts = sorted(draw(st.sets(INTERVAL_STARTS, max_size=6)))
+    symbols = draw(st.lists(st.integers(0, alphabet - 1), min_size=len(starts) + 1,
+                            max_size=len(starts) + 1))
+    if not starts:
+        return sy.PeriodicPoint((symbols[0],), alphabet)
+    return sy.BlockScheduledPoint(tuple(starts), tuple(symbols), alphabet)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pairs=st.lists(st.tuples(piecewise_points(), piecewise_points()), min_size=1, max_size=3),
+    window=st.integers(1, 53),
+    times=st.lists(st.one_of(st.integers(0, 200), st.integers(2**40 - 120, 2**40 + 120)),
+                   max_size=30),
+)
+def test_interval_path_matches_the_oracle(pairs, window, times):
+    # unsorted and repeated times, windows up to 53, and toggles whose
+    # window (p - w, p) holds no time at all
+    system = sy.FullShift.uniform(3, window=window)
+    ts = np.array(times, dtype=np.int64)
+    xs, ys = zip(*pairs)
+    got = distance_series(system, xs, ys, ts)
+    assert got.shape == (len(pairs), len(ts))
+    for row, (x, y) in zip(got.tolist(), pairs):
+        assert [v.hex() for v in row] == [v.hex() for v in oracle_series(system, x, y, ts)]
+
+
+@pytest.mark.parametrize("boundary", [2**63 - 10, 2**63 + 5, 2**70])
+@pytest.mark.parametrize("window", [1, 25, 48, 53])
+def test_interval_path_with_change_points_past_int64(boundary, window):
+    # change points beyond every time are clamped before the searches: no
+    # OverflowError, and each time keeps its side of every change point
+    system = sy.FullShift.uniform(2, window=window)
+    x = sy.BlockScheduledPoint((boundary,), (0, 1), 2)
+    ys = [zeros(), ones(), sy.shift_point(x, 2**62)]
+    times = np.array([1, 2**63 - 60, 2**63 - 20, 2**63 - 1], dtype=np.int64)
+    got = distance_series(system, [x] * 3, ys, times)
+    for row, y in zip(got.tolist(), ys):
+        assert row == oracle_series(system, x, y, times)
+    if boundary == 2**63 + 5 and window == 48:
+        assert got[0].tolist() == [0.0, 0.0, 2.0**-25 - 2.0**-48, 2.0**-6 - 2.0**-48]
+
+
 def test_window_path_matches_scalar_metric():
     x = sy.sample_point(FAIR, 1)
     y = sy.sample_point(FAIR, 2)
@@ -421,6 +470,29 @@ def test_checkpoint_refinement_monotone_proxies():
 def test_needs_two_points():
     with pytest.raises(DomainError):
         tuple_distance_averages(FAIR, [zeros()], NATURALS, [10])
+
+
+def test_identical_points_take_no_second_pass():
+    # every distance is +0.0, so every sum is an exact zero; none of them
+    # reads the prefix again
+    x = sy.sample_point(FAIR, 11)
+    calls = []
+    summing = chaos.checkpoint_sums
+
+    def counting(block, rows, ends, again):
+        def counted(r, n):
+            calls.append((r, n))
+            return again(r, n)
+
+        return summing(block, rows, ends, counted)
+
+    cps = [10**k for k in range(1, 7)]
+    with mock.patch.object(chaos, "checkpoint_sums", counting):
+        report = tuple_distance_averages(FAIR, [x, x], NATURALS, cps)
+    assert calls == []
+    expected = [(math.fsum([0.0] * n) / n).hex() for n in cps]
+    assert [c.max_average.hex() for c in report.checkpoints] == expected
+    assert [c.min_average.hex() for c in report.checkpoints] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,79 @@ def test_primes_sieve_peak_memory():
     assert peak < 16_000_000
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    lo=st.integers(0, 3000),
+    width=st.one_of(st.integers(0, 2), st.integers(0, 3000)),
+    composites=st.booleans(),
+)
+def test_sieve_matches_the_oracle(lo, width, composites):
+    # even and odd lo, lo <= 2 < hi, and ranges of 0, 1 or 2 numbers; the base
+    # may hold every integer up to the root (composites and 2 included)
+    hi = lo + width
+    root = math.isqrt(max(hi - 1, 0))
+    primes = sieve_oracle(max(root, 1))
+    base = np.arange(2, root + 1) if composites else np.array(primes, dtype=np.int64)
+    got = seqgen._sieve(lo, hi, base)
+    assert got.dtype == np.int64
+    assert got.tolist() == [p for p in sieve_oracle(max(hi, 2)) if lo <= p < hi]
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 3), (2, 3), (2, 4), (3, 4), (1, 2), (0, 2), (4, 5)])
+def test_sieve_edges(lo, hi):
+    base = np.arange(2, math.isqrt(max(hi - 1, 0)) + 1)
+    assert seqgen._sieve(lo, hi, base).tolist() == [p for p in [2, 3] if lo <= p < hi]
+
+
+FAMILY_SPECS = [
+    SequenceSpec.naturals(),
+    SequenceSpec.primes(),
+    SequenceSpec.polynomial_floor([0, 0, 1]),
+    SequenceSpec.fractional_power_floor(Fraction(3, 2)),
+    SequenceSpec.fractional_power_floor(Fraction(1, 2)),
+    SequenceSpec.thue_morse_return_times(),
+    SequenceSpec.lacunary(3),
+    SequenceSpec.explicit(range(1, 300)),
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.describe())
+@pytest.mark.parametrize("size", [7, 50])
+def test_blocks_hold_at_most_floor_block_terms(spec, size):
+    # small blocks and sieve segments; the terms are those of the real sizes
+    count = lacunary_max_terms(spec.base) if spec.family == "Lacunary" else 250
+    expected = generate_prefix(spec, count)
+    terms, sizes = [], []
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", size), \
+            mock.patch.object(seqgen, "_SIEVE_SEGMENT", 400):
+        for block, _ in seqgen._blocks(spec, count):
+            sizes.append(len(block))
+            terms += block.tolist()
+            if len(terms) >= count:
+                break
+    assert max(sizes) <= size
+    assert terms[:count] == expected
+
+
+def test_prime_blocks_slice_every_sieve_segment():
+    # a 2**21-number segment above 2**21 holds more than 2**16 primes
+    sizes = [len(b) for b, _ in seqgen._blocks(SequenceSpec.primes(), 10**6)]
+    assert max(sizes) == seqgen._FLOOR_BLOCK
+    assert sum(sizes) >= 10**6
+
+
+def test_close_pair_profile_peak_memory():
+    # one sieve segment plus the temporaries of one 2**16-term block
+    spec = SequenceSpec.primes()
+    tracemalloc.start()
+    try:
+        close_pair_profile(spec, 10, [10**3, 10**4, 10**5, 10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 # ---------------------------------------------------------------------------
 # close pairs
 
