@@ -11,8 +11,9 @@ into a row-wise superaccumulator (:class:`_RowSums`; the design follows
 Neal, "Fast exact summation using small and large superaccumulators",
 arXiv:1505.05571), where a block of 0/1 values (indicators) adds its
 count of ones and any other block its mantissas per binary exponent, and
-rounds each row's sum once at each checkpoint.  It alone holds the rule
-for the rows that ``math.fsum`` must sum itself.
+rounds each row's sum once at each checkpoint.  It is the only summing
+path: an average whose observable's declared bounds, times N, could
+reach 2**1020 is refused before any work, so no partial sum overflows.
 
 Sampled points are rows: :func:`ergodic_average` evaluates all of its
 points in one :meth:`Observable.series` call per block of times, so the
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import systems as sy
 from .errors import ConfigError, DomainError
-from .observables import Observable
+from .observables import CylinderIndicator, Observable
 from .pool import parallel_map
 from .prf import MASK64, child_seed
 from .seqgen import SequenceSpec, _validate_checkpoints, times_array
@@ -89,10 +90,10 @@ class _RowSums:
     fewer than 53 bits.  The int64 per-exponent sums ``parts`` (high and
     low) cover only the exponents ``first``, ``first + 1``, ... seen so
     far, and widen when a block brings new ones.  :meth:`totals` folds
-    every row into one int in units of 2**-1126.  A row turns ``bad``
-    from the first block where it holds a non-finite value or
-    n * max|x| reaches _SAFE_SUM; its total then means nothing, and fsum
-    must sum the row.  ``neg_zero`` stays set on a row while every value
+    every row into one int in units of 2**-1126.  A block that holds a
+    non-finite value, or where n * max|x| reaches _SAFE_SUM, raises
+    :class:`DomainError`: its values break the bounds that were checked
+    before the sum began.  ``neg_zero`` stays set on a row while every value
     added to it is -0.0, the one case where fsum's zero may be -0.0; it is
     checked only while some row still has it.
     """
@@ -101,7 +102,6 @@ class _RowSums:
         self.ones = np.zeros(rows, dtype=np.int64)
         self.parts = np.zeros((2, rows, 0), dtype=np.int64)
         self.first = 0
-        self.bad = np.zeros(rows, dtype=bool)
         self.neg_zero = np.ones(rows, dtype=bool)
         self.folded = [0] * rows
         self.pending = 0
@@ -119,9 +119,8 @@ class _RowSums:
 
     def _add_exact(self, block: np.ndarray, n: int) -> None:
         with np.errstate(over="ignore"):
-            self.bad |= ~(np.max(np.abs(block), axis=1) * n < _SAFE_SUM)  # NaN is bad too
-        if self.bad.any():
-            block = np.where(self.bad[:, None], 0.0, block)
+            if not np.max(np.abs(block)) * n < _SAFE_SUM:  # NaN fails too
+                raise DomainError("a value is not finite or could overflow the sum")
         if self.pending + block.shape[1] > _FOLD_EVERY:
             self._fold()
         self.pending += block.shape[1]
@@ -169,7 +168,7 @@ class _RowSums:
         return [t + (k << _UNIT_BITS) for t, k in zip(self.folded, self.ones.tolist())]
 
 
-def checkpoint_sums(block, rows: int, ends: Sequence[int], again) -> list[list[float]]:
+def checkpoint_sums(block, rows: int, ends: Sequence[int]) -> list[list[float]]:
     """Every row's exactly rounded sum at each of the increasing ``ends``.
 
     ``block(lo, hi)`` gives columns lo..hi-1 of every row as a rows x
@@ -178,11 +177,9 @@ def checkpoint_sums(block, rows: int, ends: Sequence[int], again) -> list[list[f
     held whole.  At each end n CPython's correctly rounded int division
     turns a row's exact sum into the float ``math.fsum`` returns, bit for
     bit; an exact sum of 0 is fsum's -0.0 sum on a row of -0.0 only, and
-    +0.0 otherwise.  A row falls back to ``math.fsum(again(r, n))``, where
-    ``again(r, n)`` gives row r's first n values, only from the first end
-    where it has turned bad: it holds a non-finite value or could
-    overflow a partial sum (fsum raises there).  Returns one list of sums
-    per row.
+    +0.0 otherwise.  A non-finite value, or one whose magnitude times
+    ends[-1] reaches _SAFE_SUM, raises :class:`DomainError`.  Returns one
+    list of sums per row.
     """
     acc = _RowSums(rows)
     step = max(1, _CELLS // max(1, rows))
@@ -190,17 +187,24 @@ def checkpoint_sums(block, rows: int, ends: Sequence[int], again) -> list[list[f
     start = 0
     for n in ends:
         for lo in range(start, n, step):
-            acc.add(block(lo, min(lo + step, n)), n)
+            acc.add(block(lo, min(lo + step, n)), ends[-1])
         start = n
-        rows_state = zip(acc.totals(), acc.bad.tolist(), acc.neg_zero.tolist())
-        for r, (total, bad, neg_zero) in enumerate(rows_state):
-            if bad:
-                sums[r].append(math.fsum(again(r, n)))
-            elif total:
-                sums[r].append(total / (1 << _UNIT_BITS))
+        for row, total, neg_zero in zip(sums, acc.totals(), acc.neg_zero.tolist()):
+            if total:
+                row.append(total / (1 << _UNIT_BITS))
             else:
-                sums[r].append(_NEG_ZERO_SUM if neg_zero else 0.0)
+                row.append(_NEG_ZERO_SUM if neg_zero else 0.0)
     return sums
+
+
+def _sums(system, points: Sequence, f: Observable, seq: SequenceSpec, ends: Sequence[int]):
+    """:func:`checkpoint_sums` of f along ``seq``, the points as rows; refused
+    before any work when a bound of f times the last end reaches _SAFE_SUM."""
+    cap = int(_SAFE_SUM) / ends[-1]  # int / int: no OverflowError; a NaN bound fails too
+    if not all(abs(b) < cap for b in f.bounds()):
+        raise ConfigError(f"{f.describe()}: bounds {f.bounds()} times {ends[-1]} could overflow")
+    ts = times_array(seq, ends[-1])
+    return checkpoint_sums(lambda lo, hi: f.series(system, points, ts[lo:hi]), len(points), ends)
 
 
 def geometric_checkpoints(start: int, stop: int, factor: int = 2) -> list[int]:
@@ -223,18 +227,11 @@ def ergodic_average(
 
     The points are the rows of one :meth:`Observable.series` call per
     block of times, summed by :func:`checkpoint_sums`; no points x N array
-    is built.  A row that fsum must sum is evaluated again on its own.
+    is built.
     """
     if n_terms < 1:
         raise ConfigError("n_terms must be >= 1")
-    ts = times_array(seq, n_terms)
-    sums = checkpoint_sums(
-        lambda lo, hi: f.series(system, points, ts[lo:hi]),
-        len(points),
-        [n_terms],
-        lambda r, n: f.series(system, [points[r]], ts[:n])[0],
-    )
-    return [total / n_terms for (total,) in sums]
+    return [total / n_terms for (total,) in _sums(system, points, f, seq, [n_terms])]
 
 
 @dataclass(frozen=True)
@@ -296,12 +293,7 @@ def average_trace(
     at the same N to the last bit (same values, same exact summation).
     """
     cps = _validate_checkpoints(checkpoints)
-    ts = times_array(seq, cps[-1])
-
-    def values(lo: int, hi: int) -> np.ndarray:
-        return f.series(system, [x], ts[lo:hi])
-
-    (sums,) = checkpoint_sums(values, 1, cps, lambda r, n: values(0, n)[r])
+    (sums,) = _sums(system, [x], f, seq, cps)
     entries = []
     run_min = math.inf
     run_max = -math.inf
@@ -487,6 +479,8 @@ def _validate_partition(system, cells: Sequence) -> None:
         if len(coord_sets) != 1:
             raise ConfigError("cylinder cells must share one coordinate set")
         coords = next(iter(coord_sets))
+        if any(not 0 <= s < system.alphabet_size for cell in cells for _, s in cell.constraints):
+            raise ConfigError("cylinder symbol outside the alphabet")
         expected = system.alphabet_size ** len(coords)
         patterns = {tuple(sorted(cell.constraints)) for cell in cells}
         if len(patterns) != len(cells):
@@ -542,13 +536,9 @@ def empirical_measure(
         for i, v in zip(ordered, visits.tolist()):
             counts[i] = v
     else:
-        remaining = np.ones(len(ts), dtype=bool)
         for i, cell in enumerate(partition):
-            mask = np.ones(len(ts), dtype=bool)
-            for c, s in cell.constraints:
-                mask &= x.coordinates(sy._offset(ts, c)) == s
-            counts[i] = int(np.count_nonzero(mask & remaining))
-            remaining &= ~mask
+            inside = CylinderIndicator(cell.constraints).series(system, [x], ts)
+            counts[i] = int(np.count_nonzero(inside))
     return EmpiricalMeasure(
         cells=tuple(c.describe() for c in partition),
         counts=tuple(counts),

@@ -95,7 +95,7 @@ def tuple_distance_averages(
         pairs = distance_series(system, xs, ys, ts[lo:hi])
         return np.stack([pairs.max(axis=0), pairs.min(axis=0)])
 
-    highs, lows = checkpoint_sums(extremes, 2, cps, lambda r, n: extremes(0, n)[r])
+    highs, lows = checkpoint_sums(extremes, 2, cps)
     entries = [TupleCheckpoint(n, high / n, low / n) for n, high, low in zip(cps, highs, lows)]
     return TupleChaosReport(
         tuple_size=len(points),

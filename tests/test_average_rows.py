@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos import averaging
 from seqchaos.averaging import SUM_ERROR_BOUND, ergodic_average, sampled_averages
-from seqchaos.errors import DomainError
+from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
     Constant,
     CylinderIndicator,
@@ -128,9 +128,18 @@ def outcome(fn):
         return type(exc)
 
 
+def refused(f, n):
+    """True when f's declared bounds times n could reach 2**1020 (NaN too)."""
+    return not all(abs(b) * n < averaging._SAFE_SUM for b in f.bounds())
+
+
 def check_rows(system, points, f, seq, n):
-    """Rows equal the per-point oracle; raising rows raise what some point raises."""
+    """Rows equal the per-point oracle; raising rows raise what some point
+    raises; observables whose bounds could overflow the sum are refused."""
     rows = outcome(lambda: ergodic_average(system, points, f, seq, n))
+    if refused(f, n):
+        assert rows is ConfigError
+        return rows
     each = [outcome(lambda: [oracle_average(system, x, f, seq, n)]) for x in points]
     raised = {o for o in each if isinstance(o, type)}
     if raised:
@@ -180,29 +189,55 @@ def test_rows_with_non_finite_and_near_overflow_values(cells):
     cyl = CylinderIndicator(((0, 1),))
     points = [sy.PeriodicPoint((1,), 2), sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((0, 1), 2)]
     naturals = SequenceSpec.naturals()
-    observables = [
+    refused_always = [
         LinearCombination(((math.inf, cyl),)),  # inf * 0 is nan
-        LinearCombination(((1e308, cyl),)),  # fsum raises: intermediate overflow
-        LinearCombination(((2.0**1000, cyl), (-(2.0**1000), Constant(0.5)))),
+        LinearCombination(((1e308, cyl),)),  # 1e308 alone passes 2**1020
         Constant(math.nan),
     ]
     with mock.patch.object(averaging, "_CELLS", cells):
-        for f in observables:
+        for f in refused_always:
             for n in (1, 2, 9):
-                check_rows(BIASED, points, f, naturals, n)
-                check_rows(BIASED, points[1:], f, naturals, n)
-    # a row whose values turn non-finite, or whose partial sums pass 2**1024,
-    # only after some finite blocks: fsum sums the whole row again
+                assert check_rows(BIASED, points, f, naturals, n) is ConfigError
+                assert check_rows(BIASED, points[1:], f, naturals, n) is ConfigError
+        # bounds (-2**999, 2**999): 9 terms stay below 2**1020 and sum as fsum
+        near = LinearCombination(((2.0**1000, cyl), (-(2.0**1000), Constant(0.5))))
+        for n in (1, 2, 9):
+            assert check_rows(BIASED, points, near, naturals, n) == [
+                (2.0**999).hex(), (-(2.0**999)).hex(), (2.0**999 / n * (n % 2)).hex()
+            ]
+        assert check_rows(BIASED, points, near, naturals, 2**21) is ConfigError
+    # rows that would turn non-finite, or whose partial sums would pass
+    # 2**1024, only after some finite blocks are refused before any block
     late = [sy.BlockScheduledPoint((41,), (1, 0), 2), sy.PeriodicPoint((1, 0), 2)]
     cyl0 = CylinderIndicator(((0, 0),))
     turns_infinite = LinearCombination(((0.5, Constant(1.0)), (1e308, cyl0), (1e308, cyl0)))
     climbs = LinearCombination(((2.0**1020, cyl), (-(2.0**1019), Constant(1.0))))
     with mock.patch.object(averaging, "_CELLS", cells):
-        assert check_rows(BIASED, late, turns_infinite, naturals, 79) == [math.inf.hex()] * 2
-        assert check_rows(BIASED, late, turns_infinite, naturals, 40)[0] == 0.5.hex()
-        # 40 values of 2**1019, then 39 of -2**1019: the exact total is finite
-        assert check_rows(BIASED, late, climbs, naturals, 79) is OverflowError
-        assert check_rows(BIASED, late, climbs, naturals, 2)[0] == (2.0**1019).hex()
+        for n in (2, 40, 79):
+            assert check_rows(BIASED, late, turns_infinite, naturals, n) is ConfigError
+            assert check_rows(BIASED, late, climbs, naturals, n) is ConfigError
+        # 2**1013 and -2**1012 keep 79 terms below 2**1020: the first row
+        # climbs 40 times by 2**1012 and falls 39 times
+        climbs = LinearCombination(((2.0**1013, cyl), (-(2.0**1012), Constant(1.0))))
+        assert check_rows(BIASED, late, climbs, naturals, 79) == [
+            (2.0**1012 / 79).hex(), (-(2.0**1012) / 79).hex()
+        ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=cases(), seq=st.sampled_from(SEQUENCES), n=st.integers(1, 60))
+def test_series_values_lie_within_the_declared_bounds(case, seq, n):
+    # the overflow refusal reads only bounds(): every observable kind must
+    # keep every value finite and inside them wherever they are finite
+    system, points, f = case
+    lo, hi = f.bounds()
+    assume(math.isfinite(lo) and math.isfinite(hi))
+    try:
+        vals = f.series(system, points, times_array(seq, n))
+    except DomainError:
+        return
+    assert np.isfinite(vals).all()
+    assert lo <= vals.min() and vals.max() <= hi
 
 
 # ---------------------------------------------------------------------------

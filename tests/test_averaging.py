@@ -112,13 +112,24 @@ def test_linearity():
 
 def exact_sums(vals, ends):
     # the one summation routine with an array as its single row
-    return averaging.checkpoint_sums(lambda lo, hi: vals[None, lo:hi], 1, ends,
-                                     lambda r, n: vals[:n])[0]
+    return averaging.checkpoint_sums(lambda lo, hi: vals[None, lo:hi], 1, ends)[0]
 
 
 def fsum_sums(vals, ends):
     # reference: compensated summation of every prefix
     return [math.fsum(vals[:n]) for n in ends]
+
+
+def refused(vals, ends):
+    """True when checkpoint_sums must raise DomainError: some value up to the
+    last end is not finite, or its magnitude times that end reaches 2**1020."""
+    n = ends[-1]
+    return not all(abs(v) * n < averaging._SAFE_SUM for v in vals[:n].tolist())
+
+
+def expected_sums(vals, ends):
+    """The bits of fsum at every end, or DomainError where the values are refused."""
+    return DomainError if refused(vals, ends) else hex_list(fsum_sums(vals, ends))
 
 
 def hex_list(values):
@@ -162,7 +173,7 @@ def outcome(fn):
     """The bits of the floats ``fn`` returns, or the type of what it raises."""
     try:
         return hex_list(fn())
-    except (OverflowError, ValueError) as exc:  # fsum: intermediate overflow, inf - inf
+    except (OverflowError, ValueError) as exc:  # fsum's overflow; DomainError is a ValueError
         return type(exc)
 
 
@@ -196,21 +207,26 @@ def test_exact_sums_match_fsum_at_every_end(data, values, block, fold):
     with mock.patch.object(averaging, "_CELLS", block), mock.patch.object(
         averaging, "_FOLD_EVERY", fold
     ):
-        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+        assert outcome(lambda: exact_sums(vals, ends)) == expected_sums(vals, ends)
 
 
 @pytest.mark.parametrize("block", [1, 16, 1 << 16])  # 1 << 16: one block for the whole series
 def test_exact_sums_keep_fsums_intermediate_overflow(block):
     # no value reaches 2**1020, but 32 of them reach 2**1024 on the way to a
-    # total of 1: fsum raises, and so must every end from the 32nd on
+    # total of 1: fsum raises, and the exact sum refuses any call whose last
+    # end n has n * 2**1019 >= 2**1020, before a partial sum could overflow
     vals = np.array([2.0**1019] * 40 + [-(2.0**1019)] * 40 + [1.0])
     with pytest.raises(OverflowError):
         math.fsum(vals)
     with mock.patch.object(averaging, "_CELLS", block):
-        assert exact_sums(vals, [1, 15, 31]) == fsum_sums(vals, [1, 15, 31])
-        for ends in ([32], [1, 40], [81]):
-            with pytest.raises(OverflowError):
+        assert exact_sums(vals, [1]) == fsum_sums(vals, [1])
+        for ends in ([2], [1, 15, 31], [32], [1, 40], [81]):
+            with pytest.raises(DomainError):
                 exact_sums(vals, ends)
+        # 2**1013 keeps 81 * max|x| below 2**1020: the same climb and fall sums exactly
+        scaled = vals * 2.0**-6
+        ends = [1, 31, 32, 40, 41, 80, 81]
+        assert exact_sums(scaled, ends) == fsum_sums(scaled, ends)
 
 
 @settings(deadline=None, max_examples=150)
@@ -218,15 +234,17 @@ def test_exact_sums_keep_fsums_intermediate_overflow(block):
     data=st.data(),
     big=st.lists(st.sampled_from([1e308, -1e308, MAX_FLOAT, -MAX_FLOAT, 8e307]), min_size=1, max_size=12),
     small=st.lists(st.floats(-1e3, 1e3), max_size=12),
+    scale=st.sampled_from([1.0, 2.0**-10, 2.0**-16]),
     block=st.integers(1, 50),
 )
-def test_exact_sums_of_huge_cancellations_match_fsum(data, big, small, block):
-    # fsum raises on an overflowing partial sum even when the total is small
-    values = data.draw(st.permutations(big + [-v for v in big] + small))
+def test_exact_sums_of_huge_cancellations_match_fsum(data, big, small, scale, block):
+    # unscaled, every big value is refused; scaled by 2**-10 or less, up to
+    # 36 of them stay below 2**1020 in sum and cancel exactly
+    values = data.draw(st.permutations([v * scale for v in big + [-v for v in big]] + small))
     vals = np.array(values)
     ends = draw_ends(data, len(vals))
     with mock.patch.object(averaging, "_CELLS", block):
-        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+        assert outcome(lambda: exact_sums(vals, ends)) == expected_sums(vals, ends)
 
 
 @settings(deadline=None, max_examples=150)
@@ -248,12 +266,14 @@ def test_exact_sums_of_zero_totals_match_fsum(data, values, block):
     block=st.integers(1, 50),
 )
 def test_exact_sums_with_non_finite_values_match_fsum(data, values, special, block):
+    # a non-finite value up to the last end is refused; the ends before it
+    # are never returned, and a series whose ends all come first sums as fsum
     for s in special:
         values.insert(data.draw(st.integers(0, len(values))), s)
     vals = np.array(values)
     ends = draw_ends(data, len(vals))
     with mock.patch.object(averaging, "_CELLS", block):
-        assert outcome(lambda: exact_sums(vals, ends)) == outcome(lambda: fsum_sums(vals, ends))
+        assert outcome(lambda: exact_sums(vals, ends)) == expected_sums(vals, ends)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])  # 1 << 16: one block for the whole series
@@ -287,18 +307,20 @@ def test_exact_sums_edge_series_match_fsum(vals, block):
     ids=["negative-zeros", "zeros", "mixed-zeros", "cancelling"],
 )
 def test_zero_totals_need_no_second_pass(vals, block):
-    # an exact zero takes fsum's sign from the row's -0.0 flag, not from again
-    calls = []
+    # an exact zero takes fsum's sign from the row's -0.0 flag: the source
+    # gives every column once, in order, and nothing reads a prefix again
+    reads = []
 
-    def again(r, n):
-        calls.append(n)
-        return vals[:n]
+    def source(lo, hi):
+        reads.append((lo, hi))
+        return vals[None, lo:hi]
 
     ends = [1, 2, 64, 65, 66, 129, 130]
     with mock.patch.object(averaging, "_CELLS", block):
-        got = averaging.checkpoint_sums(lambda lo, hi: vals[None, lo:hi], 1, ends, again)[0]
+        got = averaging.checkpoint_sums(source, 1, ends)[0]
     assert hex_list(got) == hex_list(fsum_sums(vals, ends))
-    assert calls == []
+    assert [lo for lo, _ in reads] == [0] + [hi for _, hi in reads[:-1]]
+    assert reads[-1][1] == ends[-1]
 
 
 @settings(deadline=None, max_examples=25)
@@ -496,6 +518,13 @@ def test_partition_validation():
     with pytest.raises(ConfigError):
         # missing patterns: not a partition of the shift
         empirical_measure(FAIR, sy.sample_point(FAIR, 0), [CylinderCell(((0, 0),))], NATURALS, 10)
+    x = sy.sample_point(FAIR, 0)
+    with pytest.raises(ConfigError):
+        # two cells, but symbol 5 is outside the alphabet: the weights would sum to < 1
+        empirical_measure(FAIR, x, [CylinderCell(((0, 0),)), CylinderCell(((0, 5),))], NATURALS, 1000)
+    with pytest.raises(DomainError):
+        # coordinate -2 of a one-sided point, as CylinderIndicator refuses it
+        empirical_measure(FAIR, x, cylinder_partition(2, [-2]), NATURALS, 1000)
 
 
 def test_arc_membership_is_exact_on_dyadics():

@@ -473,23 +473,23 @@ def test_needs_two_points():
 
 
 def test_identical_points_take_no_second_pass():
-    # every distance is +0.0, so every sum is an exact zero; none of them
-    # reads the prefix again
+    # every distance is +0.0, so every sum is an exact zero; the pairs are
+    # read once, block by block, and no prefix is read again
     x = sy.sample_point(FAIR, 11)
-    calls = []
+    reads = []
     summing = chaos.checkpoint_sums
 
-    def counting(block, rows, ends, again):
-        def counted(r, n):
-            calls.append((r, n))
-            return again(r, n)
+    def counting(block, rows, ends):
+        def counted(lo, hi):
+            reads.append(hi - lo)
+            return block(lo, hi)
 
-        return summing(block, rows, ends, counted)
+        return summing(counted, rows, ends)
 
     cps = [10**k for k in range(1, 7)]
     with mock.patch.object(chaos, "checkpoint_sums", counting):
         report = tuple_distance_averages(FAIR, [x, x], NATURALS, cps)
-    assert calls == []
+    assert sum(reads) == cps[-1]
     expected = [(math.fsum([0.0] * n) / n).hex() for n in cps]
     assert [c.max_average.hex() for c in report.checkpoints] == expected
     assert [c.min_average.hex() for c in report.checkpoints] == expected

@@ -1,8 +1,15 @@
 import json
+import math
+from unittest import mock
 
 import pytest
 
+import seqchaos.systems as sy
+from seqchaos import averaging
 from seqchaos.cli import list_experiments, main, run_config
+from seqchaos.errors import ConfigError, DomainError
+from seqchaos.observables import Constant
+from seqchaos.seqgen import SequenceSpec
 
 
 def run_tmp(tmp_path, cfg, name="cfg.json", extra_args=()):
@@ -257,6 +264,61 @@ def test_explicit_lacunary_sequence_caps_its_terms(tmp_path, capsys):
     status, _ = run_tmp(tmp_path, dict(cfg, matched_terms=41), name="over.json")
     assert status == 2
     assert "has only 40 terms" in capsys.readouterr().err
+
+
+HUGE = {"kind": "Constant", "value": 1e308}
+GOLDEN_PAIR = {"kind": "Product", "components": [{"kind": "Rotation", "alpha": "golden"}] * 2}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"observable": HUGE, "n_terms": 1000},
+        {"system": GOLDEN_PAIR, "observable": {"kind": "ProductOf", "factors": [HUGE, HUGE]}},
+    ],
+    ids=["constant", "product"],
+)
+def test_averages_that_could_overflow_are_status_2(tmp_path, capsys, change):
+    # refused from the observable's bounds before any work: no traceback, no
+    # fsum fallback, no output directory
+    status, out = run_tmp(tmp_path, dict(BASE_CONFIGS["VeryGoodDeviation"], **change))
+    assert status == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflow_refusal_comes_before_the_times():
+    calls = []
+    times_array = averaging.times_array
+
+    def counting(seq, n):
+        calls.append(n)
+        return times_array(seq, n)
+
+    golden, naturals = sy.Rotation.golden(), SequenceSpec.naturals()
+    with mock.patch.object(averaging, "times_array", counting):
+        with pytest.raises(ConfigError):
+            averaging.ergodic_average(golden, [0], Constant(1e308), naturals, 1000)
+        with pytest.raises(ConfigError):
+            averaging.average_trace(golden, 0, Constant(1e305), naturals, [10, 100000])
+        assert calls == []
+        averaging.average_trace(golden, 0, Constant(1e305), naturals, [10, 100])
+        assert calls == [100]
+
+
+class Unbounded(Constant):
+    """A constant that declares bounds (0, 1) and breaks them."""
+
+    def bounds(self):
+        return (0.0, 1.0)
+
+
+@pytest.mark.parametrize("c", [1e308, math.inf, math.nan])
+def test_values_beyond_their_declared_bounds_raise(c):
+    # the refusal trusts bounds(); a value beyond them is never summed
+    with pytest.raises(DomainError):
+        averaging.ergodic_average(sy.Rotation.golden(), [0, 1], Unbounded(c),
+                                  SequenceSpec.naturals(), 10)
 
 
 def test_failed_assertion_is_status_1(tmp_path):
