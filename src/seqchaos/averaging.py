@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -315,8 +316,8 @@ def average_trace(
     )
 
 
-def _average_task(args) -> list[float]:
-    return ergodic_average(*args)
+def _averages(system, f: Observable, seq: SequenceSpec, n_terms: int, points) -> list[float]:
+    return ergodic_average(system, points, f, seq, n_terms)
 
 
 def sampled_averages(
@@ -324,14 +325,11 @@ def sampled_averages(
 ) -> list[float]:
     """A_N f(x) for every x of ``points``, in order, whatever the worker count.
 
-    :func:`ergodic_average` takes the points as rows, in at most
-    ``workers`` contiguous chunks; every row's sum is exact, so no average
-    depends on how the points were cut.
+    :func:`ergodic_average` takes each chunk that :func:`parallel_map`
+    cuts as rows; every row's sum is exact, so no average depends on how
+    the points were cut.
     """
-    k = max(1, min(workers, len(points)))
-    cuts = [len(points) * i // k for i in range(k + 1)]
-    tasks = [(system, points[a:b], f, seq, n_terms) for a, b in zip(cuts, cuts[1:])]
-    return [a for chunk in parallel_map(_average_task, tasks, workers=workers) for a in chunk]
+    return parallel_map(partial(_averages, system, f, seq, n_terms), points, workers=workers)
 
 
 def sample_seeds(seed: int, count: int) -> list[int]:

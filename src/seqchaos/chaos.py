@@ -30,6 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import ge, le
 from typing import Sequence
 
 import numpy as np
@@ -325,56 +327,23 @@ def verify_scrambled(
         ok = m_t == expected
         schedule_valid &= ok
         if not ok:
-            checks.append(
-                BoundCheck(
-                    name=f"schedule/M_{t}",
-                    claimed=f"{expected}",
-                    measured=float(m_t),
-                    passed=False,
-                )
-            )
+            checks.append(BoundCheck(f"schedule/M_{t}", f"{expected}", float(m_t), False))
 
     report = tuple_distance_averages(
         system, points, seq, cert.checkpoint_indices, eta=float(cert.c_star)
     )
 
-    for j, bound in enumerate(cert.coalescence_bounds):
-        entry = report.checkpoints[2 * j]
-        checks.append(
-            BoundCheck(
-                name=f"coalescence/{j + 1}/max_average<=B",
-                claimed=str(bound),
-                measured=entry.max_average,
-                passed=Fraction(entry.max_average) <= bound,
-            )
-        )
-    for j, bound in enumerate(cert.separation_bounds):
-        entry = report.checkpoints[2 * j + 1]
-        checks.append(
-            BoundCheck(
-                name=f"separation/{j + 1}/min_average>=C",
-                claimed=str(bound),
-                measured=entry.min_average,
-                passed=Fraction(entry.min_average) >= bound,
-            )
-        )
-    checks.append(
-        BoundCheck(
-            name="limsup_proxy>=c_star",
-            claimed=str(cert.c_star),
-            measured=report.limsup_proxy,
-            passed=Fraction(report.limsup_proxy) >= cert.c_star,
-        )
-    )
-    min_b = min(cert.coalescence_bounds)
-    checks.append(
-        BoundCheck(
-            name="liminf_proxy<=min_B",
-            claimed=str(min_b),
-            measured=report.liminf_proxy,
-            passed=Fraction(report.liminf_proxy) <= min_b,
-        )
-    )
+    entries = report.checkpoints
+    claims = [
+        *((f"coalescence/{j + 1}/max_average<=B", entries[2 * j].max_average, le, bound)
+          for j, bound in enumerate(cert.coalescence_bounds)),
+        *((f"separation/{j + 1}/min_average>=C", entries[2 * j + 1].min_average, ge, bound)
+          for j, bound in enumerate(cert.separation_bounds)),
+        ("limsup_proxy>=c_star", report.limsup_proxy, ge, cert.c_star),
+        ("liminf_proxy<=min_B", report.liminf_proxy, le, min(cert.coalescence_bounds)),
+    ]
+    checks += [BoundCheck(name, str(bound), measured, op(Fraction(measured), bound))
+               for name, measured, op, bound in claims]
     passed = schedule_valid and all(c.passed for c in checks)
     return ScrambledVerification(
         report=report, checks=tuple(checks), schedule_valid=schedule_valid, passed=passed
@@ -385,24 +354,9 @@ def verify_scrambled(
 # random tuple scans
 
 
-@dataclass(frozen=True)
-class TupleScanResult:
-    index: int
-    seeds: tuple[int, ...]
-    max_average: float
-    min_average: float
-
-    def to_json_dict(self) -> dict:
-        return {"index": self.index, "max_average": self.max_average,
-                "min_average": self.min_average}
-
-
-def _scan_one(args) -> TupleScanResult:
-    system, seq, n_terms, index, seeds = args
-    pts = [sy.sample_point(system, s) for s in seeds]
-    rep = tuple_distance_averages(system, pts, seq, [n_terms])
-    entry = rep.checkpoints[0]
-    return TupleScanResult(index, seeds, entry.max_average, entry.min_average)
+def _scan(system, seq: SequenceSpec, n_terms: int, tuples) -> list[TupleChaosReport]:
+    points = ([sy.sample_point(system, s) for s in seeds] for seeds in tuples)
+    return [tuple_distance_averages(system, pts, seq, [n_terms]) for pts in points]
 
 
 def random_tuple_scan(
@@ -413,16 +367,18 @@ def random_tuple_scan(
     n_terms: int,
     seed: int,
     workers: int = 1,
-) -> list[TupleScanResult]:
-    """Both averages at N for ``tuple_count`` independently sampled tuples."""
+) -> list[TupleChaosReport]:
+    """The report at N of each of ``tuple_count`` independently sampled tuples.
+
+    Point i of tuple t is sampled from the seed labelled
+    ``tuple/{t}/point/{i}`` under ``seed``.
+    """
     if tuple_size < 2:
         raise ConfigError("tuple_size must be >= 2")
     if tuple_count < 1:
         raise ConfigError("tuple_count must be >= 1")
-    tasks = []
-    for t in range(tuple_count):
-        seeds = tuple(
-            child_seed(seed, f"tuple/{t}/point/{i}") for i in range(tuple_size)
-        )
-        tasks.append((system, seq, n_terms, t, seeds))
-    return parallel_map(_scan_one, tasks, workers=workers)
+    tuples = [
+        [child_seed(seed, f"tuple/{t}/point/{i}") for i in range(tuple_size)]
+        for t in range(tuple_count)
+    ]
+    return parallel_map(partial(_scan, system, seq, n_terms), tuples, workers=workers)

@@ -312,14 +312,16 @@ def _disintegration_consistency(p, workers: int) -> RunOutput:
     _N_TERMS, Field("min_average_floor", _number, None),
 )
 def _tuple_scan(p, workers: int) -> RunOutput:
-    results = ch.random_tuple_scan(
+    reports = ch.random_tuple_scan(
         p.system, p.sequence, p.tuple_size, p.tuples, p.n_terms, p.seed, workers=workers
     )
-    worst = min(r.min_average for r in results)
+    ends = [r.checkpoints[0] for r in reports]
+    worst = min(e.min_average for e in ends)
     assertions = _bound("every_min_average_above_floor", worst, ge, p.min_average_floor,
                         ("worst", "floor"))
-    result = {"tuples": [r.to_json_dict() for r in results]}
-    rows = [[r.index, p.n_terms, r.max_average, r.min_average] for r in results]
+    result = {"tuples": [{"index": t, "max_average": e.max_average, "min_average": e.min_average}
+                         for t, e in enumerate(ends)]}
+    rows = [[t, e.n, e.max_average, e.min_average] for t, e in enumerate(ends)]
     return RunOutput(result, (["tuple", "N", "max_average", "min_average"], rows), assertions)
 
 

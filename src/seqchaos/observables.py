@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -84,7 +83,14 @@ class CylinderIndicator(Observable):
         if len(set(coords)) != len(coords):
             raise ConfigError("cylinder constraints must use distinct coordinates")
 
+    def _check_alphabet(self, system) -> None:
+        if isinstance(system, sy.FullShift) and any(
+            not (0 <= s < system.alphabet_size) for _, s in self.constraints
+        ):
+            raise ConfigError("cylinder symbol outside the alphabet")
+
     def series(self, system, points, times) -> np.ndarray:
+        self._check_alphabet(system)
         negative = any(c < 0 for c, _ in self.constraints)
         for point in points:
             if not isinstance(point, sy.SymbolicPoint):
@@ -98,13 +104,9 @@ class CylinderIndicator(Observable):
         return out.astype(np.float64)
 
     def integral(self, system) -> float | None:
+        self._check_alphabet(system)
         if isinstance(system, sy.FullShift):
-            mass = Fraction(1)
-            for _, s in self.constraints:
-                if not (0 <= s < system.alphabet_size):
-                    raise ConfigError("cylinder symbol outside the alphabet")
-                mass *= system.weights[s]
-            return float(mass)
+            return float(math.prod(system.weights[s] for _, s in self.constraints))
         return None
 
     def bounds(self) -> tuple[float, float]:

@@ -1,9 +1,12 @@
-"""Order-preserving parallel map with per-item determinism.
+"""Order-preserving parallel map over contiguous chunks.
 
-Results depend only on the items, never on scheduling: items are
-dispatched to a process pool and collected back in submission order, so
-any worker count produces the same list.  The pool never gets more
-workers than there are CPUs or items.
+This module alone decides how work is split: the items are cut into at
+most one contiguous chunk per worker, of near-equal sizes, and ``fn``
+maps a whole chunk to one result per item.  The chunks go to a process
+pool and come back in order, so the results depend only on the items,
+never on scheduling or the worker count.  The pool never gets more
+workers than there are CPUs or items, and a single worker is one call,
+``fn(items)``, with no pool.
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    workers = min(workers, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(
+    fn: Callable[[Sequence[T]], list[R]], items: Sequence[T], workers: int = 1
+) -> list[R]:
+    k = min(workers, os.cpu_count() or 1, len(items))
+    if k <= 1:
+        return fn(items)
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    chunks = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        return [r for chunk in pool.map(fn, chunks) for r in chunk]

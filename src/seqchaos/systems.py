@@ -169,29 +169,17 @@ class SeededRandomPoint(SymbolicPoint):
 def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
     """The symbols of each point at every index of ``indices``, one row per point.
 
-    Row r is ``points[r].coordinates(indices)``, except that the seeded
-    random points sharing one weights tuple read one :func:`prf64_np`
-    table, which mixes each index once for all of their seeds.
+    Row r is ``points[r].coordinates(indices)``.  When every point is a
+    seeded random point on one weights tuple, the rows come from one
+    :func:`prf64_np` table, which mixes each index once for all seeds.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    keys = [id(p.weights) if type(p) is SeededRandomPoint else ~r for r, p in enumerate(points)]
-    groups: dict[int, list[int]] = {}
-    if keys and keys.count(keys[0]) == len(keys):
-        groups[keys[0]] = list(range(len(keys)))  # the common case: a single group
-    else:
-        for r, key in enumerate(keys):
-            groups.setdefault(key, []).append(r)
-    out = np.empty((len(points), len(idx)), dtype=np.int64)
-    for key, rows in groups.items():
-        p = points[rows[0]]
-        if key < 0:
-            table = p.coordinates(idx)
-        else:
-            table = p._symbols(prf64_np([points[r].seed for r in rows], idx))
-        if len(rows) == len(points):
-            return table.reshape(out.shape)
-        out[rows] = table
-    return out
+    shape = (len(points), len(idx))
+    if points and all(
+        type(p) is SeededRandomPoint and p.weights is points[0].weights for p in points
+    ):
+        return points[0]._symbols(prf64_np([p.seed for p in points], idx)).reshape(shape)
+    return np.array([p.coordinates(idx) for p in points], dtype=np.int64).reshape(shape)
 
 
 BlockContent = Union[int, SymbolicPoint]

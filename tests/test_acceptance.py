@@ -163,7 +163,7 @@ def test_criterion_6_scrambled_families_all_configs():
 
 def test_criterion_7_generic_tuples_vs_constructed_family():
     scan = random_tuple_scan(FAIR, NATURALS, 2, 100, 10_000, seed=777)
-    worst = min(r.min_average for r in scan)
+    worst = min(r.checkpoints[0].min_average for r in scan)
     points, cert = build_scrambled_family(NATURALS, 2, growth=10, phase_pairs=3, window=48)
     ver = verify_scrambled(points, cert, sy.FullShift.uniform(2, window=48), NATURALS)
     liminf = ver.report.liminf_proxy

@@ -291,21 +291,3 @@ def test_sampled_averages_do_not_depend_on_the_worker_count():
     assert serial == [oracle_average(BIASED, x, f, primes, 3000) for x in points]
     for workers in (2, 3, 8):
         assert sampled_averages(BIASED, points, f, primes, 3000, workers=workers) == serial
-
-
-@pytest.mark.parametrize("workers, n_points", [(1, 5), (2, 5), (3, 5), (8, 5), (4, 1), (2, 0)])
-def test_parallel_map_gets_at_most_one_chunk_per_worker(workers, n_points):
-    seen = []
-
-    def serial_map(fn, items, workers=1):
-        seen.append([len(task[1]) for task in items])
-        return [fn(item) for item in items]
-
-    f = Constant(0.25)
-    points = [sy.sample_point(BIASED, s) for s in range(n_points)]
-    with mock.patch.object(averaging, "parallel_map", serial_map):
-        got = sampled_averages(BIASED, points, f, SequenceSpec.naturals(), 10, workers=workers)
-    assert got == [0.25] * n_points
-    (sizes,) = seen
-    assert len(sizes) <= max(1, workers) and sum(sizes) == n_points
-    assert max(sizes) - min(sizes) <= 1  # contiguous chunks of near-equal size

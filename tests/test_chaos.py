@@ -21,6 +21,7 @@ from seqchaos.chaos import (
     verify_scrambled,
 )
 from seqchaos.errors import ConfigError, DomainError
+from seqchaos.prf import child_seed
 from seqchaos.seqgen import MAX_TERM, SequenceSpec, generate_prefix
 
 from oracles import oracle_series
@@ -607,25 +608,36 @@ def test_scan_identical_seed_points_have_zero_averages():
     assert rep.checkpoints[0].max_average == 0.0
 
 
+def scan_points(seed, t, tuple_size):
+    """Tuple t of a scan under ``seed``: point i from the seed ``tuple/{t}/point/{i}``."""
+    seeds = [child_seed(seed, f"tuple/{t}/point/{i}") for i in range(tuple_size)]
+    return [sy.sample_point(FAIR, s) for s in seeds]
+
+
 def test_scan_matches_bruteforce_at_small_n():
     results = random_tuple_scan(FAIR, NATURALS, 2, 3, 100, seed=2)
     times = np.arange(1, 101, dtype=np.int64)
-    for r in results:
-        x, y = (sy.sample_point(FAIR, s) for s in r.seeds)
-        brute = oracle_series(FAIR, x, y, times)
-        assert r.max_average == math.fsum(brute) / 100
-        assert r.min_average == r.max_average  # single pair
+    for t, r in enumerate(results):
+        (entry,) = r.checkpoints
+        brute = oracle_series(FAIR, *scan_points(2, t, 2), times)
+        assert entry.n == 100
+        assert entry.max_average == math.fsum(brute) / 100
+        assert entry.min_average == entry.max_average  # single pair
 
 
 def test_scan_concentration_at_moderate_n():
     results = random_tuple_scan(FAIR, NATURALS, 2, 40, 2000, seed=21)
     target = 0.5 * (1 - 2.0**-FAIR.window)
-    mins = [r.min_average for r in results]
+    mins = [r.checkpoints[0].min_average for r in results]
     assert abs(np.mean(mins) - target) < 0.03
     assert min(mins) > 0.4
 
 
 def test_scan_workers_neutral():
-    a = random_tuple_scan(FAIR, NATURALS, 2, 6, 100, seed=5, workers=1)
-    b = random_tuple_scan(FAIR, NATURALS, 2, 6, 100, seed=5, workers=2)
-    assert a == b
+    # 7 tuples of 3 points: the chunks are uneven at every worker count above 1
+    serial = random_tuple_scan(FAIR, NATURALS, 3, 7, 100, seed=5, workers=1)
+    assert serial == [
+        tuple_distance_averages(FAIR, scan_points(5, t, 3), NATURALS, [100]) for t in range(7)
+    ]
+    for workers in (2, 3, 8):
+        assert random_tuple_scan(FAIR, NATURALS, 3, 7, 100, seed=5, workers=workers) == serial

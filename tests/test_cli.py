@@ -287,6 +287,28 @@ def test_averages_that_could_overflow_are_status_2(tmp_path, capsys, change):
     assert not out.exists()
 
 
+OUTSIDE = {"kind": "CylinderIndicator", "constraints": {"0": 5}}
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("LacunaryContrast", {"observable": OUTSIDE}),
+        ("FiberConstancy", {"observable": {"kind": "ProductOf", "factors": [
+            OUTSIDE, {"kind": "TrigOnRotation", "frequency": 1, "component": "cos"}]},
+            "expected_means": None}),
+    ],
+    ids=["lacunary", "fiber"],
+)
+def test_cylinder_symbol_outside_the_alphabet_is_status_2(tmp_path, capsys, kind, change):
+    # symbol 5 on the fair 2-shift: the indicator would be 0 everywhere, and
+    # neither experiment asks for its integral
+    status, out = run_tmp(tmp_path, dict(BASE_CONFIGS[kind], **change))
+    assert status == 2
+    assert "config error: cylinder symbol outside the alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_overflow_refusal_comes_before_the_times():
     calls = []
     times_array = averaging.times_array

@@ -5,9 +5,10 @@ from seqchaos.pool import parallel_map
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the chunks, starts nothing."""
 
     created: list[int] = []
+    chunks: list[list] = []
 
     def __init__(self, max_workers):
         RecordingExecutor.created.append(max_workers)
@@ -18,16 +19,23 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        RecordingExecutor.chunks.extend(chunks)
+        return map(fn, chunks)
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
     RecordingExecutor.created = []
+    RecordingExecutor.chunks = []
     monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
     return RecordingExecutor.created
+
+
+def absolutes(chunk):
+    return [abs(x) for x in chunk]
 
 
 @pytest.mark.parametrize(
@@ -42,12 +50,33 @@ def fake_pool(monkeypatch):
     ],
 )
 def test_workers_clamped_to_cpus_and_items(fake_pool, workers, n_items, expected):
-    items = list(range(n_items))
-    assert parallel_map(abs, items, workers=workers) == items
+    items = [-i for i in range(n_items)]
+    assert parallel_map(absolutes, items, workers=workers) == list(range(n_items))
     assert fake_pool == expected
+    assert len(RecordingExecutor.chunks) == (expected[0] if expected else 0)
 
 
 def test_unknown_cpu_count_runs_serially(fake_pool, monkeypatch):
     monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
-    assert parallel_map(abs, [-1, -2, -3], workers=4) == [1, 2, 3]
+    assert parallel_map(absolutes, [-1, -2, -3], workers=4) == [1, 2, 3]
     assert fake_pool == []
+
+
+@pytest.mark.parametrize("workers, n_items", [(1, 5), (2, 5), (3, 5), (8, 5), (4, 1), (2, 0)])
+def test_parallel_map_gets_at_most_one_chunk_per_worker(fake_pool, workers, n_items):
+    calls = []
+
+    def record(chunk):
+        calls.append(list(chunk))
+        return [2 * x for x in chunk]
+
+    items = list(range(n_items))
+    assert parallel_map(record, items, workers=workers) == [2 * x for x in items]
+    assert len(calls) <= max(1, workers)
+    assert [x for chunk in calls for x in chunk] == items  # contiguous, in order
+    sizes = [len(chunk) for chunk in calls]
+    assert max(sizes) - min(sizes) <= 1  # near-equal sizes
+    if len(calls) == 1:
+        assert fake_pool == []  # the serial case is one call, with no pool
+    else:
+        assert RecordingExecutor.chunks == calls and all(calls)
