@@ -20,17 +20,18 @@ the newest one.
 
 All arithmetic that feeds a floor function is exact: polynomial values
 are evaluated by Horner's rule over a common integer denominator, and
-the float64 root estimate of k**(p/q) is corrected by exact comparisons
-of r**q with k**p, so the emitted integer parts are bit-exact on every
-platform.  Both run in blocks of int64 numpy arithmetic wherever a bound
-proves that no value passes 2**62, and in Python ints elsewhere.  Terms
-are capped at 2**63 - 1 (`MAX_TERM`); generation raises instead of
-wrapping.
+the float64 root estimate of k**(p/q) is corrected exactly, by comparing
+r**q with k**p or by integer Newton steps, so the emitted integer parts
+are bit-exact on every platform.  Both run in one loop over blocks of
+candidates: 2**16 int64 candidates wherever a bound proves that no value
+passes 2**62, and after that numpy arrays of Python ints (dtype object),
+doubling from 1 to 1,024 candidates so that a short prefix stays cheap.
+Terms are capped at 2**63 - 1 (`MAX_TERM`); generation raises instead
+of wrapping.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -157,9 +158,10 @@ class SequenceSpec:
 # Every family yields blocks of at most _FLOOR_BLOCK terms.  Naturals and
 # Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime sieve segments
 # double from 2 * _FLOOR_BLOCK numbers up to _SIEVE_SEGMENT and are sliced.
-# A floor block runs as int64 numpy arithmetic when no value it forms can
-# pass _INT64_SAFE, so nothing wraps; otherwise its k go through Python ints,
-# yielded every _EXACT_BLOCK candidates so a short prefix stays cheap.
+# A floor family's candidates come in int64 blocks of _FLOOR_BLOCK while no
+# value they form can pass _INT64_SAFE, so nothing wraps; after that in
+# object blocks of Python ints, doubling up to _EXACT_BLOCK candidates, on
+# which the same array code runs exactly.
 _FLOOR_FAMILIES = ("PolynomialFloor", "FractionalPowerFloor")
 _FLOOR_BLOCK = 1 << 16
 _EXACT_BLOCK = 1 << 10
@@ -234,50 +236,68 @@ def _power_is_safe(base: int, exponent: int) -> bool:
     return exponent * (base.bit_length() - 1) <= 62 and base**exponent <= _INT64_SAFE
 
 
-def _int64_power_le(b: np.ndarray, q: int, x: np.ndarray) -> np.ndarray:
-    """``b**q <= x`` elementwise and exactly, for int64 ``b >= 1``, ``0 <= x <= 2**62``.
+def _power_le(b: np.ndarray, q: int, x: np.ndarray) -> np.ndarray:
+    """``b**q <= x`` elementwise and exactly, for ``b >= 1``.
 
-    When a power could pass 2**62, each partial product is clipped just
-    above ``x`` first: the comparison keeps its answer and every product
-    stays below 2**63.
+    An int64 ``b`` whose power could pass 2**62 is cast to Python ints
+    (dtype object) first, so nothing wraps.
     """
-    if _power_is_safe(int(b.max()), q):
-        return b**q <= x
-    acc = np.ones_like(b)
-    cap = x // b + 1  # acc * b > x exactly when acc >= cap
-    for _ in range(q):
-        acc = np.minimum(acc, cap) * b
-    return acc <= x
+    if not _power_is_safe(int(b.max()), q):
+        b = b.astype(object)
+    return b**q <= x
+
+
+def _roots(x: np.ndarray, q: int, estimate: np.ndarray) -> np.ndarray:
+    """floor(x**(1/q)) for an object array of integers x >= 1, from float estimates.
+
+    From any r above the floor root, integer Newton steps decrease
+    strictly down to it (AM-GM) and then stop.  Each start is the smaller
+    of the estimate pushed up, which is above the root when the estimate
+    is good to 2**-40, and 2**ceil(bits/q), which always is; a start not
+    above the root is replaced by the latter.
+    """
+    cap = 1 << -(-np.frompyfunc(int.bit_length, 1, 1)(x) // q)
+    pushed = np.frompyfunc(int, 1, 1)(np.minimum(estimate, 2.0**1000) * (1 + 2**-40)) + 1
+    r = np.minimum(pushed, cap)
+    r = np.where(r**q <= x, cap, r)
+    while ((lower := ((q - 1) * r + x // r ** (q - 1)) // q) < r).any():
+        r = np.minimum(r, lower)
+    return r
 
 
 def _power_floors(p: int, q: int, k: np.ndarray) -> np.ndarray:
-    """floor(k**(p/q)) for an int64 block with every k**p <= 2**62.
+    """floor(k**(p/q)) for a block of candidates k, with every root at or
+    past 2**63 sent to 2**63.
 
-    The float64 root is within one of the floor here (the root is below
-    2**31); the two loops step it to the exact floor whatever it is.
+    An int64 block has every k**p <= 2**62: its float64 root is within one
+    of the floor (the root is below 2**31), and the two loops step it to
+    the exact floor whatever it is.  An object block takes Newton steps
+    (`_roots`) on k**p clipped at 2**(63q), whose root is 2**63.
     """
+    if k.dtype == object:
+        with np.errstate(over="ignore"):  # far past 2**63, the estimate is inf
+            return _roots(np.minimum(k**p, 1 << 63 * q), q, k.astype(np.float64) ** (p / q))
     x = k**p
     r = np.maximum(np.floor(np.power(k.astype(np.float64), p / q)), 1).astype(np.int64)
-    while (high := ~_int64_power_le(r, q, x)).any():
+    while (high := ~_power_le(r, q, x)).any():
         r -= high
-    while (low := _int64_power_le(r + 1, q, x)).any():
+    while (low := _power_le(r + 1, q, x)).any():
         r += low
     return r
 
 
-def _exact_root(x: int, q: int, estimate: float) -> int:
-    """floor(x**(1/q)) for an integer x >= 1, from a float estimate of it.
-
-    From any r above the floor root, integer Newton steps decrease
-    strictly down to it (AM-GM) and then stop.  The estimate, pushed up,
-    is such an r when it is good to 2**-40; 2**ceil(bits/q) always is.
-    """
-    r = int(estimate * (1 + 2**-40)) + 1
-    if r**q <= x:
-        r = 1 << -(-x.bit_length() // q)
-    while (lower := ((q - 1) * r + x // r ** (q - 1)) // q) < r:
-        r = lower
-    return r
+def _candidates(fits) -> Iterator[np.ndarray]:
+    """The candidates k = 1, 2, ... in consecutive blocks: _FLOOR_BLOCK int64
+    k while ``fits`` holds at a block's last k, then Python ints (dtype
+    object) in blocks doubling from 1 to _EXACT_BLOCK candidates."""
+    k0 = 1
+    while fits(k0 + _FLOOR_BLOCK - 1):
+        yield np.arange(k0, k0 + _FLOOR_BLOCK, dtype=np.int64)
+        k0 += _FLOOR_BLOCK
+    size = 1
+    while True:
+        yield np.array(range(k0, k0 + size), dtype=object)
+        k0, size = k0 + size, min(2 * size, _EXACT_BLOCK)
 
 
 def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -286,8 +306,8 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
     Candidate k is floor(p(k)) or floor(k**r).  It is kept when it
     exceeds max(0, every earlier candidate), so the terms are positive
     and strictly increasing; the others count as skipped.  The first kept
-    term above MAX_TERM raises SequenceOverflowError(k), after the block
-    of terms before it has been yielded.
+    term above MAX_TERM raises SequenceOverflowError(k), after the terms
+    of its block before it have been yielded.
     """
     if spec.family == "PolynomialFloor":
         denom = math.lcm(*(c.denominator for c in spec.coefficients))
@@ -297,16 +317,10 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
             return sum(abs(c) * k**i for i, c in enumerate(ints)) <= _INT64_SAFE
 
         def floors(k: np.ndarray) -> np.ndarray:
-            acc = np.full(len(k), ints[-1], dtype=np.int64)
+            acc = np.full(len(k), ints[-1], dtype=k.dtype)
             for c in reversed(ints[:-1]):
                 acc *= k
                 acc += c
-            return acc // denom
-
-        def exact(k: int) -> int:
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * k + c
             return acc // denom
     else:
         p, q = spec.exponent.numerator, spec.exponent.denominator
@@ -317,40 +331,21 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
         def floors(k: np.ndarray) -> np.ndarray:
             return _power_floors(p, q, k)
 
-        def exact(k: int) -> int:
-            x = k**p
-            if x >> (63 * q):  # the root is at least 2**63
-                return MAX_TERM + 1
-            return _exact_root(x, q, float(k) ** (p / q))
-
     last = 0  # max(0, every candidate so far)
-    for k0 in itertools.count(1, _FLOOR_BLOCK):
-        k1 = k0 + _FLOOR_BLOCK
-        if fits(k1 - 1):
-            k = np.arange(k0, k1, dtype=np.int64)
-            t = floors(k)
-            running = np.maximum.accumulate(t)
-            before = np.empty_like(t)
-            before[0] = last
-            np.maximum(running[:-1], last, out=before[1:])
-            keep = t > before
-            last = max(last, int(running[-1]))
-            yield t[keep], k[keep]
-            continue
-        for lo in range(k0, k1, _EXACT_BLOCK):
-            kept: list[int] = []
-            ks: list[int] = []
-            for k in range(lo, min(lo + _EXACT_BLOCK, k1)):
-                term = exact(k)
-                if term <= last:
-                    continue
-                if term > MAX_TERM:
-                    yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
-                    raise SequenceOverflowError(k)
-                last = term
-                kept.append(term)
-                ks.append(k)
-            yield np.array(kept, dtype=np.int64), np.array(ks, dtype=np.int64)
+    for k in _candidates(fits):
+        t = floors(k)
+        running = np.maximum.accumulate(t)
+        before = np.empty_like(t)
+        before[0] = last
+        np.maximum(running[:-1], last, out=before[1:])
+        keep = t > before
+        last = max(last, int(running[-1]))
+        if last > MAX_TERM:  # the first candidate above it is kept, and cuts the block
+            cut = int(np.argmax(t > MAX_TERM))
+            keep[cut:] = False
+        yield t[keep].astype(np.int64, copy=False), k[keep].astype(np.int64, copy=False)
+        if last > MAX_TERM:
+            raise SequenceOverflowError(int(k[cut]))
 
 
 def _slices(arrays) -> Iterator[tuple[np.ndarray, None]]:
@@ -419,7 +414,8 @@ def _prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
         # the estimate is clipped below float overflow (any estimate is safe)
         p, q = spec.exponent.numerator, spec.exponent.denominator
         x = count**q
-        k = _exact_root(x, p, 2.0 ** min(math.log2(count) * q / p, 1000.0))
+        estimate = np.array([2.0 ** min(math.log2(count) * q / p, 1000.0)])
+        k = int(_roots(np.array([x], dtype=object), p, estimate)[0])
         return out, k + (k**p < x) - count
     return out, 0 if ks is None else int(ks[take - 1]) - count
 

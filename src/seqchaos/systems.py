@@ -485,9 +485,12 @@ _POWERS = np.ldexp(1.0, -np.arange(1, MAX_WINDOW + 1))  # 2**-1 .. 2**-53
 
 
 def _summed(rows: np.ndarray) -> np.ndarray:
-    # coordinate j of a row weighs 2**-(j + 1); a sum of distinct powers of
-    # two over at most 53 coordinates, so exact in float64
-    return np.asarray(rows, dtype=np.float64) @ _POWERS[: rows.shape[1]]
+    # coordinate j of a bool row weighs 2**-(j + 1): the row's bits, packed
+    # into a big-endian 64-bit word, times 2**-64.  At most 53 bits are set,
+    # so the word converts to float64 exactly, and no BLAS call is made.
+    words = np.zeros((len(rows), 8), dtype=np.uint8)
+    words[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1)
+    return words.view(">u8")[:, 0] * 2.0**-64
 
 
 def _first_difference(rows: np.ndarray) -> np.ndarray:
@@ -508,7 +511,6 @@ def _row_fsums(parts: np.ndarray) -> np.ndarray:
 def _extension(base, rows: np.ndarray) -> np.ndarray:
     # rows cover tape coordinates (-w, w); component i reads [1 - i, w + 1 - i)
     w = (rows.shape[1] + 1) // 2
-    rows = rows.astype(np.float64)
     parts = np.stack([base(rows[:, w - i : 2 * w - i]) for i in range(1, w + 1)], axis=1)
     return _row_fsums(parts * _POWERS[:w])
 
@@ -613,8 +615,8 @@ def _on_distinct(times: np.ndarray, series) -> np.ndarray:
 # temporaries stay in cache, large enough that a chunk's last window,
 # which is read again by the next chunk, costs little.
 _TAPE_CELLS = 1 << 17
-# Window cells reduced per gather block (16 MB of float64); fewer, larger
-# matrix products spare BLAS its per-call set-up.
+# Window cells reduced per gather block (2 MB of bool); fewer, larger
+# blocks spare the reducers their per-call set-up.
 _GATHER_CELLS = 1 << 21
 
 

@@ -453,20 +453,21 @@ def test_fractional_power_overflow_at_exactly_two_to_the_63():
 
 
 def test_short_prefix_reads_one_exact_sub_block():
-    # k**199 passes 2**62 from k = 2, so every candidate takes the Python-int path
+    # k**199 passes 2**62 from k = 2, so every candidate is a Python int;
+    # object blocks of 1, 2, 4 and 8 candidates hold the first ten terms
     spec = SequenceSpec.fractional_power_floor(Fraction(199, 100))
-    calls = 0
-    exact_root = seqgen._exact_root
+    candidates = 0
+    power_floors = seqgen._power_floors
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return exact_root(*args)
+    def counting(p, q, k):
+        nonlocal candidates
+        candidates += len(k)
+        return power_floors(p, q, k)
 
-    with mock.patch.object(seqgen, "_exact_root", counting):
+    with mock.patch.object(seqgen, "_power_floors", counting):
         terms, skipped = seqgen._prefix(spec, 10)
     assert (terms.tolist(), skipped) == tuple(oracle_prefix(spec, 10))
-    assert 10 <= calls <= 1024
+    assert 10 <= candidates <= 1024
 
 
 @settings(deadline=None, max_examples=60)
@@ -487,12 +488,19 @@ def test_exact_sub_blocks_match_oracle(exponent, count, block, sub_block):
         assert kernel_prefix(spec, count) == oracle_prefix(spec, count)
 
 
-def test_int64_power_le_clips_without_wrapping():
+def test_power_le_does_not_wrap():
     b = np.array([1, 2, 3, 2**20, 2**31 - 1, 2**31, 2**31 + 1], dtype=np.int64)
     x = np.array([1, 8, 26, 2**60, 2**62, 2**62, 2**62], dtype=np.int64)
     for q in (2, 3, 7):
         expected = [int(bi) ** q <= int(xi) for bi, xi in zip(b, x)]
-        assert seqgen._int64_power_le(b, q, x).tolist() == expected
+        assert seqgen._power_le(b, q, x).tolist() == expected
+        assert seqgen._power_le(b.astype(object), q, x.astype(object)).tolist() == expected
+        assert seqgen._power_le(b.astype(object), q, x).tolist() == expected
+
+
+def roots(x, q, estimate):
+    """`seqgen._roots` on a length-1 object array."""
+    return int(seqgen._roots(np.array([x], dtype=object), q, np.array([estimate]))[0])
 
 
 @settings(deadline=None, max_examples=300)
@@ -502,20 +510,40 @@ def test_int64_power_le_clips_without_wrapping():
     q=st.integers(1, 100),
     scale=st.one_of(st.just(1.0), st.floats(0, 2)),
 )
-def test_exact_root_matches_oracle(k, p, q, scale):
+def test_roots_match_oracle(k, p, q, scale):
     # the floor path asks for roots below 2**63 with the float k**(p/q) as
     # the estimate; any other estimate must only cost steps
     x = k**p
     assume(x.bit_length() <= 63 * q)
     estimate = float(k) ** (p / q)
-    assert seqgen._exact_root(x, q, estimate) == oracle_iroot(x, q)
-    assert seqgen._exact_root(x, q, estimate * scale) == oracle_iroot(x, q)
+    assert roots(x, q, estimate) == oracle_iroot(x, q)
+    assert roots(x, q, estimate * scale) == oracle_iroot(x, q)
 
 
-def test_exact_root_from_a_truncated_estimate():
+def test_roots_from_a_truncated_estimate():
     # 2**1.99 = 3.97 truncates to 3; one Newton step from below lands near 4.6e12
-    assert seqgen._exact_root(2**199, 100, 2.0**1.99) == 3
-    assert seqgen._exact_root(2**199, 100, 3.0) == 3
+    assert roots(2**199, 100, 2.0**1.99) == 3
+    assert roots(2**199, 100, 3.0) == 3
+
+
+def test_object_block_roots_between_two_to_the_53_and_63():
+    # 7/2 below k = 2**18: float64 roots lose their last bits, the exact ones do not
+    p, q = 7, 2
+    k = np.array(range(2**18 - 600, 2**18), dtype=object)
+    got = seqgen._power_floors(p, q, k).tolist()
+    assert 2**53 <= min(got) and max(got) < 2**63
+    assert got == [oracle_iroot(int(kk) ** p, q) for kk in k]
+
+
+def test_polynomial_with_a_large_denominator_matches_oracle_to_its_overflow():
+    # the common denominator 1000003 puts the Horner bound past 2**62 at k = 3,
+    # so with blocks of two, k = 1, 2 form one int64 block and the rest object blocks
+    spec = SequenceSpec.polynomial_floor(["1/1000003", "0", "1099511627776"])
+    for block in (2, seqgen._FLOOR_BLOCK):
+        check_overflow_edge(spec, block)
+    with pytest.raises(SequenceOverflowError) as exc:
+        generate_prefix(spec, 3000)
+    assert exc.value.index == 2897
 
 
 def test_times_array_refuses_more_than_physical_memory(monkeypatch):

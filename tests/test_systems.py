@@ -293,6 +293,23 @@ def test_two_sided_distance_normalized():
     assert d == (0.5 + 2 * (0.5 - 2.0**-30)) / 2
 
 
+def test_summed_rows_are_exact():
+    # packed words against the float64 matrix product they replaced and fsum,
+    # at every width, on contiguous rows and on the strided and reversed
+    # views of _two_sided; the first row sets every bit
+    rng = np.random.default_rng(7)
+    for width in range(sy.MAX_WINDOW + 1):
+        tape = rng.random((40, 2 * width + 1)) < 0.5
+        tape[0] = True
+        powers = np.ldexp(1.0, -np.arange(1, width + 1))
+        for rows in (tape[:, :width], tape[:, 1 : 2 * width + 1 : 2], tape[:, width:0:-1],
+                     np.ascontiguousarray(tape[:, :width]), tape[:0, :width]):
+            got = sy._summed(rows)
+            assert got.dtype == np.float64 and got.shape == (len(rows),)
+            assert got.tolist() == (rows.astype(np.float64) @ powers).tolist()
+            assert got.tolist() == [math.fsum(row) for row in (rows * powers).tolist()]
+
+
 def test_first_difference_metric_option():
     shift = sy.FullShift.uniform(2, window=30, metric=sy.METRIC_FIRST_DIFFERENCE)
     y = sy.BlockScheduledPoint((3,), (0, 1), alphabet_size=2)
