@@ -4,17 +4,8 @@ profiles, and mean Li-Yorke chaos experiments on explicit symbolic systems."""
 __version__ = "0.1.0"
 
 from .averaging import (
-    ArcCell,
-    AverageTrace,
-    CylinderCell,
-    EmpiricalMeasure,
-    average_trace,
-    cylinder_partition,
     disintegration_consistency,
-    dyadic_arcs,
-    empirical_measure,
     ergodic_average,
-    geometric_checkpoints,
     very_good_deviation,
 )
 from .chaos import (
@@ -50,8 +41,6 @@ from .seqgen import (
     close_pair_count,
     close_pair_profile,
     generate_prefix,
-    is_lacunary,
-    thue_morse_return_times,
     times_array,
 )
 from .systems import (
@@ -66,10 +55,8 @@ from .systems import (
     SeededRandomPoint,
     distance,
     distance_series,
-    iterate,
     metric_error_bound,
     natural_extension_lift,
-    project,
     sample_point,
     shift_point,
 )

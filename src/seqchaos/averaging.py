@@ -4,8 +4,8 @@ The core quantity is A_N f(x) = (1/N) * sum_{k<=N} f(T**(a_k) x) for a
 sequence spec {a_k}.  Every sum is exactly rounded: it is the float
 math.fsum returns, bit for bit, so the average of up to 10**7 bounded
 terms carries well below 1e-12 of summation error; the only other error
-sources are the declared per-evaluation bounds of the observable, and
-they are reported on every trace.  One routine, :func:`checkpoint_sums`,
+sources are the per-evaluation bounds the observable declares
+(:meth:`Observable.error_bound`).  One routine, :func:`checkpoint_sums`,
 sums every average along a sequence: it reads a block source row by row
 into a row-wise superaccumulator (:class:`_RowSums`; the design follows
 Neal, "Fast exact summation using small and large superaccumulators",
@@ -18,23 +18,16 @@ reach 2**1020 is refused before any work, so no partial sum overflows.
 Sampled points are rows: :func:`ergodic_average` evaluates all of its
 points in one :meth:`Observable.series` call per block of times, so the
 PRF's counter mix and a rotation's products m * alpha are computed once
-per block for every point, and no points x N array is ever built;
-:func:`average_trace` and the tuple averages of :mod:`seqchaos.chaos`
-read their series in blocks too.  A single point is the length-1 case.
-Each row's sum is exact, so the averages never depend on how the points
-are cut into blocks or chunks, nor on the worker count of
-:func:`sampled_averages`.
-
-Checkpointed traces record running extrema across the checkpoint
-ladder; the running minimum and maximum at the final checkpoint are the
-finite-N stand-ins for liminf / limsup of the averages.
+per block for every point, and no points x N array is ever built; the
+tuple averages of :mod:`seqchaos.chaos` read their series in blocks too.
+A single point is the length-1 case.  Each row's sum is exact, so the
+averages never depend on how the points are cut into blocks or chunks,
+nor on the worker count of :func:`sampled_averages`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -42,10 +35,10 @@ import numpy as np
 
 from . import systems as sy
 from .errors import ConfigError, DomainError
-from .observables import CylinderIndicator, Observable
+from .observables import Observable
 from .pool import parallel_map
-from .prf import MASK64, child_seed
-from .seqgen import SequenceSpec, _validate_checkpoints, times_array
+from .prf import child_seed
+from .seqgen import SequenceSpec, times_array
 
 SUM_ERROR_BOUND = 2.0**-50  # sums are exactly rounded; this is a generous blanket
 
@@ -198,29 +191,6 @@ def checkpoint_sums(block, rows: int, ends: Sequence[int]) -> list[list[float]]:
     return sums
 
 
-def _sums(system, points: Sequence, f: Observable, seq: SequenceSpec, ends: Sequence[int]):
-    """:func:`checkpoint_sums` of f along ``seq``, the points as rows; refused
-    before any work when a bound of f times the last end reaches _SAFE_SUM."""
-    cap = int(_SAFE_SUM) / ends[-1]  # int / int: no OverflowError; a NaN bound fails too
-    if not all(abs(b) < cap for b in f.bounds()):
-        raise ConfigError(f"{f.describe()}: bounds {f.bounds()} times {ends[-1]} could overflow")
-    ts = times_array(seq, ends[-1])
-    return checkpoint_sums(lambda lo, hi: f.series(system, points, ts[lo:hi]), len(points), ends)
-
-
-def geometric_checkpoints(start: int, stop: int, factor: int = 2) -> list[int]:
-    """start, start*factor, ... capped at stop (stop always included)."""
-    if start < 1 or factor < 2 or stop < start:
-        raise ConfigError("need 1 <= start <= stop and factor >= 2")
-    out = []
-    n = start
-    while n < stop:
-        out.append(n)
-        n *= factor
-    out.append(stop)
-    return out
-
-
 def ergodic_average(
     system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int
 ) -> list[float]:
@@ -228,92 +198,17 @@ def ergodic_average(
 
     The points are the rows of one :meth:`Observable.series` call per
     block of times, summed by :func:`checkpoint_sums`; no points x N array
-    is built.
+    is built.  Refused before any work when a bound of f times N reaches
+    _SAFE_SUM.
     """
     if n_terms < 1:
         raise ConfigError("n_terms must be >= 1")
-    return [total / n_terms for (total,) in _sums(system, points, f, seq, [n_terms])]
-
-
-@dataclass(frozen=True)
-class TraceCheckpoint:
-    n: int
-    value: float
-    running_min: float
-    running_max: float
-
-
-@dataclass(frozen=True)
-class AverageTrace:
-    sequence: str
-    point: str
-    observable: str
-    checkpoints: tuple[TraceCheckpoint, ...]
-    err_bound: float
-
-    @property
-    def liminf_proxy(self) -> float:
-        return self.checkpoints[-1].running_min
-
-    @property
-    def limsup_proxy(self) -> float:
-        return self.checkpoints[-1].running_max
-
-    def csv_rows(self) -> list[list]:
-        return [
-            [c.n, c.value, c.running_min, c.running_max, self.err_bound]
-            for c in self.checkpoints
-        ]
-
-    CSV_HEADER = ["N", "value", "running_min", "running_max", "err_bound"]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "point": self.point,
-            "observable": self.observable,
-            "err_bound": self.err_bound,
-            "checkpoints": [
-                {
-                    "N": c.n,
-                    "value": c.value,
-                    "running_min": c.running_min,
-                    "running_max": c.running_max,
-                }
-                for c in self.checkpoints
-            ],
-        }
-
-
-def average_trace(
-    system, x, f: Observable, seq: SequenceSpec, checkpoints: Sequence[int]
-) -> AverageTrace:
-    """Single pass producing A_N at each checkpoint plus running extrema.
-
-    The value at each checkpoint equals a fresh :func:`ergodic_average`
-    at the same N to the last bit (same values, same exact summation).
-    """
-    cps = _validate_checkpoints(checkpoints)
-    (sums,) = _sums(system, [x], f, seq, cps)
-    entries = []
-    run_min = math.inf
-    run_max = -math.inf
-    for n, total in zip(cps, sums):
-        a = total / n
-        run_min = min(run_min, a)
-        run_max = max(run_max, a)
-        entries.append(TraceCheckpoint(n, a, run_min, run_max))
-    try:
-        point_desc = x.describe()
-    except AttributeError:
-        point_desc = repr(x) if not isinstance(x, int) else f"fraction:0x{x:032x}"
-    return AverageTrace(
-        sequence=seq.describe(),
-        point=point_desc,
-        observable=f.describe(),
-        checkpoints=tuple(entries),
-        err_bound=f.error_bound() + SUM_ERROR_BOUND,
-    )
+    cap = int(_SAFE_SUM) / n_terms  # int / int: no OverflowError; a NaN bound fails too
+    if not all(abs(b) < cap for b in f.bounds()):
+        raise ConfigError(f"{f.describe()}: bounds {f.bounds()} times {n_terms} could overflow")
+    ts = times_array(seq, n_terms)
+    sums = checkpoint_sums(lambda lo, hi: f.series(system, points, ts[lo:hi]), len(points), [n_terms])
+    return [total / n_terms for (total,) in sums]
 
 
 def _averages(system, f: Observable, seq: SequenceSpec, n_terms: int, points) -> list[float]:
@@ -379,166 +274,3 @@ def disintegration_consistency(
     points = [sy.sample_point(system, s) for s in sample_seeds(seed, sample_count)]
     averages = sampled_averages(system, points, f, seq, n_terms, workers)
     return abs(math.fsum(averages) / sample_count - target)
-
-
-# ---------------------------------------------------------------------------
-# empirical measures
-
-
-@dataclass(frozen=True)
-class CylinderCell:
-    constraints: tuple[tuple[int, int], ...]
-
-    def describe(self) -> str:
-        return "cyl[" + ";".join(f"{c}:{s}" for c, s in self.constraints) + "]"
-
-
-@dataclass(frozen=True)
-class ArcCell:
-    """Half-open arc [lo, hi) on the 2**-128 circle grid."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not (0 <= self.lo < self.hi <= sy.FRACTION_MOD):
-            raise ConfigError("arc must satisfy 0 <= lo < hi <= 1")
-
-    def describe(self) -> str:
-        return f"arc[{self.lo / sy.FRACTION_MOD:.6g};{self.hi / sy.FRACTION_MOD:.6g})"
-
-
-def dyadic_arcs(level: int) -> list[ArcCell]:
-    """The 2**level equal dyadic arcs tiling the circle."""
-    if level < 0 or level > 60:
-        raise ConfigError("level must be in [0, 60]")
-    step = sy.FRACTION_MOD >> level
-    return [ArcCell(i * step, (i + 1) * step) for i in range(1 << level)]
-
-
-def cylinder_partition(alphabet_size: int, coordinates: Sequence[int]) -> list[CylinderCell]:
-    """All symbol patterns over the given coordinates (a genuine partition)."""
-    coords = tuple(coordinates)
-    cells = [CylinderCell(())]
-    for c in coords:
-        cells = [
-            CylinderCell(cell.constraints + ((c, s),))
-            for cell in cells
-            for s in range(alphabet_size)
-        ]
-    return cells
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    cells: tuple[str, ...]
-    counts: tuple[int, ...]
-    total: int
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(c / self.total for c in self.counts)
-
-    CSV_HEADER = ["cell", "count", "weight"]
-
-    def csv_rows(self) -> list[list]:
-        return [[c, k, k / self.total] for c, k in zip(self.cells, self.counts)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "cells": list(self.cells),
-            "counts": list(self.counts),
-            "weights": list(self.weights),
-        }
-
-
-def _validate_partition(system, cells: Sequence) -> None:
-    if not cells:
-        raise ConfigError("partition must be non-empty")
-    kinds = {type(c) for c in cells}
-    if len(kinds) != 1:
-        raise ConfigError("partition cells must all be of the same kind")
-    if isinstance(cells[0], ArcCell):
-        if not isinstance(system, sy.Rotation):
-            raise DomainError("arc cells partition rotation spaces")
-        ordered = sorted(cells, key=lambda c: c.lo)
-        if ordered[0].lo != 0 or ordered[-1].hi != sy.FRACTION_MOD:
-            raise ConfigError("arcs must tile the full circle")
-        for a, b in zip(ordered, ordered[1:]):
-            if a.hi > b.lo:
-                raise ConfigError("arcs overlap")
-            if a.hi < b.lo:
-                raise ConfigError("arcs leave a gap")
-    elif isinstance(cells[0], CylinderCell):
-        if not isinstance(system, sy.FullShift):
-            raise DomainError("cylinder cells partition shift spaces")
-        coord_sets = {tuple(sorted(c for c, _ in cell.constraints)) for cell in cells}
-        if len(coord_sets) != 1:
-            raise ConfigError("cylinder cells must share one coordinate set")
-        coords = next(iter(coord_sets))
-        if any(not 0 <= s < system.alphabet_size for cell in cells for _, s in cell.constraints):
-            raise ConfigError("cylinder symbol outside the alphabet")
-        expected = system.alphabet_size ** len(coords)
-        patterns = {tuple(sorted(cell.constraints)) for cell in cells}
-        if len(patterns) != len(cells):
-            raise ConfigError("duplicate cylinder cells")
-        if len(cells) != expected:
-            raise ConfigError(
-                f"cylinder partition over coordinates {coords} needs {expected} cells"
-            )
-    else:
-        raise ConfigError(f"unknown cell type {type(cells[0]).__name__}")
-
-
-def _arc_visits(starts: list[int], alpha_num: int, x: int, ts: np.ndarray) -> np.ndarray:
-    """Visit counts of the orbit points in the arcs with sorted ``starts``.
-
-    A point v lies in arc j = #{starts <= v} - 1, compared exactly as
-    128-bit (hi, lo) words: starts whose high word is below v's all count,
-    and among those sharing v's high word (sorted by low word) the ones
-    with low word <= v's count too.
-    """
-    starts_hi = np.array([s >> 64 for s in starts], dtype=np.uint64)
-    starts_lo = np.array([s & MASK64 for s in starts], dtype=np.uint64)
-    widest_tie = max(Counter(starts_hi.tolist()).values())
-    last = len(starts) - 1
-    visits = np.zeros(len(starts), dtype=np.int64)
-    for _, hi, lo in sy.rotation_grid(alpha_num, x, ts):
-        first = np.searchsorted(starts_hi, hi, side="left")
-        end = np.searchsorted(starts_hi, hi, side="right")
-        arc = first - 1
-        for j in range(widest_tie):
-            k = first + j
-            arc += (k < end) & (starts_lo[np.minimum(k, last)] <= lo)
-        visits += np.bincount(arc, minlength=len(starts))
-    return visits
-
-
-def empirical_measure(
-    system, x, partition: Sequence, seq: SequenceSpec, n_terms: int
-) -> EmpiricalMeasure:
-    """Visit frequencies of T**(a_k) x across the partition cells, k <= N.
-
-    Membership tests are exact: symbol comparisons for cylinders, full
-    128-bit grid comparisons for arcs.
-    """
-    _validate_partition(system, partition)
-    if n_terms < 1:
-        raise ConfigError("n_terms must be >= 1")
-    ts = times_array(seq, n_terms)
-    counts = [0] * len(partition)
-    if isinstance(partition[0], ArcCell):
-        ordered = sorted(range(len(partition)), key=lambda i: partition[i].lo)
-        visits = _arc_visits([partition[i].lo for i in ordered], system.alpha_num, x, ts)
-        for i, v in zip(ordered, visits.tolist()):
-            counts[i] = v
-    else:
-        for i, cell in enumerate(partition):
-            inside = CylinderIndicator(cell.constraints).series(system, [x], ts)
-            counts[i] = int(np.count_nonzero(inside))
-    return EmpiricalMeasure(
-        cells=tuple(c.describe() for c in partition),
-        counts=tuple(counts),
-        total=n_terms,
-    )

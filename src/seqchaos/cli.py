@@ -16,7 +16,8 @@ checks a config object against its table, and the manifest echoes the
 parsed fields in table order.
 
 Exit status: 0 all assertions passed, 1 an assertion failed, 2 config
-error, 3 integer-range overflow while generating sequence terms.
+error (an output directory that cannot be written counts as one), 3
+integer-range overflow while generating sequence terms.
 Identical configs (including the master seed) give byte-identical
 outputs, for any worker count.
 """
@@ -436,7 +437,6 @@ def run_config(
         return 3
 
     out_path = Path(out)
-    out_path.mkdir(parents=True, exist_ok=True)
     resolved = {"kind": kind, "seed": p.seed}
     for f in exp.fields:
         v = getattr(p, f.key)
@@ -446,14 +446,19 @@ def run_config(
         "version": __version__,
         "config": resolved,
     }
-    write_json(out_path / "manifest.json", manifest)
-    write_json(out_path / "result.json", output.result_json)
-    write_csv(out_path / "result.csv", *output.csv)
-    for name, obj in output.extra_json.items():
-        write_json(out_path / name, obj)
     failed = [a.name for a in output.assertions if not a.passed]
     summary = {"passed": not failed, "assertions": [vars(a) for a in output.assertions]}
-    write_json(out_path / "summary.json", summary)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+        write_json(out_path / "manifest.json", manifest)
+        write_json(out_path / "result.json", output.result_json)
+        write_csv(out_path / "result.csv", *output.csv)
+        for name, obj in output.extra_json.items():
+            write_json(out_path / name, obj)
+        write_json(out_path / "summary.json", summary)
+    except OSError as exc:
+        print(f"config error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     for a in output.assertions:
         tag = "PASS" if a.passed else "FAIL"
         print(f"{tag} {a.name}" + (f" ({a.detail})" if a.detail and not a.passed else ""))

@@ -117,6 +117,8 @@ class SequenceSpec:
 
     @classmethod
     def thue_morse_return_times(cls) -> "SequenceSpec":
+        """Indices n >= 1 where the Thue-Morse word (parity of binary digit
+        sum, from t_0 = 0) reads 1: the return times of the 1-cylinder."""
         return cls("ThueMorseReturnTimes")
 
     @classmethod
@@ -463,12 +465,6 @@ def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
     return arr
 
 
-def thue_morse_return_times(count: int) -> list[int]:
-    """Indices n >= 1 where the Thue-Morse word (parity of binary digit sum,
-    starting from t_0 = 0) reads 1; the return times of the 1-cylinder."""
-    return generate_prefix(SequenceSpec.thue_morse_return_times(), count)
-
-
 # ---------------------------------------------------------------------------
 # close-pair counting
 
@@ -585,19 +581,6 @@ def close_pair_profile(
                 break
     out = tuple(ClosePairCheckpoint(n, c, c / (n * n)) for n, c in zip(cps, counts))
     return ClosePairProfile(spec.describe(), max_gap, out)
-
-
-def is_lacunary(prefix: Sequence[int], ratio: Fraction | float | int) -> bool:
-    """True iff a_{k+1}/a_k >= ratio for every consecutive pair (exact compare)."""
-    if len(prefix) == 0:
-        raise ConfigError("prefix must be non-empty")
-    if any(x <= 0 for x in prefix):
-        raise ConfigError("prefix terms must be positive")
-    r = Fraction(ratio)
-    return all(
-        prefix[k + 1] * r.denominator >= prefix[k] * r.numerator
-        for k in range(len(prefix) - 1)
-    )
 
 
 def lacunary_max_terms(base: int) -> int:

@@ -14,15 +14,14 @@ Phase spaces come in four kinds:
 * natural extensions of one-sided full shifts (two-sided tapes whose
   negative coordinates are filled by a seeded past rule).
 
-Iteration at time m costs O(polylog m): shifts return a shifted view,
-rotations a single multiply-reduce.  Every metric is truncated at a
-configurable coordinate window ``w`` and the truncation error bound
-(2**-w style) is available alongside via :func:`metric_error_bound`.
-:func:`distance_series` evaluates d(T**m x, T**m y) for a list of pairs
-(x, y), one row each, and a whole array of times without iterating: a
-shift-type metric is one reduction of the windows of a difference tape,
-and each distinct point reads its tape once for all of its pairs.
-:func:`distance` is the one-pair, one-time case.
+Every metric is truncated at a configurable coordinate window ``w``
+and the truncation error bound (2**-w style) is available alongside via
+:func:`metric_error_bound`.  :func:`distance_series` evaluates
+d(T**m x, T**m y) for a list of pairs (x, y), one row each, and a whole
+array of times without iterating: a shift-type metric is one reduction
+of the windows of a difference tape, and each distinct point reads its
+tape once for all of its pairs.  :func:`distance` is the one-pair,
+one-time case.
 
 Nothing here mutates after construction; points and systems are safe to
 share across any number of workers.
@@ -449,31 +448,6 @@ Point = Union[SymbolicPoint, int, tuple, ExtendedPoint]
 
 
 # ---------------------------------------------------------------------------
-# operations
-
-
-def iterate(system: SystemSpec, point: Point, m: int):
-    """T**m applied to ``point``, in O(polylog m)."""
-    if m < 0 and not isinstance(system, (Rotation, NaturalExtension)):
-        raise DomainError("negative iteration on a non-invertible system")
-    if isinstance(system, FullShift):
-        if getattr(point, "side", None) != system.side:
-            raise DomainError("point side does not match the shift")
-        return shift_point(point, m)
-    if isinstance(system, Rotation):
-        return (point + m * system.alpha_num) % FRACTION_MOD
-    if isinstance(system, ProductSystem):
-        if len(point) != len(system.components):
-            raise DomainError("component count mismatch")
-        return tuple(iterate(c, x, m) for c, x in zip(system.components, point))
-    if isinstance(system, NaturalExtension):
-        if not isinstance(point, ExtendedPoint):
-            raise DomainError("natural extension iterates ExtendedPoint values")
-        return ExtendedPoint(point.base, point.past, point.offset + m)
-    raise ConfigError(f"unknown system {system!r}")
-
-
-# ---------------------------------------------------------------------------
 # distances
 #
 # Every shift-type metric reads a window [m + lo, m + lo + span) of both
@@ -677,8 +651,10 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     point is piecewise constant on a one-sided summed shift; both are
     exact, as ``FullShift`` caps the window at 53 coordinates.  A
     rotation's rows are constant; a product ``fsum``s its weighted
-    component rows.  Whatever :func:`iterate` refuses at some time raises
-    ``DomainError``.
+    component rows.  Three things raise ``DomainError``: a negative time
+    on a system that is not invertible, a point of the wrong side (on a
+    natural extension, one that is not an ``ExtendedPoint``), and a point
+    with the wrong number of components on a product.
 
     Each distinct point reads its tape once per chunk of about 2**17
     cells for all the rows it belongs to, so working memory does not grow
@@ -786,11 +762,6 @@ def natural_extension_lift(
     return ExtendedPoint(base_point, past)
 
 
-def project(point: ExtendedPoint) -> SymbolicPoint:
-    """First-coordinate projection onto the underlying one-sided shift."""
-    return point.component(1)
-
-
 # ---------------------------------------------------------------------------
 # orbit evaluation helpers
 
@@ -812,15 +783,17 @@ def _as_times(times) -> np.ndarray:
         ) from None
 
 
-def rotation_grid(alpha_num: int, x0, times: np.ndarray):
-    """Exact orbit points (x0 + m * alpha_num) mod 2**128 on the dyadic grid.
+def rotation_orbit_fractions(system: Rotation, x0, times) -> np.ndarray:
+    """Fractions (x0 + m*alpha mod 1) for each m, as float64.
 
-    ``times`` is an int64 array and ``x0`` one start or a 1-D sequence of
-    starts.  Yields ``(start, hi, lo)`` for consecutive blocks of times
-    starting at index ``start``, each block at most ``_GRID_BLOCK`` grid
-    points over all starts: ``hi`` and ``lo`` are the uint64 words of the
-    block's grid points, with one row per start when ``x0`` is a
-    sequence.  Blocks keep every temporary cache-sized.
+    ``x0`` is one start, giving one fraction per time, or a 1-D sequence
+    of starts, giving one row per start that shares the products m*alpha.
+    The orbit point is computed exactly on the 2**-128 grid, in blocks of
+    at most ``_GRID_BLOCK`` grid points over all starts so that every
+    temporary stays cache-sized; its top 53 bits become the float, so the
+    per-entry error is below 2**-53.  Every time must fit a signed 64-bit
+    integer; one that does not raises :class:`SequenceOverflowError`
+    instead of wrapping.
 
     Exact limb arithmetic in the style of Knuth's Algorithm M (TAOCP
     vol. 2, 4.3.1).  With u = m mod 2**64 and alpha = A1*2**64 + A0,
@@ -833,15 +806,16 @@ def rotation_grid(alpha_num: int, x0, times: np.ndarray):
     low word wraps.  Only uint64 operands enter the arithmetic, so no
     operand is promoted to float64 on any numpy version.
     """
-    rows = np.ndim(x0) > 0
-    starts = [int(x) % FRACTION_MOD for x in (x0 if rows else [x0])]
+    ts = _as_times(times)
+    starts = [int(x) % FRACTION_MOD for x in (x0 if np.ndim(x0) > 0 else [x0])]
     x1 = np.array([x >> 64 for x in starts], dtype=_U64)[:, None]
     x0_lo = np.array([x & MASK64 for x in starts], dtype=_U64)[:, None]
-    a1, a0 = _U64(alpha_num >> 64), _U64(alpha_num & MASK64)
+    a1, a0 = _U64(system.alpha_num >> 64), _U64(system.alpha_num & MASK64)
     b1, b0 = a0 >> _SHIFT32, a0 & _LOW32
     step = max(1, _GRID_BLOCK // max(1, len(starts)))
-    for start in range(0, len(times), step):
-        t = times[start : start + step]
+    out = np.empty(np.shape(x0)[:1] + ts.shape, dtype=np.float64)
+    for start in range(0, len(ts), step):
+        t = ts[start : start + step]
         u = t.view(_U64)
         u1, u0 = u >> _SHIFT32, u & _LOW32
         p01 = u0 * b1
@@ -858,23 +832,6 @@ def rotation_grid(alpha_num: int, x0, times: np.ndarray):
         lo = x0_lo + u * a0
         hi = hi + x1
         hi += lo < x0_lo
-        yield start, (hi if rows else hi[0]), (lo if rows else lo[0])
-
-
-def rotation_orbit_fractions(system: Rotation, x0, times) -> np.ndarray:
-    """Fractions (x0 + m*alpha mod 1) for each m, as float64.
-
-    ``x0`` is one start, giving one fraction per time, or a 1-D sequence
-    of starts, giving one row per start that shares the products m*alpha.
-    The orbit point is computed exactly on the 2**-128 grid by
-    :func:`rotation_grid` (128-bit multiply-add in uint64 limbs); its top
-    53 bits become the float, so the per-entry error is below 2**-53.
-    Every time must fit a signed 64-bit integer; one that does not raises
-    :class:`SequenceOverflowError` instead of wrapping.
-    """
-    ts = _as_times(times)
-    out = np.empty(np.shape(x0)[:1] + ts.shape, dtype=np.float64)
-    for start, hi, _ in rotation_grid(system.alpha_num, x0, ts):
-        out[..., start : start + hi.shape[-1]] = hi >> _U64(11)  # exact: below 2**53
+        out[..., start : start + len(t)] = hi >> _U64(11)  # exact: below 2**53
     out *= 2.0**-53
     return out

@@ -1,6 +1,5 @@
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
 
@@ -11,18 +10,7 @@ from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos import averaging, chaos
-from seqchaos.averaging import (
-    ArcCell,
-    CylinderCell,
-    average_trace,
-    cylinder_partition,
-    disintegration_consistency,
-    dyadic_arcs,
-    empirical_measure,
-    ergodic_average,
-    geometric_checkpoints,
-    very_good_deviation,
-)
+from seqchaos.averaging import disintegration_consistency, ergodic_average, very_good_deviation
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
     Constant,
@@ -32,6 +20,8 @@ from seqchaos.observables import (
     TrigOnRotation,
 )
 from seqchaos.seqgen import SequenceSpec, generate_prefix
+
+from oracles import iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
@@ -43,7 +33,7 @@ def brute_average(system, x, f, seq, n):
     # reference path: explicit orbit iteration, no vectorization
     from seqchaos.seqgen import generate_prefix
 
-    vals = [f.value(system, sy.iterate(system, x, m)) for m in generate_prefix(seq, n)]
+    vals = [f.value(system, iterate(system, x, m)) for m in generate_prefix(seq, n)]
     return math.fsum(vals) / n
 
 
@@ -370,63 +360,13 @@ def test_tuple_checkpoints_equal_fsum_of_the_pair_series():
     ids=["cylinder", "all-zero", "cos"],
 )
 def test_trace_checkpoints_equal_fsum_of_the_series(system, x, f):
-    cps = geometric_checkpoints(1, 70_000, 3)
-    tr = average_trace(system, x, f, PRIMES, cps)
-    vals = f.series(system, [x], np.array(generate_prefix(PRIMES, cps[-1]), dtype=np.int64))[0]
-    assert hex_list(c.value for c in tr.checkpoints) == hex_list(
-        s / n for s, n in zip(fsum_sums(vals, cps), cps)
-    )
-
-
-# ---------------------------------------------------------------------------
-# traces
-
-
-def test_trace_constant_observable():
-    tr = average_trace(FAIR, sy.sample_point(FAIR, 1), Constant(0.25), NATURALS, [10, 100, 1000])
-    assert all(c.value == 0.25 for c in tr.checkpoints)
-    assert tr.liminf_proxy == tr.limsup_proxy == 0.25
-
-
-def test_trace_fixed_point_complement():
-    x = sy.PeriodicPoint((0,), 2)
-    tr = average_trace(FAIR, x, CylinderIndicator(((0, 1),)), NATURALS, [10, 100])
-    assert all(c.value == 0.0 for c in tr.checkpoints)
-
-
-def test_trace_matches_fresh_averages_bit_for_bit():
-    x = sy.sample_point(FAIR, 77)
-    f = CylinderIndicator(((0, 0),))
-    tr = average_trace(FAIR, x, f, PRIMES, [10, 100, 1000])
-    for cp in tr.checkpoints:
-        assert cp.value == ergodic_average(FAIR, [x], f, PRIMES, cp.n)[0]
-
-
-def test_trace_running_extrema():
-    x = sy.sample_point(FAIR, 5)
-    f = CylinderIndicator(((0, 0),))
-    tr = average_trace(FAIR, x, f, NATURALS, geometric_checkpoints(10, 10_000))
-    values = [c.value for c in tr.checkpoints]
-    for i, cp in enumerate(tr.checkpoints):
-        assert cp.running_min == min(values[: i + 1])
-        assert cp.running_max == max(values[: i + 1])
-        assert cp.running_min <= cp.value <= cp.running_max
-
-
-def test_cesaro_domination_on_doubling_ladder():
-    # for 0 <= f <= 1 the averages at N and 2N differ by at most 1/2
-    f = CylinderIndicator(((0, 0),))
-    for seed in range(10):
-        x = sy.sample_point(FAIR, seed)
-        tr = average_trace(FAIR, x, f, NATURALS, [2**k for k in range(1, 13)])
-        vals = [c.value for c in tr.checkpoints]
-        assert all(abs(b - a) <= 0.5 + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_trace_csv_shape():
-    tr = average_trace(FAIR, sy.sample_point(FAIR, 1), Constant(1.0), NATURALS, [5, 10])
-    rows = tr.csv_rows()
-    assert len(rows) == 2 and len(rows[0]) == len(tr.CSV_HEADER)
+    # several ends on the blocks of one observable series: 1, 3, ..., 3**10
+    # and 70,000 cut across the blocks of terms
+    cps = [3**k for k in range(11)] + [70_000]
+    ts = np.array(generate_prefix(PRIMES, cps[-1]), dtype=np.int64)
+    (sums,) = averaging.checkpoint_sums(lambda lo, hi: f.series(system, [x], ts[lo:hi]), 1, cps)
+    vals = f.series(system, [x], ts)[0]
+    assert hex_list(sums) == hex_list(fsum_sums(vals, cps))
 
 
 # ---------------------------------------------------------------------------
@@ -464,119 +404,6 @@ def test_bernoulli_cylinder_deviation():
     f = CylinderIndicator(((0, 0),))
     dev = very_good_deviation(FAIR, list(range(100)), f, NATURALS, 100_000)
     assert dev < 0.02
-
-
-# ---------------------------------------------------------------------------
-# empirical measures
-
-
-def test_trivial_partition():
-    m = empirical_measure(FAIR, sy.sample_point(FAIR, 2), [CylinderCell(())], NATURALS, 50)
-    assert m.weights == (1.0,)
-
-
-def test_rotation_quarter_cycle_arcs():
-    rot = sy.Rotation.from_fraction(Fraction(1, 4))
-    m = empirical_measure(rot, 0, dyadic_arcs(2), NATURALS, 4000)
-    assert m.weights == (0.25, 0.25, 0.25, 0.25)
-
-
-def test_weights_sum_to_one():
-    x = sy.sample_point(FAIR, 8)
-    cells = cylinder_partition(2, [0, 1, 2])
-    m = empirical_measure(FAIR, x, cells, PRIMES, 3000)
-    assert abs(sum(m.weights) - 1.0) < 1e-12
-    assert all(w >= 0 for w in m.weights)
-
-
-def test_refined_partition_counts_add_exactly():
-    x = sy.sample_point(FAIR, 21)
-    coarse = empirical_measure(FAIR, x, cylinder_partition(2, [0]), PRIMES, 2000)
-    fine = empirical_measure(FAIR, x, cylinder_partition(2, [0, 1]), PRIMES, 2000)
-    # fine cells are ordered with coordinate-0 symbol slowest
-    assert coarse.counts[0] == fine.counts[0] + fine.counts[1]
-    assert coarse.counts[1] == fine.counts[2] + fine.counts[3]
-
-
-def test_partition_validation():
-    with pytest.raises(ConfigError):
-        empirical_measure(
-            sy.Rotation.golden(),
-            0,
-            [ArcCell(0, 1 << 127), ArcCell(1 << 126, 1 << 128)],  # overlap
-            NATURALS,
-            10,
-        )
-    with pytest.raises(ConfigError):
-        empirical_measure(
-            sy.Rotation.golden(),
-            0,
-            [ArcCell(0, 1 << 126), ArcCell(1 << 127, 1 << 128)],  # gap
-            NATURALS,
-            10,
-        )
-    with pytest.raises(ConfigError):
-        # missing patterns: not a partition of the shift
-        empirical_measure(FAIR, sy.sample_point(FAIR, 0), [CylinderCell(((0, 0),))], NATURALS, 10)
-    x = sy.sample_point(FAIR, 0)
-    with pytest.raises(ConfigError):
-        # two cells, but symbol 5 is outside the alphabet: the weights would sum to < 1
-        empirical_measure(FAIR, x, [CylinderCell(((0, 0),)), CylinderCell(((0, 5),))], NATURALS, 1000)
-    with pytest.raises(DomainError):
-        # coordinate -2 of a one-sided point, as CylinderIndicator refuses it
-        empirical_measure(FAIR, x, cylinder_partition(2, [-2]), NATURALS, 1000)
-
-
-def test_arc_membership_is_exact_on_dyadics():
-    rot = sy.Rotation.from_fraction(Fraction(1, 2))
-    m = empirical_measure(rot, 0, dyadic_arcs(1), NATURALS, 101)
-    # orbit alternates 1/2, 0, 1/2, ... starting at a_1 = 1
-    assert m.counts == (50, 51)
-
-
-def test_cylinder_cells_past_int64_raise_instead_of_wrapping():
-    x = sy.sample_point(FAIR, 2)
-    cells = cylinder_partition(2, [0, 1])
-    last = SequenceSpec.explicit([2**63 - 2])
-    assert empirical_measure(FAIR, x, cells, last, 1).total == 1
-    with pytest.raises(DomainError):
-        empirical_measure(FAIR, x, cells, SequenceSpec.explicit([2**63 - 1]), 1)
-
-
-def bisect_arc_counts(system, x, partition, times):
-    # reference path: one Python bigint per orbit point, bisected into arcs
-    counts = [0] * len(partition)
-    ordered = sorted(range(len(partition)), key=lambda i: partition[i].lo)
-    starts = [partition[i].lo for i in ordered]
-    for m in times:
-        v = (x + m * system.alpha_num) % sy.FRACTION_MOD
-        counts[ordered[bisect_right(starts, v) - 1]] += 1
-    return tuple(counts)
-
-
-@st.composite
-def arc_partitions(draw):
-    # cuts sharing one high word force the exact low-word tie break
-    high = draw(st.integers(0, 2**64 - 1))
-    shared = draw(st.lists(st.integers(0, 2**64 - 1), max_size=5))
-    free = draw(st.lists(st.integers(1, 2**128 - 1), max_size=6))
-    cuts = sorted(({(high << 64) | lo for lo in shared} | set(free)) - {0})
-    bounds = [0, *cuts, 2**128]
-    arcs = [ArcCell(a, b) for a, b in zip(bounds, bounds[1:])]
-    return draw(st.permutations(arcs))
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    partition=arc_partitions(),
-    alpha_num=st.one_of(st.integers(0, 2**128 - 1), st.integers(0, 2**8)),
-    x=st.integers(0, 2**128 - 1),
-    terms=st.lists(st.one_of(st.integers(1, 2**63 - 1), st.integers(1, 4)), min_size=1, max_size=60),
-)
-def test_arc_counts_match_bisect_oracle(partition, alpha_num, x, terms):
-    rot = sy.Rotation(alpha_num)
-    m = empirical_measure(rot, x, partition, SequenceSpec.explicit(terms), len(terms))
-    assert m.counts == bisect_arc_counts(rot, x, partition, terms)
 
 
 # ---------------------------------------------------------------------------

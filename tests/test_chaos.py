@@ -24,7 +24,7 @@ from seqchaos.errors import ConfigError, DomainError
 from seqchaos.prf import child_seed
 from seqchaos.seqgen import MAX_TERM, SequenceSpec, generate_prefix
 
-from oracles import oracle_series
+from oracles import iterate, oracle_series
 
 FAIR = sy.FullShift.uniform(2)
 NATURALS = SequenceSpec.naturals()
@@ -400,14 +400,14 @@ def test_shifted_points_near_int64_raise_instead_of_wrapping(kind, window):
     shift = sy.FullShift.uniform(2, side=sy.TWO_SIDED if kind == "two_sided" else sy.ONE_SIDED,
                                  window=window)
     system = sy.NaturalExtension(shift) if kind == "extension" else shift
-    x, y = (sy.iterate(system, sy.sample_point(system, s), 10) for s in (1, 2))
+    x, y = (iterate(system, sy.sample_point(system, s), 10) for s in (1, 2))
     last = MAX_TERM - window - 9
     ts = np.array([last, 0], dtype=np.int64)
     assert distance_series(system, [x], [y], ts)[0].tolist() == oracle_series(system, x, y, ts)
     with pytest.raises(DomainError):
         distance_series(system, [x], [y], np.array([0, last + 1], dtype=np.int64))
     with pytest.raises(DomainError):
-        sy.distance(system, sy.iterate(system, x, last + 1), sy.iterate(system, y, last + 1))
+        sy.distance(system, iterate(system, x, last + 1), iterate(system, y, last + 1))
 
 
 def test_rotation_series_generic_path():

@@ -309,6 +309,21 @@ def test_cylinder_symbol_outside_the_alphabet_is_status_2(tmp_path, capsys, kind
     assert not out.exists()
 
 
+@pytest.mark.parametrize("blocked", ["out_under_a_file", "artifact_is_a_directory"])
+def test_unwritable_output_is_status_2(tmp_path, capsys, blocked):
+    # the run itself succeeds; only writing its artifacts fails
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIGS["ConditionStarProfile"]))
+    if blocked == "out_under_a_file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+    else:
+        out = tmp_path / "out"
+        (out / "result.json").mkdir(parents=True)
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert f"config error: cannot write {out}: " in capsys.readouterr().err
+
+
 def test_overflow_refusal_comes_before_the_times():
     calls = []
     times_array = averaging.times_array
@@ -322,9 +337,9 @@ def test_overflow_refusal_comes_before_the_times():
         with pytest.raises(ConfigError):
             averaging.ergodic_average(golden, [0], Constant(1e308), naturals, 1000)
         with pytest.raises(ConfigError):
-            averaging.average_trace(golden, 0, Constant(1e305), naturals, [10, 100000])
+            averaging.ergodic_average(golden, [0], Constant(1e305), naturals, 100000)
         assert calls == []
-        averaging.average_trace(golden, 0, Constant(1e305), naturals, [10, 100])
+        averaging.ergodic_average(golden, [0], Constant(1e305), naturals, 100)
         assert calls == [100]
 
 

@@ -18,10 +18,8 @@ from seqchaos.seqgen import (
     close_pair_count,
     close_pair_profile,
     generate_prefix,
-    is_lacunary,
     lacunary_max_terms,
     prefix_with_skips,
-    thue_morse_return_times,
     times_array,
 )
 
@@ -42,6 +40,9 @@ def thue_morse_oracle(count):
     while len(word) < 4 * count:
         word = [b for a in word for b in (a, 1 - a)]
     return [n for n, t in enumerate(word) if t == 1][:count]
+
+
+THUE_MORSE = SequenceSpec.thue_morse_return_times()
 
 
 def brute_pair_count(prefix, max_gap):
@@ -118,7 +119,7 @@ def test_prime_bound_starts_at_six():
 @given(block=st.integers(1, 50))
 def test_thue_morse_across_small_blocks(block):
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
-        assert thue_morse_return_times(500) == thue_morse_oracle(500)
+        assert generate_prefix(THUE_MORSE, 500) == thue_morse_oracle(500)
 
 
 def test_polynomial_squares():
@@ -179,10 +180,10 @@ def test_fractional_power_below_one_dedupes():
 
 def test_thue_morse_against_substitution():
     oracle = thue_morse_oracle(1000)
-    assert thue_morse_return_times(1) == [1]
-    assert thue_morse_return_times(4) == [1, 2, 4, 7]
-    assert thue_morse_return_times(1000) == oracle[:1000]
-    assert thue_morse_return_times(100) == thue_morse_return_times(100)
+    assert generate_prefix(THUE_MORSE, 1) == [1]
+    assert generate_prefix(THUE_MORSE, 4) == [1, 2, 4, 7]
+    assert generate_prefix(THUE_MORSE, 1000) == oracle[:1000]
+    assert generate_prefix(THUE_MORSE, 100) == generate_prefix(THUE_MORSE, 100)
 
 
 def test_lacunary_powers_of_two():
@@ -796,17 +797,6 @@ def test_close_pair_gaps_do_not_wrap():
         explicit = SequenceSpec.explicit([MAX_TERM, 1, MAX_TERM, 2**62])
         counts = [c.count for c in close_pair_profile(explicit, max_gap, [4]).checkpoints]
         assert counts == [brute_pair_count(explicit.explicit_terms, max_gap)]
-
-
-# ---------------------------------------------------------------------------
-# lacunarity predicate
-
-
-def test_is_lacunary_examples():
-    assert is_lacunary([2, 4, 8, 16], 2) is True
-    assert is_lacunary([2, 3, 5, 7, 11], 1.5) is False  # 7/5 < 3/2
-    assert is_lacunary([17], 100.0) is True
-    assert is_lacunary([2, 3], Fraction(3, 2)) is True  # boundary ratio counts
 
 
 def test_times_array_matches_generate_prefix():
