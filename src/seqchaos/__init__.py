@@ -21,7 +21,6 @@ from .errors import ConfigError, DomainError, SequenceOverflowError
 from .observables import (
     Constant,
     CylinderIndicator,
-    LinearCombination,
     Observable,
     ProductOf,
     TrigOnRotation,
@@ -58,5 +57,4 @@ from .systems import (
     metric_error_bound,
     natural_extension_lift,
     sample_point,
-    shift_point,
 )

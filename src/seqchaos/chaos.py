@@ -141,23 +141,6 @@ class ScrambledFamilyCertificate:
     in_zone_counts: tuple[int, ...]
     c_star: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tuple_size": self.tuple_size,
-            "alphabet_size": self.alphabet_size,
-            "growth": self.growth,
-            "phase_pairs": self.phase_pairs,
-            "window": self.window,
-            "sequence": self.sequence,
-            "checkpoint_indices": list(self.checkpoint_indices),
-            "sequence_at_checkpoints": list(self.sequence_at_checkpoints),
-            "coordinate_boundaries": list(self.coordinate_boundaries),
-            "coalescence_bounds": [str(b) for b in self.coalescence_bounds],
-            "separation_bounds": [str(b) for b in self.separation_bounds],
-            "in_zone_counts": list(self.in_zone_counts),
-            "c_star": str(self.c_star),
-        }
-
 
 def _separation_zones(cert: ScrambledFamilyCertificate) -> list[tuple[int, int]]:
     """Coordinate ranges carrying the distinct per-point symbols.
@@ -288,10 +271,7 @@ class ScrambledVerification:
         return {
             "passed": self.passed,
             "schedule_valid": self.schedule_valid,
-            "checks": [
-                {"name": c.name, "claimed": c.claimed, "measured": c.measured, "passed": c.passed}
-                for c in self.checks
-            ],
+            "checks": self.checks,
             "report": self.report.to_json_dict(),
         }
 

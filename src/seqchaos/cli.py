@@ -89,7 +89,12 @@ def _to_fraction(v: int | str) -> Fraction:
 
 
 _fraction = _typed("an int or a 'p/q' string", lambda v: type(v) in (int, str), _to_fraction)
-_coordinate = _typed("an integer coordinate", lambda v: type(v) in (int, str), int)
+# an object key names a coordinate in canonical ASCII decimal; a library
+# caller may pass an int
+_coordinate = _typed(
+    "an integer coordinate",
+    lambda v: type(v) is int or type(v) is str and re.fullmatch("-?(0|[1-9][0-9]*)", v), int,
+)
 
 
 def _alpha(v, path: str, minimum=None) -> sy.Rotation:
@@ -218,7 +223,7 @@ class Assertion:
 
 @dataclass
 class RunOutput:
-    result_json: dict
+    result_json: object  # a dict or a dataclass result, as reporting writes it
     csv: tuple[list[str], list[list]]
     assertions: list[Assertion]
     extra_json: dict = field(default_factory=dict)
@@ -346,7 +351,7 @@ def _scrambled_build_verify(p, workers: int) -> RunOutput:
     assertions.append(Assertion("schedule_valid", verification.schedule_valid, ""))
     rep = verification.report
     return RunOutput(verification.to_json_dict(), (rep.CSV_HEADER, rep.csv_rows()), assertions,
-                     {"certificate.json": cert.to_json_dict()})
+                     {"certificate.json": cert})
 
 
 @_experiment(
@@ -403,7 +408,7 @@ def _lacunary_contrast(p, workers: int) -> RunOutput:
     )
     assertions = _bound("good_extended_dispersion_below_bound", report.good_extended_dispersion,
                         lt, p.max_extended_dispersion, ("dispersion", "bound"))
-    return RunOutput(report.to_json_dict(), (report.CSV_HEADER, report.csv_rows()), assertions)
+    return RunOutput(report, (report.CSV_HEADER, report.csv_rows()), assertions)
 
 
 def list_experiments() -> str:
@@ -412,6 +417,18 @@ def list_experiments() -> str:
         keys = ", ".join(f.key + ("" if f.default is REQUIRED else "?") for f in exp.fields)
         lines.append(f"  {kind}: {exp.summary} ({keys})")
     return "\n".join(lines)
+
+
+def _check_writable(out: str) -> None:
+    """Refuse, before any work, an output path that no mkdir can create: one
+    that exists as a non-directory, or whose nearest existing ancestor does."""
+    path = Path(out)
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write {out}: {existing} is not a directory")
 
 
 def run_config(
@@ -428,6 +445,7 @@ def run_config(
             p.seed = _int(seed_override, "--seed", 0)
         _int(workers, "--workers", 1)
         out = out_dir or p.out or f"runs/{kind}"
+        _check_writable(out)
         output = exp.compute(p, workers)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -447,7 +465,7 @@ def run_config(
         "config": resolved,
     }
     failed = [a.name for a in output.assertions if not a.passed]
-    summary = {"passed": not failed, "assertions": [vars(a) for a in output.assertions]}
+    summary = {"passed": not failed, "assertions": output.assertions}
     try:
         out_path.mkdir(parents=True, exist_ok=True)
         write_json(out_path / "manifest.json", manifest)

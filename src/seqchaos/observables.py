@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -209,40 +208,3 @@ class ProductOf(Observable):
 
     def describe(self) -> str:
         return "Product[" + " * ".join(f.describe() for f in self.factors) + "]"
-
-
-@dataclass(frozen=True)
-class LinearCombination(Observable):
-    """sum of coef * observable; used mainly to exercise linearity."""
-
-    parts: tuple[tuple[float, Observable], ...]
-
-    def series(self, system, points, times) -> np.ndarray:
-        out = np.zeros((len(points), len(times)), dtype=np.float64)
-        for c, f in self.parts:
-            out += c * f.series(system, points, times)
-        return out
-
-    def integral(self, system) -> float | None:
-        vals = [f.integral(system) for _, f in self.parts]
-        if any(v is None for v in vals):
-            return None
-        return math.fsum(c * v for (c, _), v in zip(self.parts, vals))
-
-    def bounds(self) -> tuple[float, float]:
-        lo = hi = 0.0
-        for c, f in self.parts:
-            a, b = f.bounds()
-            pa, pb = c * a, c * b
-            lo += min(pa, pb)
-            hi += max(pa, pb)
-        return lo, hi
-
-    def error_bound(self) -> float:
-        return math.fsum(abs(c) * f.error_bound() for c, f in self.parts) + 2.0**-50
-
-    def describe(self) -> str:
-        return " + ".join(f"{c}*{f.describe()}" for c, f in self.parts)
-
-
-ObservableSpec = Union[Constant, CylinderIndicator, TrigOnRotation, ProductOf, LinearCombination]

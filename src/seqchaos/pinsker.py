@@ -196,17 +196,6 @@ class LacunaryContrastReport:
             ["extended", self.extended_terms, self.good_extended_dispersion, -1.0],
         ]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matched_terms": self.matched_terms,
-            "good_dispersion": self.good_dispersion,
-            "lacunary_dispersion": self.lacunary_dispersion,
-            "extended_terms": self.extended_terms,
-            "good_extended_dispersion": self.good_extended_dispersion,
-            "lacunary_max_terms": self.lacunary_max_terms,
-            "lacunary_extended_available": self.lacunary_extended_available,
-        }
-
 
 def lacunary_contrast_report(
     shift: sy.FullShift,

@@ -2,11 +2,13 @@
 
 Floats are always rendered with 17 significant digits (%.17g), which
 round-trips IEEE doubles exactly, and containers are written in a fixed
-order, so identical results produce byte-identical files.
+order, so identical results produce byte-identical files.  A dataclass
+instance is written as an object of its fields in declaration order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -69,6 +71,8 @@ def _json_fragment(obj, out: list[str]) -> None:
             out.append(":")
             _json_fragment(v, out)
         out.append("}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _json_fragment({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:
         raise TypeError(f"unsupported JSON value type {type(obj).__name__}")
 

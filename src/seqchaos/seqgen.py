@@ -302,14 +302,14 @@ def _candidates(fits) -> Iterator[np.ndarray]:
         k0, size = k0 + size, min(2 * size, _EXACT_BLOCK)
 
 
-def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(terms, k) of a floor family, one block of candidates k at a time.
+def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
+    """The terms of a floor family, one block of candidates k at a time.
 
     Candidate k is floor(p(k)) or floor(k**r).  It is kept when it
     exceeds max(0, every earlier candidate), so the terms are positive
-    and strictly increasing; the others count as skipped.  The first kept
-    term above MAX_TERM raises SequenceOverflowError(k), after the terms
-    of its block before it have been yielded.
+    and strictly increasing.  The first kept term above MAX_TERM raises
+    SequenceOverflowError(k), after the terms of its block before it
+    have been yielded.
     """
     if spec.family == "PolynomialFloor":
         denom = math.lcm(*(c.denominator for c in spec.coefficients))
@@ -345,45 +345,33 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]
         if last > MAX_TERM:  # the first candidate above it is kept, and cuts the block
             cut = int(np.argmax(t > MAX_TERM))
             keep[cut:] = False
-        yield t[keep].astype(np.int64, copy=False), k[keep].astype(np.int64, copy=False)
+        yield t[keep].astype(np.int64, copy=False)
         if last > MAX_TERM:
             raise SequenceOverflowError(int(k[cut]))
 
 
-def _slices(arrays) -> Iterator[tuple[np.ndarray, None]]:
-    """Each array in views of at most _FLOOR_BLOCK terms, as (terms, None) blocks."""
+def _slices(arrays) -> Iterator[np.ndarray]:
+    """Each array in views of at most _FLOOR_BLOCK terms."""
     for a in arrays:
         for lo in range(0, len(a), _FLOOR_BLOCK):
-            yield a[lo : lo + _FLOOR_BLOCK], None
+            yield a[lo : lo + _FLOOR_BLOCK]
 
 
-def _below_one(spec: SequenceSpec) -> bool:
-    """k**r with r < 1, whose floors climb by at most one: its terms are the naturals."""
-    return spec.family == "FractionalPowerFloor" and spec.exponent < 1
-
-
-def _blocks(
-    spec: SequenceSpec, count: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The sequence as (terms, k) blocks of at most _FLOOR_BLOCK consecutive
-    int64 terms.
+def _blocks(spec: SequenceSpec, count: int | None = None) -> Iterator[np.ndarray]:
+    """The sequence in blocks of at most _FLOOR_BLOCK consecutive int64 terms.
 
     A caller that needs only the first ``count`` terms may say so: the
-    prime sieve then stops at a bound on the count-th prime.
-
-    ``k`` holds each term's candidate index for the floor families that
-    enumerate candidates, and is None otherwise (powers below one skip
-    candidates too; `_prefix` counts those in closed form).  The first
+    prime sieve then stops at a bound on the count-th prime.  The first
     term above MAX_TERM raises SequenceOverflowError with its index;
     Explicit simply ends.
     """
-    if spec.family == "Naturals" or _below_one(spec):
-        for block in _natural_blocks():
-            yield block, None
+    # k**r with r < 1, whose floors climb by at most one, has the naturals as its terms
+    if spec.family == "Naturals" or (spec.family == "FractionalPowerFloor" and spec.exponent < 1):
+        yield from _natural_blocks()
         raise SequenceOverflowError(MAX_TERM + 1)
     if spec.family == "ThueMorseReturnTimes":
         for block in _natural_blocks():
-            yield block[_odd_popcount(block)], None
+            yield block[_odd_popcount(block)]
         raise SequenceOverflowError(2**62 + 1)  # half of 0..MAX_TERM has odd popcount
     if spec.family == "Primes":
         yield from _slices(_prime_blocks(_prime_bound(count)))
@@ -397,13 +385,13 @@ def _blocks(
         yield from _slices([np.array(spec.explicit_terms, dtype=np.int64)])
 
 
-def _prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
-    """The first ``count`` terms as a new int64 array, and the candidates skipped."""
+def _prefix(spec: SequenceSpec, count: int) -> np.ndarray:
+    """The first ``count`` terms as a new int64 array."""
     if count < 1:
         raise ConfigError("count must be >= 1")
     out = np.empty(count, dtype=np.int64)
     filled = 0
-    for block, ks in _blocks(spec, count):
+    for block in _blocks(spec, count):
         take = min(len(block), count - filled)
         out[filled : filled + take] = block[:take]
         filled += take
@@ -411,31 +399,12 @@ def _prefix(spec: SequenceSpec, count: int) -> tuple[np.ndarray, int]:
             break
     else:
         raise ConfigError(f"{spec.describe()} has only {filled} terms, {count} requested")
-    if _below_one(spec):
-        # term N first appears at k = ceil(N**(q/p)), the least k with k**p >= N**q;
-        # the estimate is clipped below float overflow (any estimate is safe)
-        p, q = spec.exponent.numerator, spec.exponent.denominator
-        x = count**q
-        estimate = np.array([2.0 ** min(math.log2(count) * q / p, 1000.0)])
-        k = int(_roots(np.array([x], dtype=object), p, estimate)[0])
-        return out, k + (k**p < x) - count
-    return out, 0 if ks is None else int(ks[take - 1]) - count
-
-
-def prefix_with_skips(spec: SequenceSpec, count: int) -> tuple[list[int], int]:
-    """First ``count`` terms plus the number of candidates the generator skipped.
-
-    Skips only happen for PolynomialFloor (non-positive or non-monotone
-    early values) and FractionalPowerFloor with exponent < 1 (repeated
-    floors); every other family reports 0.
-    """
-    terms, skipped = _prefix(spec, count)
-    return terms.tolist(), skipped
+    return out
 
 
 def generate_prefix(spec: SequenceSpec, count: int) -> list[int]:
     """First ``count`` terms a_1..a_count; deterministic and exact."""
-    return prefix_with_skips(spec, count)[0]
+    return _prefix(spec, count).tolist()
 
 
 def _physical_memory() -> int | None:
@@ -460,7 +429,7 @@ def _check_memory(count: int) -> None:
 def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
     """First ``count`` terms as an int64 array (cached; do not mutate)."""
     _check_memory(count)
-    arr = _prefix(spec, count)[0]
+    arr = _prefix(spec, count)
     arr.setflags(write=False)
     return arr
 
@@ -564,13 +533,13 @@ def close_pair_profile(
         raise ConfigError("max_gap must be >= 0")
 
     if spec.family == "Explicit":
-        prefix = _prefix(spec, cps[-1])[0]
+        prefix = _prefix(spec, cps[-1])
         counts = [close_pair_count(prefix[:n], max_gap) for n in cps]
     else:
         counts = []
         total = n0 = 0
         window = np.empty(0, dtype=np.int64)
-        for block, _ in _blocks(spec, cps[-1]):
+        for block in _blocks(spec, cps[-1]):
             block = block[: cps[-1] - n0]
             if len(block):
                 sums, window = _pair_sums(window, block, max_gap)

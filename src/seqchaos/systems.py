@@ -59,16 +59,9 @@ METRIC_SUMMED = "summed"
 METRIC_FIRST_DIFFERENCE = "first_difference"
 
 
-def golden_conjugate_fraction() -> int:
-    """floor(((sqrt(5) - 1) / 2) * 2**128), exact to the last bit.
-
-    Derived from the integer square root of 5 * 2**256; equals
-    0x9e3779b97f4a7c15f39cc0605cedc834.
-    """
-    return (math.isqrt(5 << (2 * FRACTION_BITS)) - FRACTION_MOD) // 2
-
-
-GOLDEN_CONJUGATE = golden_conjugate_fraction()
+# floor(((sqrt(5) - 1) / 2) * 2**128), exact to the last bit: from the
+# integer square root of 5 * 2**256; equals 0x9e3779b97f4a7c15f39cc0605cedc834.
+GOLDEN_CONJUGATE = (math.isqrt(5 << (2 * FRACTION_BITS)) - FRACTION_MOD) // 2
 
 
 def _weights_to_separators(weights: tuple[Fraction, ...]) -> np.ndarray:
@@ -101,9 +94,6 @@ class SymbolicPoint:
             raise DomainError(f"coordinate {i} < 0 on a one-sided point")
         return int(self.coordinates(np.array([i], dtype=np.int64))[0])
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 def _offset(indices, offset: int) -> np.ndarray:
     """int64 ``indices + offset``; DomainError where an index would leave int64."""
@@ -128,9 +118,6 @@ class PeriodicPoint(SymbolicPoint):
     def coordinates(self, indices: np.ndarray) -> np.ndarray:
         w = np.array(self.word, dtype=np.int64)
         return w[np.asarray(indices, dtype=np.int64) % len(self.word)]
-
-    def describe(self) -> str:
-        return f"Periodic[{''.join(map(str, self.word))}]"
 
 
 @dataclass(frozen=True)
@@ -160,9 +147,6 @@ class SeededRandomPoint(SymbolicPoint):
         if len(self._separators) == 1:
             return (h >= self._separators[0]).astype(np.int64)
         return np.searchsorted(self._separators, h, side="right").astype(np.int64)
-
-    def describe(self) -> str:
-        return f"SeededRandom[seed={self.seed}]"
 
 
 def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
@@ -218,40 +202,6 @@ class BlockScheduledPoint(SymbolicPoint):
             out[mask] = c if isinstance(c, int) else c.coordinates(idx[mask])
         return out
 
-    def describe(self) -> str:
-        return f"BlockScheduled[{len(self.contents)} blocks]"
-
-
-@dataclass(frozen=True)
-class ShiftedPoint(SymbolicPoint):
-    base: SymbolicPoint
-    offset: int
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.base.alphabet_size
-
-    @property
-    def side(self) -> str:
-        return self.base.side
-
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.base.coordinates(_offset(indices, self.offset))
-
-    def describe(self) -> str:
-        return f"Shifted[{self.base.describe()}, {self.offset}]"
-
-
-def shift_point(point: SymbolicPoint, offset: int) -> SymbolicPoint:
-    """Shifted view of a point; nested shifts collapse to one offset."""
-    if point.side == ONE_SIDED and offset < 0:
-        raise DomainError("cannot shift a one-sided point backwards")
-    if offset == 0:
-        return point
-    if isinstance(point, ShiftedPoint):
-        return ShiftedPoint(point.base, point.offset + offset)
-    return ShiftedPoint(point, offset)
-
 
 # ---------------------------------------------------------------------------
 # natural-extension points
@@ -283,32 +233,6 @@ class ExtendedPoint:
             if mask.any():
                 out[mask] = point.coordinates(idx[mask])
         return out
-
-    def component(self, depth: int) -> SymbolicPoint:
-        """The one-sided point x_depth (depth >= 1) of the backward orbit."""
-        if depth < 1:
-            raise DomainError("component depth starts at 1")
-        return _TapeView(self, depth)
-
-    def describe(self) -> str:
-        return (
-            f"Extended[base={self.base.describe()}, past={self.past.describe()},"
-            f" offset={self.offset}]"
-        )
-
-
-@dataclass(frozen=True)
-class _TapeView(SymbolicPoint):
-    ext: ExtendedPoint
-    depth: int
-    side: str = ONE_SIDED
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.ext.alphabet_size
-
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.ext.coordinates(_offset(indices, 1 - self.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +284,6 @@ class FullShift:
         w = Fraction(1, alphabet_size)
         return cls(alphabet_size, (w,) * alphabet_size, **kwargs)
 
-    def describe(self) -> str:
-        return f"FullShift[s={self.alphabet_size}, weights=({','.join(map(str, self.weights))}), {self.side}, w={self.window}]"
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "FullShift",
@@ -398,9 +319,6 @@ class Rotation:
     def golden(cls) -> "Rotation":
         return cls(GOLDEN_CONJUGATE)
 
-    def describe(self) -> str:
-        return f"Rotation[alpha=0x{self.alpha_num:032x}/2^128]"
-
     def to_json_dict(self) -> dict:
         return {"kind": "Rotation", "alpha_num_2pow128": f"0x{self.alpha_num:032x}"}
 
@@ -412,9 +330,6 @@ class ProductSystem:
     def __post_init__(self):
         if len(self.components) < 1:
             raise ConfigError("product needs at least one component")
-
-    def describe(self) -> str:
-        return "Product[" + ", ".join(c.describe() for c in self.components) + "]"
 
     def to_json_dict(self) -> dict:
         return {"kind": "Product", "components": [c.to_json_dict() for c in self.components]}
@@ -435,9 +350,6 @@ class NaturalExtension:
     @property
     def window(self) -> int:
         return self.base.window
-
-    def describe(self) -> str:
-        return f"NaturalExtension[{self.base.describe()}]"
 
     def to_json_dict(self) -> dict:
         return {"kind": "NaturalExtension", "base": self.base.to_json_dict()}
@@ -502,22 +414,15 @@ def _metric_window(system: FullShift | NaturalExtension):
     return 0, w, _summed
 
 
-def _from_zero(runs) -> list[tuple[int, int]]:
-    # runs that start at or before coordinate 0 collapse into the last of them
-    runs = list(runs)
-    last = max((i for i, (start, _) in enumerate(runs) if start <= 0), default=0)
-    return [(0, runs[last][1]), *runs[last + 1 :]]
-
-
 def _symbol_runs(point) -> list[tuple[int, int]] | None:
     """Change points [(start, symbol), ...] of a piecewise-constant point, else None."""
     if isinstance(point, PeriodicPoint):
         return [(0, point.word[0])] if len(set(point.word)) == 1 else None
-    if isinstance(point, ShiftedPoint):
-        base = _symbol_runs(point.base)
-        return None if base is None else _from_zero((s - point.offset, c) for s, c in base)
     if isinstance(point, BlockScheduledPoint) and all(isinstance(c, int) for c in point.contents):
-        return _from_zero(zip((0, *point.boundaries), point.contents))
+        # blocks that start at or before coordinate 0 collapse into the last of them
+        runs = list(zip((0, *point.boundaries), point.contents))
+        last = max(i for i, (start, _) in enumerate(runs) if start <= 0)
+        return [(0, runs[last][1]), *runs[last + 1 :]]
     return None
 
 

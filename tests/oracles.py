@@ -1,10 +1,17 @@
 """Scalar oracles: the metric and the coordinate reads written per class,
 one coordinate at a time, independent of the vectorized code under test;
 the action T**m on one point; and the ergodic average of one point at a
-time."""
+time.
+
+Also the test-only point kinds and observable that the library does not
+ship: shifted views of a point, the one-sided components of a natural-
+extension point, and linear combinations of observables.  They define
+only ``coordinates`` (or ``series``), so the library reads them through
+its general paths."""
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,8 +19,92 @@ import numpy as np
 
 import seqchaos.systems as sy
 from seqchaos.errors import ConfigError, DomainError
+from seqchaos.observables import Observable
 from seqchaos.prf import prf64
 from seqchaos.seqgen import times_array
+
+
+@dataclass(frozen=True)
+class ShiftedPoint(sy.SymbolicPoint):
+    base: sy.SymbolicPoint
+    offset: int
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.base.alphabet_size
+
+    @property
+    def side(self) -> str:
+        return self.base.side
+
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+        return self.base.coordinates(sy._offset(indices, self.offset))
+
+
+def shift_point(point, offset):
+    """Shifted view of a point; nested shifts collapse to one offset."""
+    if point.side == sy.ONE_SIDED and offset < 0:
+        raise DomainError("cannot shift a one-sided point backwards")
+    if offset == 0:
+        return point
+    if isinstance(point, ShiftedPoint):
+        return ShiftedPoint(point.base, point.offset + offset)
+    return ShiftedPoint(point, offset)
+
+
+@dataclass(frozen=True)
+class TapeView(sy.SymbolicPoint):
+    ext: sy.ExtendedPoint
+    depth: int
+    side: str = sy.ONE_SIDED
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.ext.alphabet_size
+
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+        return self.ext.coordinates(sy._offset(indices, 1 - self.depth))
+
+
+def component(ext, depth):
+    """The one-sided point x_depth (depth >= 1) of the backward orbit of ``ext``."""
+    if depth < 1:
+        raise DomainError("component depth starts at 1")
+    return TapeView(ext, depth)
+
+
+@dataclass(frozen=True)
+class LinearCombination(Observable):
+    """sum of coef * observable, to exercise linearity and the averaging engine."""
+
+    parts: tuple[tuple[float, Observable], ...]
+
+    def series(self, system, points, times) -> np.ndarray:
+        out = np.zeros((len(points), len(times)), dtype=np.float64)
+        for c, f in self.parts:
+            out += c * f.series(system, points, times)
+        return out
+
+    def integral(self, system) -> float | None:
+        vals = [f.integral(system) for _, f in self.parts]
+        if any(v is None for v in vals):
+            return None
+        return math.fsum(c * v for (c, _), v in zip(self.parts, vals))
+
+    def bounds(self) -> tuple[float, float]:
+        lo = hi = 0.0
+        for c, f in self.parts:
+            a, b = f.bounds()
+            pa, pb = c * a, c * b
+            lo += min(pa, pb)
+            hi += max(pa, pb)
+        return lo, hi
+
+    def error_bound(self) -> float:
+        return math.fsum(abs(c) * f.error_bound() for c, f in self.parts) + 2.0**-50
+
+    def describe(self) -> str:
+        return " + ".join(f"{c}*{f.describe()}" for c, f in self.parts)
 
 
 def iterate(system, point, m):
@@ -23,7 +114,7 @@ def iterate(system, point, m):
     if isinstance(system, sy.FullShift):
         if getattr(point, "side", None) != system.side:
             raise DomainError("point side does not match the shift")
-        return sy.shift_point(point, m)
+        return shift_point(point, m)
     if isinstance(system, sy.Rotation):
         return (point + m * system.alpha_num) % sy.FRACTION_MOD
     if isinstance(system, sy.ProductSystem):
@@ -56,9 +147,9 @@ def oracle_coordinate(point, i):
     if isinstance(point, sy.BlockScheduledPoint):
         c = point.contents[bisect_right(point.boundaries, i)]
         return c if isinstance(c, int) else oracle_coordinate(c, i)
-    if isinstance(point, sy.ShiftedPoint):
+    if isinstance(point, ShiftedPoint):
         return oracle_coordinate(point.base, i + point.offset)
-    assert isinstance(point, sy._TapeView)
+    assert isinstance(point, TapeView)
     return oracle_tape(point.ext, i - (point.depth - 1))
 
 
@@ -102,7 +193,7 @@ def oracle_distance(system, x, y):
     if system.base.metric != sy.METRIC_SUMMED:
         return math.fsum(
             2.0 ** (-i)
-            * oracle_shift_distance(x.component(i), y.component(i), w, sy.ONE_SIDED,
+            * oracle_shift_distance(component(x, i), component(y, i), w, sy.ONE_SIDED,
                                     system.base.metric)
             for i in range(1, w + 1)
         )

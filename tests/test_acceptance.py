@@ -23,11 +23,11 @@ from seqchaos.chaos import (
     verify_scrambled,
 )
 from seqchaos.cli import main as cli_main
-from seqchaos.observables import CylinderIndicator, LinearCombination, ProductOf, TrigOnRotation
+from seqchaos.observables import CylinderIndicator, ProductOf, TrigOnRotation
 from seqchaos.pinsker import fiber_constancy_report
 from seqchaos.seqgen import SequenceSpec, close_pair_count, close_pair_profile, generate_prefix
 
-from oracles import iterate
+from oracles import LinearCombination, iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
@@ -212,11 +212,11 @@ def test_criterion_9_invariant_suites():
             x, y, z = (sy.sample_point(system, rng.getrandbits(63)) for _ in range(3))
             dxy = sy.distance(system, x, y)
             if dxy != sy.distance(system, y, x):
-                failures.append(f"symmetry {system.describe()}")
+                failures.append(f"symmetry {system.to_json_dict()}")
             if sy.distance(system, x, x) != 0.0:
-                failures.append(f"identity {system.describe()}")
+                failures.append(f"identity {system.to_json_dict()}")
             if dxy > sy.distance(system, x, z) + sy.distance(system, z, y) + 2 * err:
-                failures.append(f"triangle {system.describe()}")
+                failures.append(f"triangle {system.to_json_dict()}")
 
     # monoid action
     p = sy.sample_point(FAIR, 1)

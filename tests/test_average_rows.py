@@ -17,13 +17,12 @@ from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
     Constant,
     CylinderIndicator,
-    LinearCombination,
     ProductOf,
     TrigOnRotation,
 )
 from seqchaos.seqgen import SequenceSpec, times_array
 
-from oracles import oracle_average
+from oracles import LinearCombination, oracle_average, shift_point
 
 BIASED = sy.FullShift.bernoulli(["1/3", "2/3"])
 TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
@@ -75,7 +74,7 @@ def shift_points(system):
     periodic = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(
         lambda word: sy.PeriodicPoint(tuple(word), k, side=system.side)
     )
-    shifted = st.builds(sy.shift_point, seeded, st.integers(0, 10**6))
+    shifted = st.builds(shift_point, seeded, st.integers(0, 10**6))
     block = st.builds(
         lambda b, s, p: sy.BlockScheduledPoint((b,), (s, p), k, side=system.side),
         st.integers(1, 300), st.integers(0, k - 1), seeded,

@@ -15,13 +15,12 @@ from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
     Constant,
     CylinderIndicator,
-    LinearCombination,
     ProductOf,
     TrigOnRotation,
 )
 from seqchaos.seqgen import SequenceSpec, generate_prefix
 
-from oracles import iterate
+from oracles import LinearCombination, iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()

@@ -22,9 +22,10 @@ from seqchaos.chaos import (
 )
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.prf import child_seed
+from seqchaos.reporting import json_dumps
 from seqchaos.seqgen import MAX_TERM, SequenceSpec, generate_prefix
 
-from oracles import iterate, oracle_series
+from oracles import ShiftedPoint, iterate, oracle_series
 
 FAIR = sy.FullShift.uniform(2)
 NATURALS = SequenceSpec.naturals()
@@ -89,10 +90,11 @@ def test_interval_path_matches_the_oracle(pairs, window, times):
 @pytest.mark.parametrize("window", [1, 25, 48, 53])
 def test_interval_path_with_change_points_past_int64(boundary, window):
     # change points beyond every time are clamped before the searches: no
-    # OverflowError, and each time keeps its side of every change point
+    # OverflowError, and each time keeps its side of every change point;
+    # the third y is x shifted by 2**62
     system = sy.FullShift.uniform(2, window=window)
     x = sy.BlockScheduledPoint((boundary,), (0, 1), 2)
-    ys = [zeros(), ones(), sy.shift_point(x, 2**62)]
+    ys = [zeros(), ones(), sy.BlockScheduledPoint((boundary - 2**62,), (0, 1), 2)]
     times = np.array([1, 2**63 - 60, 2**63 - 20, 2**63 - 1], dtype=np.int64)
     got = distance_series(system, [x] * 3, ys, times)
     for row, y in zip(got.tolist(), ys):
@@ -204,7 +206,7 @@ def tape_points(draw, weights):
     seeded = sy.SeededRandomPoint(draw(st.integers(0, 2**64 - 1)), weights)
     kind = draw(st.sampled_from(["seeded", "shifted", "blocks"]))
     if kind == "shifted":
-        return sy.ShiftedPoint(seeded, draw(st.integers(1, 1000)))
+        return ShiftedPoint(seeded, draw(st.integers(1, 1000)))
     if kind == "blocks":
         boundaries = sorted(draw(st.sets(st.integers(1, 200), min_size=1, max_size=4)))
         contents = draw(
@@ -585,9 +587,14 @@ def test_structural_mismatches_raise():
 
 def test_certificate_json_uses_exact_rationals():
     _, cert = build_scrambled_family(NATURALS, 2, growth=10, phase_pairs=1, window=48)
-    d = cert.to_json_dict()
-    assert d["coalescence_bounds"][0] == str(Fraction(1, 10) + Fraction(1, 2**48))
-    assert d["c_star"] == "9/20"
+    assert str(Fraction(1, 10) + Fraction(1, 2**48)) == "140737488355333/1407374883553280"
+    assert json_dumps(cert) == (
+        '{"tuple_size":2,"alphabet_size":2,"growth":10,"phase_pairs":1,"window":48,'
+        '"sequence":"Naturals","checkpoint_indices":[10,100],"sequence_at_checkpoints":[10,100],'
+        '"coordinate_boundaries":[59,149],'
+        '"coalescence_bounds":["140737488355333/1407374883553280"],"separation_bounds":["21/100"],'
+        '"in_zone_counts":[42],"c_star":"9/20"}'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 import seqchaos.systems as sy
-from seqchaos import averaging
+from seqchaos import averaging, seqgen
 from seqchaos.cli import list_experiments, main, run_config
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import Constant
@@ -311,7 +311,8 @@ def test_cylinder_symbol_outside_the_alphabet_is_status_2(tmp_path, capsys, kind
 
 @pytest.mark.parametrize("blocked", ["out_under_a_file", "artifact_is_a_directory"])
 def test_unwritable_output_is_status_2(tmp_path, capsys, blocked):
-    # the run itself succeeds; only writing its artifacts fails
+    # a path under a regular file is refused before the experiment runs; an
+    # artifact name taken by a directory fails only when it is written
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE_CONFIGS["ConditionStarProfile"]))
     if blocked == "out_under_a_file":
@@ -320,8 +321,17 @@ def test_unwritable_output_is_status_2(tmp_path, capsys, blocked):
     else:
         out = tmp_path / "out"
         (out / "result.json").mkdir(parents=True)
-    assert main(["run", str(path), "--out", str(out)]) == 2
+    calls = []
+    profile = seqgen.close_pair_profile
+
+    def spy(*args):
+        calls.append(args)
+        return profile(*args)
+
+    with mock.patch.object(seqgen, "close_pair_profile", spy):
+        assert main(["run", str(path), "--out", str(out)]) == 2
     assert f"config error: cannot write {out}: " in capsys.readouterr().err
+    assert len(calls) == (blocked == "artifact_is_a_directory")
 
 
 def test_overflow_refusal_comes_before_the_times():

@@ -456,3 +456,19 @@ def test_decimal_exponents_up_to_1000_parse_as_before(value):
 def test_n_terms_beyond_physical_memory_is_status_2(capsys, tmp_path):
     cfg = dict(_base("KolmogorovCheck/defaults"), n_terms=2**62)
     assert "physical memory" in _rejected(capsys, tmp_path, cfg)
+
+
+@pytest.mark.parametrize(
+    "key, coordinate",
+    [("3", 3), ("0", 0), ("-1", -1), ("-0", 0), ("٣", None), (" 3", None), ("3 ", None),
+     ("+3", None), ("03", None), ("3_0", None), ("", None), ("-", None), ("3.0", None)],
+)
+def test_cylinder_keys_are_canonical_decimal_integers(capsys, tmp_path, key, coordinate):
+    # int() reads '٣', ' 3', '3 ', '+3' and '03' as 3, and '3_0' as 30
+    cfg = _base("DisintegrationConsistency/full")
+    cfg["observable"]["constraints"] = {key: 2}
+    if coordinate is None:
+        assert repr(key) in _rejected(capsys, tmp_path, cfg)
+    else:
+        f = cli.parse_observable(cfg["observable"], "observable")
+        assert f.constraints == ((coordinate, 2),)

@@ -20,13 +20,12 @@ from seqchaos.observables import (
     TWO_PI,
     Constant,
     CylinderIndicator,
-    LinearCombination,
     ProductOf,
     TrigOnRotation,
 )
 from seqchaos.prf import prf64
 
-from oracles import iterate
+from oracles import LinearCombination, ShiftedPoint, iterate
 
 BIASED = sy.FullShift.bernoulli([Fraction(1, 3), Fraction(2, 3)])
 TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
@@ -47,7 +46,7 @@ def oracle_coordinate(point, i):
             cum += w
             seps.append((cum.numerator << 64) // cum.denominator)
         return bisect_right(seps, prf64(point.seed, i))
-    assert isinstance(point, sy.ShiftedPoint)
+    assert isinstance(point, ShiftedPoint)
     return oracle_coordinate(point.base, i + point.offset)
 
 

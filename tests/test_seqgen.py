@@ -19,7 +19,6 @@ from seqchaos.seqgen import (
     close_pair_profile,
     generate_prefix,
     lacunary_max_terms,
-    prefix_with_skips,
     times_array,
 )
 
@@ -87,7 +86,7 @@ def test_prime_prefix_sieves_up_to_the_rosser_bound(count, segment):
 
     with mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment), \
             mock.patch.object(seqgen, "_sieve", recording):
-        got = seqgen._prefix(SequenceSpec.primes(), count)[0]
+        got = seqgen._prefix(SequenceSpec.primes(), count)
     assert np.array_equal(got, streamed)
     bound = count * (math.log(count) + math.log(math.log(count)))
     assert streamed[-1] < bound and max(ends) <= bound + 2
@@ -142,9 +141,7 @@ def test_polynomial_rational_coefficients():
 def test_polynomial_skip_rule():
     # p(k) = k**2 - 3k is <= 0 for k <= 3, then strictly increasing
     spec = SequenceSpec.polynomial_floor([0, -3, 1])
-    prefix, skipped = prefix_with_skips(spec, 5)
-    assert prefix == [4, 10, 18, 28, 40]
-    assert skipped == 3
+    assert generate_prefix(spec, 5) == [4, 10, 18, 28, 40]
 
 
 def test_fractional_power_small():
@@ -172,9 +169,8 @@ def test_fractional_power_full_range_certified():
 
 def test_fractional_power_below_one_dedupes():
     spec = SequenceSpec.fractional_power_floor(Fraction(1, 2))
-    prefix, skipped = prefix_with_skips(spec, 10)
+    prefix = generate_prefix(spec, 10)
     assert prefix == list(range(1, 11))  # distinct values of floor(sqrt(k))
-    assert skipped > 0
     assert all(b > a for a, b in zip(prefix, prefix[1:]))
 
 
@@ -249,10 +245,10 @@ def oracle_iroot(x, q):
 
 
 def oracle_polynomial_stream(coefficients):
-    """Yield (floor(p(k)), skipped_so_far) under the positivity/monotonicity skip rule."""
+    """Yield floor(p(k)) under the positivity/monotonicity skip rule."""
     denom = math.lcm(*(c.denominator for c in coefficients))
     ints = [int(c * denom) for c in coefficients]
-    skipped = last = k = 0
+    last = k = 0
     while True:
         k += 1
         acc = 0
@@ -260,27 +256,25 @@ def oracle_polynomial_stream(coefficients):
             acc = acc * k + c
         term = acc // denom
         if term <= 0 or term <= last:
-            skipped += 1
             continue
         if term > MAX_TERM:
             raise SequenceOverflowError(k)
         last = term
-        yield term, skipped
+        yield term
 
 
 def oracle_fractional_power_stream(exponent):
     p, q = exponent.numerator, exponent.denominator
-    skipped = last = k = 0
+    last = k = 0
     while True:
         k += 1
         term = oracle_iroot(k**p, q)
         if term <= last:  # only possible for r < 1, where floors repeat
-            skipped += 1
             continue
         if term > MAX_TERM:
             raise SequenceOverflowError(k)
         last = term
-        yield term, skipped
+        yield term
 
 
 def oracle_stream(spec):
@@ -290,32 +284,31 @@ def oracle_stream(spec):
 
 
 def oracle_prefix(spec, count):
-    """(terms, skipped) of the oracle stream, or the index its overflow names."""
+    """The terms of the oracle stream, or the index its overflow names."""
     try:
-        pairs = list(itertools.islice(oracle_stream(spec), count))
+        return list(itertools.islice(oracle_stream(spec), count))
     except SequenceOverflowError as exc:
         return exc.index
-    return [t for t, _ in pairs], pairs[-1][1]
 
 
 def kernel_prefix(spec, count):
     """The same from the block kernel, through every public entry point."""
     try:
-        got = prefix_with_skips(spec, count)
+        got = generate_prefix(spec, count)
     except SequenceOverflowError as exc:
         with pytest.raises(SequenceOverflowError) as again:
             times_array(spec, count)
         assert again.value.index == exc.index
         return exc.index
-    assert times_array(spec, count).tolist() == got[0]
-    assert block_terms(spec, count) == got[0]
+    assert times_array(spec, count).tolist() == got
+    assert block_terms(spec, count) == got
     return got
 
 
 def block_terms(spec, count=None):
     """The first ``count`` terms read straight off the block source (all if None)."""
     got = []
-    for block, _ in seqgen._blocks(spec):
+    for block in seqgen._blocks(spec):
         got += block.tolist()
         if count is not None and len(got) >= count:
             return got[:count]
@@ -357,7 +350,7 @@ def test_fractional_power_below_one_repeats_match_oracle(exponent, count, block)
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
         got = kernel_prefix(spec, count)
     assert got == oracle_prefix(spec, count)
-    assert got[0] == list(range(1, count + 1))
+    assert got == list(range(1, count + 1))
 
 
 def test_fractional_power_below_one_is_the_naturals_at_scale():
@@ -367,12 +360,7 @@ def test_fractional_power_below_one_is_the_naturals_at_scale():
     started = time.perf_counter()
     times_array.cache_clear()
     assert times_array(spec, n).tolist() == list(range(1, n + 1))
-    assert prefix_with_skips(spec, n)[1] == n**3 - n
     assert time.perf_counter() - started < 5
-    # floor(k**(2/3)) first reaches N at the least k with k**2 >= N**3
-    for n in (1, 2, 1000, 12345):
-        k = math.isqrt(n**3 - 1) + 1
-        assert prefix_with_skips(SequenceSpec.fractional_power_floor(Fraction(2, 3)), n)[1] == k - n
 
 
 coefficient = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
@@ -396,14 +384,14 @@ def test_polynomial_kernel_matches_oracle(lower, leading, count, block):
 def check_overflow_edge(spec, block, extra=0):
     """The oracle overflows at some k; every entry point keeps the terms before it."""
     # one pass of the oracle stream, up to its overflow
-    pairs = []
+    terms = []
     with pytest.raises(SequenceOverflowError) as exc:
-        pairs.extend(itertools.islice(oracle_stream(spec), 10**6))
-    overflow, valid = exc.value.index, len(pairs)
+        terms.extend(itertools.islice(oracle_stream(spec), 10**6))
+    overflow, valid = exc.value.index, len(terms)
     times_array.cache_clear()
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
         if valid:
-            assert kernel_prefix(spec, valid) == ([t for t, _ in pairs], pairs[-1][1])
+            assert kernel_prefix(spec, valid) == terms
             assert max(times_array(spec, valid)) <= MAX_TERM
         assert kernel_prefix(spec, valid + 1 + extra) == overflow
         with pytest.raises(SequenceOverflowError) as exc:
@@ -466,8 +454,8 @@ def test_short_prefix_reads_one_exact_sub_block():
         return power_floors(p, q, k)
 
     with mock.patch.object(seqgen, "_power_floors", counting):
-        terms, skipped = seqgen._prefix(spec, 10)
-    assert (terms.tolist(), skipped) == tuple(oracle_prefix(spec, 10))
+        terms = seqgen._prefix(spec, 10)
+    assert terms.tolist() == oracle_prefix(spec, 10)
     assert 10 <= candidates <= 1024
 
 
@@ -616,7 +604,7 @@ def test_blocks_hold_at_most_floor_block_terms(spec, size):
     terms, sizes = [], []
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", size), \
             mock.patch.object(seqgen, "_SIEVE_SEGMENT", 400):
-        for block, _ in seqgen._blocks(spec, count):
+        for block in seqgen._blocks(spec, count):
             sizes.append(len(block))
             terms += block.tolist()
             if len(terms) >= count:
@@ -627,7 +615,7 @@ def test_blocks_hold_at_most_floor_block_terms(spec, size):
 
 def test_prime_blocks_slice_every_sieve_segment():
     # a 2**21-number segment above 2**21 holds more than 2**16 primes
-    sizes = [len(b) for b, _ in seqgen._blocks(SequenceSpec.primes(), 10**6)]
+    sizes = [len(b) for b in seqgen._blocks(SequenceSpec.primes(), 10**6)]
     assert max(sizes) == seqgen._FLOOR_BLOCK
     assert sum(sizes) >= 10**6
 
@@ -755,7 +743,7 @@ PROFILE_SPECS = {
 def test_profile_across_block_edges_matches_bruteforce(spec, checkpoints, max_gap, block, segment):
     cps = sorted({min(n, 62) for n in checkpoints})  # Lacunary[2] has 62 terms
     oracle = PROFILE_SPECS[spec]
-    prefix = oracle(cps[-1]) if oracle else oracle_prefix(spec, cps[-1])[0]
+    prefix = oracle(cps[-1]) if oracle else oracle_prefix(spec, cps[-1])
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", block), \
             mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment):
         profile = close_pair_profile(spec, max_gap, cps)

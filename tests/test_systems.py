@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 import seqchaos.systems as sy
 from seqchaos.errors import ConfigError, DomainError, SequenceOverflowError
 
-from oracles import iterate, oracle_coordinate, oracle_distance, oracle_series, oracle_tape
+from oracles import (
+    ShiftedPoint,
+    component,
+    iterate,
+    oracle_coordinate,
+    oracle_distance,
+    oracle_series,
+    oracle_tape,
+    shift_point,
+)
 
 FAIR = sy.FullShift.uniform(2)
 FAIR3 = sy.FullShift.uniform(3)
@@ -63,12 +72,12 @@ def test_block_scheduled_copy_of_content():
 
 def test_shift_collapse_and_composition():
     p = sy.SeededRandomPoint(5, FAIR.weights)
-    a = sy.shift_point(sy.shift_point(p, 3), 10)
-    b = sy.shift_point(p, 13)
-    assert isinstance(a, sy.ShiftedPoint) and a.offset == 13
+    a = shift_point(shift_point(p, 3), 10)
+    b = shift_point(p, 13)
+    assert isinstance(a, ShiftedPoint) and a.offset == 13
     assert [a.coordinate(i) for i in range(50)] == [b.coordinate(i) for i in range(50)]
     with pytest.raises(DomainError):
-        sy.shift_point(p, -1)
+        shift_point(p, -1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -78,7 +87,7 @@ def test_vectorized_coordinates_match_scalar(seed, idx):
         sy.SeededRandomPoint(seed, FAIR.weights),
         sy.PeriodicPoint((0, 1, 1), 2),
         sy.BlockScheduledPoint((10, 1000), (0, 1, 0), alphabet_size=2),
-        sy.shift_point(sy.SeededRandomPoint(seed, FAIR3.weights), 7),
+        shift_point(sy.SeededRandomPoint(seed, FAIR3.weights), 7),
     ):
         arr = np.array(idx, dtype=np.int64)
         assert point.coordinates(arr).tolist() == [point.coordinate(i) for i in idx]
@@ -180,7 +189,7 @@ def test_coordinates_of_rows_match_each_point(picks, indices):
         if kind == 3:
             return sy.PeriodicPoint((seed % 2, 1), 2)
         if kind == 4:
-            return sy.shift_point(sy.SeededRandomPoint(seed, FAIR.weights), seed % 1000)
+            return shift_point(sy.SeededRandomPoint(seed, FAIR.weights), seed % 1000)
         tail = sy.SeededRandomPoint(seed, FAIR.weights)
         return sy.BlockScheduledPoint((seed % 50 + 1,), (1, tail), 2)
 
@@ -421,8 +430,8 @@ def test_lift_construction():
 def test_lift_projection_commutes_with_shift():
     ne = sy.NaturalExtension(FAIR)
     ext = sy.sample_point(ne, 31337)
-    lifted_then_shifted = iterate(ne, ext, 1).component(1)
-    shifted = ext.component(1)
+    lifted_then_shifted = component(iterate(ne, ext, 1), 1)
+    shifted = component(ext, 1)
     for i in range(101):
         assert lifted_then_shifted.coordinate(i) == shifted.coordinate(i + 1)
 
@@ -431,8 +440,8 @@ def test_backward_orbit_compatibility():
     ne = sy.NaturalExtension(FAIR)
     ext = sy.sample_point(ne, 99)
     for depth in range(1, 6):
-        deeper = ext.component(depth + 1)
-        shallower = ext.component(depth)
+        deeper = component(ext, depth + 1)
+        shallower = component(ext, depth)
         for i in range(40):
             assert deeper.coordinate(i + 1) == shallower.coordinate(i)
 
@@ -499,12 +508,12 @@ def scheduled_points(side):
 def symbolic_points(side):
     base = st.one_of(leaf_points(side), scheduled_points(side))
     lowest = 0 if side == sy.ONE_SIDED else -(10**6)
-    return st.one_of(base, st.builds(sy.shift_point, base, st.integers(lowest, 10**6)))
+    return st.one_of(base, st.builds(shift_point, base, st.integers(lowest, 10**6)))
 
 
 # depth-1..3 views of extended points whose shift count may be negative
 TAPE_VIEWS = st.builds(
-    lambda base, past, offset, depth: sy.ExtendedPoint(base, past, offset).component(depth),
+    lambda base, past, offset, depth: component(sy.ExtendedPoint(base, past, offset), depth),
     symbolic_points(sy.ONE_SIDED), symbolic_points(sy.ONE_SIDED),
     st.integers(-300, 300), st.integers(1, 3),
 )
@@ -609,7 +618,7 @@ def fraction_distance(system, x, y, span=200):
         return sum((Fraction(1, 2 ** (j + 1)) for j in differ), Fraction(0))
     base = system.base
     return sum(
-        Fraction(1, 2**i) * fraction_distance(base, x.component(i), y.component(i), span)
+        Fraction(1, 2**i) * fraction_distance(base, component(x, i), component(y, i), span)
         for i in range(1, span + 1)
     )
 
@@ -646,7 +655,7 @@ def piecewise_points(side):
     # shifts below the last boundary keep a change point past coordinate 0
     shifted = blocks.flatmap(
         lambda p: st.integers(0 if side == sy.ONE_SIDED else -150, max(p.boundaries)).map(
-            lambda k: sy.shift_point(p, k)
+            lambda k: shift_point(p, k)
         )
     )
     return st.one_of(periodic, blocks, shifted)
