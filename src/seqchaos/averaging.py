@@ -227,9 +227,10 @@ def sampled_averages(
     return parallel_map(partial(_averages, system, f, seq, n_terms), points, workers=workers)
 
 
-def sample_seeds(seed: int, count: int) -> list[int]:
-    """The seeds labelled ``sample/{j}``, j < count, under ``seed``."""
-    return [child_seed(seed, f"sample/{j}") for j in range(count)]
+def sample_points(system, seed: int, count: int) -> list:
+    """The points of ``system`` sampled from the seeds labelled ``sample/{j}``,
+    j < count, under ``seed``."""
+    return [sy.sample_point(system, child_seed(seed, f"sample/{j}")) for j in range(count)]
 
 
 def _integral(system, f: Observable) -> float:
@@ -247,9 +248,16 @@ def very_good_deviation(
     n_terms: int,
     workers: int = 1,
 ) -> float:
-    """max over sampled points of |A_N f(x) - integral(f)|."""
-    target = _integral(system, f)
+    """max over the points sampled from ``seeds`` of |A_N f(x) - integral(f)|."""
     points = [sy.sample_point(system, s) for s in seeds]
+    return max_deviation(system, points, f, seq, n_terms, workers)
+
+
+def max_deviation(
+    system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int, workers: int = 1
+) -> float:
+    """max over ``points`` of |A_N f(x) - integral(f)|."""
+    target = _integral(system, f)
     averages = sampled_averages(system, points, f, seq, n_terms, workers)
     return max(abs(a - target) for a in averages)
 
@@ -271,6 +279,6 @@ def disintegration_consistency(
     target = _integral(system, f)
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
-    points = [sy.sample_point(system, s) for s in sample_seeds(seed, sample_count)]
+    points = sample_points(system, seed, sample_count)
     averages = sampled_averages(system, points, f, seq, n_terms, workers)
     return abs(math.fsum(averages) / sample_count - target)

@@ -45,12 +45,12 @@ from .seqgen import MAX_TERM, SequenceSpec, _validate_checkpoints, times_array
 from .systems import distance_series
 
 # ---------------------------------------------------------------------------
-# tuple reports
+# tuple reports (written as their fields, in order: each is a key of result.json)
 
 
 @dataclass(frozen=True)
 class TupleCheckpoint:
-    n: int
+    N: int
     max_average: float
     min_average: float
 
@@ -58,29 +58,16 @@ class TupleCheckpoint:
 @dataclass(frozen=True)
 class TupleChaosReport:
     tuple_size: int
-    checkpoints: tuple[TupleCheckpoint, ...]
     liminf_proxy: float  # min over checkpoints of the max-average
     limsup_proxy: float  # max over checkpoints of the min-average
+    eta: float | None  # constructor's claimed lower bound for the limsup proxy
     err_bound: float
-    eta: float | None = None  # constructor's claimed lower bound for the limsup proxy
+    checkpoints: tuple[TupleCheckpoint, ...]
 
     CSV_HEADER = ["N", "max_average", "min_average", "err_bound"]
 
     def csv_rows(self) -> list[list]:
-        return [[c.n, c.max_average, c.min_average, self.err_bound] for c in self.checkpoints]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tuple_size": self.tuple_size,
-            "liminf_proxy": self.liminf_proxy,
-            "limsup_proxy": self.limsup_proxy,
-            "eta": self.eta,
-            "err_bound": self.err_bound,
-            "checkpoints": [
-                {"N": c.n, "max_average": c.max_average, "min_average": c.min_average}
-                for c in self.checkpoints
-            ],
-        }
+        return [[c.N, c.max_average, c.min_average, self.err_bound] for c in self.checkpoints]
 
 
 def tuple_distance_averages(
@@ -101,11 +88,11 @@ def tuple_distance_averages(
     entries = [TupleCheckpoint(n, high / n, low / n) for n, high, low in zip(cps, highs, lows)]
     return TupleChaosReport(
         tuple_size=len(points),
-        checkpoints=tuple(entries),
         liminf_proxy=min(e.max_average for e in entries),
         limsup_proxy=max(e.min_average for e in entries),
-        err_bound=sy.metric_error_bound(system) + SUM_ERROR_BOUND,
         eta=eta,
+        err_bound=sy.metric_error_bound(system) + SUM_ERROR_BOUND,
+        checkpoints=tuple(entries),
     )
 
 
@@ -145,38 +132,20 @@ class ScrambledFamilyCertificate:
 def _separation_zones(cert: ScrambledFamilyCertificate) -> list[tuple[int, int]]:
     """Coordinate ranges carrying the distinct per-point symbols.
 
-    A separation phase writes on [M_{t-1}, a_{N_t} + 1); everything else
+    A separation phase t = 2, 4, ... writes on [M_{t-1}, a_{N_t} + 1); the rest
     stays at symbol 0, so a coalescence window never straddles into
     separation content.
     """
-    zones = []
-    for j in range(cert.phase_pairs):
-        t = 2 * j + 1  # 0-based index of separation phase 2j+2
-        lo = cert.coordinate_boundaries[t - 1]
-        hi = max(lo, cert.sequence_at_checkpoints[t] + 1)
-        if hi > lo:
-            zones.append((lo, hi))
-    return zones
+    ends = zip(cert.coordinate_boundaries[0::2], cert.sequence_at_checkpoints[1::2])
+    return [(lo, top + 1) for lo, top in ends if top + 1 > lo]
 
 
 def _family_points(cert: ScrambledFamilyCertificate) -> list[sy.BlockScheduledPoint]:
+    """Point i carries symbol i on every separation zone and 0 elsewhere."""
     zones = _separation_zones(cert)
-    points = []
-    for i in range(cert.tuple_size):
-        boundaries: list[int] = []
-        contents: list[int] = [0]
-        for lo, hi in zones:
-            boundaries.extend((lo, hi))
-            contents.extend((i, 0))
-        points.append(
-            sy.BlockScheduledPoint(
-                boundaries=tuple(boundaries),
-                contents=tuple(contents),
-                alphabet_size=cert.alphabet_size,
-                side=sy.ONE_SIDED,
-            )
-        )
-    return points
+    boundaries = tuple(edge for zone in zones for edge in zone)
+    return [sy.BlockScheduledPoint(boundaries, (0, *(i, 0) * len(zones)), cert.alphabet_size)
+            for i in range(cert.tuple_size)]
 
 
 def build_scrambled_family(
@@ -229,8 +198,7 @@ def build_scrambled_family(
             zone_lo = m_bounds[t - 2]
             # sampling times of the phase whose whole window sits in the zone era
             lo_idx = int(np.searchsorted(a[:n_t], zone_lo, side="left"))
-            count = n_t - max(lo_idx, n_prev)
-            count = max(count, 0)
+            count = max(n_t - max(lo_idx, n_prev), 0)
             in_zone.append(count)
             separation.append(Fraction(count, 2 * n_t))
 
@@ -262,18 +230,10 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class ScrambledVerification:
-    report: TupleChaosReport
-    checks: tuple[BoundCheck, ...]
-    schedule_valid: bool
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "schedule_valid": self.schedule_valid,
-            "checks": self.checks,
-            "report": self.report.to_json_dict(),
-        }
+    schedule_valid: bool
+    checks: tuple[BoundCheck, ...]
+    report: TupleChaosReport
 
 
 def verify_scrambled(
@@ -326,7 +286,7 @@ def verify_scrambled(
                for name, measured, op, bound in claims]
     passed = schedule_valid and all(c.passed for c in checks)
     return ScrambledVerification(
-        report=report, checks=tuple(checks), schedule_valid=schedule_valid, passed=passed
+        passed=passed, schedule_valid=schedule_valid, checks=tuple(checks), report=report
     )
 
 

@@ -1,8 +1,8 @@
 """Config-driven experiment runner.
 
 Each experiment is described by a single strict JSON document (unknown
-keys are rejected, defaults are echoed into the output manifest) and
-produces deterministic artifacts in the output directory:
+and repeated keys are rejected, defaults are echoed into the output
+manifest) and produces deterministic artifacts in the output directory:
 
     manifest.json   fully-resolved config + tool version
     result.json     experiment results
@@ -288,7 +288,7 @@ def _condition_star_profile(p, workers: int) -> RunOutput:
         assertions.append(Assertion("densities_strictly_decreasing", ok, f"densities={dens}"))
     assertions += _bound("final_density_below_bound", dens[-1], le, p.max_final_density,
                          ("density", "bound"))
-    return RunOutput(profile.to_json_dict(), (profile.CSV_HEADER, profile.csv_rows()), assertions)
+    return RunOutput(profile, (profile.CSV_HEADER, profile.csv_rows()), assertions)
 
 
 @_experiment("VeryGoodDeviation", "max |A_N f - integral f| over sampled points", *_AVERAGES)
@@ -327,7 +327,7 @@ def _tuple_scan(p, workers: int) -> RunOutput:
                         ("worst", "floor"))
     result = {"tuples": [{"index": t, "max_average": e.max_average, "min_average": e.min_average}
                          for t, e in enumerate(ends)]}
-    rows = [[t, e.n, e.max_average, e.min_average] for t, e in enumerate(ends)]
+    rows = [[t, e.N, e.max_average, e.min_average] for t, e in enumerate(ends)]
     return RunOutput(result, (["tuple", "N", "max_average", "min_average"], rows), assertions)
 
 
@@ -350,7 +350,7 @@ def _scrambled_build_verify(p, workers: int) -> RunOutput:
     ]
     assertions.append(Assertion("schedule_valid", verification.schedule_valid, ""))
     rep = verification.report
-    return RunOutput(verification.to_json_dict(), (rep.CSV_HEADER, rep.csv_rows()), assertions,
+    return RunOutput(verification, (rep.CSV_HEADER, rep.csv_rows()), assertions,
                      {"certificate.json": cert})
 
 
@@ -498,15 +498,25 @@ def run_config_file(
     except OSError as exc:
         print(f"config error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
+
+    def unique(pairs: list) -> dict:  # json.loads alone keeps a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        cfg = json.loads(text, parse_constant=lambda name: _number(float(name), path))
+        cfg = json.loads(text, object_pairs_hook=unique,
+                         parse_constant=lambda name: _number(float(name), path))
     except json.JSONDecodeError as exc:
         print(
             f"config error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return 2
-    except ConfigError as exc:  # NaN, Infinity or -Infinity
+    except ConfigError as exc:  # NaN, Infinity, -Infinity or a duplicate key
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run_config(cfg, out_dir=out_dir, workers=workers, seed_override=seed_override)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import systems as sy
-from .averaging import sample_seeds, sampled_averages, very_good_deviation
+from .averaging import max_deviation, sample_points, sampled_averages
 from .errors import ConfigError
 from .observables import Observable
 from .prf import child_seed
@@ -122,12 +122,8 @@ def kolmogorov_limit_check(
     workers: int = 1,
 ) -> float:
     """max over sampled points of |A_N f - integral(f)| on the shift alone."""
-    seeds = sample_seeds(seed, sample_count)
-    return very_good_deviation(shift, seeds, f, seq, n_terms, workers=workers)
-
-
-def _sampled_points(shift: sy.FullShift, seed: int, sample_count: int) -> list:
-    return [sy.sample_point(shift, s) for s in sample_seeds(seed, sample_count)]
+    points = sample_points(shift, seed, sample_count)
+    return max_deviation(shift, points, f, seq, n_terms, workers)
 
 
 def _spread(values: Sequence[float]) -> float:
@@ -171,7 +167,7 @@ def lacunary_dispersion_contrast(
     cap = _lacunary_terms(lacunary_seq)
     if n_terms > cap:
         raise ConfigError(f"{lacunary_seq.describe()} has only {cap} terms")
-    points = _sampled_points(shift, seed, sample_count)
+    points = sample_points(shift, seed, sample_count)
     good = _spread(sampled_averages(shift, points, f, good_seq, n_terms, workers))
     lacunary = _spread(sampled_averages(shift, points, f, lacunary_seq, n_terms, workers))
     return good, lacunary
@@ -212,7 +208,7 @@ def lacunary_contrast_report(
     good_disp, lac_disp = lacunary_dispersion_contrast(
         shift, f, good_seq, lacunary_seq, n_terms, sample_count, seed, workers=workers
     )
-    points = _sampled_points(shift, seed, sample_count)
+    points = sample_points(shift, seed, sample_count)
     good_ext = _spread(sampled_averages(shift, points, f, good_seq, extended_terms, workers))
     cap = _lacunary_terms(lacunary_seq)
     return LacunaryContrastReport(

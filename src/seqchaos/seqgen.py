@@ -159,7 +159,8 @@ class SequenceSpec:
 #
 # Every family yields blocks of at most _FLOOR_BLOCK terms.  Naturals and
 # Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime sieve segments
-# double from 2 * _FLOOR_BLOCK numbers up to _SIEVE_SEGMENT and are sliced.
+# of _SIEVE_SEGMENT numbers, the last cut at a bound on the wanted prime,
+# are sliced.
 # A floor family's candidates come in int64 blocks of _FLOOR_BLOCK while no
 # value they form can pass _INT64_SAFE, so nothing wraps; after that in
 # object blocks of Python ints, doubling up to _EXACT_BLOCK candidates, on
@@ -196,27 +197,22 @@ def _sieve(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return np.concatenate(([2], primes)) if lo <= 2 < hi else primes
 
 
-def _prime_bound(count: int | None) -> int | None:
-    """An integer above the count-th prime (Rosser: p_n < n (ln n + ln ln n), n >= 6)."""
-    if count is None or count < 6:
-        return None
+def _prime_bound(count: int) -> int:
+    """An integer above the count-th prime: Rosser's p_n < n (ln n + ln ln n)
+    for n >= 6, and 12, above p_5 = 11, for fewer."""
+    if count < 6:
+        return 12
     return int(count * (math.log(count) + math.log(math.log(count)))) + 2
 
 
-def _prime_blocks(stop: int | None = None) -> Iterator[np.ndarray]:
-    """The primes in increasing order, one sieved segment at a time.
-
-    With ``stop``, the segment that reaches it ends there and is the last.
-    """
-    lo, size = 0, 2 * _FLOOR_BLOCK
-    while stop is None or lo < stop:
-        hi = lo + min(size, _SIEVE_SEGMENT)
-        if stop is not None:
-            hi = min(hi, stop)
-        root = math.isqrt(hi - 1)
-        # sieving by every integer up to isqrt(root), prime or not, is exact
-        yield _sieve(lo, hi, _sieve(0, root + 1, np.arange(2, math.isqrt(root) + 1)))
-        lo, size = hi, 2 * size
+def _prime_blocks(stop: int) -> Iterator[np.ndarray]:
+    """The primes below ``stop`` in increasing order, one sieved segment of
+    _SIEVE_SEGMENT numbers at a time."""
+    root = math.isqrt(stop - 1)
+    # sieving by every integer up to isqrt(root), prime or not, is exact
+    base = _sieve(0, root + 1, np.arange(2, math.isqrt(root) + 1))
+    for lo in range(0, stop, _SIEVE_SEGMENT):
+        yield _sieve(lo, min(lo + _SIEVE_SEGMENT, stop), base)
 
 
 def _natural_blocks() -> Iterator[np.ndarray]:
@@ -357,13 +353,13 @@ def _slices(arrays) -> Iterator[np.ndarray]:
             yield a[lo : lo + _FLOOR_BLOCK]
 
 
-def _blocks(spec: SequenceSpec, count: int | None = None) -> Iterator[np.ndarray]:
-    """The sequence in blocks of at most _FLOOR_BLOCK consecutive int64 terms.
+def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
+    """The sequence in blocks of at most _FLOOR_BLOCK consecutive int64 terms,
+    at least its first ``count`` terms where it has them.
 
-    A caller that needs only the first ``count`` terms may say so: the
-    prime sieve then stops at a bound on the count-th prime.  The first
-    term above MAX_TERM raises SequenceOverflowError with its index;
-    Explicit simply ends.
+    The prime sieve stops at a bound on the count-th prime; every other
+    family ignores ``count``.  The first term above MAX_TERM raises
+    SequenceOverflowError with its index; Explicit simply ends.
     """
     # k**r with r < 1, whose floors climb by at most one, has the naturals as its terms
     if spec.family == "Naturals" or (spec.family == "FractionalPowerFloor" and spec.exponent < 1):
@@ -440,7 +436,7 @@ def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClosePairCheckpoint:
-    n: int
+    N: int
     count: int
     density: float
 
@@ -456,16 +452,7 @@ class ClosePairProfile:
     CSV_HEADER = ["N", "count", "density"]
 
     def csv_rows(self) -> list[list]:
-        return [[c.n, c.count, c.density] for c in self.checkpoints]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "max_gap": self.max_gap,
-            "checkpoints": [
-                {"N": c.n, "count": c.count, "density": c.density} for c in self.checkpoints
-            ],
-        }
+        return [[c.N, c.count, c.density] for c in self.checkpoints]
 
 
 # Sorted int64 terms map to uint64 keys in the same order, so a key minus a
@@ -557,8 +544,6 @@ def lacunary_max_terms(base: int) -> int:
     if base < 2:
         raise ConfigError("base must be >= 2")
     k = 0
-    term = 1
-    while term * base <= MAX_TERM:
-        term *= base
+    while base ** (k + 1) <= MAX_TERM:
         k += 1
     return k

@@ -5,8 +5,9 @@ Phase spaces come in four kinds:
 * full shifts over a finite alphabet with a Bernoulli measure, whose
   points are lazy symbol tapes with O(1) coordinate access (periodic,
   counter-PRF-seeded, or block-scheduled).  Each point kind defines one
-  vectorized read, ``coordinates(indices)``; a single ``coordinate(i)``
-  is its length-1 case;
+  vectorized read, reached through ``coordinates(indices)``, which
+  refuses a negative index on a one-sided point; a single
+  ``coordinate(i)`` is its length-1 case;
 * circle rotations stored as exact 128-bit binary fractions, iterated
   by exact modular arithmetic so that T**m at m up to 2**63 loses no
   precision;
@@ -79,20 +80,31 @@ def _weights_to_separators(weights: tuple[Fraction, ...]) -> np.ndarray:
 
 
 class SymbolicPoint:
-    """A point of a shift space: a deterministic map index -> symbol."""
+    """A point of a shift space: a deterministic map index -> symbol.  Each
+    kind defines :meth:`_read`, which every :meth:`coordinates` call reaches."""
 
     alphabet_size: int
     side: str
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+    def coordinates(self, indices) -> np.ndarray:
         """The symbols at every index of ``indices``, as int64."""
+        idx = np.asarray(indices, dtype=np.int64)
+        _check_sides((self,), idx)
+        return self._read(idx)
+
+    def _read(self, idx: np.ndarray) -> np.ndarray:  # idx: int64, already checked
         raise NotImplementedError
 
     def coordinate(self, i: int) -> int:
         """The symbol at index ``i``: the length-1 case of :meth:`coordinates`."""
-        if self.side == ONE_SIDED and i < 0:
-            raise DomainError(f"coordinate {i} < 0 on a one-sided point")
-        return int(self.coordinates(np.array([i], dtype=np.int64))[0])
+        return int(self.coordinates([i])[0])
+
+
+def _check_sides(points: Sequence[SymbolicPoint], idx: np.ndarray) -> None:
+    """DomainError where a one-sided point of ``points`` would read below 0."""
+    low = idx.min(initial=0)
+    if low < 0 and any(p.side == ONE_SIDED for p in points):
+        raise DomainError(f"coordinate {low} < 0 on a one-sided point")
 
 
 def _offset(indices, offset: int) -> np.ndarray:
@@ -115,9 +127,8 @@ class PeriodicPoint(SymbolicPoint):
         if any(not (0 <= s < self.alphabet_size) for s in self.word):
             raise ConfigError("periodic word symbol out of range")
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        w = np.array(self.word, dtype=np.int64)
-        return w[np.asarray(indices, dtype=np.int64) % len(self.word)]
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        return np.array(self.word, dtype=np.int64)[idx % len(self.word)]
 
 
 @dataclass(frozen=True)
@@ -139,8 +150,8 @@ class SeededRandomPoint(SymbolicPoint):
     def _separators(self) -> np.ndarray:
         return _weights_to_separators(self.weights)
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self._symbols(prf64_np(self.seed, np.asarray(indices, dtype=np.int64)))
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        return self._symbols(prf64_np(self.seed, idx))
 
     def _symbols(self, h: np.ndarray) -> np.ndarray:
         """The symbols that the PRF words ``h`` select under these weights."""
@@ -161,6 +172,7 @@ def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
     if points and all(
         type(p) is SeededRandomPoint and p.weights is points[0].weights for p in points
     ):
+        _check_sides(points, idx)
         return points[0]._symbols(prf64_np([p.seed for p in points], idx)).reshape(shape)
     return np.array([p.coordinates(idx) for p in points], dtype=np.int64).reshape(shape)
 
@@ -191,8 +203,7 @@ class BlockScheduledPoint(SymbolicPoint):
             if isinstance(c, int) and not (0 <= c < self.alphabet_size):
                 raise ConfigError("block symbol out of range")
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
+    def _read(self, idx: np.ndarray) -> np.ndarray:
         out = np.empty(idx.shape, dtype=np.int64)
         block = np.searchsorted(np.array(self.boundaries, dtype=np.int64), idx, side="right")
         for k, c in enumerate(self.contents):

@@ -37,8 +37,8 @@ class ShiftedPoint(sy.SymbolicPoint):
     def side(self) -> str:
         return self.base.side
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.base.coordinates(sy._offset(indices, self.offset))
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        return self.base.coordinates(sy._offset(idx, self.offset))
 
 
 def shift_point(point, offset):
@@ -62,8 +62,8 @@ class TapeView(sy.SymbolicPoint):
     def alphabet_size(self) -> int:
         return self.ext.alphabet_size
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.ext.coordinates(sy._offset(indices, 1 - self.depth))
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        return self.ext.coordinates(sy._offset(idx, 1 - self.depth))
 
 
 def component(ext, depth):

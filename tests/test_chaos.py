@@ -627,7 +627,7 @@ def test_scan_matches_bruteforce_at_small_n():
     for t, r in enumerate(results):
         (entry,) = r.checkpoints
         brute = oracle_series(FAIR, *scan_points(2, t, 2), times)
-        assert entry.n == 100
+        assert entry.N == 100
         assert entry.max_average == math.fsum(brute) / 100
         assert entry.min_average == entry.max_average  # single pair
 

@@ -3,7 +3,8 @@
 Each experiment kind runs twice: once with every optional key left out
 (the defaults must be echoed) and once with every optional key set.  The
 manifest bytes are pinned, so any change to key order, defaults or value
-rendering shows here.
+rendering shows here.  So are the result, CSV and summary bytes of one
+small config per kind.
 """
 
 import json
@@ -270,6 +271,165 @@ def test_manifest_bytes_are_pinned(tmp_path, name):
     assert (out / "manifest.json").read_text(encoding="utf-8") == expected
 
 
+# One small config per experiment kind whose output bytes are pinned.  Only
+# exact observables (cylinders and constants) appear, so the averages are
+# the same bits on every numpy.
+OUTPUT_CONFIGS = {
+    "ConditionStarProfile": CONFIGS["ConditionStarProfile/defaults"],
+    "VeryGoodDeviation": {
+        "kind": "VeryGoodDeviation",
+        "system": {"kind": "FullShift", "weights": ["1/3", "2/3"]},
+        "observable": {"kind": "CylinderIndicator", "constraints": {"0": 1, "2": 0}},
+        "sequence": {"family": "Primes"},
+        "n_terms": 200,
+        "samples": 3,
+        "tolerance": 0.5,
+    },
+    "DisintegrationConsistency": CONFIGS["DisintegrationConsistency/defaults"],
+    "TupleScan": CONFIGS["TupleScan/full"],
+    "ScrambledBuildVerify": CONFIGS["ScrambledBuildVerify/defaults"],
+    "FiberConstancy": {
+        "kind": "FiberConstancy",
+        "weights": _HALF,
+        "alpha": "1/2",
+        "thetas": ["0", "1/3"],
+        "observable": {"kind": "ProductOf", "factors": [_CYL0, {"kind": "Constant", "value": 1}]},
+        "sequence": {"family": "PolynomialFloor", "coefficients": [0, 2]},
+        "n_terms": 100,
+        "samples": 3,
+    },
+    "KolmogorovCheck": CONFIGS["KolmogorovCheck/defaults"],
+    "LacunaryContrast": CONFIGS["LacunaryContrast/full"],
+}
+
+# result.json, result.csv and summary.json (and certificate.json), byte for byte.
+PINNED_OUTPUTS = {
+    'ConditionStarProfile': {
+        'result.json': (
+            '{"sequence":"Primes","max_gap":2,"checkpoints":[{"N":10,"count":20,"density":0.20000000000000001},{"N":100,"count":152,"density":0.0152}]}\n'
+        ),
+        'result.csv': (
+            'N,count,density\n'
+            '10,20,0.20000000000000001\n'
+            '100,152,0.0152\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[]}\n'
+        ),
+    },
+    'DisintegrationConsistency': {
+        'result.json': (
+            '{"consistency_gap":0.046000000000000041,"integral":0.5}\n'
+        ),
+        'result.csv': (
+            'samples,consistency_gap\n'
+            '5,0.046000000000000041\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[{"name":"consistency_gap_below_tolerance","passed":true,"detail":"gap=0.046 tolerance=0.5"}]}\n'
+        ),
+    },
+    'FiberConstancy': {
+        'result.json': (
+            '{"n_terms":100,"sample_count":3,"fibers":[{"theta":"0","dispersion":0.12999999999999995,"mean":0.51333333333333331},{"theta":"1/3","dispersion":0.040000000000000036,"mean":0.48999999999999999}]}\n'
+        ),
+        'result.csv': (
+            'theta,sample,value\n'
+            '0,0,0.58999999999999997\n'
+            '0,1,0.48999999999999999\n'
+            '0,2,0.46000000000000002\n'
+            '1/3,0,0.51000000000000001\n'
+            '1/3,1,0.46999999999999997\n'
+            '1/3,2,0.48999999999999999\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[]}\n'
+        ),
+    },
+    'KolmogorovCheck': {
+        'result.json': (
+            '{"max_deviation":0.07999999999999996,"integral":0.5}\n'
+        ),
+        'result.csv': (
+            'samples,max_deviation\n'
+            '4,0.07999999999999996\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[{"name":"max_deviation_below_tolerance","passed":true,"detail":"deviation=0.08 tolerance=0.5"}]}\n'
+        ),
+    },
+    'LacunaryContrast': {
+        'result.json': (
+            '{"matched_terms":20,"good_dispersion":0.33166247903553997,"lacunary_dispersion":0.31091263510296052,"extended_terms":500,"good_extended_dispersion":0.026633312473917592,"lacunary_max_terms":27,"lacunary_extended_available":false}\n'
+        ),
+        'result.csv': (
+            'phase,terms,good_dispersion,lacunary_dispersion\n'
+            'matched,20,0.33166247903553997,0.31091263510296052\n'
+            'extended,500,0.026633312473917592,-1\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[{"name":"good_extended_dispersion_below_bound","passed":true,"detail":"dispersion=0.0266333 bound=1"}]}\n'
+        ),
+    },
+    'ScrambledBuildVerify': {
+        'result.json': (
+            '{"passed":true,"schedule_valid":true,"checks":[{"name":"coalescence/1/max_average<=B","claimed":"70368744177665/281474976710656","measured":0,"passed":true},{"name":"coalescence/2/max_average<=B","claimed":"70368744177665/281474976710656","measured":0,"passed":true},{"name":"separation/1/min_average>=C","claimed":"0","measured":0,"passed":true},{"name":"separation/2/min_average>=C","claimed":"23/64","measured":0.71874999255666305,"passed":true},{"name":"limsup_proxy>=c_star","claimed":"3/8","measured":0.71874999255666305,"passed":true},{"name":"liminf_proxy<=min_B","claimed":"70368744177665/281474976710656","measured":0,"passed":true}],"report":{"tuple_size":2,"liminf_proxy":0,"limsup_proxy":0.71874999255666305,"eta":0.375,"err_bound":4.4408920985006262e-15,"checkpoints":[{"N":4,"max_average":0,"min_average":0},{"N":16,"max_average":0,"min_average":0},{"N":64,"max_average":0,"min_average":0},{"N":256,"max_average":0.71874999255666305,"min_average":0.71874999255666305}]}}\n'
+        ),
+        'result.csv': (
+            'N,max_average,min_average,err_bound\n'
+            '4,0,0,4.4408920985006262e-15\n'
+            '16,0,0,4.4408920985006262e-15\n'
+            '64,0,0,4.4408920985006262e-15\n'
+            '256,0.71874999255666305,0.71874999255666305,4.4408920985006262e-15\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[{"name":"check/coalescence/1/max_average<=B","passed":true,"detail":"claimed=70368744177665/281474976710656 measured=0"},{"name":"check/coalescence/2/max_average<=B","passed":true,"detail":"claimed=70368744177665/281474976710656 measured=0"},{"name":"check/separation/1/min_average>=C","passed":true,"detail":"claimed=0 measured=0"},{"name":"check/separation/2/min_average>=C","passed":true,"detail":"claimed=23/64 measured=0.71875"},{"name":"check/limsup_proxy>=c_star","passed":true,"detail":"claimed=3/8 measured=0.71875"},{"name":"check/liminf_proxy<=min_B","passed":true,"detail":"claimed=70368744177665/281474976710656 measured=0"},{"name":"schedule_valid","passed":true,"detail":""}]}\n'
+        ),
+        'certificate.json': (
+            '{"tuple_size":2,"alphabet_size":2,"growth":4,"phase_pairs":2,"window":48,"sequence":"Primes","checkpoint_indices":[4,16,64,256],"sequence_at_checkpoints":[7,53,311,1619],"coordinate_boundaries":[56,102,360,1668],"coalescence_bounds":["70368744177665/281474976710656","70368744177665/281474976710656"],"separation_bounds":["0","23/64"],"in_zone_counts":[0,184],"c_star":"3/8"}\n'
+        ),
+    },
+    'TupleScan': {
+        'result.json': (
+            '{"tuples":[{"index":0,"max_average":0.6325212359428406,"min_average":0.32716104984283445},{"index":1,"max_average":0.54623233079910283,"min_average":0.2046497106552124}]}\n'
+        ),
+        'result.csv': (
+            'tuple,N,max_average,min_average\n'
+            '0,5,0.6325212359428406,0.32716104984283445\n'
+            '1,5,0.54623233079910283,0.2046497106552124\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[{"name":"every_min_average_above_floor","passed":true,"detail":"worst=0.20465 floor=0"}]}\n'
+        ),
+    },
+    'VeryGoodDeviation': {
+        'result.json': (
+            '{"deviation":0.032222222222222208,"integral":0.22222222222222221,"samples":3}\n'
+        ),
+        'result.csv': (
+            'samples,deviation\n'
+            '3,0.032222222222222208\n'
+        ),
+        'summary.json': (
+            '{"passed":true,"assertions":[{"name":"deviation_below_tolerance","passed":true,"detail":"deviation=0.0322222 tolerance=0.5"}]}\n'
+        ),
+    },
+}
+
+
+def test_every_kind_has_pinned_outputs():
+    assert sorted(OUTPUT_CONFIGS) == sorted(PINNED_OUTPUTS) == sorted(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("kind", sorted(OUTPUT_CONFIGS))
+def test_output_bytes_are_pinned(tmp_path, kind):
+    out = tmp_path / "out"
+    assert run_config(json.loads(json.dumps(OUTPUT_CONFIGS[kind])), out_dir=str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *PINNED_OUTPUTS[kind]])
+    for name, expected in PINNED_OUTPUTS[kind].items():
+        assert (out / name).read_text(encoding="utf-8") == expected, name
+
+
 def _rejected(capsys, tmp_path, cfg, **kwargs):
     """Run ``cfg`` into ``tmp_path/out``: it must exit 2 with a config error and write nothing."""
     out = tmp_path / "out"
@@ -312,6 +472,23 @@ def test_non_finite_json_number_is_status_2(capsys, tmp_path, literal):
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"kind": "ConditionStarProfile", "sequence": {"family": "Primes"}, "max_gap": 10,'
+     ' "checkpoints": [10, 100], "max_gap": 2}', "max_gap"),
+    ('{"kind": "ConditionStarProfile", "sequence": {"family": "Lacunary", "base": 2, "base": 3},'
+     ' "max_gap": 2, "checkpoints": [10, 20]}', "base"),
+], ids=["top-level", "nested"])
+def test_duplicate_key_is_status_2(capsys, tmp_path, text, key):
+    # json.loads alone keeps the last value of a repeated key
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"duplicate key '{key}'" in err
     assert not out.exists()
 
 

@@ -170,6 +170,15 @@ def test_negative_cylinder_coordinate_needs_a_two_sided_point():
     assert f.series(TWO_SIDED, [two_sided], [0, 1, 2]).tolist() == [[0.0, 1.0, 0.0]]
 
 
+def test_negative_time_needs_a_two_sided_point():
+    f = CylinderIndicator(((0, 0),))
+    for point in (sy.SeededRandomPoint(1, BIASED.weights), sy.PeriodicPoint((0, 1), 2)):
+        with pytest.raises(DomainError):
+            f.series(BIASED, [point], [-5, 0, 1])
+    two_sided = sy.PeriodicPoint((0, 1, 2), 3, side=sy.TWO_SIDED)
+    assert f.series(TWO_SIDED, [two_sided], [-5, 0, 1]).tolist() == [[0.0, 1.0, 0.0]]
+
+
 def test_cylinder_coordinate_past_int64_raises_instead_of_wrapping():
     f = CylinderIndicator(((1, 0),))
     points = [sy.sample_point(BIASED, 1), sy.PeriodicPoint((0,), 2)]

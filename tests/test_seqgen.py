@@ -24,13 +24,13 @@ from seqchaos.seqgen import (
 
 
 def sieve_oracle(limit):
-    flags = [True] * (limit + 1)
-    flags[0] = flags[1] = False
-    for p in range(2, int(limit**0.5) + 1):
+    """The primes up to ``limit``: a plain sieve of Eratosthenes over every integer."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            for q in range(p * p, limit + 1, p):
-                flags[q] = False
-    return [n for n, f in enumerate(flags) if f]
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
 
 
 def thue_morse_oracle(count):
@@ -74,9 +74,10 @@ def test_primes_across_small_segments(block, segment):
     "count, segment", [(10**4, 997), (10**5, 1 << 14), (10**6, 1 << 18)]
 )
 def test_prime_prefix_sieves_up_to_the_rosser_bound(count, segment):
-    # a known count ends the last segment at n (ln n + ln ln n), above p_n;
-    # the streaming blocks (no count) keep doubling and give the same primes
-    streamed = np.array(block_terms(SequenceSpec.primes(), count), dtype=np.int64)
+    # the last segment ends at n (ln n + ln ln n), above p_n, and the primes
+    # are those of a plain sieve
+    bound = count * (math.log(count) + math.log(math.log(count)))
+    oracle = np.array(sieve_oracle(int(bound))[:count], dtype=np.int64)
     ends = []
     sieve = seqgen._sieve
 
@@ -87,9 +88,8 @@ def test_prime_prefix_sieves_up_to_the_rosser_bound(count, segment):
     with mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment), \
             mock.patch.object(seqgen, "_sieve", recording):
         got = seqgen._prefix(SequenceSpec.primes(), count)
-    assert np.array_equal(got, streamed)
-    bound = count * (math.log(count) + math.log(math.log(count)))
-    assert streamed[-1] < bound and max(ends) <= bound + 2
+    assert np.array_equal(got, oracle)
+    assert oracle[-1] < bound and max(ends) <= bound + 2
 
 
 def test_prime_prefix_of_1e5_sieves_1_4m_numbers():
@@ -102,16 +102,19 @@ def test_prime_prefix_of_1e5_sieves_1_4m_numbers():
 
     with mock.patch.object(seqgen, "_sieve", recording):
         seqgen._prefix(SequenceSpec.primes(), 10**5)
-    # segments [0, 2**17), [2**17, 3 * 2**17), [3 * 2**17, 7 * 2**17) and the
-    # last one cut at the bound; the doubling segments sieved 1,966,080 numbers
-    assert max(ends) == seqgen._prime_bound(10**5) == 1_395_641
+    # the base primes once, then one segment cut at the bound; doubling
+    # segments sieved 1,966,080 numbers
+    assert seqgen._prime_bound(10**5) == 1_395_641
+    assert ends == [math.isqrt(1_395_640) + 1, 1_395_641]
 
 
-def test_prime_bound_starts_at_six():
-    assert seqgen._prime_bound(5) is None
-    assert seqgen._prime_bound(None) is None
-    assert generate_prefix(SequenceSpec.primes(), 6) == [2, 3, 5, 7, 11, 13]
-    assert seqgen._prime_bound(6) > 13
+def test_prime_bound_covers_every_count():
+    # 12, above p_5 = 11, for fewer than six primes; Rosser's bound from six on
+    primes = sieve_oracle(1000)
+    assert [seqgen._prime_bound(n) for n in range(1, 6)] == [12] * 5
+    for n in range(1, len(primes) + 1):
+        assert primes[n - 1] < seqgen._prime_bound(n)
+        assert generate_prefix(SequenceSpec.primes(), n) == primes[:n]
 
 
 @settings(deadline=None, max_examples=40)
@@ -305,12 +308,12 @@ def kernel_prefix(spec, count):
     return got
 
 
-def block_terms(spec, count=None):
-    """The first ``count`` terms read straight off the block source (all if None)."""
+def block_terms(spec, count):
+    """The first ``count`` terms read straight off the block source."""
     got = []
-    for block in seqgen._blocks(spec):
+    for block in seqgen._blocks(spec, count):
         got += block.tolist()
-        if count is not None and len(got) >= count:
+        if len(got) >= count:
             return got[:count]
     return got
 
@@ -395,7 +398,7 @@ def check_overflow_edge(spec, block, extra=0):
             assert max(times_array(spec, valid)) <= MAX_TERM
         assert kernel_prefix(spec, valid + 1 + extra) == overflow
         with pytest.raises(SequenceOverflowError) as exc:
-            block_terms(spec)
+            block_terms(spec, valid + 1)
         assert exc.value.index == overflow
 
 
@@ -679,7 +682,7 @@ def test_close_pair_count_matches_bruteforce_at_length_500():
 def test_profile_naturals():
     profile = close_pair_profile(SequenceSpec.naturals(), 1, [100])
     cp = profile.checkpoints[0]
-    assert (cp.n, cp.count, cp.density) == (100, 298, 0.0298)
+    assert (cp.N, cp.count, cp.density) == (100, 298, 0.0298)
 
 
 def test_profile_lacunary():
@@ -699,7 +702,7 @@ def test_profile_matches_prefix_count():
     profile = close_pair_profile(spec, 5, [50, 200, 800])
     prefix = generate_prefix(spec, 800)
     for cp in profile.checkpoints:
-        assert cp.count == close_pair_count(prefix[: cp.n], 5)
+        assert cp.count == close_pair_count(prefix[: cp.N], 5)
 
 
 def test_profile_explicit_unsorted_stream():
@@ -707,7 +710,7 @@ def test_profile_explicit_unsorted_stream():
     profile = close_pair_profile(spec, 3, [2, 4, 6])
     prefix = [5, 1, 9, 2, 2, 30]
     for cp in profile.checkpoints:
-        assert cp.count == brute_pair_count(prefix[: cp.n], 3)
+        assert cp.count == brute_pair_count(prefix[: cp.N], 3)
 
 
 def test_profile_validation():
@@ -747,7 +750,7 @@ def test_profile_across_block_edges_matches_bruteforce(spec, checkpoints, max_ga
     with mock.patch.object(seqgen, "_FLOOR_BLOCK", block), \
             mock.patch.object(seqgen, "_SIEVE_SEGMENT", segment):
         profile = close_pair_profile(spec, max_gap, cps)
-    assert [(c.n, c.count) for c in profile.checkpoints] == [
+    assert [(c.N, c.count) for c in profile.checkpoints] == [
         (n, brute_pair_count(prefix[:n], max_gap)) for n in cps
     ]
 

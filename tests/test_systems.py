@@ -548,6 +548,31 @@ def test_negative_coordinate_of_a_one_sided_point_raises(point, i):
         point.coordinate(i)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    point=ONE_SIDED_POINTS, idx=st.lists(st.one_of(NEAR, FAR), max_size=10),
+    i=st.integers(-(2**40), -1), at=st.integers(0, 10),
+)
+def test_a_read_below_zero_on_a_one_sided_point_raises(point, idx, i, at):
+    # the vectorized reads refuse what the scalar read refuses
+    idx = np.array(idx[:at] + [i] + idx[at:], dtype=np.int64)
+    with pytest.raises(DomainError):
+        point.coordinates(idx)
+    with pytest.raises(DomainError):
+        sy.coordinates_of([point, point], idx)
+
+
+def test_one_table_read_below_zero_raises_on_one_sided_points():
+    one_sided = [sy.SeededRandomPoint(s, FAIR.weights) for s in (1, 2)]
+    with pytest.raises(DomainError):
+        sy.coordinates_of(one_sided, [-1, 0])
+    with pytest.raises(DomainError):
+        sy.PeriodicPoint((0, 1), 2).coordinates([-1])
+    two_sided = [sy.SeededRandomPoint(s, FAIR.weights, side=sy.TWO_SIDED) for s in (1, 2)]
+    rows = sy.coordinates_of(two_sided, [-1, 0])
+    assert rows.tolist() == [[oracle_coordinate(p, i) for i in (-1, 0)] for p in two_sided]
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     base=symbolic_points(sy.ONE_SIDED), past=symbolic_points(sy.ONE_SIDED),
