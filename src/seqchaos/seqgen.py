@@ -13,10 +13,12 @@ condition separating the catalogued families from lacunary ones.
 
 Each family has one generator, a source of int64 blocks of at most 2**16
 consecutive terms (`_blocks`); the primes come from an odd-only
-segmented sieve.  Prefixes (`times_array`, `generate_prefix`) fill one
-array from it, and `close_pair_profile` counts pairs one block at a time
-with a binary search per term, keeping only the terms within the gap of
-the newest one.
+segmented sieve, Thue-Morse from one table of 2**16 digit-sum parities.
+Prefixes (`times_array`, `generate_prefix`) fill one array from it, and
+`close_pair_profile` counts pairs one block at a time, looking back from
+each term over its few earlier neighbours within the gap, and keeping
+only the terms within the gap of the newest one.  It reads a prefix that
+`times_array` already holds instead of generating the terms again.
 
 All arithmetic that feeds a floor function is exact: polynomial values
 are evaluated by Horner's rule over a common integer denominator, and
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -157,10 +160,10 @@ class SequenceSpec:
 # ---------------------------------------------------------------------------
 # generators
 #
-# Every family yields blocks of at most _FLOOR_BLOCK terms.  Naturals and
-# Thue-Morse come in blocks of _FLOOR_BLOCK integers; prime sieve segments
-# of _SIEVE_SEGMENT numbers, the last cut at a bound on the wanted prime,
-# are sliced.
+# Every family yields blocks of at most _FLOOR_BLOCK terms.  Naturals come
+# in blocks of _FLOOR_BLOCK integers; Thue-Morse blocks of _TM_WIDTH
+# numbers and prime sieve segments of _SIEVE_SEGMENT numbers, the last cut
+# at a bound on the wanted prime, are sliced.
 # A floor family's candidates come in int64 blocks of _FLOOR_BLOCK while no
 # value they form can pass _INT64_SAFE, so nothing wraps; after that in
 # object blocks of Python ints, doubling up to _EXACT_BLOCK candidates, on
@@ -170,21 +173,23 @@ _FLOOR_BLOCK = 1 << 16
 _EXACT_BLOCK = 1 << 10
 _SIEVE_SEGMENT = 1 << 21
 _INT64_SAFE = 1 << 62
+_TM_WIDTH = 1 << 16
 
 
 def _sieve(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """The primes in [lo, hi), given every prime up to sqrt(hi) in ``base``.
 
-    The mask holds only the odd numbers of [lo, hi), and 2 is prepended
-    when it lies in the range (Bays and Hudson, BIT 17, 1977, keep odd
-    candidates only).  ``base`` may hold composites too, as sieving by
-    an odd composite strikes only composites; its even entries are
-    skipped.  Each odd p strikes its odd multiples from max(p**2, lo)
-    on, every p-th mask entry.
+    The mask holds only the odd numbers of [lo, hi) (Bays and Hudson,
+    BIT 17, 1977, keep odd candidates only); when lo <= 2 it starts at
+    the number 1, whose slot stands for 2, the one even prime.  ``base``
+    may hold composites too, as sieving by an odd composite strikes only
+    composites; its even entries are skipped.  Each odd p strikes its
+    odd multiples from max(p**2, lo) on, every p-th mask entry.
     """
-    first = lo | 1  # the odd numbers first, first + 2, ... below hi
+    first = 1 if lo <= 2 else lo | 1  # the odd numbers first, first + 2, ... below hi
     mask = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)
-    mask[: int(first == 1)] = False  # 1
+    two = first == 1 and hi > 2  # the slot of the number 1 stands for 2
+    mask[: int(first == 1)] = two
     for p in base[base % 2 == 1].tolist():
         start = max(p * p, -(-lo // p) * p)
         if start % 2 == 0:
@@ -194,7 +199,8 @@ def _sieve(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     primes = np.flatnonzero(mask).astype(np.int64, copy=False)
     primes *= 2
     primes += first
-    return np.concatenate(([2], primes)) if lo <= 2 < hi else primes
+    primes[: int(two)] = 2
+    return primes
 
 
 def _prime_bound(count: int) -> int:
@@ -221,12 +227,21 @@ def _natural_blocks() -> Iterator[np.ndarray]:
         yield np.arange(k0, min(k0 + _FLOOR_BLOCK, MAX_TERM + 1), dtype=np.int64)
 
 
-def _odd_popcount(n: np.ndarray) -> np.ndarray:
-    """Whether each n >= 0 has an odd binary digit sum, by xor-folding its bits."""
-    x = n ^ (n >> 32)
-    for shift in (16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return (x & 1).astype(bool)
+def _thue_morse_blocks() -> Iterator[np.ndarray]:
+    """The n < 2**63 of odd binary digit sum, one block of _TM_WIDTH numbers at a time.
+
+    n = j * _TM_WIDTH + i has odd digit sum exactly when one of j and i
+    has, so block j is the odd low halves i plus j * _TM_WIDTH when j is
+    even, and the even ones when j is odd.  Of each pair 2m, 2m + 1 one
+    is odd, so the even halves are the odd ones with bit 0 flipped, still
+    increasing, and one xor forms a block.
+    """
+    odd = np.zeros(1, dtype=bool)
+    while len(odd) < _TM_WIDTH:  # the Thue-Morse substitution: the parities, then their complements
+        odd = np.concatenate((odd, ~odd))
+    halves = np.flatnonzero(odd).astype(np.int64, copy=False)
+    for j in range((MAX_TERM + 1) // _TM_WIDTH):
+        yield halves ^ (j * _TM_WIDTH + (j.bit_count() & 1))
 
 
 def _power_is_safe(base: int, exponent: int) -> bool:
@@ -366,8 +381,7 @@ def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
         yield from _natural_blocks()
         raise SequenceOverflowError(MAX_TERM + 1)
     if spec.family == "ThueMorseReturnTimes":
-        for block in _natural_blocks():
-            yield block[_odd_popcount(block)]
+        yield from _slices(_thue_morse_blocks())
         raise SequenceOverflowError(2**62 + 1)  # half of 0..MAX_TERM has odd popcount
     if spec.family == "Primes":
         yield from _slices(_prime_blocks(_prime_bound(count)))
@@ -421,12 +435,26 @@ def _check_memory(count: int) -> None:
         )
 
 
+# The longest prefix of each spec that a times_array result still holds.
+_held: weakref.WeakValueDictionary[SequenceSpec, np.ndarray] = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=32)
 def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
-    """First ``count`` terms as an int64 array (cached; do not mutate)."""
+    """First ``count`` terms as a read-only int64 array (cached).
+
+    While a longer prefix of ``spec`` is alive, held by this cache or by
+    anyone else, a shorter call returns a view of it instead of
+    generating the terms again; such a view keeps the longer prefix
+    alive as long as it is itself held.
+    """
+    held = _held.get(spec)
+    if held is not None and 1 <= count <= len(held):
+        return held[:count]
     _check_memory(count)
     arr = _prefix(spec, count)
     arr.setflags(write=False)
+    _held[spec] = arr
     return arr
 
 
@@ -458,6 +486,7 @@ class ClosePairProfile:
 # Sorted int64 terms map to uint64 keys in the same order, so a key minus a
 # gap up to 2**64 - 1 (clipped at 0) never wraps, whatever the signs.
 _SIGN = np.uint64(1 << 63)
+_LOOK_BACK = 8
 
 
 def _pair_sums(window: np.ndarray, block: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -465,16 +494,31 @@ def _pair_sums(window: np.ndarray, block: np.ndarray, gap: int) -> tuple[np.ndar
 
     ``window`` holds, sorted, every earlier term within ``gap`` of the
     block's terms, and none above them.  Term j of ``c = window + block``
-    is within ``gap`` of the terms c[lo:j], lo = searchsorted(c, c[j] - gap),
-    so it adds 2 * (j - lo) + 1 ordered pairs.  The next window is the
-    terms within ``gap`` of the newest one.
+    adds 2 * back[j] + 1 ordered pairs, back[j] being how many of c[:j]
+    lie within ``gap`` of it.  As c is sorted, these are c[j - d] for
+    d = 1 .. back[j], so back is counted by looking back one d at a time
+    until no term has a d-th neighbour within the gap.  Past
+    _LOOK_BACK steps the terms still within it take one binary search
+    each, so runs of equal terms, or a gap that admits every pair, stay
+    O(n log n).  The next window is the terms within ``gap`` of the
+    newest one.
     """
     c = np.concatenate((window, block))
     keys = c.view(np.uint64) ^ _SIGN
-    new = keys[len(window) :]
-    lo = np.searchsorted(keys, new - np.minimum(new, np.uint64(min(gap, 2**64 - 1))))
-    steps = 2 * (np.arange(len(window), len(c)) - lo) + 1
-    return np.cumsum(steps), c[lo[-1] :].copy()
+    g = np.uint64(min(gap, 2**64 - 1))
+    w, n = len(window), len(c)
+    back = np.zeros(len(block), dtype=np.int64)
+    for d in range(1, _LOOK_BACK + 1):
+        lo = max(w, d)  # the first term with a d-th neighbour
+        near = keys[lo:] - keys[lo - d : n - d] <= g
+        if not near.any():
+            break
+        back[lo - w :] += near
+    else:
+        far = np.flatnonzero(back == _LOOK_BACK)
+        j = far + w
+        back[far] = j - np.searchsorted(keys, keys[j] - np.minimum(keys[j], g))
+    return np.cumsum(2 * back + 1), c[n - 1 - back[-1] :].copy()
 
 
 def _validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
@@ -491,8 +535,7 @@ def close_pair_count(prefix: Sequence[int], max_gap: int) -> int:
     """#{(i, j) : |a_i - a_j| <= max_gap} over ordered index pairs.
 
     The terms must fit in int64; they are sorted first (the count is
-    invariant under permutations) and counted with one binary search
-    each.
+    invariant under permutations) and counted by `_pair_sums`.
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be non-empty")
@@ -508,12 +551,16 @@ def close_pair_profile(
     """Exact close-pair counts and densities of a sequence prefix at each checkpoint.
 
     The terms are read once, in blocks of at most _FLOOR_BLOCK, in their
-    increasing order; only the terms within ``max_gap`` of the newest one
-    are kept from block to block, so memory stays at one block's
-    temporaries plus that window (and one prime sieve segment) whatever
-    the largest checkpoint.  The prime sieve stops at a bound on the
-    last checkpoint's prime.  Explicit sequences, finite and possibly
-    unsorted, count each checkpoint's prefix sorted.
+    increasing order, each adding its pairs with earlier terms
+    (`_pair_sums`, O(1) per term with at most _LOOK_BACK of them within
+    ``max_gap``).  When `times_array` holds a prefix of ``spec`` that
+    reaches the last checkpoint, the blocks are slices of it.  Otherwise
+    they are generated as they are read: only the terms within
+    ``max_gap`` of the newest one are kept from block to block, so memory
+    stays at one block's temporaries plus that window (and one prime
+    sieve segment) whatever the largest checkpoint, and the prime sieve
+    stops at a bound on the last checkpoint's prime.  Explicit sequences,
+    finite and possibly unsorted, count each checkpoint's prefix sorted.
     """
     cps = _validate_checkpoints(checkpoints)
     if max_gap < 0:
@@ -526,7 +573,12 @@ def close_pair_profile(
         counts = []
         total = n0 = 0
         window = np.empty(0, dtype=np.int64)
-        for block in _blocks(spec, cps[-1]):
+        held = _held.get(spec)
+        if held is not None and len(held) >= cps[-1]:
+            blocks = _slices([held])
+        else:
+            blocks = _blocks(spec, cps[-1])
+        for block in blocks:
             block = block[: cps[-1] - n0]
             if len(block):
                 sums, window = _pair_sums(window, block, max_gap)

@@ -88,7 +88,7 @@ class SymbolicPoint:
 
     def coordinates(self, indices) -> np.ndarray:
         """The symbols at every index of ``indices``, as int64."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _as_indices(indices)
         _check_sides((self,), idx)
         return self._read(idx)
 
@@ -100,6 +100,14 @@ class SymbolicPoint:
         return int(self.coordinates([i])[0])
 
 
+def _as_indices(indices) -> np.ndarray:
+    """``indices`` as an int64 array; an index outside int64 raises DomainError, never wraps."""
+    try:
+        return np.asarray(indices, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("coordinate outside the 64-bit range") from None
+
+
 def _check_sides(points: Sequence[SymbolicPoint], idx: np.ndarray) -> None:
     """DomainError where a one-sided point of ``points`` would read below 0."""
     low = idx.min(initial=0)
@@ -109,7 +117,7 @@ def _check_sides(points: Sequence[SymbolicPoint], idx: np.ndarray) -> None:
 
 def _offset(indices, offset: int) -> np.ndarray:
     """int64 ``indices + offset``; DomainError where an index would leave int64."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _as_indices(indices)
     if not all(int(e) + int(offset) in _INT64 for e in (idx.min(initial=0), idx.max(initial=0))):
         raise DomainError("coordinate outside the 64-bit range")
     return idx + offset
@@ -167,7 +175,7 @@ def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
     seeded random point on one weights tuple, the rows come from one
     :func:`prf64_np` table, which mixes each index once for all seeds.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _as_indices(indices)
     shape = (len(points), len(idx))
     if points and all(
         type(p) is SeededRandomPoint and p.weights is points[0].weights for p in points

@@ -124,6 +124,18 @@ def test_thue_morse_across_small_blocks(block):
         assert generate_prefix(THUE_MORSE, 500) == thue_morse_oracle(500)
 
 
+def test_thue_morse_past_the_parity_table():
+    # each table of 2**16 numbers holds 2**15 terms; past it the odd and the
+    # even low halves alternate with the parity of the high half
+    oracle = thue_morse_oracle(70_000)
+    assert oracle[2**15 - 1] < 2**16 <= oracle[2**15] and oracle[-1] > 2**17
+    for block in (seqgen._FLOOR_BLOCK, 1000, 2**15 + 1):
+        with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+            assert generate_prefix(THUE_MORSE, len(oracle)) == oracle
+            sizes = [len(b) for b in itertools.islice(seqgen._blocks(THUE_MORSE, 10), 10)]
+        assert max(sizes) <= block
+
+
 def test_polynomial_squares():
     spec = SequenceSpec.polynomial_floor([0, 0, 1])
     assert generate_prefix(spec, 4) == [1, 4, 9, 16]
@@ -580,6 +592,18 @@ def test_sieve_matches_the_oracle(lo, width, composites):
     assert got.tolist() == [p for p in sieve_oracle(max(hi, 2)) if lo <= p < hi]
 
 
+def test_prime_prefix_peak_memory():
+    # the 800 kB output, one segment's mask and its primes: 2 takes the slot
+    # of the number 1, where prepending it copied the primes (3.21 MB)
+    tracemalloc.start()
+    try:
+        seqgen._prefix(SequenceSpec.primes(), 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
+
+
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 3), (2, 3), (2, 4), (3, 4), (1, 2), (0, 2), (4, 5)])
 def test_sieve_edges(lo, hi):
     base = np.arange(2, math.isqrt(max(hi - 1, 0)) + 1)
@@ -635,6 +659,61 @@ def test_close_pair_profile_peak_memory():
     assert peak < 5_000_000
 
 
+def test_close_pair_profile_from_a_held_prefix_peak_memory():
+    # the held prefix is read in place: the temporaries of one block
+    spec = SequenceSpec.primes()
+    times_array.cache_clear()
+    held = times_array(spec, 10**6)
+    tracemalloc.start()
+    try:
+        close_pair_profile(spec, 10, [10**3, 10**4, 10**5, 10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del held
+        times_array.cache_clear()
+    assert peak < 5_000_000
+
+
+def test_a_shorter_times_array_call_slices_the_held_prefix():
+    spec = SequenceSpec.primes()
+    times_array.cache_clear()
+    longer = times_array(spec, 5000)
+    with mock.patch.object(seqgen, "_prefix", wraps=seqgen._prefix) as spy:
+        shorter = times_array(spec, 300)
+        assert spy.call_count == 0
+        assert shorter.base is longer and not shorter.flags.writeable
+        assert shorter.tolist() == longer[:300].tolist() == sieve_oracle(2000)[:300]
+        assert times_array(spec, 5001)[:5000].tolist() == longer.tolist()
+        assert spy.call_count == 1
+        # the prefix is held only while something holds it
+        del longer, shorter
+        times_array.cache_clear()
+        times_array(spec, 300)
+        assert spy.call_count == 2
+    times_array.cache_clear()
+
+
+@pytest.mark.parametrize("spec", [SequenceSpec.primes(), THUE_MORSE], ids=lambda s: s.family)
+@pytest.mark.parametrize("block", [seqgen._FLOOR_BLOCK, 1000])
+def test_profile_reads_a_held_prefix_without_generating(spec, block):
+    cps, max_gap = [10, 1000, 20_000], 10
+    times_array.cache_clear()
+    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
+        streamed = close_pair_profile(spec, max_gap, cps)
+        held = times_array(spec, 30_000)
+        with mock.patch.object(seqgen, "_prime_blocks", wraps=seqgen._prime_blocks) as sieve, \
+                mock.patch.object(seqgen, "_blocks", wraps=seqgen._blocks) as blocks:
+            assert close_pair_profile(spec, max_gap, cps) == streamed
+            assert sieve.call_count == blocks.call_count == 0
+            # a held prefix short of the last checkpoint is not enough
+            longer = close_pair_profile(spec, max_gap, cps + [40_000])
+            assert blocks.call_count == 1
+    assert longer.checkpoints[:3] == streamed.checkpoints
+    del held
+    times_array.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # close pairs
 
@@ -677,6 +756,36 @@ def test_close_pair_count_matches_bruteforce_at_length_500():
         prefix = np.concatenate(([5], rng.integers(1, 25, size=499))).cumsum()
         brute = int((np.abs(prefix[:, None] - prefix[None, :]) <= max_gap).sum())
         assert close_pair_count(prefix.tolist(), max_gap) == brute
+
+
+INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+INT64_TERMS = st.one_of(
+    st.sampled_from(INT64_EDGES),
+    st.integers(-50, 50),
+    st.integers(2**63 - 60, 2**63 - 1),
+    st.integers(-(2**63), -(2**63) + 60),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    terms=st.lists(INT64_TERMS, max_size=40),
+    runs=st.lists(st.tuples(INT64_TERMS, st.integers(9, 20)), max_size=3),
+    max_gap=st.one_of(
+        st.integers(0, 20),
+        st.integers(0, 2**70),
+        st.sampled_from([2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1, 2**64, 2**70]),
+    ),
+    data=st.data(),
+)
+def test_close_pair_count_past_the_look_back_depth(terms, runs, max_gap, data):
+    # runs of more than 8 equal terms, and gaps that admit every pair, take
+    # the binary-search path; the rest is looked back over
+    prefix = terms + [t for t, length in runs for _ in range(length)]
+    assume(prefix)
+    prefix = data.draw(st.permutations(prefix))
+    assert close_pair_count(prefix, max_gap) == brute_pair_count(prefix, max_gap)
 
 
 def test_profile_naturals():

@@ -573,6 +573,38 @@ def test_one_table_read_below_zero_raises_on_one_sided_points():
     assert rows.tolist() == [[oracle_coordinate(p, i) for i in (-1, 0)] for p in two_sided]
 
 
+OUTSIDE_INT64 = st.sampled_from([2**63, 2**64, 2**70, -(2**63) - 1, -(2**70)])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    point=st.one_of(ONE_SIDED_POINTS, symbolic_points(sy.TWO_SIDED)),
+    i=OUTSIDE_INT64, at=st.integers(0, 2),
+)
+def test_an_index_outside_int64_raises_domain_error(point, i, at):
+    # numpy's bare OverflowError never escapes a read
+    idx = [0, 1][:at] + [i] + [0, 1][at:]
+    with pytest.raises(DomainError):
+        point.coordinate(i)
+    with pytest.raises(DomainError):
+        point.coordinates(idx)
+    with pytest.raises(DomainError):
+        sy.coordinates_of([point, point], idx)
+
+
+@pytest.mark.parametrize("i", [2**63, -(2**63) - 1])
+def test_one_table_and_tape_reads_outside_int64_raise_domain_error(i):
+    with pytest.raises(DomainError):
+        sy.PeriodicPoint((0, 1), 2).coordinate(i)
+    for side in (sy.ONE_SIDED, sy.TWO_SIDED):
+        one_table = [sy.SeededRandomPoint(s, FAIR.weights, side=side) for s in (1, 2)]
+        with pytest.raises(DomainError):
+            sy.coordinates_of(one_table, [0, i])
+    ext = sy.ExtendedPoint(zeros(), ones())
+    with pytest.raises(DomainError):
+        ext.coordinates([0, i])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     base=symbolic_points(sy.ONE_SIDED), past=symbolic_points(sy.ONE_SIDED),
