@@ -55,6 +55,5 @@ from .systems import (
     distance,
     distance_series,
     metric_error_bound,
-    natural_extension_lift,
     sample_point,
 )

@@ -25,6 +25,8 @@ from .errors import ConfigError, DomainError
 from . import systems as sy
 
 TWO_PI = 2.0 * math.pi
+# the shift spaces: a natural extension is the two-sided shift on its base's symbols
+_SHIFTS = (sy.FullShift, sy.NaturalExtension)
 
 
 class Observable:
@@ -83,7 +85,7 @@ class CylinderIndicator(Observable):
             raise ConfigError("cylinder constraints must use distinct coordinates")
 
     def _check_alphabet(self, system) -> None:
-        if isinstance(system, sy.FullShift) and any(
+        if isinstance(system, _SHIFTS) and any(
             not (0 <= s < system.alphabet_size) for _, s in self.constraints
         ):
             raise ConfigError("cylinder symbol outside the alphabet")
@@ -104,7 +106,7 @@ class CylinderIndicator(Observable):
 
     def integral(self, system) -> float | None:
         self._check_alphabet(system)
-        if isinstance(system, sy.FullShift):
+        if isinstance(system, _SHIFTS):
             return float(math.prod(system.weights[s] for _, s in self.constraints))
         return None
 

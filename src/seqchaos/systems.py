@@ -12,8 +12,9 @@ Phase spaces come in four kinds:
   by exact modular arithmetic so that T**m at m up to 2**63 loses no
   precision;
 * finite products of the above;
-* natural extensions of one-sided full shifts (two-sided tapes whose
-  negative coordinates are filled by a seeded past rule).
+* natural extensions of one-sided full shifts, which are the two-sided
+  shifts on the same weights: every two-sided point is one of theirs,
+  such as an ``ExtendedPoint`` (a one-sided base and a one-sided past).
 
 Every metric is truncated at a configurable coordinate window ``w``
 and the truncation error bound (2**-w style) is available alongside via
@@ -222,35 +223,27 @@ class BlockScheduledPoint(SymbolicPoint):
         return out
 
 
-# ---------------------------------------------------------------------------
-# natural-extension points
-
-
 @dataclass(frozen=True)
-class ExtendedPoint:
-    """A point of the natural extension of a one-sided shift.
-
-    The two-sided tape reads ``base`` on coordinates >= 0 and the ``past``
-    rule on negative coordinates (past index 0 is tape coordinate -1).
-    ``offset`` tracks how often the extension's shift has been applied.
+class ExtendedPoint(SymbolicPoint):
+    """A two-sided tape, such as a point of the natural extension of a
+    one-sided shift: the one-sided ``base`` on coordinates >= 0 and the
+    one-sided ``past`` rule on negative ones (past index 0 is coordinate -1).
     """
 
     base: SymbolicPoint
     past: SymbolicPoint
-    offset: int = 0
+    side = TWO_SIDED
 
     @property
     def alphabet_size(self) -> int:
         return self.base.alphabet_size
 
-    def coordinates(self, indices: np.ndarray) -> np.ndarray:
-        """Tape symbols at every coordinate of ``indices``, negative ones included."""
-        jj = _offset(indices, self.offset)
-        out = np.empty(jj.shape, dtype=np.int64)
-        ahead = jj >= 0
-        for mask, point, idx in ((ahead, self.base, jj), (~ahead, self.past, -1 - jj)):
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        out = np.empty(idx.shape, dtype=np.int64)
+        ahead = idx >= 0
+        for mask, point, jj in ((ahead, self.base, idx), (~ahead, self.past, -1 - idx)):
             if mask.any():
-                out[mask] = point.coordinates(idx[mask])
+                out[mask] = point.coordinates(jj[mask])
         return out
 
 
@@ -356,9 +349,11 @@ class ProductSystem:
 
 @dataclass(frozen=True)
 class NaturalExtension:
-    """Invertible cover of a one-sided full shift on backward orbits."""
+    """Invertible cover of a one-sided full shift on backward orbits: the
+    two-sided shift with the base's weights, under its own metric."""
 
     base: FullShift
+    side = TWO_SIDED
 
     def __post_init__(self):
         if not isinstance(self.base, FullShift):
@@ -370,12 +365,20 @@ class NaturalExtension:
     def window(self) -> int:
         return self.base.window
 
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return self.base.weights
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.base.alphabet_size
+
     def to_json_dict(self) -> dict:
         return {"kind": "NaturalExtension", "base": self.base.to_json_dict()}
 
 
 SystemSpec = Union[FullShift, Rotation, ProductSystem, NaturalExtension]
-Point = Union[SymbolicPoint, int, tuple, ExtendedPoint]
+Point = Union[SymbolicPoint, int, tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +412,14 @@ def _two_sided(rows: np.ndarray) -> np.ndarray:
     return (_summed(rows[:, w - 1 :]) + _summed(rows[:, : w - 1][:, ::-1]) / 2) / 2
 
 
+def _two_sided_first_difference(rows: np.ndarray) -> np.ndarray:
+    # rows cover (-w, w); folding coordinate -j onto j leaves 2**-min|j|
+    w = (rows.shape[1] + 1) // 2
+    folded = rows[:, w - 1 :].copy()
+    folded[:, 1:] |= rows[:, : w - 1][:, ::-1]
+    return _first_difference(folded)
+
+
 def _row_fsums(parts: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in parts.tolist()], dtype=np.float64)
 
@@ -426,11 +437,11 @@ def _metric_window(system: FullShift | NaturalExtension):
     if isinstance(system, NaturalExtension):
         base = _summed if system.base.metric == METRIC_SUMMED else _first_difference
         return 1 - w, 2 * w - 1, partial(_extension, base)
-    if system.metric == METRIC_FIRST_DIFFERENCE:
-        return 0, w, _first_difference
-    if system.side == TWO_SIDED:
+    if system.side == ONE_SIDED:
+        return 0, w, _summed if system.metric == METRIC_SUMMED else _first_difference
+    if system.metric == METRIC_SUMMED:
         return 1 - w, 2 * w - 1, _two_sided
-    return 0, w, _summed
+    return 1 - w, 2 * w - 1, _two_sided_first_difference
 
 
 def _symbol_runs(point) -> list[tuple[int, int]] | None:
@@ -576,9 +587,9 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     exact, as ``FullShift`` caps the window at 53 coordinates.  A
     rotation's rows are constant; a product ``fsum``s its weighted
     component rows.  Three things raise ``DomainError``: a negative time
-    on a system that is not invertible, a point of the wrong side (on a
-    natural extension, one that is not an ``ExtendedPoint``), and a point
-    with the wrong number of components on a product.
+    on a one-sided shift (a product defers to its components), a point
+    of the wrong side (every natural-extension point is two-sided), and a
+    point with the wrong number of components on a product.
 
     Each distinct point reads its tape once per chunk of about 2**17
     cells for all the rows it belongs to, so working memory does not grow
@@ -590,7 +601,7 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     if len(xs) != len(ys):
         raise DomainError("need one y for every x")
     ts = _as_times(times)
-    if not isinstance(system, (Rotation, NaturalExtension)) and len(ts) and ts.min() < 0:
+    if getattr(system, "side", None) == ONE_SIDED and len(ts) and ts.min() < 0:
         raise DomainError("negative iteration on a non-invertible system")
     if isinstance(system, Rotation):
         deltas = [(x - y) % FRACTION_MOD for x, y in zip(xs, ys)]
@@ -605,20 +616,17 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
             for j, c in enumerate(system.components)
         ]
         return _row_fsums(np.stack(parts, axis=-1).reshape(-1, k)).reshape(len(xs), len(ts))
-    if isinstance(system, FullShift):
-        if any(getattr(p, "side", None) != system.side for p in (*xs, *ys)):
-            raise DomainError("points do not live in this shift space")
-        if system.side == ONE_SIDED and system.metric == METRIC_SUMMED:
-            runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
-            if all(None not in pair for pair in runs):
-                return _on_distinct(ts, lambda u: np.array(
-                    [_series_from_runs(rx, ry, u, system.window) for rx, ry in runs],
-                    dtype=np.float64,
-                ).reshape(len(xs), len(u)))
-    elif not isinstance(system, NaturalExtension):
+    if not isinstance(system, (FullShift, NaturalExtension)):
         raise ConfigError(f"unknown system {system!r}")
-    elif not all(isinstance(p, ExtendedPoint) for p in (*xs, *ys)):
-        raise DomainError("natural extension iterates ExtendedPoint values")
+    if any(getattr(p, "side", None) != system.side for p in (*xs, *ys)):
+        raise DomainError("points do not live in this shift space")
+    if system.side == ONE_SIDED and system.metric == METRIC_SUMMED:
+        runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
+        if all(None not in pair for pair in runs):
+            return _on_distinct(ts, lambda u: np.array(
+                [_series_from_runs(rx, ry, u, system.window) for rx, ry in runs],
+                dtype=np.float64,
+            ).reshape(len(xs), len(u)))
     return _on_distinct(ts, partial(_series_from_windows, system, xs, ys))
 
 
@@ -659,31 +667,11 @@ def sample_point(system: SystemSpec, seed: int) -> Point:
             for j, c in enumerate(system.components)
         )
     if isinstance(system, NaturalExtension):
-        return natural_extension_lift(
-            system, sample_point(system.base, child_seed(seed, "base")), child_seed(seed, "past")
+        return ExtendedPoint(
+            sample_point(system.base, child_seed(seed, "base")),
+            SeededRandomPoint(child_seed(seed, "past"), system.weights),
         )
     raise ConfigError(f"unknown system {system!r}")
-
-
-def natural_extension_lift(
-    system: NaturalExtension | FullShift,
-    base_point: SymbolicPoint,
-    past_seed: int | None = None,
-    past: SymbolicPoint | None = None,
-) -> ExtendedPoint:
-    """Lift a one-sided point to the natural extension.
-
-    Non-negative coordinates equal ``base_point``'s; negative ones come
-    from ``past`` (or a PRF-seeded Bernoulli rule built from ``past_seed``).
-    """
-    shift = system.base if isinstance(system, NaturalExtension) else system
-    if shift.side != ONE_SIDED:
-        raise ConfigError("natural extension applies to one-sided shifts")
-    if past is None:
-        if past_seed is None:
-            raise ConfigError("provide past_seed or an explicit past rule")
-        past = SeededRandomPoint(past_seed & MASK64, shift.weights, side=ONE_SIDED)
-    return ExtendedPoint(base_point, past)
 
 
 # ---------------------------------------------------------------------------

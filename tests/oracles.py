@@ -42,19 +42,18 @@ class ShiftedPoint(sy.SymbolicPoint):
 
 
 def shift_point(point, offset):
-    """Shifted view of a point; nested shifts collapse to one offset."""
+    """Shifted view of a point; nested shifts collapse to one offset, and
+    shifts that cancel give the point back."""
     if point.side == sy.ONE_SIDED and offset < 0:
         raise DomainError("cannot shift a one-sided point backwards")
-    if offset == 0:
-        return point
     if isinstance(point, ShiftedPoint):
-        return ShiftedPoint(point.base, point.offset + offset)
-    return ShiftedPoint(point, offset)
+        point, offset = point.base, point.offset + offset
+    return point if offset == 0 else ShiftedPoint(point, offset)
 
 
 @dataclass(frozen=True)
 class TapeView(sy.SymbolicPoint):
-    ext: sy.ExtendedPoint
+    ext: sy.SymbolicPoint  # two-sided
     depth: int
     side: str = sy.ONE_SIDED
 
@@ -67,7 +66,8 @@ class TapeView(sy.SymbolicPoint):
 
 
 def component(ext, depth):
-    """The one-sided point x_depth (depth >= 1) of the backward orbit of ``ext``."""
+    """The one-sided point x_depth (depth >= 1) of the backward orbit of the
+    two-sided point ``ext``."""
     if depth < 1:
         raise DomainError("component depth starts at 1")
     return TapeView(ext, depth)
@@ -109,9 +109,9 @@ class LinearCombination(Observable):
 
 def iterate(system, point, m):
     """T**m applied to ``point``, in O(polylog m)."""
-    if m < 0 and not isinstance(system, (sy.Rotation, sy.NaturalExtension)):
+    if m < 0 and getattr(system, "side", None) == sy.ONE_SIDED:
         raise DomainError("negative iteration on a non-invertible system")
-    if isinstance(system, sy.FullShift):
+    if isinstance(system, (sy.FullShift, sy.NaturalExtension)):
         if getattr(point, "side", None) != system.side:
             raise DomainError("point side does not match the shift")
         return shift_point(point, m)
@@ -121,10 +121,6 @@ def iterate(system, point, m):
         if len(point) != len(system.components):
             raise DomainError("component count mismatch")
         return tuple(iterate(c, x, m) for c, x in zip(system.components, point))
-    if isinstance(system, sy.NaturalExtension):
-        if not isinstance(point, sy.ExtendedPoint):
-            raise DomainError("natural extension iterates ExtendedPoint values")
-        return sy.ExtendedPoint(point.base, point.past, point.offset + m)
     raise ConfigError(f"unknown system {system!r}")
 
 
@@ -149,20 +145,22 @@ def oracle_coordinate(point, i):
         return c if isinstance(c, int) else oracle_coordinate(c, i)
     if isinstance(point, ShiftedPoint):
         return oracle_coordinate(point.base, i + point.offset)
+    if isinstance(point, sy.ExtendedPoint):
+        return oracle_tape(point, i)
     assert isinstance(point, TapeView)
-    return oracle_tape(point.ext, i - (point.depth - 1))
+    return oracle_coordinate(point.ext, i - (point.depth - 1))
 
 
 def oracle_tape(ext, j):
-    jj = j + ext.offset
-    return oracle_coordinate(ext.base, jj) if jj >= 0 else oracle_coordinate(ext.past, -1 - jj)
+    return oracle_coordinate(ext.base, j) if j >= 0 else oracle_coordinate(ext.past, -1 - j)
 
 
 def oracle_shift_distance(x, y, window, side, metric):
     if metric == sy.METRIC_FIRST_DIFFERENCE:
         for i in range(window):
-            if oracle_coordinate(x, i) != oracle_coordinate(y, i):
-                return 2.0 ** (-i)
+            for j in (i, -i) if side == sy.TWO_SIDED else (i,):
+                if oracle_coordinate(x, j) != oracle_coordinate(y, j):
+                    return 2.0 ** (-i)
         return 0.0
     if side == sy.ONE_SIDED:
         return math.fsum(
@@ -198,7 +196,8 @@ def oracle_distance(system, x, y):
             for i in range(1, w + 1)
         )
     neq = np.array(
-        [oracle_tape(x, j) != oracle_tape(y, j) for j in range(-w + 1, w)], dtype=np.float64
+        [oracle_coordinate(x, j) != oracle_coordinate(y, j) for j in range(-w + 1, w)],
+        dtype=np.float64,
     )
     weights = np.ldexp(1.0, -(np.arange(w) + 1))
     return math.fsum(2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1))

@@ -288,6 +288,18 @@ def test_averages_that_could_overflow_are_status_2(tmp_path, capsys, change):
 
 
 OUTSIDE = {"kind": "CylinderIndicator", "constraints": {"0": 5}}
+NATURAL_EXTENSION = {"kind": "NaturalExtension",
+                     "base": {"kind": "FullShift", "weights": ["1/2", "1/2"]}}
+
+
+def test_cylinder_on_the_natural_extension(tmp_path):
+    # the natural extension of the fair 2-shift is the two-sided fair shift:
+    # a cylinder reads its past, and its integral is the Bernoulli mass
+    cfg = dict(BASE_CONFIGS["DisintegrationConsistency"], system=NATURAL_EXTENSION,
+               observable={"kind": "CylinderIndicator", "constraints": {"-1": 1}})
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 0
+    assert json.loads((out / "result.json").read_text())["integral"] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -297,12 +309,13 @@ OUTSIDE = {"kind": "CylinderIndicator", "constraints": {"0": 5}}
         ("FiberConstancy", {"observable": {"kind": "ProductOf", "factors": [
             OUTSIDE, {"kind": "TrigOnRotation", "frequency": 1, "component": "cos"}]},
             "expected_means": None}),
+        ("DisintegrationConsistency", {"system": NATURAL_EXTENSION, "observable": OUTSIDE}),
     ],
-    ids=["lacunary", "fiber"],
+    ids=["lacunary", "fiber", "extension"],
 )
 def test_cylinder_symbol_outside_the_alphabet_is_status_2(tmp_path, capsys, kind, change):
-    # symbol 5 on the fair 2-shift: the indicator would be 0 everywhere, and
-    # neither experiment asks for its integral
+    # symbol 5 on the fair 2-shift or its natural extension: the indicator
+    # would be 0 everywhere, whether or not the experiment asks for its integral
     status, out = run_tmp(tmp_path, dict(BASE_CONFIGS[kind], **change))
     assert status == 2
     assert "config error: cylinder symbol outside the alphabet" in capsys.readouterr().err

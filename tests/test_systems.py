@@ -323,6 +323,13 @@ def test_first_difference_metric_option():
     y = sy.BlockScheduledPoint((3,), (0, 1), alphabet_size=2)
     assert sy.distance(shift, zeros(), y) == 2.0**-3
     assert sy.distance(shift, zeros(), zeros()) == 0.0
+    # two-sided: 2**-min|j| over the differing coordinates j, the past included
+    two_sided = sy.FullShift.uniform(2, side=sy.TWO_SIDED, window=8,
+                                     metric=sy.METRIC_FIRST_DIFFERENCE)
+    x = sy.PeriodicPoint((0,), 2, side=sy.TWO_SIDED)
+    past = sy.BlockScheduledPoint((-3, -2), (0, 1, 0), 2, side=sy.TWO_SIDED)
+    assert sy.distance(two_sided, x, past) == 2.0**-3
+    assert sy.distance(two_sided, x, shift_point(past, 1)) == 2.0**-4
 
 
 def test_rotation_circle_distance():
@@ -423,8 +430,9 @@ def test_expected_distance_of_independent_fair_points():
 
 
 def test_lift_construction():
-    ext = sy.natural_extension_lift(FAIR, zeros(), past=ones())
+    ext = sy.ExtendedPoint(zeros(), ones())
     assert ext.coordinates([-1, 0]).tolist() == [1, 0]
+    assert sy.distance(sy.NaturalExtension(FAIR), ext, ext) == 0.0
 
 
 def test_lift_projection_commutes_with_shift():
@@ -450,8 +458,8 @@ def test_natural_extension_metric_geometric_series():
     # all-coordinate disagreement: every backward component is at the
     # truncated diameter, so the sum telescopes to (1 - 2**-w)**2
     ne = sy.NaturalExtension(FAIR)
-    x = sy.natural_extension_lift(FAIR, zeros(), past=zeros())
-    y = sy.natural_extension_lift(FAIR, ones(), past=ones())
+    x = sy.ExtendedPoint(zeros(), zeros())
+    y = sy.ExtendedPoint(ones(), ones())
     w = ne.window
     inner = 1 - 2.0**-w
     expected = math.fsum(2.0**-i * inner for i in range(1, w + 1))
@@ -464,6 +472,18 @@ def test_natural_extension_negative_time():
     ext = sy.sample_point(ne, 4)
     back = iterate(ne, ext, -3)
     assert iterate(ne, back, 3) == ext
+
+
+def test_two_sided_seeded_points_are_natural_extension_points():
+    # the natural extension of the Bernoulli shift is the two-sided shift
+    ne = sy.NaturalExtension(FAIR)
+    x, y = (sy.SeededRandomPoint(s, FAIR.weights, side=sy.TWO_SIDED) for s in (1, 2))
+    ext = sy.sample_point(ne, 3)
+    for a, b in ((x, y), (x, ext), (ext, y)):
+        assert sy.distance(ne, a, b).hex() == oracle_distance(ne, a, b).hex()
+    assert sy.distance(ne, x, y) > 0
+    with pytest.raises(DomainError):
+        sy.distance(ne, x, zeros())
 
 
 def test_weight_validation():
@@ -513,7 +533,9 @@ def symbolic_points(side):
 
 # depth-1..3 views of extended points whose shift count may be negative
 TAPE_VIEWS = st.builds(
-    lambda base, past, offset, depth: component(sy.ExtendedPoint(base, past, offset), depth),
+    lambda base, past, offset, depth: component(
+        shift_point(sy.ExtendedPoint(base, past), offset), depth
+    ),
     symbolic_points(sy.ONE_SIDED), symbolic_points(sy.ONE_SIDED),
     st.integers(-300, 300), st.integers(1, 3),
 )
@@ -608,12 +630,15 @@ def test_one_table_and_tape_reads_outside_int64_raise_domain_error(i):
 @settings(deadline=None, max_examples=60)
 @given(
     base=symbolic_points(sy.ONE_SIDED), past=symbolic_points(sy.ONE_SIDED),
-    offset=st.integers(-300, 300), idx=st.lists(st.integers(-400, 400), min_size=1, max_size=30),
+    idx=st.lists(st.integers(-400, 400), min_size=1, max_size=30),
 )
-def test_tape_coordinates_match_the_scalar_tape(base, past, offset, idx):
-    ext = sy.ExtendedPoint(base, past, offset)
-    got = ext.coordinates(np.array(idx, dtype=np.int64)).tolist()
-    assert got == [oracle_tape(ext, j) for j in idx]
+def test_tape_coordinates_match_the_scalar_tape(base, past, idx):
+    # an extended point reads through the one checked read like any other point
+    ext = sy.ExtendedPoint(base, past)
+    expected = [oracle_tape(ext, j) for j in idx]
+    assert ext.coordinates(np.array(idx, dtype=np.int64)).tolist() == expected
+    assert [ext.coordinate(j) for j in idx] == expected
+    assert sy.coordinates_of([ext, ext], idx).tolist() == [expected] * 2
 
 
 FAIR_TWO_SIDED = sy.FullShift.uniform(2, side=sy.TWO_SIDED)
@@ -630,10 +655,7 @@ def metric_cases():
         lambda w, side, metric: sy.FullShift.uniform(2, side=side, window=w, metric=metric),
         windows, sides, metrics,
     )
-    products = st.builds(
-        lambda shift: sy.ProductSystem((shift, sy.Rotation.golden())),
-        shifts.filter(lambda s: s.side == sy.ONE_SIDED),
-    )
+    products = st.builds(lambda shift: sy.ProductSystem((shift, sy.Rotation.golden())), shifts)
     extensions = st.builds(
         lambda w, metric: sy.NaturalExtension(sy.FullShift.uniform(2, window=w, metric=metric)),
         windows, metrics,
@@ -668,8 +690,7 @@ def fraction_distance(system, x, y, span=200):
         idx = np.arange(lo, span)
         differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
         if system.metric == sy.METRIC_FIRST_DIFFERENCE:
-            first = [j for j in differ if j >= 0]
-            return Fraction(1, 2 ** first[0]) if first else Fraction(0)
+            return Fraction(1, 2 ** min(map(abs, differ))) if differ else Fraction(0)
         if system.side == sy.TWO_SIDED:
             return sum((Fraction(1, 2 ** (abs(j) + 2)) for j in differ), Fraction(0))
         return sum((Fraction(1, 2 ** (j + 1)) for j in differ), Fraction(0))
@@ -738,15 +759,16 @@ def piecewise_cases():
 @given(case=st.one_of(metric_cases(), piecewise_cases()), data=st.data())
 def test_distance_series_keeps_the_bits_of_the_scalar_code(case, data):
     system, x, y = case
-    times = st.lists(st.one_of(NEAR, FAR), max_size=6)
-    if isinstance(system, sy.NaturalExtension):
-        times = st.lists(st.one_of(NEAR, FAR, NEAR.map(lambda m: -m), FAR.map(lambda m: -m)),
-                         max_size=6)
+    moves, sizes = [NEAR, FAR], {"max_size": 6}
     if isinstance(system, sy.FullShift):
         # a shift's scalar oracle is cheap: more times, many of them up to
         # the last change point of a piecewise-constant point
-        times = st.lists(st.one_of(NEAR, FAR, st.integers(0, 200)), min_size=10, max_size=30)
-    ts = data.draw(times)
+        moves, sizes = [NEAR, FAR, st.integers(0, 200)], {"min_size": 10, "max_size": 30}
+    # an invertible system (a product's shift is its first component) runs backwards too
+    shift = system.components[0] if isinstance(system, sy.ProductSystem) else system
+    if shift.side == sy.TWO_SIDED:
+        moves += [m.map(lambda t: -t) for m in moves]
+    ts = data.draw(st.lists(st.one_of(*moves), **sizes))
     got = sy.distance_series(system, [x], [y], np.array(ts, dtype=np.int64))
     assert got.dtype == np.float64 and got.shape == (1, len(ts))
     got = got[0]
