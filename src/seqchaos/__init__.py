@@ -45,9 +45,7 @@ from .seqgen import (
 from .systems import (
     GOLDEN_CONJUGATE,
     BlockScheduledPoint,
-    ExtendedPoint,
     FullShift,
-    NaturalExtension,
     PeriodicPoint,
     ProductSystem,
     Rotation,

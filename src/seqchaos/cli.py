@@ -28,7 +28,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import ge, le, lt
 from pathlib import Path
@@ -187,6 +187,17 @@ _WEIGHTS = Field("weights", _fractions)
 _ALPHA = Field("alpha", _alpha, show=lambda rotation: rotation.to_json_dict()["alpha_num_2pow128"])
 _WINDOW = Field("window", _window, sy.DEFAULT_WINDOW, 1)
 
+
+def _natural_extension(base) -> sy.FullShift:
+    """The natural extension of a one-sided Bernoulli shift: the two-sided
+    shift on its weights, window and metric."""
+    if not isinstance(base, sy.FullShift):
+        raise ConfigError("natural extension base must be a FullShift")
+    if base.side != sy.ONE_SIDED:
+        raise ConfigError("natural extension applies to one-sided shifts")
+    return replace(base, side=sy.TWO_SIDED)
+
+
 SYSTEMS = {
     "FullShift": (sy.FullShift.bernoulli, (
         _WEIGHTS,
@@ -197,7 +208,7 @@ SYSTEMS = {
     "Rotation": (lambda alpha: alpha, (_ALPHA,)),
     "Product": (lambda components: sy.ProductSystem(tuple(components)),
                 (Field("components", _list_of(parse_system)),)),
-    "NaturalExtension": (sy.NaturalExtension, (Field("base", parse_system),)),
+    "NaturalExtension": (_natural_extension, (Field("base", parse_system),)),
 }
 
 OBSERVABLES = {

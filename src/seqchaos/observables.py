@@ -25,8 +25,6 @@ from .errors import ConfigError, DomainError
 from . import systems as sy
 
 TWO_PI = 2.0 * math.pi
-# the shift spaces: a natural extension is the two-sided shift on its base's symbols
-_SHIFTS = (sy.FullShift, sy.NaturalExtension)
 
 
 class Observable:
@@ -84,20 +82,18 @@ class CylinderIndicator(Observable):
         if len(set(coords)) != len(coords):
             raise ConfigError("cylinder constraints must use distinct coordinates")
 
-    def _check_alphabet(self, system) -> None:
-        if isinstance(system, _SHIFTS) and any(
-            not (0 <= s < system.alphabet_size) for _, s in self.constraints
-        ):
+    def _check_shift(self, system, points=()) -> None:
+        """On a shift: every symbol in its alphabet, every point one of its points."""
+        if not isinstance(system, sy.FullShift):
+            return
+        if any(not (0 <= s < system.alphabet_size) for _, s in self.constraints):
             raise ConfigError("cylinder symbol outside the alphabet")
+        sy.check_members(system, points)
 
     def series(self, system, points, times) -> np.ndarray:
-        self._check_alphabet(system)
-        negative = any(c < 0 for c, _ in self.constraints)
-        for point in points:
-            if not isinstance(point, sy.SymbolicPoint):
-                raise DomainError("cylinder observable needs a symbolic point")
-            if negative and point.side == sy.ONE_SIDED:
-                raise DomainError("cylinder coordinate < 0 on a one-sided point")
+        self._check_shift(system, points)
+        if not all(isinstance(point, sy.SymbolicPoint) for point in points):
+            raise DomainError("cylinder observable needs a symbolic point")
         ts = np.asarray(times, dtype=np.int64)
         out = np.ones((len(points), len(ts)), dtype=bool)
         for c, s in self.constraints:
@@ -105,8 +101,8 @@ class CylinderIndicator(Observable):
         return out.astype(np.float64)
 
     def integral(self, system) -> float | None:
-        self._check_alphabet(system)
-        if isinstance(system, _SHIFTS):
+        self._check_shift(system)
+        if isinstance(system, sy.FullShift):
             return float(math.prod(system.weights[s] for _, s in self.constraints))
         return None
 

@@ -1,6 +1,6 @@
 """Explicitly computable dynamical systems.
 
-Phase spaces come in four kinds:
+Phase spaces come in three kinds:
 
 * full shifts over a finite alphabet with a Bernoulli measure, whose
   points are lazy symbol tapes with O(1) coordinate access (periodic,
@@ -11,16 +11,16 @@ Phase spaces come in four kinds:
 * circle rotations stored as exact 128-bit binary fractions, iterated
   by exact modular arithmetic so that T**m at m up to 2**63 loses no
   precision;
-* finite products of the above;
-* natural extensions of one-sided full shifts, which are the two-sided
-  shifts on the same weights: every two-sided point is one of theirs,
-  such as an ``ExtendedPoint`` (a one-sided base and a one-sided past).
+* finite products of the above.
+
+The natural extension of a one-sided Bernoulli shift is the two-sided
+``FullShift`` on the same weights, so it needs no kind of its own.
 
 Every metric is truncated at a configurable coordinate window ``w``
 and the truncation error bound (2**-w style) is available alongside via
 :func:`metric_error_bound`.  :func:`distance_series` evaluates
 d(T**m x, T**m y) for a list of pairs (x, y), one row each, and a whole
-array of times without iterating: a shift-type metric is one reduction
+array of times without iterating: a shift's metric is one reduction
 of the windows of a difference tape, and each distinct point reads its
 tape once for all of its pairs.  :func:`distance` is the one-pair,
 one-time case.
@@ -223,30 +223,6 @@ class BlockScheduledPoint(SymbolicPoint):
         return out
 
 
-@dataclass(frozen=True)
-class ExtendedPoint(SymbolicPoint):
-    """A two-sided tape, such as a point of the natural extension of a
-    one-sided shift: the one-sided ``base`` on coordinates >= 0 and the
-    one-sided ``past`` rule on negative ones (past index 0 is coordinate -1).
-    """
-
-    base: SymbolicPoint
-    past: SymbolicPoint
-    side = TWO_SIDED
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.base.alphabet_size
-
-    def _read(self, idx: np.ndarray) -> np.ndarray:
-        out = np.empty(idx.shape, dtype=np.int64)
-        ahead = idx >= 0
-        for mask, point, jj in ((ahead, self.base, idx), (~ahead, self.past, -1 - idx)):
-            if mask.any():
-                out[mask] = point.coordinates(jj[mask])
-        return out
-
-
 # ---------------------------------------------------------------------------
 # systems
 
@@ -347,49 +323,23 @@ class ProductSystem:
         return {"kind": "Product", "components": [c.to_json_dict() for c in self.components]}
 
 
-@dataclass(frozen=True)
-class NaturalExtension:
-    """Invertible cover of a one-sided full shift on backward orbits: the
-    two-sided shift with the base's weights, under its own metric."""
-
-    base: FullShift
-    side = TWO_SIDED
-
-    def __post_init__(self):
-        if not isinstance(self.base, FullShift):
-            raise ConfigError("natural extension base must be a FullShift")
-        if self.base.side != ONE_SIDED:
-            raise ConfigError("natural extension applies to one-sided shifts")
-
-    @property
-    def window(self) -> int:
-        return self.base.window
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return self.base.weights
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.base.alphabet_size
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "NaturalExtension", "base": self.base.to_json_dict()}
-
-
-SystemSpec = Union[FullShift, Rotation, ProductSystem, NaturalExtension]
+SystemSpec = Union[FullShift, Rotation, ProductSystem]
 Point = Union[SymbolicPoint, int, tuple]
+
+
+def check_members(system: FullShift, points: Sequence) -> None:
+    """DomainError unless every point of ``points`` lives in the shift
+    ``system``: the one membership test of distances and observables."""
+    if any(getattr(p, "side", None) != system.side for p in points):
+        raise DomainError("points do not live in this shift space")
 
 
 # ---------------------------------------------------------------------------
 # distances
 #
-# Every shift-type metric reads a window [m + lo, m + lo + span) of both
+# Every shift metric reads a window [m + lo, m + lo + span) of both
 # points at each time m and reduces the rows of the difference tape; a
-# system's kind picks only the window and the row reducer.
-
-
-_POWERS = np.ldexp(1.0, -np.arange(1, MAX_WINDOW + 1))  # 2**-1 .. 2**-53
+# shift's side and metric pick only the window and the row reducer.
 
 
 def _summed(rows: np.ndarray) -> np.ndarray:
@@ -424,19 +374,9 @@ def _row_fsums(parts: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in parts.tolist()], dtype=np.float64)
 
 
-def _extension(base, rows: np.ndarray) -> np.ndarray:
-    # rows cover tape coordinates (-w, w); component i reads [1 - i, w + 1 - i)
-    w = (rows.shape[1] + 1) // 2
-    parts = np.stack([base(rows[:, w - i : 2 * w - i]) for i in range(1, w + 1)], axis=1)
-    return _row_fsums(parts * _POWERS[:w])
-
-
-def _metric_window(system: FullShift | NaturalExtension):
-    """(lo, span, row reducer) of a shift-type metric."""
+def _metric_window(system: FullShift):
+    """(lo, span, row reducer) of a shift's metric."""
     w = system.window
-    if isinstance(system, NaturalExtension):
-        base = _summed if system.base.metric == METRIC_SUMMED else _first_difference
-        return 1 - w, 2 * w - 1, partial(_extension, base)
     if system.side == ONE_SIDED:
         return 0, w, _summed if system.metric == METRIC_SUMMED else _first_difference
     if system.metric == METRIC_SUMMED:
@@ -581,15 +521,14 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     """d(T**m x, T**m y) for every pair (x, y) of ``zip(xs, ys)`` and every m
     in ``times``, truncated at the metric window: one row per pair.
 
-    Shift-type metrics (every full shift and the natural extension) reduce
-    the windows of a difference tape, or take interval algebra when every
-    point is piecewise constant on a one-sided summed shift; both are
-    exact, as ``FullShift`` caps the window at 53 coordinates.  A
-    rotation's rows are constant; a product ``fsum``s its weighted
-    component rows.  Three things raise ``DomainError``: a negative time
-    on a one-sided shift (a product defers to its components), a point
-    of the wrong side (every natural-extension point is two-sided), and a
-    point with the wrong number of components on a product.
+    A shift's metric reduces the windows of a difference tape, or takes
+    interval algebra when every point is piecewise constant on a
+    one-sided summed shift; both are exact, as ``FullShift`` caps the
+    window at 53 coordinates.  A rotation's rows are constant; a product
+    ``fsum``s its weighted component rows.  Three things raise
+    ``DomainError``: a negative time on a one-sided shift (a product
+    defers to its components), a point that fails :func:`check_members`,
+    and a point with the wrong number of components on a product.
 
     Each distinct point reads its tape once per chunk of about 2**17
     cells for all the rows it belongs to, so working memory does not grow
@@ -616,10 +555,9 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
             for j, c in enumerate(system.components)
         ]
         return _row_fsums(np.stack(parts, axis=-1).reshape(-1, k)).reshape(len(xs), len(ts))
-    if not isinstance(system, (FullShift, NaturalExtension)):
+    if not isinstance(system, FullShift):
         raise ConfigError(f"unknown system {system!r}")
-    if any(getattr(p, "side", None) != system.side for p in (*xs, *ys)):
-        raise DomainError("points do not live in this shift space")
+    check_members(system, (*xs, *ys))
     if system.side == ONE_SIDED and system.metric == METRIC_SUMMED:
         runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
         if all(None not in pair for pair in runs):
@@ -650,8 +588,6 @@ def metric_error_bound(system: SystemSpec) -> float:
         return math.fsum(
             2.0 ** (-(j + 1)) * metric_error_bound(c) for j, c in enumerate(system.components)
         ) + 2.0**-54
-    if isinstance(system, NaturalExtension):
-        return 2.0 ** (1 - system.window)
     raise ConfigError(f"unknown system {system!r}")
 
 
@@ -665,11 +601,6 @@ def sample_point(system: SystemSpec, seed: int) -> Point:
         return tuple(
             sample_point(c, child_seed(seed, f"component/{j}"))
             for j, c in enumerate(system.components)
-        )
-    if isinstance(system, NaturalExtension):
-        return ExtendedPoint(
-            sample_point(system.base, child_seed(seed, "base")),
-            SeededRandomPoint(child_seed(seed, "past"), system.weights),
         )
     raise ConfigError(f"unknown system {system!r}")
 

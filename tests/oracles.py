@@ -4,10 +4,10 @@ the action T**m on one point; and the ergodic average of one point at a
 time.
 
 Also the test-only point kinds and observable that the library does not
-ship: shifted views of a point, the one-sided components of a natural-
-extension point, and linear combinations of observables.  They define
-only ``coordinates`` (or ``series``), so the library reads them through
-its general paths."""
+ship: shifted views of a point, two-sided tapes joined from two one-sided
+points, their one-sided components, and linear combinations of
+observables.  They define only ``_read`` (or ``series``), so the library
+reads them through its general paths."""
 
 import math
 from bisect import bisect_right
@@ -49,6 +49,28 @@ def shift_point(point, offset):
     if isinstance(point, ShiftedPoint):
         point, offset = point.base, point.offset + offset
     return point if offset == 0 else ShiftedPoint(point, offset)
+
+
+@dataclass(frozen=True)
+class ExtendedPoint(sy.SymbolicPoint):
+    """A two-sided tape: the one-sided ``base`` on coordinates >= 0 and the
+    one-sided ``past`` on negative ones (past index 0 is coordinate -1)."""
+
+    base: sy.SymbolicPoint
+    past: sy.SymbolicPoint
+    side = sy.TWO_SIDED
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.base.alphabet_size
+
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        out = np.empty(idx.shape, dtype=np.int64)
+        ahead = idx >= 0
+        for mask, point, jj in ((ahead, self.base, idx), (~ahead, self.past, -1 - idx)):
+            if mask.any():
+                out[mask] = point.coordinates(jj[mask])
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,7 +133,7 @@ def iterate(system, point, m):
     """T**m applied to ``point``, in O(polylog m)."""
     if m < 0 and getattr(system, "side", None) == sy.ONE_SIDED:
         raise DomainError("negative iteration on a non-invertible system")
-    if isinstance(system, (sy.FullShift, sy.NaturalExtension)):
+    if isinstance(system, sy.FullShift):
         if getattr(point, "side", None) != system.side:
             raise DomainError("point side does not match the shift")
         return shift_point(point, m)
@@ -145,7 +167,7 @@ def oracle_coordinate(point, i):
         return c if isinstance(c, int) else oracle_coordinate(c, i)
     if isinstance(point, ShiftedPoint):
         return oracle_coordinate(point.base, i + point.offset)
-    if isinstance(point, sy.ExtendedPoint):
+    if isinstance(point, ExtendedPoint):
         return oracle_tape(point, i)
     assert isinstance(point, TapeView)
     return oracle_coordinate(point.ext, i - (point.depth - 1))
@@ -187,20 +209,7 @@ def oracle_distance(system, x, y):
             2.0 ** (-(j + 1)) * oracle_distance(c, xc, yc)
             for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
         )
-    w = system.window
-    if system.base.metric != sy.METRIC_SUMMED:
-        return math.fsum(
-            2.0 ** (-i)
-            * oracle_shift_distance(component(x, i), component(y, i), w, sy.ONE_SIDED,
-                                    system.base.metric)
-            for i in range(1, w + 1)
-        )
-    neq = np.array(
-        [oracle_coordinate(x, j) != oracle_coordinate(y, j) for j in range(-w + 1, w)],
-        dtype=np.float64,
-    )
-    weights = np.ldexp(1.0, -(np.arange(w) + 1))
-    return math.fsum(2.0 ** (-i) * float(neq[w - i : 2 * w - i] @ weights) for i in range(1, w + 1))
+    raise ConfigError(f"unknown system {system!r}")
 
 
 def oracle_series(system, x, y, times):

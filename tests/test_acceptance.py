@@ -205,7 +205,7 @@ def test_criterion_9_invariant_suites():
         sy.FullShift.bernoulli([Fraction(1, 4), Fraction(3, 4)]),
         GOLDEN,
         sy.ProductSystem((FAIR, GOLDEN)),
-        sy.NaturalExtension(FAIR),
+        sy.FullShift.uniform(2, side=sy.TWO_SIDED),
     ):
         err = sy.metric_error_bound(system)
         for _ in range(1000):

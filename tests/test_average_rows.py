@@ -28,7 +28,6 @@ BIASED = sy.FullShift.bernoulli(["1/3", "2/3"])
 TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
 GOLDEN = sy.Rotation.golden()
 PRODUCT = sy.ProductSystem((BIASED, GOLDEN))
-EXTENSION = sy.NaturalExtension(BIASED)
 SEQUENCES = [
     SequenceSpec.naturals(),
     SequenceSpec.primes(),
@@ -110,13 +109,7 @@ def cases():
         st.lists(st.tuples(shift_points(BIASED), ROTATION_POINTS), min_size=1, max_size=6),
         with_combinations(st.one_of(factors.map(ProductOf), CONSTANTS)),
     )
-    extension = st.tuples(
-        st.just(EXTENSION),
-        st.lists(st.integers(0, 2**64 - 1).map(lambda s: sy.sample_point(EXTENSION, s)),
-                 min_size=1, max_size=4),
-        with_combinations(st.one_of(CONSTANTS, cylinders(BIASED), TRIG)),
-    )
-    return st.one_of(*shift, rotation, product, extension)
+    return st.one_of(*shift, rotation, product)
 
 
 def outcome(fn):

@@ -282,10 +282,7 @@ def metric_terms(system):
     """(lo, span, cols, weights): d sums weights[k] over the cells cols[k] of
     the window [m + lo, m + lo + span) where the two tapes differ."""
     w = system.window
-    if isinstance(system, sy.NaturalExtension):
-        # component i's coordinate j is tape coordinate j - (i - 1)
-        terms = [(j - (i - 1), 2.0 ** -(i + j + 1)) for i in range(1, w + 1) for j in range(w)]
-    elif system.side == sy.TWO_SIDED:
+    if system.side == sy.TWO_SIDED:
         terms = [(j, 2.0 ** -(abs(j) + 2)) for j in range(1 - w, w)]
     else:
         terms = [(j, 2.0 ** -(j + 1)) for j in range(w)]
@@ -311,23 +308,18 @@ def summed_reference(system, x, y, times):
     cells=st.integers(1, 120),
     gather=st.integers(1, 400),
     times=st.lists(st.one_of(st.integers(1, 80), st.integers(1, 2**62)), min_size=1, max_size=40),
-    kind=st.sampled_from(["one_sided", "two_sided", "extension"]),
+    side=st.sampled_from([sy.ONE_SIDED, sy.TWO_SIDED]),
 )
-def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, kind):
+def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, side):
     # shrink the chunks so that the times straddle many chunk and block edges
     weights = data.draw(st.sampled_from(WEIGHTS))
-    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=2 * size, max_size=2 * size))
-    side = sy.TWO_SIDED if kind == "two_sided" else sy.ONE_SIDED
-    reads = [CountingPoint(sy.SeededRandomPoint(s, weights, side=side)) for s in seeds]
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
+    pts = [CountingPoint(sy.SeededRandomPoint(s, weights, side=side)) for s in seeds]
     system = sy.FullShift.bernoulli(weights, side=side, window=window)
-    pts = reads[:size]
-    if kind == "extension":
-        system = sy.NaturalExtension(system)
-        pts = [sy.ExtendedPoint(base, past) for base, past in zip(reads[:size], reads[size:])]
     ts = np.array(times, dtype=np.int64)
     xs, ys = zip(*itertools.combinations(pts, 2))
     oracle = [summed_reference(system, x, y, ts) for x, y in zip(xs, ys)]
-    for p in reads:
+    for p in pts:
         p.reads = p.most = 0
 
     with mock.patch.object(sy, "_TAPE_CELLS", cells), mock.patch.object(
@@ -337,7 +329,7 @@ def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, 
         rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), [len(ts)])
     # a chunk ends at the window that starts before its last cell
     span = metric_terms(system)[1]
-    assert max(p.most for p in reads) <= cells + span - 1
+    assert max(p.most for p in pts) <= cells + span - 1
     dmax, dmin = np.maximum.reduce(oracle), np.minimum.reduce(oracle)
     n = len(ts)
     assert rep.checkpoints == (TupleCheckpoint(n, math.fsum(dmax) / n, math.fsum(dmin) / n),)
@@ -383,25 +375,25 @@ def test_tape_times_at_the_term_cap(window):
 
 @pytest.mark.parametrize("window", [1, 48, 53])
 def test_extension_times_at_both_ends_of_int64(window):
-    # the window (-w, w) of a natural extension must fit int64 at every time
-    system = sy.NaturalExtension(sy.FullShift.uniform(2, window=window))
-    x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
+    # the window (-w, w) of a two-sided shift must fit int64 at every time
     first, last = -(2**63) + window - 1, MAX_TERM - window
     ts = np.array([last, first, 0, first], dtype=np.int64)
-    assert distance_series(system, [x], [y], ts)[0].tolist() == oracle_series(system, x, y, ts)
-    # at w = 1 every int64 time fits, and first - 1 is no int64
-    for bad in [last + 1] + ([first - 1] if window > 1 else []):
-        with pytest.raises(DomainError):
-            distance_series(system, [x], [y], np.array([0, bad], dtype=np.int64))
+    for metric in (sy.METRIC_SUMMED, sy.METRIC_FIRST_DIFFERENCE):
+        system = sy.FullShift.uniform(2, side=sy.TWO_SIDED, window=window, metric=metric)
+        x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
+        got = distance_series(system, [x], [y], ts)[0].tolist()
+        assert got == oracle_series(system, x, y, ts)
+        # at w = 1 every int64 time fits, and first - 1 is no int64
+        for bad in [last + 1] + ([first - 1] if window > 1 else []):
+            with pytest.raises(DomainError):
+                distance_series(system, [x], [y], np.array([0, bad], dtype=np.int64))
 
 
 @pytest.mark.parametrize("window", [1, 48])
-@pytest.mark.parametrize("kind", ["one_sided", "two_sided", "extension"])
-def test_shifted_points_near_int64_raise_instead_of_wrapping(kind, window):
+@pytest.mark.parametrize("side", [sy.ONE_SIDED, sy.TWO_SIDED])
+def test_shifted_points_near_int64_raise_instead_of_wrapping(side, window):
     # T**10 x at time t reads coordinates up to t + w - 1 + 10
-    shift = sy.FullShift.uniform(2, side=sy.TWO_SIDED if kind == "two_sided" else sy.ONE_SIDED,
-                                 window=window)
-    system = sy.NaturalExtension(shift) if kind == "extension" else shift
+    system = sy.FullShift.uniform(2, side=side, window=window)
     x, y = (iterate(system, sy.sample_point(system, s), 10) for s in (1, 2))
     last = MAX_TERM - window - 9
     ts = np.array([last, 0], dtype=np.int64)

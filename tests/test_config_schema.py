@@ -107,6 +107,7 @@ CONFIGS = {
         "kind": "TupleScan",
         "seed": 9,
         "out": "runs/unused",
+        # an alias: the manifest records the two-sided FullShift it resolves to
         "system": {
             "kind": "NaturalExtension",
             "base": {"kind": "FullShift", "weights": _HALF, "window": 12,
@@ -234,7 +235,7 @@ PINNED = {
         '{"kind":"TupleScan","seed":0,"system":{"kind":"FullShift","weights":["1/2","1/2"],"window":48,"side":"one_sided","metric":"summed"},"sequence":{"family":"Naturals"},"tuple_size":2,"tuples":2,"n_terms":100,"min_average_floor":null}'
     ),
     'TupleScan/full': (
-        '{"kind":"TupleScan","seed":9,"system":{"kind":"NaturalExtension","base":{"kind":"FullShift","weights":["1/2","1/2"],"window":12,"side":"one_sided","metric":"summed"}},"sequence":{"family":"Explicit","terms":[1,3,4,9,12]},"tuple_size":3,"tuples":2,"n_terms":5,"min_average_floor":0}'
+        '{"kind":"TupleScan","seed":9,"system":{"kind":"FullShift","weights":["1/2","1/2"],"window":12,"side":"two_sided","metric":"summed"},"sequence":{"family":"Explicit","terms":[1,3,4,9,12]},"tuple_size":3,"tuples":2,"n_terms":5,"min_average_floor":0}'
     ),
     'ScrambledBuildVerify/defaults': (
         '{"kind":"ScrambledBuildVerify","seed":0,"sequence":{"family":"Primes"},"tuple_size":2,"growth":4,"phase_pairs":2,"window":48,"alphabet_size":2}'
@@ -391,15 +392,15 @@ PINNED_OUTPUTS = {
     },
     'TupleScan': {
         'result.json': (
-            '{"tuples":[{"index":0,"max_average":0.6325212359428406,"min_average":0.32716104984283445},{"index":1,"max_average":0.54623233079910283,"min_average":0.2046497106552124}]}\n'
+            '{"tuples":[{"index":0,"max_average":0.57373046875,"min_average":0.32761230468750002},{"index":1,"max_average":0.41926269531249999,"min_average":0.18588867187499999}]}\n'
         ),
         'result.csv': (
             'tuple,N,max_average,min_average\n'
-            '0,5,0.6325212359428406,0.32716104984283445\n'
-            '1,5,0.54623233079910283,0.2046497106552124\n'
+            '0,5,0.57373046875,0.32761230468750002\n'
+            '1,5,0.41926269531249999,0.18588867187499999\n'
         ),
         'summary.json': (
-            '{"passed":true,"assertions":[{"name":"every_min_average_above_floor","passed":true,"detail":"worst=0.20465 floor=0"}]}\n'
+            '{"passed":true,"assertions":[{"name":"every_min_average_above_floor","passed":true,"detail":"worst=0.185889 floor=0"}]}\n'
         ),
     },
     'VeryGoodDeviation': {
@@ -518,7 +519,14 @@ def test_unknown_side_is_status_2(capsys, tmp_path):
 def test_natural_extension_of_a_rotation_is_status_2(capsys, tmp_path):
     cfg = _base("TupleScan/defaults")
     cfg["system"] = {"kind": "NaturalExtension", "base": {"kind": "Rotation", "alpha": "golden"}}
-    _rejected(capsys, tmp_path, cfg)
+    assert "base must be a FullShift" in _rejected(capsys, tmp_path, cfg)
+
+
+def test_natural_extension_of_a_two_sided_shift_is_status_2(capsys, tmp_path):
+    cfg = _base("TupleScan/defaults")
+    cfg["system"] = {"kind": "NaturalExtension",
+                     "base": {"kind": "FullShift", "weights": _HALF, "side": "two_sided"}}
+    assert "applies to one-sided shifts" in _rejected(capsys, tmp_path, cfg)
 
 
 @pytest.mark.parametrize("seed", ["-1", "-7"])

@@ -179,6 +179,25 @@ def test_negative_time_needs_a_two_sided_point():
     assert f.series(TWO_SIDED, [two_sided], [-5, 0, 1]).tolist() == [[0.0, 1.0, 0.0]]
 
 
+@pytest.mark.parametrize("times", [[0, 1], [-1]], ids=["ahead", "minus_one"])
+@pytest.mark.parametrize("side", [sy.ONE_SIDED, sy.TWO_SIDED])
+def test_a_point_of_the_other_side_is_refused(side, times):
+    # cylinders and distances share one membership test, so a two-sided
+    # point is no point of a one-sided shift even where it could be read
+    shift = sy.FullShift.uniform(3, side=side)
+    other = sy.TWO_SIDED if side == sy.ONE_SIDED else sy.ONE_SIDED
+    member, stranger = (sy.PeriodicPoint((0, 1, 2), 3, side=s) for s in (side, other))
+    f = CylinderIndicator(((0, 0),))
+    for xs, ys in (([stranger], [stranger]), ([member, stranger], [member, member])):
+        with pytest.raises(DomainError, match="points do not live in this shift space"):
+            f.series(shift, xs, times)
+        with pytest.raises(DomainError):
+            sy.distance_series(shift, xs, ys, times)
+    if min(times) >= 0 or side == sy.TWO_SIDED:
+        assert f.series(shift, [member], times).shape == (1, len(times))
+        assert not sy.distance_series(shift, [member], [member], times).any()
+
+
 def test_cylinder_coordinate_past_int64_raises_instead_of_wrapping():
     f = CylinderIndicator(((1, 0),))
     points = [sy.sample_point(BIASED, 1), sy.PeriodicPoint((0,), 2)]

@@ -12,6 +12,7 @@ import seqchaos.systems as sy
 from seqchaos.errors import ConfigError, DomainError, SequenceOverflowError
 
 from oracles import (
+    ExtendedPoint,
     ShiftedPoint,
     component,
     iterate,
@@ -24,6 +25,8 @@ from oracles import (
 
 FAIR = sy.FullShift.uniform(2)
 FAIR3 = sy.FullShift.uniform(3)
+# the natural extension of FAIR
+FAIR_TWO_SIDED = sy.FullShift.uniform(2, side=sy.TWO_SIDED)
 
 
 def zeros(s=2):
@@ -359,9 +362,9 @@ def _random_point(system, rng):
         sy.FullShift.bernoulli([Fraction(1, 4), Fraction(3, 4)]),
         sy.Rotation.golden(),
         sy.ProductSystem((FAIR, sy.Rotation.golden())),
-        sy.NaturalExtension(FAIR),
+        FAIR_TWO_SIDED,
     ],
-    ids=["fair", "biased", "rotation", "product", "natext"],
+    ids=["fair", "biased", "rotation", "product", "two_sided"],
 )
 def test_metric_axioms_on_sampled_triples(system):
     rng = random.Random(1234)
@@ -426,17 +429,17 @@ def test_expected_distance_of_independent_fair_points():
 
 
 # ---------------------------------------------------------------------------
-# natural extension
+# natural extension: the two-sided shift on the same weights
 
 
 def test_lift_construction():
-    ext = sy.ExtendedPoint(zeros(), ones())
+    ext = ExtendedPoint(zeros(), ones())
     assert ext.coordinates([-1, 0]).tolist() == [1, 0]
-    assert sy.distance(sy.NaturalExtension(FAIR), ext, ext) == 0.0
+    assert sy.distance(FAIR_TWO_SIDED, ext, ext) == 0.0
 
 
 def test_lift_projection_commutes_with_shift():
-    ne = sy.NaturalExtension(FAIR)
+    ne = FAIR_TWO_SIDED
     ext = sy.sample_point(ne, 31337)
     lifted_then_shifted = component(iterate(ne, ext, 1), 1)
     shifted = component(ext, 1)
@@ -445,8 +448,7 @@ def test_lift_projection_commutes_with_shift():
 
 
 def test_backward_orbit_compatibility():
-    ne = sy.NaturalExtension(FAIR)
-    ext = sy.sample_point(ne, 99)
+    ext = sy.sample_point(FAIR_TWO_SIDED, 99)
     for depth in range(1, 6):
         deeper = component(ext, depth + 1)
         shallower = component(ext, depth)
@@ -454,31 +456,18 @@ def test_backward_orbit_compatibility():
             assert deeper.coordinate(i + 1) == shallower.coordinate(i)
 
 
-def test_natural_extension_metric_geometric_series():
-    # all-coordinate disagreement: every backward component is at the
-    # truncated diameter, so the sum telescopes to (1 - 2**-w)**2
-    ne = sy.NaturalExtension(FAIR)
-    x = sy.ExtendedPoint(zeros(), zeros())
-    y = sy.ExtendedPoint(ones(), ones())
-    w = ne.window
-    inner = 1 - 2.0**-w
-    expected = math.fsum(2.0**-i * inner for i in range(1, w + 1))
-    assert sy.distance(ne, x, y) == pytest.approx(expected, abs=1e-15)
-    assert expected == pytest.approx((1 - 2.0**-w) * inner, abs=1e-15)
-
-
 def test_natural_extension_negative_time():
-    ne = sy.NaturalExtension(FAIR)
+    ne = FAIR_TWO_SIDED
     ext = sy.sample_point(ne, 4)
     back = iterate(ne, ext, -3)
     assert iterate(ne, back, 3) == ext
 
 
 def test_two_sided_seeded_points_are_natural_extension_points():
-    # the natural extension of the Bernoulli shift is the two-sided shift
-    ne = sy.NaturalExtension(FAIR)
+    # a tape joined from two one-sided points is a point like any other
+    ne = FAIR_TWO_SIDED
     x, y = (sy.SeededRandomPoint(s, FAIR.weights, side=sy.TWO_SIDED) for s in (1, 2))
-    ext = sy.sample_point(ne, 3)
+    ext = ExtendedPoint(sy.sample_point(FAIR, 3), sy.sample_point(FAIR, 4))
     for a, b in ((x, y), (x, ext), (ext, y)):
         assert sy.distance(ne, a, b).hex() == oracle_distance(ne, a, b).hex()
     assert sy.distance(ne, x, y) > 0
@@ -493,8 +482,6 @@ def test_weight_validation():
         sy.FullShift.bernoulli([Fraction(3, 2), Fraction(-1, 2)])
     with pytest.raises(ConfigError):
         sy.Rotation.from_fraction(Fraction(5, 4))
-    with pytest.raises(ConfigError):
-        sy.NaturalExtension(sy.FullShift.uniform(2, side=sy.TWO_SIDED))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +521,7 @@ def symbolic_points(side):
 # depth-1..3 views of extended points whose shift count may be negative
 TAPE_VIEWS = st.builds(
     lambda base, past, offset, depth: component(
-        shift_point(sy.ExtendedPoint(base, past), offset), depth
+        shift_point(ExtendedPoint(base, past), offset), depth
     ),
     symbolic_points(sy.ONE_SIDED), symbolic_points(sy.ONE_SIDED),
     st.integers(-300, 300), st.integers(1, 3),
@@ -622,7 +609,7 @@ def test_one_table_and_tape_reads_outside_int64_raise_domain_error(i):
         one_table = [sy.SeededRandomPoint(s, FAIR.weights, side=side) for s in (1, 2)]
         with pytest.raises(DomainError):
             sy.coordinates_of(one_table, [0, i])
-    ext = sy.ExtendedPoint(zeros(), ones())
+    ext = ExtendedPoint(zeros(), ones())
     with pytest.raises(DomainError):
         ext.coordinates([0, i])
 
@@ -634,14 +621,13 @@ def test_one_table_and_tape_reads_outside_int64_raise_domain_error(i):
 )
 def test_tape_coordinates_match_the_scalar_tape(base, past, idx):
     # an extended point reads through the one checked read like any other point
-    ext = sy.ExtendedPoint(base, past)
+    ext = ExtendedPoint(base, past)
     expected = [oracle_tape(ext, j) for j in idx]
     assert ext.coordinates(np.array(idx, dtype=np.int64)).tolist() == expected
     assert [ext.coordinate(j) for j in idx] == expected
     assert sy.coordinates_of([ext, ext], idx).tolist() == [expected] * 2
 
 
-FAIR_TWO_SIDED = sy.FullShift.uniform(2, side=sy.TWO_SIDED)
 EXTREMES = [sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((1,), 2)]
 
 
@@ -656,13 +642,9 @@ def metric_cases():
         windows, sides, metrics,
     )
     products = st.builds(lambda shift: sy.ProductSystem((shift, sy.Rotation.golden())), shifts)
-    extensions = st.builds(
-        lambda w, metric: sy.NaturalExtension(sy.FullShift.uniform(2, window=w, metric=metric)),
-        windows, metrics,
-    )
     sampled = st.builds(
         lambda system, a, b: (system, sy.sample_point(system, a), sy.sample_point(system, b)),
-        st.one_of(shifts, products, extensions), seeds, seeds,
+        st.one_of(shifts, products), seeds, seeds,
     )
     # tapes that differ at every coordinate make the truncation error largest
     extreme = st.builds(
@@ -685,20 +667,14 @@ def fraction_distance(system, x, y, span=200):
             Fraction(1, 2 ** (j + 1)) * fraction_distance(c, xc, yc, span)
             for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
         )
-    if isinstance(system, sy.FullShift):
-        lo = 1 - span if system.side == sy.TWO_SIDED else 0
-        idx = np.arange(lo, span)
-        differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
-        if system.metric == sy.METRIC_FIRST_DIFFERENCE:
-            return Fraction(1, 2 ** min(map(abs, differ))) if differ else Fraction(0)
-        if system.side == sy.TWO_SIDED:
-            return sum((Fraction(1, 2 ** (abs(j) + 2)) for j in differ), Fraction(0))
-        return sum((Fraction(1, 2 ** (j + 1)) for j in differ), Fraction(0))
-    base = system.base
-    return sum(
-        Fraction(1, 2**i) * fraction_distance(base, component(x, i), component(y, i), span)
-        for i in range(1, span + 1)
-    )
+    lo = 1 - span if system.side == sy.TWO_SIDED else 0
+    idx = np.arange(lo, span)
+    differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
+    if system.metric == sy.METRIC_FIRST_DIFFERENCE:
+        return Fraction(1, 2 ** min(map(abs, differ))) if differ else Fraction(0)
+    if system.side == sy.TWO_SIDED:
+        return sum((Fraction(1, 2 ** (abs(j) + 2)) for j in differ), Fraction(0))
+    return sum((Fraction(1, 2 ** (j + 1)) for j in differ), Fraction(0))
 
 
 @settings(deadline=None, max_examples=120)
