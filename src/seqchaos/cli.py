@@ -190,7 +190,7 @@ _WINDOW = Field("window", _window, sy.DEFAULT_WINDOW, 1)
 
 def _natural_extension(base) -> sy.FullShift:
     """The natural extension of a one-sided Bernoulli shift: the two-sided
-    shift on its weights, window and metric."""
+    shift on its weights and window."""
     if not isinstance(base, sy.FullShift):
         raise ConfigError("natural extension base must be a FullShift")
     if base.side != sy.ONE_SIDED:
@@ -198,12 +198,15 @@ def _natural_extension(base) -> sy.FullShift:
     return replace(base, side=sy.TWO_SIDED)
 
 
+# A shift has one metric; the key stays so that a manifest's system object parses back.
+_METRIC = _typed(f"{sy.METRIC_SUMMED!r}, the one shift metric", lambda v: v == sy.METRIC_SUMMED)
+
 SYSTEMS = {
-    "FullShift": (sy.FullShift.bernoulli, (
+    "FullShift": (lambda weights, window, side, metric: sy.FullShift(weights, side, window), (
         _WEIGHTS,
         _WINDOW,
         Field("side", _str, sy.ONE_SIDED),
-        Field("metric", _str, sy.METRIC_SUMMED),
+        Field("metric", _METRIC, sy.METRIC_SUMMED),
     )),
     "Rotation": (lambda alpha: alpha, (_ALPHA,)),
     "Product": (lambda components: sy.ProductSystem(tuple(components)),
@@ -374,7 +377,7 @@ def _scrambled_build_verify(p, workers: int) -> RunOutput:
 def _fiber_constancy(p, workers: int) -> RunOutput:
     if p.expected_means is not None and len(p.expected_means) != len(p.thetas):
         raise ConfigError("config.expected_means: need one value per theta")
-    shift = sy.FullShift.bernoulli(p.weights, window=p.window)
+    shift = sy.FullShift(p.weights, window=p.window)
     report = pk.fiber_constancy_report(
         shift, p.alpha, p.thetas, p.observable, p.sequence, p.n_terms, p.samples, p.seed,
         workers=workers,
@@ -396,7 +399,7 @@ def _fiber_constancy(p, workers: int) -> RunOutput:
     _WEIGHTS, *_AVERAGES[1:], _WINDOW,
 )
 def _kolmogorov_check(p, workers: int) -> RunOutput:
-    shift = sy.FullShift.bernoulli(p.weights, window=p.window)
+    shift = sy.FullShift(p.weights, window=p.window)
     deviation = pk.kolmogorov_limit_check(
         shift, p.observable, p.sequence, p.n_terms, p.samples, p.seed, workers=workers
     )
@@ -412,7 +415,7 @@ def _kolmogorov_check(p, workers: int) -> RunOutput:
     Field("max_extended_dispersion", _number, None), _WINDOW,
 )
 def _lacunary_contrast(p, workers: int) -> RunOutput:
-    shift = sy.FullShift.bernoulli(p.weights, window=p.window)
+    shift = sy.FullShift(p.weights, window=p.window)
     report = pk.lacunary_contrast_report(
         shift, p.observable, p.good_sequence, p.lacunary_sequence, p.matched_terms, p.samples,
         p.seed, extended_terms=p.extended_terms, workers=workers,

@@ -16,8 +16,10 @@ Phase spaces come in three kinds:
 The natural extension of a one-sided Bernoulli shift is the two-sided
 ``FullShift`` on the same weights, so it needs no kind of its own.
 
-Every metric is truncated at a configurable coordinate window ``w``
-and the truncation error bound (2**-w style) is available alongside via
+A shift has one metric: 2**-(|j| + 1) summed over the differing
+coordinates j, halved on two sides; an equivalent metric has the same
+mean Li-Yorke tuples.  Every metric is truncated at a configurable
+coordinate window ``w``, with its error bound (2**-w style) from
 :func:`metric_error_bound`.  :func:`distance_series` evaluates
 d(T**m x, T**m y) for a list of pairs (x, y), one row each, and a whole
 array of times without iterating: a shift's metric is one reduction
@@ -57,8 +59,8 @@ DEFAULT_WINDOW = 48
 # distance series and :func:`distance` give the same bits.
 MAX_WINDOW = 53
 
+# The one shift metric, as manifests name it.
 METRIC_SUMMED = "summed"
-METRIC_FIRST_DIFFERENCE = "first_difference"
 
 
 # floor(((sqrt(5) - 1) / 2) * 2**128), exact to the last bit: from the
@@ -231,17 +233,14 @@ class BlockScheduledPoint(SymbolicPoint):
 class FullShift:
     """Shift on sequences over {0..s-1} with a Bernoulli product measure."""
 
-    alphabet_size: int
     weights: tuple[Fraction, ...]
     side: str = ONE_SIDED
     window: int = DEFAULT_WINDOW
-    metric: str = METRIC_SUMMED
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         if self.alphabet_size < 2:
             raise ConfigError("alphabet size must be >= 2")
-        if len(self.weights) != self.alphabet_size:
-            raise ConfigError("one weight per symbol required")
         if any(w < 0 for w in self.weights):
             raise ConfigError("weights must be non-negative")
         total = sum(self.weights)
@@ -253,24 +252,14 @@ class FullShift:
             raise ConfigError(f"metric window must be in [1, {MAX_WINDOW}], got {self.window}")
         if self.side not in (ONE_SIDED, TWO_SIDED):
             raise ConfigError(f"unknown side {self.side!r}")
-        if self.metric not in (METRIC_SUMMED, METRIC_FIRST_DIFFERENCE):
-            raise ConfigError(f"unknown metric {self.metric!r}")
 
-    @classmethod
-    def bernoulli(
-        cls,
-        weights: Sequence[Fraction | int | str],
-        side: str = ONE_SIDED,
-        window: int = DEFAULT_WINDOW,
-        metric: str = METRIC_SUMMED,
-    ) -> "FullShift":
-        ws = tuple(Fraction(w) for w in weights)
-        return cls(len(ws), ws, side=side, window=window, metric=metric)
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.weights)
 
     @classmethod
     def uniform(cls, alphabet_size: int, **kwargs) -> "FullShift":
-        w = Fraction(1, alphabet_size)
-        return cls(alphabet_size, (w,) * alphabet_size, **kwargs)
+        return cls((Fraction(1, alphabet_size),) * alphabet_size, **kwargs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,7 +267,7 @@ class FullShift:
             "weights": [str(w) for w in self.weights],
             "window": self.window,
             "side": self.side,
-            "metric": self.metric,
+            "metric": METRIC_SUMMED,
         }
 
 
@@ -329,8 +318,10 @@ Point = Union[SymbolicPoint, int, tuple]
 
 def check_members(system: FullShift, points: Sequence) -> None:
     """DomainError unless every point of ``points`` lives in the shift
-    ``system``: the one membership test of distances and observables."""
-    if any(getattr(p, "side", None) != system.side for p in points):
+    ``system``, on its side and over its alphabet: the one membership test
+    of distances and observables."""
+    side, size = system.side, system.alphabet_size
+    if any(getattr(p, "side", None) != side or p.alphabet_size > size for p in points):
         raise DomainError("points do not live in this shift space")
 
 
@@ -339,7 +330,7 @@ def check_members(system: FullShift, points: Sequence) -> None:
 #
 # Every shift metric reads a window [m + lo, m + lo + span) of both
 # points at each time m and reduces the rows of the difference tape; a
-# shift's side and metric pick only the window and the row reducer.
+# shift's side picks only the window and the row reducer.
 
 
 def _summed(rows: np.ndarray) -> np.ndarray:
@@ -351,10 +342,6 @@ def _summed(rows: np.ndarray) -> np.ndarray:
     return words.view(">u8")[:, 0] * 2.0**-64
 
 
-def _first_difference(rows: np.ndarray) -> np.ndarray:
-    return np.where(rows.any(axis=1), np.ldexp(1.0, -rows.argmax(axis=1)), 0.0)
-
-
 def _two_sided(rows: np.ndarray) -> np.ndarray:
     # rows cover (-w, w); coordinate j weighs 2**-(|j| + 1), halved.  Both
     # one-sided sums are exact, so their one correctly rounded add is fsum.
@@ -362,26 +349,8 @@ def _two_sided(rows: np.ndarray) -> np.ndarray:
     return (_summed(rows[:, w - 1 :]) + _summed(rows[:, : w - 1][:, ::-1]) / 2) / 2
 
 
-def _two_sided_first_difference(rows: np.ndarray) -> np.ndarray:
-    # rows cover (-w, w); folding coordinate -j onto j leaves 2**-min|j|
-    w = (rows.shape[1] + 1) // 2
-    folded = rows[:, w - 1 :].copy()
-    folded[:, 1:] |= rows[:, : w - 1][:, ::-1]
-    return _first_difference(folded)
-
-
 def _row_fsums(parts: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in parts.tolist()], dtype=np.float64)
-
-
-def _metric_window(system: FullShift):
-    """(lo, span, row reducer) of a shift's metric."""
-    w = system.window
-    if system.side == ONE_SIDED:
-        return 0, w, _summed if system.metric == METRIC_SUMMED else _first_difference
-    if system.metric == METRIC_SUMMED:
-        return 1 - w, 2 * w - 1, _two_sided
-    return 1 - w, 2 * w - 1, _two_sided_first_difference
 
 
 def _symbol_runs(point) -> list[tuple[int, int]] | None:
@@ -501,7 +470,8 @@ def _series_from_windows(system, xs, ys, u: np.ndarray) -> np.ndarray:
     # _GATHER_CELLS cells.
     if not len(u):
         return np.empty((len(xs), 0), dtype=np.float64)
-    lo, span, reduce = _metric_window(system)
+    w, one_sided = system.window, system.side == ONE_SIDED
+    lo, span, reduce = (0, w, _summed) if one_sided else (1 - w, 2 * w - 1, _two_sided)
     if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
         raise DomainError("times too close to the 64-bit range for the metric window")
     points = {id(p): p for p in (*xs, *ys)}
@@ -523,8 +493,9 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
 
     A shift's metric reduces the windows of a difference tape, or takes
     interval algebra when every point is piecewise constant on a
-    one-sided summed shift; both are exact, as ``FullShift`` caps the
-    window at 53 coordinates.  A rotation's rows are constant; a product
+    one-sided shift.  On one side both are exact, as ``FullShift`` caps
+    the window at 53 coordinates; on two sides one correctly rounded add
+    joins two exact sums.  A rotation's rows are constant; a product
     ``fsum``s its weighted component rows.  Three things raise
     ``DomainError``: a negative time on a one-sided shift (a product
     defers to its components), a point that fails :func:`check_members`,
@@ -558,7 +529,7 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     if not isinstance(system, FullShift):
         raise ConfigError(f"unknown system {system!r}")
     check_members(system, (*xs, *ys))
-    if system.side == ONE_SIDED and system.metric == METRIC_SUMMED:
+    if system.side == ONE_SIDED:
         runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
         if all(None not in pair for pair in runs):
             return _on_distinct(ts, lambda u: np.array(
@@ -580,7 +551,8 @@ def distance(system: SystemSpec, x: Point, y: Point) -> float:
 def metric_error_bound(system: SystemSpec) -> float:
     """Certified truncation/rounding bound for :func:`distance`."""
     if isinstance(system, FullShift):
-        return 2.0 ** (-system.window)
+        # on two sides, plus the rounding of the one add, halved
+        return 2.0 ** (-system.window) + (2.0**-54 if system.side == TWO_SIDED else 0.0)
     if isinstance(system, Rotation):
         return 2.0**-53
     if isinstance(system, ProductSystem):

@@ -177,13 +177,7 @@ def oracle_tape(ext, j):
     return oracle_coordinate(ext.base, j) if j >= 0 else oracle_coordinate(ext.past, -1 - j)
 
 
-def oracle_shift_distance(x, y, window, side, metric):
-    if metric == sy.METRIC_FIRST_DIFFERENCE:
-        for i in range(window):
-            for j in (i, -i) if side == sy.TWO_SIDED else (i,):
-                if oracle_coordinate(x, j) != oracle_coordinate(y, j):
-                    return 2.0 ** (-i)
-        return 0.0
+def oracle_shift_distance(x, y, window, side):
     if side == sy.ONE_SIDED:
         return math.fsum(
             2.0 ** (-(i + 1))
@@ -200,7 +194,7 @@ def oracle_shift_distance(x, y, window, side, metric):
 
 def oracle_distance(system, x, y):
     if isinstance(system, sy.FullShift):
-        return oracle_shift_distance(x, y, system.window, system.side, system.metric)
+        return oracle_shift_distance(x, y, system.window, system.side)
     if isinstance(system, sy.Rotation):
         delta = abs(x - y)
         return min(delta, sy.FRACTION_MOD - delta) / sy.FRACTION_MOD

@@ -202,7 +202,7 @@ def test_criterion_9_invariant_suites():
     rng = random.Random(8)
     for system in (
         FAIR,
-        sy.FullShift.bernoulli([Fraction(1, 4), Fraction(3, 4)]),
+        sy.FullShift([Fraction(1, 4), Fraction(3, 4)]),
         GOLDEN,
         sy.ProductSystem((FAIR, GOLDEN)),
         sy.FullShift.uniform(2, side=sy.TWO_SIDED),

@@ -24,7 +24,7 @@ from seqchaos.seqgen import SequenceSpec, times_array
 
 from oracles import LinearCombination, oracle_average, shift_point
 
-BIASED = sy.FullShift.bernoulli(["1/3", "2/3"])
+BIASED = sy.FullShift(["1/3", "2/3"])
 TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
 GOLDEN = sy.Rotation.golden()
 PRODUCT = sy.ProductSystem((BIASED, GOLDEN))

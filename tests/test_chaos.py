@@ -229,7 +229,7 @@ TIMES = st.lists(st.one_of(st.integers(0, 80), st.integers(0, 2**62)), max_size=
 def test_tape_matches_window_gather_and_scalar_metric(data, window, times):
     weights = data.draw(st.sampled_from(WEIGHTS))
     x, y = data.draw(tape_points(weights)), data.draw(tape_points(weights))
-    system = sy.FullShift.bernoulli(weights, window=window)
+    system = sy.FullShift(weights, window=window)
     ts = np.array(times, dtype=np.int64)
     got = distance_series(system, [x], [y], ts)
     assert got.dtype == np.float64 and got.shape == (1, len(ts))
@@ -249,7 +249,7 @@ def test_tuple_shares_one_tape_per_point(data, size, window, times):
     weights = data.draw(st.sampled_from(WEIGHTS))
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
     pts = [CountingPoint(sy.SeededRandomPoint(s, weights)) for s in seeds]
-    system = sy.FullShift.bernoulli(weights, window=window)
+    system = sy.FullShift(weights, window=window)
     ts = np.array(times, dtype=np.int64)
     xs, ys = zip(*itertools.combinations(pts, 2))
     oracle = [window_gather(x, y, ts, window) for x, y in zip(xs, ys)]
@@ -315,7 +315,7 @@ def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, 
     weights = data.draw(st.sampled_from(WEIGHTS))
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
     pts = [CountingPoint(sy.SeededRandomPoint(s, weights, side=side)) for s in seeds]
-    system = sy.FullShift.bernoulli(weights, side=side, window=window)
+    system = sy.FullShift(weights, side=side, window=window)
     ts = np.array(times, dtype=np.int64)
     xs, ys = zip(*itertools.combinations(pts, 2))
     oracle = [summed_reference(system, x, y, ts) for x, y in zip(xs, ys)]
@@ -378,15 +378,14 @@ def test_extension_times_at_both_ends_of_int64(window):
     # the window (-w, w) of a two-sided shift must fit int64 at every time
     first, last = -(2**63) + window - 1, MAX_TERM - window
     ts = np.array([last, first, 0, first], dtype=np.int64)
-    for metric in (sy.METRIC_SUMMED, sy.METRIC_FIRST_DIFFERENCE):
-        system = sy.FullShift.uniform(2, side=sy.TWO_SIDED, window=window, metric=metric)
-        x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
-        got = distance_series(system, [x], [y], ts)[0].tolist()
-        assert got == oracle_series(system, x, y, ts)
-        # at w = 1 every int64 time fits, and first - 1 is no int64
-        for bad in [last + 1] + ([first - 1] if window > 1 else []):
-            with pytest.raises(DomainError):
-                distance_series(system, [x], [y], np.array([0, bad], dtype=np.int64))
+    system = sy.FullShift.uniform(2, side=sy.TWO_SIDED, window=window)
+    x, y = sy.sample_point(system, 1), sy.sample_point(system, 2)
+    got = distance_series(system, [x], [y], ts)[0].tolist()
+    assert got == oracle_series(system, x, y, ts)
+    # at w = 1 every int64 time fits, and first - 1 is no int64
+    for bad in [last + 1] + ([first - 1] if window > 1 else []):
+        with pytest.raises(DomainError):
+            distance_series(system, [x], [y], np.array([0, bad], dtype=np.int64))
 
 
 @pytest.mark.parametrize("window", [1, 48])

@@ -58,7 +58,7 @@ CONFIGS = {
             "kind": "Product",
             "components": [
                 {"kind": "FullShift", "weights": ["1/3", "2/3"], "window": 20,
-                 "side": "one_sided", "metric": "first_difference"},
+                 "side": "one_sided", "metric": "summed"},
                 {"kind": "Rotation", "alpha": "2/7"},
             ],
         },
@@ -88,7 +88,7 @@ CONFIGS = {
         "seed": 5,
         "out": "runs/unused",
         "system": {"kind": "FullShift", "weights": ["1/4", "1/4", "1/2"], "window": 10,
-                   "side": "two_sided", "metric": "first_difference"},
+                   "side": "two_sided", "metric": "summed"},
         "observable": {"kind": "CylinderIndicator", "constraints": {"-1": 2}},
         "sequence": {"family": "ThueMorseReturnTimes"},
         "n_terms": 100,
@@ -223,13 +223,13 @@ PINNED = {
         '{"kind":"VeryGoodDeviation","seed":0,"system":{"kind":"Rotation","alpha_num_2pow128":"0x9e3779b97f4a7c15f39cc0605cedc834"},"observable":"cos[2pi*1x]","sequence":{"family":"Naturals"},"n_terms":200,"samples":2,"tolerance":0.5}'
     ),
     'VeryGoodDeviation/full': (
-        '{"kind":"VeryGoodDeviation","seed":11,"system":{"kind":"Product","components":[{"kind":"FullShift","weights":["1/3","2/3"],"window":20,"side":"one_sided","metric":"first_difference"},{"kind":"Rotation","alpha_num_2pow128":"0x49249249249249249249249249249249"}]},"observable":"Product[Cylinder[0:0,1:1] * sin[2pi*-2x]]","sequence":{"family":"FractionalPowerFloor","exponent":"3/2"},"n_terms":300,"samples":3,"tolerance":2}'
+        '{"kind":"VeryGoodDeviation","seed":11,"system":{"kind":"Product","components":[{"kind":"FullShift","weights":["1/3","2/3"],"window":20,"side":"one_sided","metric":"summed"},{"kind":"Rotation","alpha_num_2pow128":"0x49249249249249249249249249249249"}]},"observable":"Product[Cylinder[0:0,1:1] * sin[2pi*-2x]]","sequence":{"family":"FractionalPowerFloor","exponent":"3/2"},"n_terms":300,"samples":3,"tolerance":2}'
     ),
     'DisintegrationConsistency/defaults': (
         '{"kind":"DisintegrationConsistency","seed":0,"system":{"kind":"FullShift","weights":["1/2","1/2"],"window":48,"side":"one_sided","metric":"summed"},"observable":"Cylinder[0:0]","sequence":{"family":"Primes"},"n_terms":100,"samples":5,"tolerance":0.5}'
     ),
     'DisintegrationConsistency/full': (
-        '{"kind":"DisintegrationConsistency","seed":5,"system":{"kind":"FullShift","weights":["1/4","1/4","1/2"],"window":10,"side":"two_sided","metric":"first_difference"},"observable":"Cylinder[-1:2]","sequence":{"family":"ThueMorseReturnTimes"},"n_terms":100,"samples":5,"tolerance":0.75}'
+        '{"kind":"DisintegrationConsistency","seed":5,"system":{"kind":"FullShift","weights":["1/4","1/4","1/2"],"window":10,"side":"two_sided","metric":"summed"},"observable":"Cylinder[-1:2]","sequence":{"family":"ThueMorseReturnTimes"},"n_terms":100,"samples":5,"tolerance":0.75}'
     ),
     'TupleScan/defaults': (
         '{"kind":"TupleScan","seed":0,"system":{"kind":"FullShift","weights":["1/2","1/2"],"window":48,"side":"one_sided","metric":"summed"},"sequence":{"family":"Naturals"},"tuple_size":2,"tuples":2,"n_terms":100,"min_average_floor":null}'
@@ -513,7 +513,29 @@ def test_unknown_side_is_status_2(capsys, tmp_path):
     cfg["system"]["side"] = "bogus"
     assert "bogus" in _rejected(capsys, tmp_path, cfg)
     with pytest.raises(ConfigError):
-        sy.FullShift.bernoulli(["1/2", "1/2"], side="bogus")
+        sy.FullShift(["1/2", "1/2"], side="bogus")
+
+
+def test_a_metric_other_than_summed_is_status_2(capsys, tmp_path):
+    cfg = _base("TupleScan/defaults")
+    cfg["system"]["metric"] = "first_difference"
+    err = _rejected(capsys, tmp_path, cfg)
+    assert "metric: expected 'summed', the one shift metric, got 'first_difference'" in err
+
+
+def test_a_manifest_system_parses_back_to_the_same_shift(tmp_path):
+    # a shift has one metric, but its key stays, so a manifest is a config
+    cfg = _base("TupleScan/defaults")
+    cfg["system"] = {"kind": "FullShift", "weights": ["1/4", "3/4"], "window": 12,
+                     "side": "two_sided", "metric": "summed"}
+    shift = sy.FullShift(["1/4", "3/4"], side=sy.TWO_SIDED, window=12)
+    assert cli.parse_system(cfg["system"], "config.system") == shift
+    del cfg["system"]["metric"]
+    assert cli.parse_system(cfg["system"], "config.system") == shift
+    assert run_config(cfg, out_dir=str(tmp_path / "out")) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["system"]["metric"] == "summed"
+    assert cli.parse_system(manifest["config"]["system"], "config.system") == shift
 
 
 def test_natural_extension_of_a_rotation_is_status_2(capsys, tmp_path):

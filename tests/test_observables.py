@@ -27,7 +27,7 @@ from seqchaos.prf import prf64
 
 from oracles import LinearCombination, ShiftedPoint, iterate
 
-BIASED = sy.FullShift.bernoulli([Fraction(1, 3), Fraction(2, 3)])
+BIASED = sy.FullShift([Fraction(1, 3), Fraction(2, 3)])
 TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
 GOLDEN = sy.Rotation.golden()
 PRODUCT = sy.ProductSystem((BIASED, GOLDEN))
@@ -196,6 +196,24 @@ def test_a_point_of_the_other_side_is_refused(side, times):
     if min(times) >= 0 or side == sy.TWO_SIDED:
         assert f.series(shift, [member], times).shape == (1, len(times))
         assert not sy.distance_series(shift, [member], [member], times).any()
+
+
+@pytest.mark.parametrize("side", [sy.ONE_SIDED, sy.TWO_SIDED])
+def test_a_point_over_a_larger_alphabet_is_refused(side):
+    # a point that reads symbol 2 is no point of the 2-shift, whatever the
+    # cylinder asks of it; one over fewer symbols lives in a subshift
+    shift = sy.FullShift.uniform(2, side=side)
+    stranger = sy.SeededRandomPoint(3, (Fraction(1, 3),) * 3, side=side)
+    assert 2 in stranger.coordinates(range(20))
+    member, small = sy.PeriodicPoint((0, 1), 2, side=side), sy.PeriodicPoint((0,), 1, side=side)
+    f = CylinderIndicator(((0, 0),))
+    for xs, ys in (([stranger], [member]), ([member, member], [small, stranger])):
+        with pytest.raises(DomainError, match="points do not live in this shift space"):
+            f.series(shift, xs + ys, [0, 1])
+        with pytest.raises(DomainError, match="points do not live in this shift space"):
+            sy.distance_series(shift, xs, ys, [0, 1])
+    assert f.series(shift, [member, small], [0, 1]).tolist() == [[1.0, 0.0], [1.0, 1.0]]
+    assert (sy.distance_series(shift, [member], [small], [0, 1]) > 0).all()
 
 
 def test_cylinder_coordinate_past_int64_raises_instead_of_wrapping():

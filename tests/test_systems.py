@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
@@ -321,20 +321,6 @@ def test_summed_rows_are_exact():
             assert got.tolist() == [math.fsum(row) for row in (rows * powers).tolist()]
 
 
-def test_first_difference_metric_option():
-    shift = sy.FullShift.uniform(2, window=30, metric=sy.METRIC_FIRST_DIFFERENCE)
-    y = sy.BlockScheduledPoint((3,), (0, 1), alphabet_size=2)
-    assert sy.distance(shift, zeros(), y) == 2.0**-3
-    assert sy.distance(shift, zeros(), zeros()) == 0.0
-    # two-sided: 2**-min|j| over the differing coordinates j, the past included
-    two_sided = sy.FullShift.uniform(2, side=sy.TWO_SIDED, window=8,
-                                     metric=sy.METRIC_FIRST_DIFFERENCE)
-    x = sy.PeriodicPoint((0,), 2, side=sy.TWO_SIDED)
-    past = sy.BlockScheduledPoint((-3, -2), (0, 1, 0), 2, side=sy.TWO_SIDED)
-    assert sy.distance(two_sided, x, past) == 2.0**-3
-    assert sy.distance(two_sided, x, shift_point(past, 1)) == 2.0**-4
-
-
 def test_rotation_circle_distance():
     rot = sy.Rotation.golden()
     quarter = sy.FRACTION_MOD // 4
@@ -359,7 +345,7 @@ def _random_point(system, rng):
     "system",
     [
         FAIR,
-        sy.FullShift.bernoulli([Fraction(1, 4), Fraction(3, 4)]),
+        sy.FullShift([Fraction(1, 4), Fraction(3, 4)]),
         sy.Rotation.golden(),
         sy.ProductSystem((FAIR, sy.Rotation.golden())),
         FAIR_TWO_SIDED,
@@ -393,7 +379,7 @@ def test_sample_symbol_frequency():
 
 
 def test_sample_biased_frequency():
-    shift = sy.FullShift.bernoulli([Fraction(1, 4), Fraction(3, 4)])
+    shift = sy.FullShift([Fraction(1, 4), Fraction(3, 4)])
     p = sy.sample_point(shift, 77)
     freq = np.mean(p.coordinates(np.arange(40_000)) == 0)
     assert abs(freq - 0.25) < 0.02
@@ -477,9 +463,9 @@ def test_two_sided_seeded_points_are_natural_extension_points():
 
 def test_weight_validation():
     with pytest.raises(ConfigError):
-        sy.FullShift.bernoulli([Fraction(1, 2), Fraction(1, 3)])
+        sy.FullShift([Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(ConfigError):
-        sy.FullShift.bernoulli([Fraction(3, 2), Fraction(-1, 2)])
+        sy.FullShift([Fraction(3, 2), Fraction(-1, 2)])
     with pytest.raises(ConfigError):
         sy.Rotation.from_fraction(Fraction(5, 4))
 
@@ -628,18 +614,13 @@ def test_tape_coordinates_match_the_scalar_tape(base, past, idx):
     assert sy.coordinates_of([ext, ext], idx).tolist() == [expected] * 2
 
 
-EXTREMES = [sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((1,), 2)]
-
-
 def metric_cases():
-    """(system, x, y): the four kinds of distance that read symbol windows."""
+    """(system, x, y): the two kinds of distance that read symbol windows."""
     windows = st.integers(1, sy.MAX_WINDOW)
     sides = st.sampled_from([sy.ONE_SIDED, sy.TWO_SIDED])
-    metrics = st.sampled_from([sy.METRIC_SUMMED, sy.METRIC_FIRST_DIFFERENCE])
     seeds = st.integers(0, 2**63 - 1)
     shifts = st.builds(
-        lambda w, side, metric: sy.FullShift.uniform(2, side=side, window=w, metric=metric),
-        windows, sides, metrics,
+        lambda w, side: sy.FullShift.uniform(2, side=side, window=w), windows, sides
     )
     products = st.builds(lambda shift: sy.ProductSystem((shift, sy.Rotation.golden())), shifts)
     sampled = st.builds(
@@ -648,11 +629,11 @@ def metric_cases():
     )
     # tapes that differ at every coordinate make the truncation error largest
     extreme = st.builds(
-        lambda w, metric, r: (
-            sy.ProductSystem((sy.FullShift.uniform(2, window=w, metric=metric), sy.Rotation.golden())),
-            (EXTREMES[0], r[0]), (EXTREMES[1], r[1]),
+        lambda w, side, r: (
+            sy.ProductSystem((sy.FullShift.uniform(2, side=side, window=w), sy.Rotation.golden())),
+            (sy.PeriodicPoint((0,), 2, side=side), r[0]), (sy.PeriodicPoint((1,), 2, side=side), r[1]),
         ),
-        windows, metrics, st.tuples(st.integers(0, sy.FRACTION_MOD - 1), st.integers(0, sy.FRACTION_MOD - 1)),
+        windows, sides, st.tuples(st.integers(0, sy.FRACTION_MOD - 1), st.integers(0, sy.FRACTION_MOD - 1)),
     )
     return st.one_of(sampled, extreme)
 
@@ -670,15 +651,24 @@ def fraction_distance(system, x, y, span=200):
     lo = 1 - span if system.side == sy.TWO_SIDED else 0
     idx = np.arange(lo, span)
     differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
-    if system.metric == sy.METRIC_FIRST_DIFFERENCE:
-        return Fraction(1, 2 ** min(map(abs, differ))) if differ else Fraction(0)
     if system.side == sy.TWO_SIDED:
         return sum((Fraction(1, 2 ** (abs(j) + 2)) for j in differ), Fraction(0))
     return sum((Fraction(1, 2 ** (j + 1)) for j in differ), Fraction(0))
 
 
+# At w = 53 the one add of a two-sided distance rounds by up to 2**-54
+# after halving, on top of a tail of up to 2**-w: a sampled pair, and a
+# constructed one whose window sum lies halfway between two floats.
+WIDEST_TWO_SIDED = sy.FullShift.uniform(2, side=sy.TWO_SIDED, window=sy.MAX_WINDOW)
+
+
 @settings(deadline=None, max_examples=120)
 @given(case=metric_cases())
+@example(case=(WIDEST_TWO_SIDED, *(sy.sample_point(WIDEST_TWO_SIDED, s) for s in (53, 1000))))
+@example(case=(
+    WIDEST_TWO_SIDED, sy.PeriodicPoint((0,), 2, side=sy.TWO_SIDED),
+    sy.BlockScheduledPoint((-52, -51), (1, 0, 1), 2, side=sy.TWO_SIDED),
+))
 def test_distance_within_its_bound_of_a_fraction_oracle(case):
     system, x, y = case
     got = sy.distance(system, x, y)
@@ -695,7 +685,7 @@ def test_distance_keeps_the_bits_of_the_scalar_code(case):
 
 def piecewise_points(side):
     """Periodic points of short words and constant-block points, shifted or
-    not: mostly the points whose one-sided summed series is computed from
+    not: mostly the points whose one-sided series is computed from
     their change points."""
     lowest = 0 if side == sy.ONE_SIDED else -100
     periodic = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(
@@ -717,13 +707,12 @@ def piecewise_points(side):
 
 def piecewise_cases():
     """(system, x, y): two points of ``piecewise_points``, mostly on a
-    one-sided summed shift over three symbols."""
+    one-sided shift over three symbols."""
     shifts = st.one_of(
         st.integers(1, sy.MAX_WINDOW).map(lambda w: sy.FullShift.uniform(3, window=w)),
         st.builds(
-            lambda w, side, metric: sy.FullShift.uniform(3, side=side, window=w, metric=metric),
+            lambda w, side: sy.FullShift.uniform(3, side=side, window=w),
             st.integers(1, sy.MAX_WINDOW), st.sampled_from([sy.ONE_SIDED, sy.TWO_SIDED]),
-            st.sampled_from([sy.METRIC_SUMMED, sy.METRIC_FIRST_DIFFERENCE]),
         ),
     )
     return shifts.flatmap(
