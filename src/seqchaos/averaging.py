@@ -198,8 +198,9 @@ def ergodic_average(
 
     The points are the rows of one :meth:`Observable.series` call per
     block of times, summed by :func:`checkpoint_sums`; no points x N array
-    is built.  Refused before any work when a bound of f times N reaches
-    _SAFE_SUM.
+    is built.  They are wrapped as :class:`systems.Rows` once, so the
+    checks that do not depend on the times run once, not once a block.
+    Refused before any work when a bound of f times N reaches _SAFE_SUM.
     """
     if n_terms < 1:
         raise ConfigError("n_terms must be >= 1")
@@ -207,7 +208,8 @@ def ergodic_average(
     if not all(abs(b) < cap for b in f.bounds()):
         raise ConfigError(f"{f.describe()}: bounds {f.bounds()} times {n_terms} could overflow")
     ts = times_array(seq, n_terms)
-    sums = checkpoint_sums(lambda lo, hi: f.series(system, points, ts[lo:hi]), len(points), [n_terms])
+    rows = sy.Rows.of(points)
+    sums = checkpoint_sums(lambda lo, hi: f.series(system, rows, ts[lo:hi]), len(rows), [n_terms])
     return [total / n_terms for (total,) in sums]
 
 

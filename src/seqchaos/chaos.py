@@ -73,12 +73,16 @@ class TupleChaosReport:
 def tuple_distance_averages(
     system, points: Sequence, seq: SequenceSpec, checkpoints: Sequence[int], eta: float | None = None
 ) -> TupleChaosReport:
-    """One pass over k <= max(checkpoints) recording both averages."""
+    """One pass over k <= max(checkpoints) recording both averages.
+
+    The pairs' rows are built once, so their membership checks and
+    toggles are found once, not once a block of times.
+    """
     if len(points) < 2:
         raise DomainError("need at least two points")
     cps = _validate_checkpoints(checkpoints)
     ts = times_array(seq, cps[-1])
-    xs, ys = zip(*itertools.combinations(points, 2))
+    xs, ys = map(sy.Rows, zip(*itertools.combinations(points, 2)))
 
     def extremes(lo: int, hi: int) -> np.ndarray:
         pairs = distance_series(system, xs, ys, ts[lo:hi])

@@ -91,13 +91,14 @@ class CylinderIndicator(Observable):
         sy.check_members(system, points)
 
     def series(self, system, points, times) -> np.ndarray:
-        self._check_shift(system, points)
-        if not all(isinstance(point, sy.SymbolicPoint) for point in points):
+        rows = sy.Rows.of(points)
+        self._check_shift(system, rows)
+        if not rows.symbolic:
             raise DomainError("cylinder observable needs a symbolic point")
         ts = np.asarray(times, dtype=np.int64)
-        out = np.ones((len(points), len(ts)), dtype=bool)
+        out = np.ones((len(rows), len(ts)), dtype=bool)
         for c, s in self.constraints:
-            out &= sy.coordinates_of(points, sy._offset(ts, c)) == s
+            out &= sy.coordinates_of(rows, sy._offset(ts, c)) == s
         return out.astype(np.float64)
 
     def integral(self, system) -> float | None:

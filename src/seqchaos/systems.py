@@ -22,10 +22,14 @@ mean Li-Yorke tuples.  Every metric is truncated at a configurable
 coordinate window ``w``, with its error bound (2**-w style) from
 :func:`metric_error_bound`.  :func:`distance_series` evaluates
 d(T**m x, T**m y) for a list of pairs (x, y), one row each, and a whole
-array of times without iterating: a shift's metric is one reduction
-of the windows of a difference tape, and each distinct point reads its
-tape once for all of its pairs.  :func:`distance` is the one-pair,
-one-time case.
+array of times without iterating: a shift's metric reads each window
+of a difference tape as one 64-bit word of the packed tape, and each
+distinct point reads its tape once for all of its pairs.
+:func:`distance` is the one-pair, one-time case.
+
+Points enter every vectorized read as :class:`Rows`, a tuple that
+computes the checks that do not depend on the times once; a list of
+points is wrapped on entry.
 
 Nothing here mutates after construction; points and systems are safe to
 share across any number of workers.
@@ -41,7 +45,6 @@ from functools import cached_property, partial
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, SequenceOverflowError
 from .prf import MASK64, child_seed, prf64, prf64_np
@@ -92,7 +95,7 @@ class SymbolicPoint:
     def coordinates(self, indices) -> np.ndarray:
         """The symbols at every index of ``indices``, as int64."""
         idx = _as_indices(indices)
-        _check_sides((self,), idx)
+        _check_sides((self.side,), idx)
         return self._read(idx)
 
     def _read(self, idx: np.ndarray) -> np.ndarray:  # idx: int64, already checked
@@ -111,10 +114,10 @@ def _as_indices(indices) -> np.ndarray:
         raise DomainError("coordinate outside the 64-bit range") from None
 
 
-def _check_sides(points: Sequence[SymbolicPoint], idx: np.ndarray) -> None:
-    """DomainError where a one-sided point of ``points`` would read below 0."""
+def _check_sides(sides, idx: np.ndarray) -> None:
+    """DomainError where a point of one of ``sides`` would read below 0 on one side."""
     low = idx.min(initial=0)
-    if low < 0 and any(p.side == ONE_SIDED for p in points):
+    if low < 0 and ONE_SIDED in sides:
         raise DomainError(f"coordinate {low} < 0 on a one-sided point")
 
 
@@ -171,6 +174,57 @@ class SeededRandomPoint(SymbolicPoint):
         return np.searchsorted(self._separators, h, side="right").astype(np.int64)
 
 
+class Rows(tuple):
+    """Points as the rows of one vectorized read.
+
+    Points never change, so the facts that every block of times would
+    otherwise check again are computed once, on first use.  Each read
+    wraps the points it is given with :meth:`of`, so a list is the
+    length-n case of the same path and a caller that keeps its ``Rows``
+    across blocks pays for the facts once.
+    """
+
+    @classmethod
+    def of(cls, points: Sequence) -> "Rows":
+        return points if isinstance(points, cls) else cls(points)
+
+    @cached_property
+    def symbolic(self) -> bool:
+        """True when every point is a :class:`SymbolicPoint`."""
+        return all(isinstance(p, SymbolicPoint) for p in self)
+
+    @cached_property
+    def sides(self) -> frozenset:
+        """The points' sides; None stands for a point without one."""
+        return frozenset(getattr(p, "side", None) for p in self)
+
+    @cached_property
+    def alphabet(self) -> int:
+        """The largest alphabet of the points (0 for no point)."""
+        return max((p.alphabet_size for p in self), default=0)
+
+    @cached_property
+    def seeds(self) -> np.ndarray | None:
+        """The uint64 seeds when every point is a :class:`SeededRandomPoint`
+        on one weights tuple (the same object), else None."""
+        if self and all(type(p) is SeededRandomPoint and p.weights is self[0].weights
+                        for p in self):
+            return np.array([p.seed & MASK64 for p in self], dtype=np.uint64)
+        return None
+
+    def toggles(self, ys: "Rows") -> tuple | None:
+        """Per row r, the :func:`_toggles` of the pair (self[r], ys[r]); None
+        unless every point is piecewise constant.  Kept for the last ``ys``."""
+        held = self.__dict__.get("_toggles")
+        if held is None or held[0] is not ys:
+            runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(self, ys)]
+            found = None
+            if all(None not in pair for pair in runs):
+                found = tuple(_toggles(rx, ry) for rx, ry in runs)
+            held = self.__dict__["_toggles"] = (ys, found)
+        return held[1]
+
+
 def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
     """The symbols of each point at every index of ``indices``, one row per point.
 
@@ -178,14 +232,13 @@ def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
     seeded random point on one weights tuple, the rows come from one
     :func:`prf64_np` table, which mixes each index once for all seeds.
     """
+    rows = Rows.of(points)
     idx = _as_indices(indices)
-    shape = (len(points), len(idx))
-    if points and all(
-        type(p) is SeededRandomPoint and p.weights is points[0].weights for p in points
-    ):
-        _check_sides(points, idx)
-        return points[0]._symbols(prf64_np([p.seed for p in points], idx)).reshape(shape)
-    return np.array([p.coordinates(idx) for p in points], dtype=np.int64).reshape(shape)
+    shape = (len(rows), len(idx))
+    if rows.seeds is not None:
+        _check_sides(rows.sides, idx)
+        return rows[0]._symbols(prf64_np(rows.seeds, idx)).reshape(shape)
+    return np.array([p.coordinates(idx) for p in rows], dtype=np.int64).reshape(shape)
 
 
 BlockContent = Union[int, SymbolicPoint]
@@ -320,8 +373,8 @@ def check_members(system: FullShift, points: Sequence) -> None:
     """DomainError unless every point of ``points`` lives in the shift
     ``system``, on its side and over its alphabet: the one membership test
     of distances and observables."""
-    side, size = system.side, system.alphabet_size
-    if any(getattr(p, "side", None) != side or p.alphabet_size > size for p in points):
+    rows = Rows.of(points)
+    if not rows.sides <= {system.side} or rows.alphabet > system.alphabet_size:
         raise DomainError("points do not live in this shift space")
 
 
@@ -329,24 +382,29 @@ def check_members(system: FullShift, points: Sequence) -> None:
 # distances
 #
 # Every shift metric reads a window [m + lo, m + lo + span) of both
-# points at each time m and reduces the rows of the difference tape; a
-# shift's side picks only the window and the row reducer.
+# points at each time m and sums the weights of the differing cells; a
+# shift's side picks only the window and the reads that sum it.
 
 
-def _summed(rows: np.ndarray) -> np.ndarray:
-    # coordinate j of a bool row weighs 2**-(j + 1): the row's bits, packed
-    # into a big-endian 64-bit word, times 2**-64.  At most 53 bits are set,
-    # so the word converts to float64 exactly, and no BLAS call is made.
-    words = np.zeros((len(rows), 8), dtype=np.uint8)
-    words[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1)
-    return words.view(">u8")[:, 0] * 2.0**-64
+def _window_sums(bits: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """sum over j < ``width`` of bits[s + j] * 2**-(j + 1), at every start s.
 
-
-def _two_sided(rows: np.ndarray) -> np.ndarray:
-    # rows cover (-w, w); coordinate j weighs 2**-(|j| + 1), halved.  Both
-    # one-sided sums are exact, so their one correctly rounded add is fsum.
-    w = (rows.shape[1] + 1) // 2
-    return (_summed(rows[:, w - 1 :]) + _summed(rows[:, : w - 1][:, ::-1]) / 2) / 2
+    The bits are packed once.  The big-endian 64-bit word at byte s >> 3,
+    shifted left by s & 7, holds bits s, s + 1, ... from its top bit down;
+    its top ``width`` bits are the window, so the word times 2**-64 is the
+    sum.  As (s & 7) + width <= 7 + MAX_WINDOW < 64, every window bit is in
+    the word, and a word of at most 53 significant bits converts to
+    float64 exactly.
+    """
+    packed = np.packbits(bits)
+    # a word at every byte, and one past the tape for an empty window at its end
+    padded = np.zeros(len(packed) + 8, dtype=np.uint8)
+    padded[: len(packed)] = packed
+    words = np.ndarray((len(packed) + 1,), dtype=">u8", buffer=padded, strides=(1,))
+    mask = np.uint64(((1 << width) - 1) << (64 - width))
+    picked = words[starts >> 3] << (starts & 7).astype(np.uint64)
+    picked &= mask
+    return picked * 2.0**-64
 
 
 def _row_fsums(parts: np.ndarray) -> np.ndarray:
@@ -365,9 +423,22 @@ def _symbol_runs(point) -> list[tuple[int, int]] | None:
     return None
 
 
-def _series_from_runs(rx, ry, times: np.ndarray, window: int) -> np.ndarray:
-    """d(T**m x, T**m y) at strictly increasing ``times`` from the change
-    points of x and y, by interval algebra.
+def _toggles(rx, ry) -> list[int]:
+    """The positions where the pair with change points ``rx`` and ``ry``
+    starts or stops differing, in increasing order."""
+    def symbol_at(runs: list[tuple[int, int]], pos: int) -> int:
+        return runs[bisect_right(runs, pos, key=lambda run: run[0]) - 1][1]
+
+    toggles = []
+    for pos in sorted({s for s, _ in rx} | {s for s, _ in ry}):
+        if (len(toggles) % 2 == 1) != (symbol_at(rx, pos) != symbol_at(ry, pos)):
+            toggles.append(pos)
+    return toggles
+
+
+def _series_from_toggles(toggles: list[int], times: np.ndarray, window: int) -> np.ndarray:
+    """d(T**m x, T**m y) at strictly increasing ``times`` from the
+    :func:`_toggles` of x and y, by interval algebra.
 
     The pair differs between toggles p_1 < p_2 < ...; toggle i adds
     (-1)**(i+1) 2**-clip(p_i - m, 0, w) to the distance at time m, and a
@@ -383,13 +454,6 @@ def _series_from_runs(rx, ry, times: np.ndarray, window: int) -> np.ndarray:
     [0, 1], so it is exact (w <= 53) and the result is the same bits
     whatever the order of the additions.
     """
-    def symbol_at(runs: list[tuple[int, int]], pos: int) -> int:
-        return runs[bisect_right(runs, pos, key=lambda run: run[0]) - 1][1]
-
-    toggles = []
-    for pos in sorted({s for s, _ in rx} | {s for s, _ in ry}):
-        if (len(toggles) % 2 == 1) != (symbol_at(rx, pos) != symbol_at(ry, pos)):
-            toggles.append(pos)
     n = len(times)
     if not toggles or not n:
         return np.zeros(n, dtype=np.float64)
@@ -433,9 +497,6 @@ def _on_distinct(times: np.ndarray, series) -> np.ndarray:
 # temporaries stay in cache, large enough that a chunk's last window,
 # which is read again by the next chunk, costs little.
 _TAPE_CELLS = 1 << 17
-# Window cells reduced per gather block (2 MB of bool); fewer, larger
-# blocks spare the reducers their per-call set-up.
-_GATHER_CELLS = 1 << 21
 
 
 def _tape_chunks(u: np.ndarray, lo: int, window: int):
@@ -463,27 +524,36 @@ def _tape_chunks(u: np.ndarray, lo: int, window: int):
         yield first, positions, offsets
 
 
-def _series_from_windows(system, xs, ys, u: np.ndarray) -> np.ndarray:
-    # At strictly increasing times u, every distinct point (by identity)
-    # reads each tape chunk once through its own ``coordinates``, for all of
-    # its rows; every window is then a gather, reduced in blocks of at most
-    # _GATHER_CELLS cells.
+def _series_from_windows(system, xs: Rows, ys: Rows, u: np.ndarray) -> np.ndarray:
+    """The distances at strictly increasing times u, read from tape chunks.
+
+    Every distinct point (by identity) reads each chunk once through its
+    own ``coordinates``, for all of its rows.  Each pair then packs its
+    difference tape once, and :func:`_window_sums` reads each window as
+    one word of it.  On two sides the w forward coordinates m, m + 1, ...
+    are read ahead from cell o + w - 1 of a window at cell o, and the
+    w - 1 backward coordinates m - 1, m - 2, ... from the reversed tape;
+    one correctly rounded add joins the two exact sums.
+    """
     if not len(u):
         return np.empty((len(xs), 0), dtype=np.float64)
     w, one_sided = system.window, system.side == ONE_SIDED
-    lo, span, reduce = (0, w, _summed) if one_sided else (1 - w, 2 * w - 1, _two_sided)
+    lo, span = (0, w) if one_sided else (1 - w, 2 * w - 1)
     if int(u[0]) + lo < -(1 << 63) or int(u[-1]) + lo + span >= 1 << 63:
         raise DomainError("times too close to the 64-bit range for the metric window")
     points = {id(p): p for p in (*xs, *ys)}
-    rows = max(1, _GATHER_CELLS // span)
     out = np.empty((len(xs), len(u)), dtype=np.float64)
     for first, positions, offsets in _tape_chunks(u, lo, span):
         tapes = {key: p.coordinates(positions) for key, p in points.items()}
+        cols = slice(first, first + len(offsets))
         for r, (x, y) in enumerate(zip(xs, ys)):
-            windows = sliding_window_view(tapes[id(x)] != tapes[id(y)], span)
-            for i in range(0, len(offsets), rows):
-                block = windows[offsets[i : i + rows]]
-                out[r, first + i : first + i + len(block)] = reduce(block)
+            diff = tapes[id(x)] != tapes[id(y)]
+            if one_sided:
+                out[r, cols] = _window_sums(diff, offsets, w)
+            else:
+                ahead = _window_sums(diff, offsets + (w - 1), w)
+                behind = _window_sums(diff[::-1], len(diff) - w + 1 - offsets, w - 1)
+                out[r, cols] = (ahead + behind / 2) / 2
     return out
 
 
@@ -491,22 +561,25 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     """d(T**m x, T**m y) for every pair (x, y) of ``zip(xs, ys)`` and every m
     in ``times``, truncated at the metric window: one row per pair.
 
-    A shift's metric reduces the windows of a difference tape, or takes
-    interval algebra when every point is piecewise constant on a
-    one-sided shift.  On one side both are exact, as ``FullShift`` caps
-    the window at 53 coordinates; on two sides one correctly rounded add
-    joins two exact sums.  A rotation's rows are constant; a product
-    ``fsum``s its weighted component rows.  Three things raise
-    ``DomainError``: a negative time on a one-sided shift (a product
-    defers to its components), a point that fails :func:`check_members`,
-    and a point with the wrong number of components on a product.
+    A shift's metric reads each window of a difference tape as one 64-bit
+    word of the packed tape, or takes interval algebra when every point
+    is piecewise constant on a one-sided shift.  On one side both are
+    exact, as ``FullShift`` caps the window at 53 coordinates; on two
+    sides one correctly rounded add joins two exact sums.  A rotation's
+    rows are constant; a product ``fsum``s its weighted component rows.
+    Three things raise ``DomainError``: a negative time on a one-sided
+    shift (a product defers to its components), a point that fails
+    :func:`check_members`, and a point with the wrong number of
+    components on a product.
 
     Each distinct point reads its tape once per chunk of about 2**17
     cells for all the rows it belongs to, so working memory does not grow
     with the gaps between times and a tuple's pairs share their reads.
     The interval path costs O(w) per change point beyond a few passes per
-    pair.  Both paths run on the distinct times, sorted only when they do
-    not already increase.
+    pair; a caller that passes ``xs`` and ``ys`` as :class:`Rows` across
+    blocks of times has their membership checked and each pair's toggles
+    found once.  Both paths run on the distinct times, sorted only when
+    they do not already increase.
     """
     if len(xs) != len(ys):
         raise DomainError("need one y for every x")
@@ -528,14 +601,14 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
         return _row_fsums(np.stack(parts, axis=-1).reshape(-1, k)).reshape(len(xs), len(ts))
     if not isinstance(system, FullShift):
         raise ConfigError(f"unknown system {system!r}")
-    check_members(system, (*xs, *ys))
-    if system.side == ONE_SIDED:
-        runs = [(_symbol_runs(x), _symbol_runs(y)) for x, y in zip(xs, ys)]
-        if all(None not in pair for pair in runs):
-            return _on_distinct(ts, lambda u: np.array(
-                [_series_from_runs(rx, ry, u, system.window) for rx, ry in runs],
-                dtype=np.float64,
-            ).reshape(len(xs), len(u)))
+    xs, ys = Rows.of(xs), Rows.of(ys)
+    check_members(system, xs)
+    check_members(system, ys)
+    toggles = xs.toggles(ys) if system.side == ONE_SIDED else None
+    if toggles is not None:
+        return _on_distinct(ts, lambda u: np.array(
+            [_series_from_toggles(t, u, system.window) for t in toggles], dtype=np.float64,
+        ).reshape(len(xs), len(u)))
     return _on_distinct(ts, partial(_series_from_windows, system, xs, ys))
 
 

@@ -283,3 +283,79 @@ def test_sampled_averages_do_not_depend_on_the_worker_count():
     assert serial == [oracle_average(BIASED, x, f, primes, 3000) for x in points]
     for workers in (2, 3, 8):
         assert sampled_averages(BIASED, points, f, primes, 3000, workers=workers) == serial
+
+
+def raised_or_bytes(fn):
+    """The bytes of the array ``fn`` returns, or the type and message it raises;
+    a value may overflow (a combination of huge constants)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn().tobytes()
+    except (DomainError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    case=cases(),
+    seq=st.sampled_from(SEQUENCES),
+    n=st.integers(1, 60),
+    cells=st.one_of(st.just(averaging._CELLS), st.integers(1, 50)),
+)
+def test_rows_give_the_bytes_of_the_equal_list(case, seq, n, cells):
+    # Rows compute their checks once; a list is checked afresh on every call
+    system, points, f = case
+    rows = sy.Rows(points)
+    with mock.patch.object(averaging, "_CELLS", cells):
+        assert outcome(lambda: ergodic_average(system, rows, f, seq, n)) == outcome(
+            lambda: ergodic_average(system, points, f, seq, n)
+        )
+    ts = times_array(seq, n)
+    for g in (f, CylinderIndicator(((0, 0),)), CylinderIndicator(((-2, 0), (3, 1)))):
+        assert raised_or_bytes(lambda: g.series(system, rows, ts)) == raised_or_bytes(
+            lambda: g.series(system, points, ts)
+        )
+    if isinstance(system, sy.FullShift):
+        idx = np.arange(-5, 40)[5 if system.side == sy.ONE_SIDED else 0 :]
+        assert sy.coordinates_of(rows, idx).tobytes() == sy.coordinates_of(points, idx).tobytes()
+
+
+def test_rows_keep_every_membership_error_and_its_message():
+    one_sided = sy.SeededRandomPoint(1, BIASED.weights)
+    other_side = sy.SeededRandomPoint(2, BIASED.weights, side=sy.TWO_SIDED)
+    three = sy.PeriodicPoint((0, 2), 3)
+    f = CylinderIndicator(((0, 0),))
+    refusals = [
+        (lambda pts: f.series(BIASED, pts, [0, 1]), [one_sided, other_side],
+         "points do not live in this shift space"),
+        (lambda pts: sy.distance_series(BIASED, pts, pts[::-1], [0, 1]), [one_sided, other_side],
+         "points do not live in this shift space"),
+        (lambda pts: f.series(BIASED, pts, [0, 1]), [one_sided, three],
+         "points do not live in this shift space"),
+        (lambda pts: sy.distance_series(BIASED, pts, pts[::-1], [0, 1]), [one_sided, three],
+         "points do not live in this shift space"),
+        (lambda pts: f.series(GOLDEN, pts, [0, 1]), [5, 7],
+         "cylinder observable needs a symbolic point"),
+    ]
+    for call, points, message in refusals:
+        for pts in (points, sy.Rows(points)):
+            with pytest.raises(DomainError) as caught:
+                call(pts)
+            assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("same_weights", [True, False])
+def test_a_negative_coordinate_first_read_in_a_later_block_raises(same_weights):
+    # the check that depends on the times runs on every block of one stream:
+    # the cylinder reads coordinate t - 10, which is -4 only at the last time
+    weights = BIASED.weights if same_weights else tuple(list(BIASED.weights))
+    points = [sy.SeededRandomPoint(1, BIASED.weights), sy.SeededRandomPoint(2, weights)]
+    f = CylinderIndicator(((-10, 1),))
+    times = [10 + k for k in range(40)] + [6]
+    seq = SequenceSpec.explicit(times)
+    with mock.patch.object(averaging, "_CELLS", 2 * 8):
+        for pts in (points, sy.Rows(points)):
+            assert len(ergodic_average(BIASED, pts, f, seq, 40)) == 2
+            with pytest.raises(DomainError) as caught:
+                ergodic_average(BIASED, pts, f, seq, 41)
+            assert str(caught.value) == "coordinate -4 < 0 on a one-sided point"

@@ -306,12 +306,11 @@ def summed_reference(system, x, y, times):
     size=st.integers(2, 4),
     window=st.integers(1, 53),
     cells=st.integers(1, 120),
-    gather=st.integers(1, 400),
     times=st.lists(st.one_of(st.integers(1, 80), st.integers(1, 2**62)), min_size=1, max_size=40),
     side=st.sampled_from([sy.ONE_SIDED, sy.TWO_SIDED]),
 )
-def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, side):
-    # shrink the chunks so that the times straddle many chunk and block edges
+def test_tape_chunks_bound_every_read(data, size, window, cells, times, side):
+    # shrink the chunks so that the times straddle many chunk edges
     weights = data.draw(st.sampled_from(WEIGHTS))
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
     pts = [CountingPoint(sy.SeededRandomPoint(s, weights, side=side)) for s in seeds]
@@ -322,9 +321,7 @@ def test_tape_chunks_bound_every_read(data, size, window, cells, gather, times, 
     for p in pts:
         p.reads = p.most = 0
 
-    with mock.patch.object(sy, "_TAPE_CELLS", cells), mock.patch.object(
-        sy, "_GATHER_CELLS", gather
-    ):
+    with mock.patch.object(sy, "_TAPE_CELLS", cells):
         assert distance_series(system, xs, ys, ts).tobytes() == np.stack(oracle).tobytes()
         rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), [len(ts)])
     # a chunk ends at the window that starts before its last cell

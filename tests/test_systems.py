@@ -305,20 +305,29 @@ def test_two_sided_distance_normalized():
 
 
 def test_summed_rows_are_exact():
-    # packed words against the float64 matrix product they replaced and fsum,
-    # at every width, on contiguous rows and on the strided and reversed
-    # views of _two_sided; the first row sets every bit
+    # every window read as one word of the packed tape, against the float64
+    # matrix product and fsum: at every width, from every start of tapes
+    # whose lengths are and are not whole bytes, so every bit offset 0..7
+    # and the last word, which runs past the tape, are read; on the tape
+    # and on its reversed view, as two-sided distances read it; the first
+    # tape sets every bit
     rng = np.random.default_rng(7)
     for width in range(sy.MAX_WINDOW + 1):
-        tape = rng.random((40, 2 * width + 1)) < 0.5
-        tape[0] = True
         powers = np.ldexp(1.0, -np.arange(1, width + 1))
-        for rows in (tape[:, :width], tape[:, 1 : 2 * width + 1 : 2], tape[:, width:0:-1],
-                     np.ascontiguousarray(tape[:, :width]), tape[:0, :width]):
-            got = sy._summed(rows)
-            assert got.dtype == np.float64 and got.shape == (len(rows),)
-            assert got.tolist() == (rows.astype(np.float64) @ powers).tolist()
-            assert got.tolist() == [math.fsum(row) for row in (rows * powers).tolist()]
+        for cells in (width + 15, width + 16, width + 70):
+            tape = rng.random(cells) < 0.5
+            if cells == width + 15:
+                tape[:] = True
+            starts = np.arange(cells - width + 1)
+            assert set((starts & 7).tolist()) == set(range(8))
+            for bits in (tape, tape[::-1]):
+                rows = np.array([bits[s : s + width] for s in starts]).reshape(len(starts), width)
+                got = sy._window_sums(bits, starts, width)
+                assert got.dtype == np.float64 and got.shape == (len(starts),)
+                assert got.tolist() == (rows.astype(np.float64) @ powers).tolist()
+                assert got.tolist() == [math.fsum(row) for row in (rows * powers).tolist()]
+                last = starts[-8:]
+                assert sy._window_sums(bits, last, width).tolist() == got[-8:].tolist()
 
 
 def test_rotation_circle_distance():
@@ -740,3 +749,19 @@ def test_distance_series_keeps_the_bits_of_the_scalar_code(case, data):
     expected = oracle_series(system, x, y, ts)
     assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected]
 
+
+
+@pytest.mark.parametrize("side", [sy.ONE_SIDED, sy.TWO_SIDED])
+def test_dense_windows_at_every_width_keep_the_bits_of_the_scalar_code(side):
+    # consecutive times lay their windows out as one tape of n + span - 1
+    # cells; tapes of whole bytes and not, at every width, so that a
+    # two-sided window 1 also reads its empty past at the tape's end
+    for w in range(1, sy.MAX_WINDOW + 1):
+        system = sy.FullShift.uniform(2, side=side, window=w)
+        x, y = sy.sample_point(system, w), sy.sample_point(system, -w)
+        for n in (1, 7, 8, 9, 16):
+            ts = np.arange(n) - (3 if side == sy.TWO_SIDED else 0)
+            got = sy.distance_series(system, [x], [y], ts)[0]
+            assert [d.hex() for d in got.tolist()] == [
+                d.hex() for d in oracle_series(system, x, y, ts)
+            ]
