@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import ge, le, lt
@@ -445,6 +448,27 @@ def _check_writable(out: str) -> None:
         raise ConfigError(f"cannot write {out}: {existing} is not a directory")
 
 
+def _write_artifacts(out_path: Path, manifest: dict, output: RunOutput, summary: dict) -> None:
+    """Write every artifact into a fresh directory next to ``out_path``, then
+    move each into ``out_path`` once the last write has succeeded, so a
+    failing write adds no file to ``out_path``.  The fresh directory is
+    removed whatever happens."""
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    staged = Path(tempfile.mkdtemp(prefix=f".{out_path.name}.", dir=out_path.parent))
+    try:
+        write_json(staged / "manifest.json", manifest)
+        write_json(staged / "result.json", output.result_json)
+        write_csv(staged / "result.csv", *output.csv)
+        for name, obj in output.extra_json.items():
+            write_json(staged / name, obj)
+        write_json(staged / "summary.json", summary)
+        out_path.mkdir(exist_ok=True)
+        for artifact in staged.iterdir():
+            os.replace(artifact, out_path / artifact.name)
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
+
+
 def run_config(
     cfg: dict,
     out_dir: str | None = None,
@@ -481,13 +505,7 @@ def run_config(
     failed = [a.name for a in output.assertions if not a.passed]
     summary = {"passed": not failed, "assertions": output.assertions}
     try:
-        out_path.mkdir(parents=True, exist_ok=True)
-        write_json(out_path / "manifest.json", manifest)
-        write_json(out_path / "result.json", output.result_json)
-        write_csv(out_path / "result.csv", *output.csv)
-        for name, obj in output.extra_json.items():
-            write_json(out_path / name, obj)
-        write_json(out_path / "summary.json", summary)
+        _write_artifacts(out_path, manifest, output, summary)
     except OSError as exc:
         print(f"config error: cannot write {out}: {exc}", file=sys.stderr)
         return 2

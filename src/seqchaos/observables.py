@@ -175,11 +175,10 @@ class ProductOf(Observable):
         k = len(self.factors)
         if not isinstance(system, sy.ProductSystem) or len(system.components) != k:
             raise DomainError("factor count must match the product components")
-        if any(len(x) != k for x in points):
-            raise DomainError("product points need one component per factor")
+        factor_rows = sy.Rows.of(points).factors(k)
         out = np.ones((len(points), len(times)), dtype=np.float64)
-        for j, (f, comp) in enumerate(zip(self.factors, system.components)):
-            out *= f.series(comp, [x[j] for x in points], times)
+        for f, comp, rows in zip(self.factors, system.components, factor_rows):
+            out *= f.series(comp, rows, times)
         return out
 
     def integral(self, system) -> float | None:

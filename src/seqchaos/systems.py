@@ -18,14 +18,16 @@ The natural extension of a one-sided Bernoulli shift is the two-sided
 
 A shift has one metric: 2**-(|j| + 1) summed over the differing
 coordinates j, halved on two sides; an equivalent metric has the same
-mean Li-Yorke tuples.  Every metric is truncated at a configurable
-coordinate window ``w``, with its error bound (2**-w style) from
-:func:`metric_error_bound`.  :func:`distance_series` evaluates
-d(T**m x, T**m y) for a list of pairs (x, y), one row each, and a whole
-array of times without iterating: a shift's metric reads each window
-of a difference tape as one 64-bit word of the packed tape, and each
-distinct point reads its tape once for all of its pairs.
-:func:`distance` is the one-pair, one-time case.
+mean Li-Yorke tuples.  A product of k factors takes the max of its
+factors' distances, equivalent to their weighted sum as
+2**-k max_j d_j <= sum_j 2**-(j+1) d_j <= max_j d_j.  Every metric is
+truncated at a configurable coordinate window ``w``, with its error
+bound (2**-w style) from :func:`metric_error_bound`.
+:func:`distance_series` evaluates d(T**m x, T**m y) for a list of pairs
+(x, y), one row each, and a whole array of times without iterating: a
+shift's metric reads each window of a difference tape as one 64-bit
+word of the packed tape, and each distinct point reads its tape once
+for all of its pairs.  :func:`distance` is the one-pair, one-time case.
 
 Points enter every vectorized read as :class:`Rows`, a tuple that
 computes the checks that do not depend on the times once; a list of
@@ -224,6 +226,15 @@ class Rows(tuple):
             held = self.__dict__["_toggles"] = (ys, found)
         return held[1]
 
+    def factors(self, k: int) -> tuple["Rows", ...]:
+        """The rows of each of the ``k`` factors of product points, built
+        once; DomainError unless every point has one component per factor."""
+        if len(self.__dict__.get("_factors", ())) != k:
+            if any(len(p) != k for p in self):
+                raise DomainError("product points need one component per factor")
+            self.__dict__["_factors"] = tuple(Rows(p[j] for p in self) for j in range(k))
+        return self.__dict__["_factors"]
+
 
 def coordinates_of(points: Sequence[SymbolicPoint], indices) -> np.ndarray:
     """The symbols of each point at every index of ``indices``, one row per point.
@@ -407,10 +418,6 @@ def _window_sums(bits: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray
     return picked * 2.0**-64
 
 
-def _row_fsums(parts: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(row) for row in parts.tolist()], dtype=np.float64)
-
-
 def _symbol_runs(point) -> list[tuple[int, int]] | None:
     """Change points [(start, symbol), ...] of a piecewise-constant point, else None."""
     if isinstance(point, PeriodicPoint):
@@ -566,7 +573,7 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     is piecewise constant on a one-sided shift.  On one side both are
     exact, as ``FullShift`` caps the window at 53 coordinates; on two
     sides one correctly rounded add joins two exact sums.  A rotation's
-    rows are constant; a product ``fsum``s its weighted component rows.
+    rows are constant; a product's rows are the max of its factors' rows.
     Three things raise ``DomainError``: a negative time on a one-sided
     shift (a product defers to its components), a point that fails
     :func:`check_members`, and a point with the wrong number of
@@ -577,9 +584,9 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
     with the gaps between times and a tuple's pairs share their reads.
     The interval path costs O(w) per change point beyond a few passes per
     pair; a caller that passes ``xs`` and ``ys`` as :class:`Rows` across
-    blocks of times has their membership checked and each pair's toggles
-    found once.  Both paths run on the distinct times, sorted only when
-    they do not already increase.
+    blocks of times has their membership checked and their factor rows
+    and each pair's toggles found once.  Both paths run on the distinct
+    times, sorted only when they do not already increase.
     """
     if len(xs) != len(ys):
         raise DomainError("need one y for every x")
@@ -590,18 +597,13 @@ def distance_series(system: SystemSpec, xs: Sequence, ys: Sequence, times) -> np
         deltas = [(x - y) % FRACTION_MOD for x, y in zip(xs, ys)]
         rows = np.array([min(d, FRACTION_MOD - d) / FRACTION_MOD for d in deltas])
         return np.repeat(rows.reshape(-1, 1), len(ts), axis=1)
+    xs, ys = Rows.of(xs), Rows.of(ys)
     if isinstance(system, ProductSystem):
         k = len(system.components)
-        if any(len(p) != k for p in (*xs, *ys)):
-            raise DomainError("component count mismatch")
-        parts = [
-            2.0 ** (-(j + 1)) * distance_series(c, [x[j] for x in xs], [y[j] for y in ys], ts)
-            for j, c in enumerate(system.components)
-        ]
-        return _row_fsums(np.stack(parts, axis=-1).reshape(-1, k)).reshape(len(xs), len(ts))
+        parts = zip(system.components, xs.factors(k), ys.factors(k))
+        return np.maximum.reduce([distance_series(c, x, y, ts) for c, x, y in parts])
     if not isinstance(system, FullShift):
         raise ConfigError(f"unknown system {system!r}")
-    xs, ys = Rows.of(xs), Rows.of(ys)
     check_members(system, xs)
     check_members(system, ys)
     toggles = xs.toggles(ys) if system.side == ONE_SIDED else None
@@ -629,10 +631,8 @@ def metric_error_bound(system: SystemSpec) -> float:
     if isinstance(system, Rotation):
         return 2.0**-53
     if isinstance(system, ProductSystem):
-        # plus fsum's rounding of the weighted sum, which lies below 1
-        return math.fsum(
-            2.0 ** (-(j + 1)) * metric_error_bound(c) for j, c in enumerate(system.components)
-        ) + 2.0**-54
+        # |max a - max b| <= max |a - b|, and the max itself is exact
+        return max(metric_error_bound(c) for c in system.components)
     raise ConfigError(f"unknown system {system!r}")
 
 

@@ -199,10 +199,7 @@ def oracle_distance(system, x, y):
         delta = abs(x - y)
         return min(delta, sy.FRACTION_MOD - delta) / sy.FRACTION_MOD
     if isinstance(system, sy.ProductSystem):
-        return math.fsum(
-            2.0 ** (-(j + 1)) * oracle_distance(c, xc, yc)
-            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
-        )
+        return max(oracle_distance(c, xc, yc) for c, xc, yc in zip(system.components, x, y))
     raise ConfigError(f"unknown system {system!r}")
 
 

@@ -2,6 +2,8 @@
 the per-point average, whatever the block sizes and the worker count."""
 
 import math
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
-from seqchaos import averaging
+from seqchaos import averaging, chaos
 from seqchaos.averaging import SUM_ERROR_BOUND, ergodic_average, sampled_averages
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
@@ -359,3 +361,44 @@ def test_a_negative_coordinate_first_read_in_a_later_block_raises(same_weights):
             with pytest.raises(DomainError) as caught:
                 ergodic_average(BIASED, pts, f, seq, 41)
             assert str(caught.value) == "coordinate -4 < 0 on a one-sided point"
+
+
+FACTS = ("symbolic", "sides", "alphabet", "seeds")
+
+
+@contextmanager
+def facts_computed():
+    """The names of the :class:`systems.Rows` facts computed in the block, in order."""
+    computed = []
+    with ExitStack() as stack:
+        for name in FACTS:
+            fact = sy.Rows.__dict__[name]
+
+            def spy(rows, compute=fact.func, name=name):
+                computed.append(name)
+                return compute(rows)
+
+            stack.enter_context(mock.patch.object(fact, "func", spy))
+        yield computed
+
+
+def test_product_points_find_their_factor_rows_once():
+    # the rows of each factor, and their facts, are found once per average
+    # or tuple, not once a block: product points hand their factor rows out
+    points = [sy.sample_point(PRODUCT, s) for s in range(3)]
+    f = ProductOf((CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")))
+    seq = SequenceSpec.primes()
+    series = mock.patch.object(ProductOf, "series", autospec=True, side_effect=ProductOf.series)
+    distances = mock.patch.object(chaos, "distance_series", wraps=chaos.distance_series)
+    with mock.patch.object(averaging, "_CELLS", 3 * 16), facts_computed() as computed:
+        with series as blocks:
+            ergodic_average(PRODUCT, points, f, seq, 100)
+        assert blocks.call_count == 7
+        # all on the cylinder factor's rows; the cosine reads none
+        assert Counter(computed) == Counter(FACTS)
+        computed.clear()
+        with distances as blocks:
+            chaos.tuple_distance_averages(PRODUCT, points, seq, [100])
+        assert blocks.call_count == 5
+        # the membership facts of the shift factor's rows of the xs and of the ys
+        assert Counter(computed) == {"sides": 2, "alphabet": 2}

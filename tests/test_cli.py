@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 import seqchaos.systems as sy
-from seqchaos import averaging, seqgen
+from seqchaos import averaging, cli, seqgen
 from seqchaos.cli import list_experiments, main, run_config
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import Constant
@@ -345,6 +345,39 @@ def test_unwritable_output_is_status_2(tmp_path, capsys, blocked):
         assert main(["run", str(path), "--out", str(out)]) == 2
     assert f"config error: cannot write {out}: " in capsys.readouterr().err
     assert len(calls) == (blocked == "artifact_is_a_directory")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+def test_a_failing_write_adds_no_artifact(tmp_path, capsys, existing):
+    # the artifacts are written next to out and moved in after the last
+    # write, so a write that fails partway leaves out as it was and no
+    # temporary directory behind; a run that succeeds leaves none either
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIGS["ConditionStarProfile"]))
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "result.json").write_text("earlier")
+    written = []
+    write_json = cli.write_json
+
+    def failing(target, obj):
+        written.append(target.name)
+        if target.name == "result.json":
+            raise OSError("no space left")
+        write_json(target, obj)
+
+    with mock.patch.object(cli, "write_json", failing):
+        assert main(["run", str(path), "--out", str(out)]) == 2
+    assert written == ["manifest.json", "result.json"]
+    assert f"config error: cannot write {out}: no space left" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] + ["out"] * existing
+    if existing:
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("result.json", "earlier")]
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "result.csv", "result.json", "summary.json"]
 
 
 def test_overflow_refusal_comes_before_the_times():

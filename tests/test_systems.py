@@ -346,6 +346,35 @@ def test_mismatched_spaces_raise():
         sy.distance(prod, (zeros(),), (zeros(), 0))
 
 
+@pytest.mark.parametrize("side", [sy.ONE_SIDED, sy.TWO_SIDED])
+@pytest.mark.parametrize("window", [1, 48, sy.MAX_WINDOW])
+def test_points_over_one_rotation_point_keep_the_shift_distances(side, window):
+    # points of FullShift x Rotation that share their rotation coordinate
+    # theta lie in one fibre over the rotation factor: each rotation row is
+    # 0, so the product's max metric gives the shift's distances exactly
+    shift = sy.FullShift.uniform(2, side=side, window=window)
+    product = sy.ProductSystem((shift, sy.Rotation.golden()))
+    omegas = [sy.sample_point(shift, s) for s in range(4)] + [sy.PeriodicPoint((0,), 2, side=side)]
+    xs, ys = zip(*[(a, b) for i, a in enumerate(omegas) for b in omegas[i + 1 :]])
+    times = [0, 1, 2, 3, 5, 8, 1000, 2**40, 3]
+    if side == sy.TWO_SIDED:
+        times += [-1, -7, -(2**40)]
+    times = np.array(times, dtype=np.int64)
+    expected = sy.distance_series(shift, xs, ys, times)
+    theta = sy.sample_point(sy.Rotation.golden(), 3)
+    got = sy.distance_series(product, [(x, theta) for x in xs], [(y, theta) for y in ys], times)
+    assert got.tobytes() == expected.tobytes()
+    # half a turn away from theta, the last point leaves the fibre: its
+    # pairs are at least 1/2 apart, and the others keep their rows
+    moved = (omegas[-1], (theta + sy.FRACTION_MOD // 2) % sy.FRACTION_MOD)
+    ys_moved = [moved if y is omegas[-1] else (y, theta) for y in ys]
+    got = sy.distance_series(product, [(x, theta) for x in xs], ys_moved, times)
+    leaves = np.array([y is omegas[-1] for y in ys])
+    assert got[~leaves].tobytes() == expected[~leaves].tobytes()
+    assert (got[leaves] == np.maximum(expected[leaves], 0.5)).all()
+    assert (got[leaves] != expected[leaves]).any(axis=1).all()
+
+
 def _random_point(system, rng):
     return sy.sample_point(system, rng.getrandbits(63))
 
@@ -653,10 +682,7 @@ def fraction_distance(system, x, y, span=200):
         delta = abs(x - y)
         return Fraction(min(delta, sy.FRACTION_MOD - delta), sy.FRACTION_MOD)
     if isinstance(system, sy.ProductSystem):
-        return sum(
-            Fraction(1, 2 ** (j + 1)) * fraction_distance(c, xc, yc, span)
-            for j, (c, xc, yc) in enumerate(zip(system.components, x, y))
-        )
+        return max(fraction_distance(c, xc, yc, span) for c, xc, yc in zip(system.components, x, y))
     lo = 1 - span if system.side == sy.TWO_SIDED else 0
     idx = np.arange(lo, span)
     differ = (np.flatnonzero(x.coordinates(idx) != y.coordinates(idx)) + lo).tolist()
