@@ -450,23 +450,34 @@ def _check_writable(out: str) -> None:
 
 def _write_artifacts(out_path: Path, manifest: dict, output: RunOutput, summary: dict) -> None:
     """Write every artifact into a fresh directory next to ``out_path``, then
-    move each into ``out_path`` once the last write has succeeded, so a
-    failing write adds no file to ``out_path``.  The fresh directory is
-    removed whatever happens."""
+    move them in once the last write has succeeded, so a failing write
+    leaves ``out_path`` as it was.  A new ``out_path`` is that directory,
+    renamed in one step.  Into an existing one each file is moved, after
+    a check that no artifact name there is taken by anything but a file.
+    The staging area is removed whatever happens."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    staged = Path(tempfile.mkdtemp(prefix=f".{out_path.name}.", dir=out_path.parent))
+    tmp = Path(tempfile.mkdtemp(prefix=f".{out_path.name}.", dir=out_path.parent))
     try:
+        staged = tmp / "out"
+        staged.mkdir()  # with the mode of any new directory, unlike tmp's 0o700
         write_json(staged / "manifest.json", manifest)
         write_json(staged / "result.json", output.result_json)
         write_csv(staged / "result.csv", *output.csv)
         for name, obj in output.extra_json.items():
             write_json(staged / name, obj)
         write_json(staged / "summary.json", summary)
-        out_path.mkdir(exist_ok=True)
-        for artifact in staged.iterdir():
+        if not out_path.exists():
+            os.rename(staged, out_path)
+            return
+        artifacts = list(staged.iterdir())
+        for artifact in artifacts:
+            target = out_path / artifact.name
+            if target.exists() and not target.is_file():
+                raise OSError(f"{target} exists and is not a file")
+        for artifact in artifacts:
             os.replace(artifact, out_path / artifact.name)
     finally:
-        shutil.rmtree(staged, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def run_config(

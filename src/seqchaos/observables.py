@@ -96,10 +96,12 @@ class CylinderIndicator(Observable):
         if not rows.symbolic:
             raise DomainError("cylinder observable needs a symbolic point")
         ts = np.asarray(times, dtype=np.int64)
-        out = np.ones((len(rows), len(ts)), dtype=bool)
+        out = None
         for c, s in self.constraints:
-            out &= sy.coordinates_of(rows, sy._offset(ts, c)) == s
-        return out.astype(np.float64)
+            symbols = sy.coordinates_of(rows, sy._offset(ts, c))
+            hit = np.equal(symbols, s, out=symbols.view(np.float64))  # 1.0 or 0.0, in place
+            out = hit if out is None else np.multiply(out, hit, out=out)
+        return np.ones((len(rows), len(ts))) if out is None else out
 
     def integral(self, system) -> float | None:
         self._check_shift(system)
@@ -176,9 +178,11 @@ class ProductOf(Observable):
         if not isinstance(system, sy.ProductSystem) or len(system.components) != k:
             raise DomainError("factor count must match the product components")
         factor_rows = sy.Rows.of(points).factors(k)
-        out = np.ones((len(points), len(times)), dtype=np.float64)
-        for f, comp, rows in zip(self.factors, system.components, factor_rows):
-            out *= f.series(comp, rows, times)
+        values = (f.series(c, rows, times)
+                  for f, c, rows in zip(self.factors, system.components, factor_rows))
+        out = next(values)  # each factor's series is a fresh float64 array
+        for v in values:
+            out *= v
         return out
 
     def integral(self, system) -> float | None:

@@ -42,13 +42,15 @@ def prf64(seed: int, n: int) -> int:
 
 
 def _splitmix64_np(z: np.ndarray) -> np.ndarray:
-    """:func:`splitmix64` of every entry of the uint64 array ``z``, in place."""
+    """:func:`splitmix64` of every entry of the uint64 array ``z``, in place;
+    one scratch array holds each of the three shifts."""
+    shifted = np.empty_like(z)
     z += np.uint64(PHI64)
-    z ^= z >> np.uint64(30)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_SM_MULT1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(_SM_MULT2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 

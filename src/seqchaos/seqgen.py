@@ -167,7 +167,9 @@ class SequenceSpec:
 # A floor family's candidates come in int64 blocks of _FLOOR_BLOCK while no
 # value they form can pass _INT64_SAFE, so nothing wraps; after that in
 # object blocks of Python ints, doubling up to _EXACT_BLOCK candidates, on
-# which the same array code runs exactly.
+# which the same array code runs exactly.  An int64 block is worked in place:
+# in its candidates, in one array of floors that every block reuses and, for
+# a power, in one scratch array, so generation holds one block of temporaries.
 _FLOOR_FAMILIES = ("PolynomialFloor", "FractionalPowerFloor")
 _FLOOR_BLOCK = 1 << 16
 _EXACT_BLOCK = 1 << 10
@@ -249,15 +251,16 @@ def _power_is_safe(base: int, exponent: int) -> bool:
     return exponent * (base.bit_length() - 1) <= 62 and base**exponent <= _INT64_SAFE
 
 
-def _power_le(b: np.ndarray, q: int, x: np.ndarray) -> np.ndarray:
+def _power_le(b: np.ndarray, q: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``b**q <= x`` elementwise and exactly, for ``b >= 1``.
 
     An int64 ``b`` whose power could pass 2**62 is cast to Python ints
-    (dtype object) first, so nothing wraps.
+    (dtype object) first, so nothing wraps.  Given a boolean ``out``, the
+    result goes there and an int64 ``b`` is raised in place.
     """
     if not _power_is_safe(int(b.max()), q):
-        b = b.astype(object)
-    return b**q <= x
+        return np.less_equal(b.astype(object) ** q, x, out=out)
+    return np.less_equal(b**q if out is None else np.power(b, q, out=b), x, out=out)
 
 
 def _roots(x: np.ndarray, q: int, estimate: np.ndarray) -> np.ndarray:
@@ -278,39 +281,58 @@ def _roots(x: np.ndarray, q: int, estimate: np.ndarray) -> np.ndarray:
     return r
 
 
-def _power_floors(p: int, q: int, k: np.ndarray) -> np.ndarray:
+def _power_floors(p: int, q: int, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """floor(k**(p/q)) for a block of candidates k, with every root at or
-    past 2**63 sent to 2**63.
+    past 2**63 sent to 2**63, into ``out`` when given.
 
     An int64 block has every k**p <= 2**62: its float64 root is within one
     of the floor (the root is below 2**31), and the two loops step it to
-    the exact floor whatever it is.  An object block takes Newton steps
-    (`_roots`) on k**p clipped at 2**(63q), whose root is 2**63.
+    the exact floor whatever it is.  It runs in place: k becomes k**p, and
+    one scratch array holds the float roots and then each step's powers.
+    An object block takes Newton steps (`_roots`) on k**p clipped at
+    2**(63q), whose root is 2**63.
     """
+    if out is None:
+        out = np.empty(len(k), dtype=k.dtype)
     if k.dtype == object:
         with np.errstate(over="ignore"):  # far past 2**63, the estimate is inf
-            return _roots(np.minimum(k**p, 1 << 63 * q), q, k.astype(np.float64) ** (p / q))
-    x = k**p
-    r = np.maximum(np.floor(np.power(k.astype(np.float64), p / q)), 1).astype(np.int64)
-    while (high := ~_power_le(r, q, x)).any():
-        r -= high
-    while (low := _power_le(r + 1, q, x)).any():
-        r += low
-    return r
+            out[:] = _roots(np.minimum(k**p, 1 << 63 * q), q, k.astype(np.float64) ** (p / q))
+        return out
+    scratch, le = np.empty_like(k), np.empty(len(k), dtype=bool)
+    root = scratch.view(np.float64)
+    np.power(k, p / q, out=root)
+    np.floor(root, out=root)
+    np.copyto(out, np.maximum(root, 1, out=root), casting="unsafe")
+    x = np.power(k, p, out=k)
+    while True:  # down while r**q > x
+        np.copyto(scratch, out)
+        if _power_le(scratch, q, x, le).all():
+            break
+        out -= ~le
+    while _power_le(np.add(out, 1, out=scratch), q, x, le).any():  # up while (r + 1)**q <= x
+        out += le
+    return out
 
 
-def _candidates(fits) -> Iterator[np.ndarray]:
-    """The candidates k = 1, 2, ... in consecutive blocks: _FLOOR_BLOCK int64
-    k while ``fits`` holds at a block's last k, then Python ints (dtype
-    object) in blocks doubling from 1 to _EXACT_BLOCK candidates."""
+def _candidates(fits) -> Iterator[tuple[range, type]]:
+    """The candidates k = 1, 2, ... in consecutive ranges, each with the
+    dtype of its block: _FLOOR_BLOCK int64 k while ``fits`` holds at a
+    range's last k, then Python ints (dtype object) in ranges doubling
+    from 1 to _EXACT_BLOCK candidates."""
     k0 = 1
     while fits(k0 + _FLOOR_BLOCK - 1):
-        yield np.arange(k0, k0 + _FLOOR_BLOCK, dtype=np.int64)
+        yield range(k0, k0 + _FLOOR_BLOCK), np.int64
         k0 += _FLOOR_BLOCK
     size = 1
     while True:
-        yield np.array(range(k0, k0 + size), dtype=object)
+        yield range(k0, k0 + size), object
         k0, size = k0 + size, min(2 * size, _EXACT_BLOCK)
+
+
+def _candidate_array(ks: range, dtype: type) -> np.ndarray:
+    if dtype is np.int64:
+        return np.arange(ks.start, ks.stop, dtype=np.int64)
+    return np.array(ks, dtype=object)
 
 
 def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
@@ -320,7 +342,9 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
     exceeds max(0, every earlier candidate), so the terms are positive
     and strictly increasing.  The first kept term above MAX_TERM raises
     SequenceOverflowError(k), after the terms of its block before it
-    have been yielded.
+    have been yielded.  Every int64 block's floors go to one array, which
+    the block's running maxima overwrite and its kept terms are packed
+    into; each yielded block is a view of it, valid until the next.
     """
     if spec.family == "PolynomialFloor":
         denom = math.lcm(*(c.denominator for c in spec.coefficients))
@@ -329,36 +353,41 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
         def fits(k: int) -> bool:  # bounds every Horner partial at k
             return sum(abs(c) * k**i for i, c in enumerate(ints)) <= _INT64_SAFE
 
-        def floors(k: np.ndarray) -> np.ndarray:
-            acc = np.full(len(k), ints[-1], dtype=k.dtype)
+        def floors(k: np.ndarray, out: np.ndarray) -> None:
+            out[:] = ints[-1]
             for c in reversed(ints[:-1]):
-                acc *= k
-                acc += c
-            return acc // denom
+                out *= k
+                out += c
+            out //= denom
     else:
         p, q = spec.exponent.numerator, spec.exponent.denominator
 
         def fits(k: int) -> bool:
             return _power_is_safe(k, p)
 
-        def floors(k: np.ndarray) -> np.ndarray:
-            return _power_floors(p, q, k)
+        def floors(k: np.ndarray, out: np.ndarray) -> None:
+            _power_floors(p, q, k, out)
 
+    terms = np.empty(_FLOOR_BLOCK, dtype=np.int64)
     last = 0  # max(0, every candidate so far)
-    for k in _candidates(fits):
-        t = floors(k)
-        running = np.maximum.accumulate(t)
-        before = np.empty_like(t)
-        before[0] = last
-        np.maximum(running[:-1], last, out=before[1:])
-        keep = t > before
-        last = max(last, int(running[-1]))
+    for ks, dtype in _candidates(fits):
+        t = terms[: len(ks)] if dtype is np.int64 else np.empty(len(ks), dtype=object)
+        floors(_candidate_array(ks, dtype), t)  # the candidates die with the call
+        np.maximum(t, last, out=t)
+        np.maximum.accumulate(t, out=t)  # t[i] = max(0, every candidate up to i)
+        keep = np.empty(len(t), dtype=bool)
+        keep[0] = t[0] > last
+        np.greater(t[1:], t[:-1], out=keep[1:])  # a new maximum is a kept candidate
+        last = int(t[-1])
         if last > MAX_TERM:  # the first candidate above it is kept, and cuts the block
             cut = int(np.argmax(t > MAX_TERM))
             keep[cut:] = False
-        yield t[keep].astype(np.int64, copy=False)
+        n = np.count_nonzero(keep)
+        if n < len(t):
+            t[:n] = t[keep]
+        yield t[:n].astype(np.int64, copy=False)
         if last > MAX_TERM:
-            raise SequenceOverflowError(int(k[cut]))
+            raise SequenceOverflowError(ks[cut])
 
 
 def _slices(arrays) -> Iterator[np.ndarray]:
@@ -374,7 +403,9 @@ def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
 
     The prime sieve stops at a bound on the count-th prime; every other
     family ignores ``count``.  The first term above MAX_TERM raises
-    SequenceOverflowError with its index; Explicit simply ends.
+    SequenceOverflowError with its index; Explicit simply ends.  A floor
+    family's blocks are views of one array that its generator reuses, so
+    each is valid only until the next one is drawn.
     """
     # k**r with r < 1, whose floors climb by at most one, has the naturals as its terms
     if spec.family == "Naturals" or (spec.family == "FractionalPowerFloor" and spec.exponent < 1):

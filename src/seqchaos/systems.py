@@ -170,10 +170,11 @@ class SeededRandomPoint(SymbolicPoint):
         return self._symbols(prf64_np(self.seed, idx))
 
     def _symbols(self, h: np.ndarray) -> np.ndarray:
-        """The symbols that the PRF words ``h`` select under these weights."""
+        """The symbols, as int64, that the fresh PRF words ``h`` select under
+        these weights; two symbols are written over ``h`` in place."""
         if len(self._separators) == 1:
-            return (h >= self._separators[0]).astype(np.int64)
-        return np.searchsorted(self._separators, h, side="right").astype(np.int64)
+            return np.greater_equal(h, self._separators[0], out=h.view(np.int64))
+        return np.searchsorted(self._separators, h, side="right").astype(np.int64, copy=False)
 
 
 class Rows(tuple):
@@ -720,6 +721,7 @@ def rotation_orbit_fractions(system: Rotation, x0, times) -> np.ndarray:
         lo = x0_lo + u * a0
         hi = hi + x1
         hi += lo < x0_lo
-        out[..., start : start + len(t)] = hi >> _U64(11)  # exact: below 2**53
+        hi >>= _U64(11)
+        out[..., start : start + len(t)] = hi  # exact: below 2**53
     out *= 2.0**-53
     return out

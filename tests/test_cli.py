@@ -1,5 +1,6 @@
 import json
 import math
+import stat
 from unittest import mock
 
 import pytest
@@ -378,6 +379,38 @@ def test_a_failing_write_adds_no_artifact(tmp_path, capsys, existing):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
     assert sorted(p.name for p in out.iterdir()) == [
         "manifest.json", "result.csv", "result.json", "summary.json"]
+
+
+def test_an_artifact_name_taken_by_a_directory_leaves_out_unchanged(tmp_path, capsys):
+    # the names are checked before any file moves, so none lands beside the directory
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIGS["ConditionStarProfile"]))
+    out = tmp_path / "out"
+    (out / "result.json").mkdir(parents=True)
+    (out / "summary.json").write_text("earlier")
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {out}: {out / 'result.json'} exists and is not a file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert sorted(p.name for p in out.iterdir()) == ["result.json", "summary.json"]
+    assert (out / "summary.json").read_text() == "earlier"
+    assert not any((out / "result.json").iterdir())
+
+
+def test_a_new_out_is_the_staged_directory_renamed(tmp_path):
+    # one rename makes out, so no file is moved on its own; out has the mode
+    # of any new directory
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIGS["ConditionStarProfile"]))
+    out = tmp_path / "new" / "out"
+    with mock.patch.object(cli.os, "replace", side_effect=AssertionError("a file was moved")):
+        assert main(["run", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "result.csv", "result.json", "summary.json"]
+    sibling = tmp_path / "sibling"
+    sibling.mkdir()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(sibling.stat().st_mode)
 
 
 def test_overflow_refusal_comes_before_the_times():

@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from seqchaos import pool
@@ -29,7 +35,8 @@ class RecordingExecutor:
 def fake_pool(monkeypatch):
     RecordingExecutor.created = []
     RecordingExecutor.chunks = []
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
     return RecordingExecutor.created
 
@@ -41,7 +48,7 @@ def absolutes(chunk):
 @pytest.mark.parametrize(
     "workers, n_items, expected",
     [
-        (10**6, 50, [3]),  # capped at cpu_count
+        (10**6, 50, [3]),  # capped at the usable CPUs
         (64, 2, [2]),  # capped at the item count
         (2, 50, [2]),
         (1, 50, []),  # serial: no pool
@@ -57,9 +64,20 @@ def test_workers_clamped_to_cpus_and_items(fake_pool, workers, n_items, expected
 
 
 def test_unknown_cpu_count_runs_serially(fake_pool, monkeypatch):
+    # without an affinity mask the machine's count is the cap
+    monkeypatch.delattr(pool.os, "sched_getaffinity")
     monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
     assert parallel_map(absolutes, [-1, -2, -3], workers=4) == [1, 2, 3]
     assert fake_pool == []
+
+
+@pytest.mark.parametrize("affinity, workers, expected", [({0}, 2, []), ({1, 2}, 8, [2])])
+def test_workers_capped_at_the_affinity_mask(fake_pool, monkeypatch, affinity, workers, expected):
+    # under taskset -c 0 the machine still counts every CPU, the mask one
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: 4)
+    assert parallel_map(absolutes, [-i for i in range(10)], workers=workers) == list(range(10))
+    assert fake_pool == expected
 
 
 @pytest.mark.parametrize("workers, n_items", [(1, 5), (2, 5), (3, 5), (8, 5), (4, 1), (2, 0)])
@@ -80,3 +98,13 @@ def test_parallel_map_gets_at_most_one_chunk_per_worker(fake_pool, workers, n_it
         assert fake_pool == []  # the serial case is one call, with no pool
     else:
         assert RecordingExecutor.chunks == calls and all(calls)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: a serial run never loads the pool's import stack
+    src = str(Path(pool.__file__).resolve().parents[1])
+    probe = ("import sys, seqchaos.cli; "
+             "print(*[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

@@ -463,10 +463,10 @@ def test_short_prefix_reads_one_exact_sub_block():
     candidates = 0
     power_floors = seqgen._power_floors
 
-    def counting(p, q, k):
+    def counting(p, q, k, *out):
         nonlocal candidates
         candidates += len(k)
-        return power_floors(p, q, k)
+        return power_floors(p, q, k, *out)
 
     with mock.patch.object(seqgen, "_power_floors", counting):
         terms = seqgen._prefix(spec, 10)
@@ -572,6 +572,22 @@ def test_primes_sieve_peak_memory():
         tracemalloc.stop()
         times_array.cache_clear()
     assert peak < 16_000_000
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec.fractional_power_floor(Fraction(3, 2)),
+    SequenceSpec.polynomial_floor(["1/7", "1/3", "1/2"]),
+], ids=lambda spec: spec.describe())
+def test_floor_prefix_peak_memory(spec):
+    # beside the 8 MB output, one block's candidates, its floors and (for a
+    # power) one scratch array: fresh arrays at every step held 4.9 and 3.7 MB
+    tracemalloc.start()
+    try:
+        out = seqgen._prefix(spec, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2_000_000
 
 
 @settings(deadline=None, max_examples=200)

@@ -102,7 +102,7 @@ def test_two_symbol_coordinates_split_at_the_separator(monkeypatch):
     point = sy.SeededRandomPoint(3, (Fraction(1, 3), Fraction(2, 3)))
     sep = int(point._separators[0])
     words = np.array([0, sep - 1, sep, sep + 1, 2**64 - 1], dtype=np.uint64)
-    monkeypatch.setattr(sy, "prf64_np", lambda seed, counters: words)
+    monkeypatch.setattr(sy, "prf64_np", lambda seed, counters: words.copy())  # fresh, as prf64_np
     got = point.coordinates(np.arange(5)).tolist()
     assert got == [0, 0, 1, 1, 1]
     assert got == [bisect_right(point._separators.tolist(), int(w)) for w in words]
