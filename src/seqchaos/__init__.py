@@ -3,11 +3,7 @@ profiles, and mean Li-Yorke chaos experiments on explicit symbolic systems."""
 
 __version__ = "0.1.0"
 
-from .averaging import (
-    disintegration_consistency,
-    ergodic_average,
-    very_good_deviation,
-)
+from .averaging import disintegration_consistency, ergodic_average, max_deviation
 from .chaos import (
     ScrambledFamilyCertificate,
     ScrambledVerification,
@@ -39,7 +35,6 @@ from .seqgen import (
     SequenceSpec,
     close_pair_count,
     close_pair_profile,
-    generate_prefix,
     times_array,
 )
 from .systems import (

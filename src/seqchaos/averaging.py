@@ -224,8 +224,10 @@ def sampled_averages(
 
     :func:`ergodic_average` takes each chunk that :func:`parallel_map`
     cuts as rows; every row's sum is exact, so no average depends on how
-    the points were cut.
+    the points were cut.  An empty ``points`` is refused.
     """
+    if not points:
+        raise ConfigError("need at least one point")
     return parallel_map(partial(_averages, system, f, seq, n_terms), points, workers=workers)
 
 
@@ -242,19 +244,6 @@ def _integral(system, f: Observable) -> float:
     return target
 
 
-def very_good_deviation(
-    system,
-    seeds: Sequence[int],
-    f: Observable,
-    seq: SequenceSpec,
-    n_terms: int,
-    workers: int = 1,
-) -> float:
-    """max over the points sampled from ``seeds`` of |A_N f(x) - integral(f)|."""
-    points = [sy.sample_point(system, s) for s in seeds]
-    return max_deviation(system, points, f, seq, n_terms, workers)
-
-
 def max_deviation(
     system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int, workers: int = 1
 ) -> float:
@@ -265,22 +254,13 @@ def max_deviation(
 
 
 def disintegration_consistency(
-    system,
-    f: Observable,
-    seq: SequenceSpec,
-    n_terms: int,
-    sample_count: int,
-    seed: int,
-    workers: int = 1,
+    system, points: Sequence, f: Observable, seq: SequenceSpec, n_terms: int, workers: int = 1
 ) -> float:
-    """|mean_j A_N f(x_j) - integral(f)| over sample_count sampled points.
+    """|mean_j A_N f(x_j) - integral(f)| over the sampled ``points``.
 
     Monte-Carlo form of the identity that averaging the per-point limits
     against the invariant measure recovers the space average.
     """
     target = _integral(system, f)
-    if sample_count < 1:
-        raise ConfigError("sample_count must be >= 1")
-    points = sample_points(system, seed, sample_count)
     averages = sampled_averages(system, points, f, seq, n_terms, workers)
-    return abs(math.fsum(averages) / sample_count - target)
+    return abs(math.fsum(averages) / len(points) - target)

@@ -310,10 +310,8 @@ def _condition_star_profile(p, workers: int) -> RunOutput:
 
 @_experiment("VeryGoodDeviation", "max |A_N f - integral f| over sampled points", *_AVERAGES)
 def _very_good_deviation(p, workers: int) -> RunOutput:
-    seeds = [child_seed(p.seed, f"seed/{j}") for j in range(p.samples)]
-    deviation = av.very_good_deviation(
-        p.system, seeds, p.observable, p.sequence, p.n_terms, workers=workers
-    )
+    points = [sy.sample_point(p.system, child_seed(p.seed, f"seed/{j}")) for j in range(p.samples)]
+    deviation = av.max_deviation(p.system, points, p.observable, p.sequence, p.n_terms, workers)
     result = {"deviation": deviation, "integral": p.observable.integral(p.system),
               "samples": p.samples}
     return _one_number(p, "deviation", "deviation", deviation, result)
@@ -322,9 +320,9 @@ def _very_good_deviation(p, workers: int) -> RunOutput:
 @_experiment("DisintegrationConsistency",
              "|mean_j A_N f(x_j) - integral f| Monte-Carlo identity", *_AVERAGES)
 def _disintegration_consistency(p, workers: int) -> RunOutput:
-    gap = av.disintegration_consistency(
-        p.system, p.observable, p.sequence, p.n_terms, p.samples, p.seed, workers=workers
-    )
+    points = av.sample_points(p.system, p.seed, p.samples)
+    gap = av.disintegration_consistency(p.system, points, p.observable, p.sequence, p.n_terms,
+                                        workers)
     result = {"consistency_gap": gap, "integral": p.observable.integral(p.system)}
     return _one_number(p, "consistency_gap", "gap", gap, result)
 

@@ -95,7 +95,7 @@ class CylinderIndicator(Observable):
         self._check_shift(system, rows)
         if not rows.symbolic:
             raise DomainError("cylinder observable needs a symbolic point")
-        ts = np.asarray(times, dtype=np.int64)
+        ts = sy._as_times(times)
         out = None
         for c, s in self.constraints:
             symbols = sy.coordinates_of(rows, sy._offset(ts, c))

@@ -88,28 +88,20 @@ def fiber_constancy_report(
     """
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
-    if not thetas:
+    fractions = tuple(Fraction(t) for t in thetas)
+    if not fractions:
         raise ConfigError("need at least one theta")
+    if not all(0 <= fr < 1 for fr in fractions):
+        raise ConfigError("theta must lie in [0, 1)")
+    theta_points = [(fr.numerator << sy.FRACTION_BITS) // fr.denominator for fr in fractions]
+    points = [
+        (sy.sample_point(shift, child_seed(seed, f"theta/{fi}/omega/{j}")), theta_point)
+        for fi, theta_point in enumerate(theta_points) for j in range(sample_count)
+    ]
     product = sy.ProductSystem((shift, rotation))
-    points = []
-    for fi, theta in enumerate(thetas):
-        fr = Fraction(theta)
-        if not (0 <= fr < 1):
-            raise ConfigError("theta must lie in [0, 1)")
-        theta_point = (fr.numerator << sy.FRACTION_BITS) // fr.denominator
-        for j in range(sample_count):
-            omega = sy.sample_point(shift, child_seed(seed, f"theta/{fi}/omega/{j}"))
-            points.append((omega, theta_point))
     flat = sampled_averages(product, points, f, seq, n_terms, workers)
-    values = tuple(
-        tuple(flat[fi * sample_count : (fi + 1) * sample_count]) for fi in range(len(thetas))
-    )
-    return FiberReport(
-        thetas=tuple(Fraction(t) for t in thetas),
-        sample_count=sample_count,
-        n_terms=n_terms,
-        values=values,
-    )
+    values = tuple(tuple(flat[i : i + sample_count]) for i in range(0, len(flat), sample_count))
+    return FiberReport(fractions, sample_count, n_terms, values)
 
 
 def kolmogorov_limit_check(
@@ -136,13 +128,14 @@ def _spread(values: Sequence[float]) -> float:
     return 2.0 * math.sqrt(var)
 
 
-def _lacunary_terms(seq: SequenceSpec) -> int:
-    """How many terms the lacunary side has: a finite family is required."""
-    if seq.family == "Lacunary":
-        return lacunary_max_terms(seq.base)
-    if seq.family == "Explicit":
-        return len(seq.explicit_terms)
-    raise ConfigError(f"the lacunary sequence must be Lacunary or Explicit, got {seq.describe()}")
+def _lacunary_terms(seq: SequenceSpec, n_terms: int) -> int:
+    """How many terms the finite lacunary side has; fewer than ``n_terms`` is refused."""
+    if seq.family not in ("Lacunary", "Explicit"):
+        raise ConfigError(f"the lacunary sequence must be Lacunary or Explicit, got {seq.describe()}")
+    cap = lacunary_max_terms(seq.base) if seq.family == "Lacunary" else len(seq.explicit_terms)
+    if n_terms > cap:
+        raise ConfigError(f"{seq.describe()} has only {cap} terms")
+    return cap
 
 
 def lacunary_dispersion_contrast(
@@ -151,23 +144,19 @@ def lacunary_dispersion_contrast(
     good_seq: SequenceSpec,
     lacunary_seq: SequenceSpec,
     n_terms: int,
-    sample_count: int,
-    seed: int,
+    points: Sequence,
     workers: int = 1,
 ) -> tuple[float, float]:
     """Dispersion of per-point averages at matched term count K.
 
     Returns (good, lacunary) where each entry is twice the sample
-    standard deviation of {A_K f(x_j)} over ``sample_count`` points.
-    At matched small K both sequences show the same binomial-scale
-    spread; the difference is structural: the good sequence keeps going
-    (see :func:`lacunary_contrast_report`), the lacunary one runs out of
+    standard deviation of {A_K f(x)} over ``points``.  At matched small
+    K both sequences show the same binomial-scale spread; the difference
+    is structural: the good sequence keeps going (see
+    :func:`lacunary_contrast_report`), the lacunary one runs out of
     representable terms.
     """
-    cap = _lacunary_terms(lacunary_seq)
-    if n_terms > cap:
-        raise ConfigError(f"{lacunary_seq.describe()} has only {cap} terms")
-    points = sample_points(shift, seed, sample_count)
+    _lacunary_terms(lacunary_seq, n_terms)
     good = _spread(sampled_averages(shift, points, f, good_seq, n_terms, workers))
     lacunary = _spread(sampled_averages(shift, points, f, lacunary_seq, n_terms, workers))
     return good, lacunary
@@ -204,13 +193,14 @@ def lacunary_contrast_report(
     extended_terms: int = 100_000,
     workers: int = 1,
 ) -> LacunaryContrastReport:
-    """Matched-K contrast plus the long-horizon run the lacunary side lacks."""
-    good_disp, lac_disp = lacunary_dispersion_contrast(
-        shift, f, good_seq, lacunary_seq, n_terms, sample_count, seed, workers=workers
-    )
+    """Matched-K contrast plus the long-horizon run the lacunary side lacks,
+    both over the same ``sample_count`` points sampled under ``seed``."""
+    cap = _lacunary_terms(lacunary_seq, n_terms)
     points = sample_points(shift, seed, sample_count)
+    good_disp, lac_disp = lacunary_dispersion_contrast(
+        shift, f, good_seq, lacunary_seq, n_terms, points, workers
+    )
     good_ext = _spread(sampled_averages(shift, points, f, good_seq, extended_terms, workers))
-    cap = _lacunary_terms(lacunary_seq)
     return LacunaryContrastReport(
         matched_terms=n_terms,
         good_dispersion=good_disp,

@@ -14,7 +14,7 @@ condition separating the catalogued families from lacunary ones.
 Each family has one generator, a source of int64 blocks of at most 2**16
 consecutive terms (`_blocks`); the primes come from an odd-only
 segmented sieve, Thue-Morse from one table of 2**16 digit-sum parities.
-Prefixes (`times_array`, `generate_prefix`) fill one array from it, and
+A prefix (`times_array`) fills one array from it, and
 `close_pair_profile` counts pairs one block at a time, looking back from
 each term over its few earlier neighbours within the gap, and keeping
 only the terms within the gap of the newest one.  It reads a prefix that
@@ -48,15 +48,16 @@ from .errors import ConfigError, SequenceOverflowError
 
 MAX_TERM = (1 << 63) - 1
 
-FAMILIES = (
-    "Naturals",
-    "Primes",
-    "PolynomialFloor",
-    "FractionalPowerFloor",
-    "ThueMorseReturnTimes",
-    "Lacunary",
-    "Explicit",
-)
+# each family and the one parameter field it takes, if any
+FAMILIES = {
+    "Naturals": None,
+    "Primes": None,
+    "PolynomialFloor": "coefficients",
+    "FractionalPowerFloor": "exponent",
+    "ThueMorseReturnTimes": None,
+    "Lacunary": "base",
+    "Explicit": "explicit_terms",
+}
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,9 @@ class SequenceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown sequence family {self.family!r}")
+        for name in ("coefficients", "exponent", "base", "explicit_terms"):
+            if getattr(self, name) is not None and name != FAMILIES[self.family]:
+                raise ConfigError(f"{self.family} takes no {name}")
         if self.family == "PolynomialFloor":
             c = self.coefficients
             if not c or len(c) < 2:
@@ -391,10 +395,11 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
 
 
 def _slices(arrays) -> Iterator[np.ndarray]:
-    """Each array in views of at most _FLOOR_BLOCK terms."""
+    """Each array in views of at most _FLOOR_BLOCK terms, dropped before the next is drawn."""
     for a in arrays:
         for lo in range(0, len(a), _FLOOR_BLOCK):
             yield a[lo : lo + _FLOOR_BLOCK]
+        del a
 
 
 def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
@@ -435,17 +440,13 @@ def _prefix(spec: SequenceSpec, count: int) -> np.ndarray:
     for block in _blocks(spec, count):
         take = min(len(block), count - filled)
         out[filled : filled + take] = block[:take]
+        del block  # a view of a sieve segment keeps it alive while the next is sieved
         filled += take
         if filled == count:
             break
     else:
         raise ConfigError(f"{spec.describe()} has only {filled} terms, {count} requested")
     return out
-
-
-def generate_prefix(spec: SequenceSpec, count: int) -> list[int]:
-    """First ``count`` terms a_1..a_count; deterministic and exact."""
-    return _prefix(spec, count).tolist()
 
 
 def _physical_memory() -> int | None:

@@ -1,7 +1,7 @@
 """Scalar oracles: the metric and the coordinate reads written per class,
 one coordinate at a time, independent of the vectorized code under test;
-the action T**m on one point; and the ergodic average of one point at a
-time.
+the action T**m on one point; the ergodic average of one point at a
+time; and a sequence prefix as a list of ints, freshly generated.
 
 Also the test-only point kinds and observable that the library does not
 ship: shifted views of a point, two-sided tapes joined from two one-sided
@@ -21,7 +21,7 @@ import seqchaos.systems as sy
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import Observable
 from seqchaos.prf import prf64
-from seqchaos.seqgen import times_array
+from seqchaos.seqgen import _prefix, times_array
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,12 @@ def oracle_series(system, x, y, times):
         oracle_distance(system, iterate(system, x, int(m)), iterate(system, y, int(m)))
         for m in times
     ]
+
+
+def generate_prefix(spec, count):
+    """First ``count`` terms a_1..a_count as ints, generated again on every
+    call, outside the ``times_array`` cache."""
+    return _prefix(spec, count).tolist()
 
 
 def oracle_average(system, x, f, seq, n_terms):

@@ -15,7 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 import seqchaos.systems as sy
-from seqchaos.averaging import disintegration_consistency, ergodic_average, very_good_deviation
+from seqchaos.averaging import (
+    disintegration_consistency,
+    ergodic_average,
+    max_deviation,
+    sample_points,
+)
 from seqchaos.chaos import (
     build_scrambled_family,
     random_tuple_scan,
@@ -25,9 +30,9 @@ from seqchaos.chaos import (
 from seqchaos.cli import main as cli_main
 from seqchaos.observables import CylinderIndicator, ProductOf, TrigOnRotation
 from seqchaos.pinsker import fiber_constancy_report
-from seqchaos.seqgen import SequenceSpec, close_pair_count, close_pair_profile, generate_prefix
+from seqchaos.seqgen import SequenceSpec, close_pair_count, close_pair_profile
 
-from oracles import LinearCombination, iterate
+from oracles import LinearCombination, generate_prefix, iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
@@ -85,10 +90,10 @@ def test_criterion_2_pair_count_bound_and_oracle():
 
 def test_criterion_3_very_good_deviation_at_scale():
     f = TrigOnRotation(1, "cos")
-    seeds = list(range(10))
+    points = [sy.sample_point(GOLDEN, s) for s in range(10)]
     started = time.perf_counter()
-    dev_naturals = very_good_deviation(GOLDEN, seeds, f, NATURALS, 10**6)
-    dev_power = very_good_deviation(GOLDEN, seeds, f, POW32, 10**6)
+    dev_naturals = max_deviation(GOLDEN, points, f, NATURALS, 10**6)
+    dev_power = max_deviation(GOLDEN, points, f, POW32, 10**6)
     elapsed = time.perf_counter() - started
     ok = dev_naturals < 0.01 and dev_power < 0.05 and elapsed <= 60.0
     _report(
@@ -118,10 +123,10 @@ def test_criterion_4_bernoulli_collapse_along_primes():
 
 def test_criterion_5_disintegration_identity():
     gap_shift = disintegration_consistency(
-        FAIR, CylinderIndicator(((0, 0),)), PRIMES, 10_000, 200, seed=55
+        FAIR, sample_points(FAIR, 55, 200), CylinderIndicator(((0, 0),)), PRIMES, 10_000
     )
     gap_rot = disintegration_consistency(
-        GOLDEN, TrigOnRotation(1, "cos"), NATURALS, 100_000, 50, seed=55
+        GOLDEN, sample_points(GOLDEN, 55, 50), TrigOnRotation(1, "cos"), NATURALS, 100_000
     )
     ok = gap_shift < 0.01 and gap_rot < 0.01
     _report(

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import seqchaos.systems as sy
 from seqchaos import averaging, chaos
-from seqchaos.averaging import disintegration_consistency, ergodic_average, very_good_deviation
+from seqchaos.averaging import (
+    disintegration_consistency,
+    ergodic_average,
+    max_deviation,
+    sample_points,
+)
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import (
     Constant,
@@ -18,9 +23,9 @@ from seqchaos.observables import (
     ProductOf,
     TrigOnRotation,
 )
-from seqchaos.seqgen import SequenceSpec, generate_prefix
+from seqchaos.seqgen import SequenceSpec
 
-from oracles import LinearCombination, iterate
+from oracles import LinearCombination, generate_prefix, iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
@@ -30,8 +35,6 @@ PRIMES = SequenceSpec.primes()
 
 def brute_average(system, x, f, seq, n):
     # reference path: explicit orbit iteration, no vectorization
-    from seqchaos.seqgen import generate_prefix
-
     vals = [f.value(system, iterate(system, x, m)) for m in generate_prefix(seq, n)]
     return math.fsum(vals) / n
 
@@ -372,11 +375,16 @@ def test_trace_checkpoints_equal_fsum_of_the_series(system, x, f):
 # deviation from the declared integral
 
 
+def seeded(system, seeds):
+    """The points of ``system`` sampled from each of ``seeds``."""
+    return [sy.sample_point(system, s) for s in seeds]
+
+
 def test_deviation_requires_declared_integral():
     prod = sy.ProductSystem((FAIR, GOLDEN))
     f = CylinderIndicator(((0, 0),))
     with pytest.raises(ConfigError):
-        very_good_deviation(prod, [1, 2], f, NATURALS, 10)
+        max_deviation(prod, seeded(prod, [1, 2]), f, NATURALS, 10)
 
 
 def test_golden_rotation_deviation_with_closed_form_bound():
@@ -386,22 +394,23 @@ def test_golden_rotation_deviation_with_closed_form_bound():
     alpha = sy.GOLDEN_CONJUGATE / 2.0**128
     dist_to_int = min(alpha, 1 - alpha)
     bound = 1 / (2 * dist_to_int) / n
-    dev = very_good_deviation(GOLDEN, list(range(10)), f, NATURALS, n)
+    dev = max_deviation(GOLDEN, seeded(GOLDEN, range(10)), f, NATURALS, n)
     assert dev <= bound + 1e-12
     assert dev < 0.01
 
 
 def test_fractional_power_deviation_desk_scale():
     f = TrigOnRotation(1, "cos")
-    dev = very_good_deviation(
-        GOLDEN, list(range(5)), f, SequenceSpec.fractional_power_floor(Fraction(3, 2)), 20_000
+    dev = max_deviation(
+        GOLDEN, seeded(GOLDEN, range(5)), f, SequenceSpec.fractional_power_floor(Fraction(3, 2)),
+        20_000,
     )
     assert dev < 0.05
 
 
 def test_bernoulli_cylinder_deviation():
     f = CylinderIndicator(((0, 0),))
-    dev = very_good_deviation(FAIR, list(range(100)), f, NATURALS, 100_000)
+    dev = max_deviation(FAIR, seeded(FAIR, range(100)), f, NATURALS, 100_000)
     assert dev < 0.02
 
 
@@ -410,23 +419,33 @@ def test_bernoulli_cylinder_deviation():
 
 
 def test_constant_observable_gap_is_zero():
-    assert disintegration_consistency(FAIR, Constant(1.0), NATURALS, 100, 20, seed=4) == 0.0
+    points = sample_points(FAIR, 4, 20)
+    assert disintegration_consistency(FAIR, points, Constant(1.0), NATURALS, 100) == 0.0
+
+
+def test_averages_refuse_no_points():
+    with pytest.raises(ConfigError, match="at least one point"):
+        disintegration_consistency(FAIR, [], Constant(1.0), NATURALS, 100)
+    with pytest.raises(ConfigError, match="at least one point"):
+        max_deviation(FAIR, [], Constant(1.0), NATURALS, 100)
 
 
 def test_bernoulli_primes_consistency_desk_scale():
     gap = disintegration_consistency(
-        FAIR, CylinderIndicator(((0, 0),)), PRIMES, 10_000, 200, seed=6
+        FAIR, sample_points(FAIR, 6, 200), CylinderIndicator(((0, 0),)), PRIMES, 10_000
     )
     assert gap < 0.01
 
 
 def test_rotation_consistency_desk_scale():
-    gap = disintegration_consistency(GOLDEN, TrigOnRotation(1, "cos"), NATURALS, 10_000, 50, seed=6)
+    points = sample_points(GOLDEN, 6, 50)
+    gap = disintegration_consistency(GOLDEN, points, TrigOnRotation(1, "cos"), NATURALS, 10_000)
     assert gap < 0.01
 
 
 def test_parallel_map_over_seeds_matches_serial():
     f = CylinderIndicator(((0, 0),))
-    serial = very_good_deviation(FAIR, list(range(8)), f, PRIMES, 500, workers=1)
-    parallel = very_good_deviation(FAIR, list(range(8)), f, PRIMES, 500, workers=2)
+    points = seeded(FAIR, range(8))
+    serial = max_deviation(FAIR, points, f, PRIMES, 500, workers=1)
+    parallel = max_deviation(FAIR, points, f, PRIMES, 500, workers=2)
     assert serial == parallel

@@ -23,9 +23,9 @@ from seqchaos.chaos import (
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.prf import child_seed
 from seqchaos.reporting import json_dumps
-from seqchaos.seqgen import MAX_TERM, SequenceSpec, generate_prefix
+from seqchaos.seqgen import MAX_TERM, SequenceSpec
 
-from oracles import ShiftedPoint, iterate, oracle_series
+from oracles import ShiftedPoint, generate_prefix, iterate, oracle_series
 
 FAIR = sy.FullShift.uniform(2)
 NATURALS = SequenceSpec.naturals()

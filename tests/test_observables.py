@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqchaos.systems as sy
-from seqchaos.errors import DomainError
+from seqchaos.errors import DomainError, SequenceOverflowError
 from seqchaos.observables import (
     TWO_PI,
     Constant,
@@ -228,6 +228,16 @@ def test_cylinder_coordinate_past_int64_raises_instead_of_wrapping():
     assert low.series(TWO_SIDED, two_sided, [-(2**63) + 1]).tolist() == [[1.0]]
     with pytest.raises(DomainError):
         low.series(TWO_SIDED, two_sided, [-(2**63)])
+
+
+@pytest.mark.parametrize("time", [2**63, -(2**63) - 1])
+def test_cylinder_time_outside_int64_is_a_sequence_overflow(time):
+    # as for the rotation and the distances, which the CLI maps to exit 3
+    points = [sy.sample_point(BIASED, 1)]
+    with pytest.raises(SequenceOverflowError, match="time #1"):
+        CylinderIndicator(((0, 0),)).series(BIASED, points, [1, time])
+    with pytest.raises(SequenceOverflowError, match="time #1"):
+        TrigOnRotation(1).series(GOLDEN, [0], [1, time])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import seqchaos.systems as sy
-from seqchaos.averaging import ergodic_average
+from seqchaos import pinsker
+from seqchaos.averaging import ergodic_average, sample_points
 from seqchaos.errors import ConfigError
 from seqchaos.observables import Constant, CylinderIndicator, ProductOf, TrigOnRotation
 from seqchaos.pinsker import (
@@ -123,7 +124,8 @@ def test_kolmogorov_requires_integral():
 
 def test_constant_observable_contrast_is_zero():
     good, lac = lacunary_dispersion_contrast(
-        FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2), 60, 50, seed=6
+        FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2), 60,
+        sample_points(FAIR, 6, 50),
     )
     assert (good, lac) == (0.0, 0.0)
 
@@ -131,10 +133,10 @@ def test_constant_observable_contrast_is_zero():
 def test_contrast_deterministic_per_seed():
     f = CylinderIndicator(((0, 0),))
     a = lacunary_dispersion_contrast(
-        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2), 30, 40, seed=9
+        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2), 30, sample_points(FAIR, 9, 40)
     )
     b = lacunary_dispersion_contrast(
-        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2), 30, 40, seed=9
+        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2), 30, sample_points(FAIR, 9, 40)
     )
     assert a == b
 
@@ -156,5 +158,47 @@ def test_contrast_matched_band_and_structural_cap():
 def test_contrast_rejects_too_many_lacunary_terms():
     with pytest.raises(ConfigError):
         lacunary_dispersion_contrast(
-            FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2), 63, 5, seed=0
+            FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2), 63,
+            sample_points(FAIR, 0, 5),
         )
+
+
+def test_contrast_report_samples_its_points_once(monkeypatch):
+    # the matched and the extended averages read one list of points
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_points(*args)
+
+    monkeypatch.setattr(pinsker, "sample_points", counted)
+    rep = lacunary_contrast_report(
+        FAIR, CylinderIndicator(((0, 0),)), SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+        n_terms=30, sample_count=20, seed=9, extended_terms=1000,
+    )
+    assert calls == [(FAIR, 9, 20)]
+    assert rep.good_dispersion > 0
+
+
+def test_contrast_report_checks_the_lacunary_cap_before_sampling(monkeypatch):
+    def never(*args):
+        raise AssertionError("the cap must be checked before any point is sampled")
+
+    monkeypatch.setattr(pinsker, "sample_points", never)
+    with pytest.raises(ConfigError, match="has only 62 terms"):
+        lacunary_contrast_report(
+            FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+            n_terms=63, sample_count=10**9, seed=0,
+        )
+
+
+def test_no_points_are_refused():
+    # with no points the spread read 0.0 and the deviation a bare ValueError
+    f = CylinderIndicator(((0, 0),))
+    with pytest.raises(ConfigError, match="at least one point"):
+        lacunary_contrast_report(
+            FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+            n_terms=30, sample_count=0, seed=1, extended_terms=1000,
+        )
+    with pytest.raises(ConfigError, match="at least one point"):
+        kolmogorov_limit_check(FAIR, f, SequenceSpec.naturals(), 10, 0, 1)
