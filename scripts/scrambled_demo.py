@@ -8,7 +8,7 @@ averages next to them.
 
 from seqchaos import FullShift, SequenceSpec, build_scrambled_family, verify_scrambled
 
-seq = SequenceSpec.primes()
+seq = SequenceSpec("Primes")
 points, cert = build_scrambled_family(seq, tuple_size=2, growth=10, phase_pairs=2, window=48)
 
 print(f"sequence: {cert.sequence}")

@@ -178,6 +178,8 @@ def build_scrambled_family(
     if s < tuple_size:
         raise ConfigError("alphabet_size must be >= tuple_size")
 
+    if 2 * phase_pairs * (growth.bit_length() - 1) >= 63 or growth ** (2 * phase_pairs) > MAX_TERM:
+        raise ConfigError(f"the last checkpoint growth**{2 * phase_pairs} passes 2**63 - 1 terms")
     n_checkpoints = [growth**t for t in range(1, 2 * phase_pairs + 1)]
     n_max = n_checkpoints[-1]
     a = times_array(seq, n_max)

@@ -164,7 +164,8 @@ def _build(d, path: str, tag: str, table: dict, what: str):
 
 
 def parse_sequence(d, path: str, minimum=None) -> sg.SequenceSpec:
-    return _build(d, path, "family", FAMILIES, "family")
+    family, fields = _variant(d, path, "family", FAMILIES, "family")
+    return sg.SequenceSpec(family, *parse_fields(d, fields, path, "family").values())
 
 
 def parse_system(d, path: str, minimum=None):
@@ -175,16 +176,13 @@ def parse_observable(d, path: str, minimum=None) -> ob.Observable:
     return _build(d, path, "kind", OBSERVABLES, "observable kind")
 
 
-# name -> (constructor taking the parsed fields by key, fields)
-FAMILIES = {
-    "Naturals": (sg.SequenceSpec.naturals, ()),
-    "Primes": (sg.SequenceSpec.primes, ()),
-    "ThueMorseReturnTimes": (sg.SequenceSpec.thue_morse_return_times, ()),
-    "PolynomialFloor": (sg.SequenceSpec.polynomial_floor, (Field("coefficients", _fractions),)),
-    "FractionalPowerFloor": (sg.SequenceSpec.fractional_power_floor, (Field("exponent", _fraction),)),
-    "Lacunary": (sg.SequenceSpec.lacunary, (Field("base", _int, minimum=2),)),
-    "Explicit": (sg.SequenceSpec.explicit, (Field("terms", _ints, minimum=1),)),
-}
+# each sequence family -> the field of its parameter, if it takes one
+_PARAMETERS = {f.key: f for f in (
+    Field("coefficients", _fractions), Field("exponent", _fraction),
+    Field("base", _int, minimum=2), Field("terms", _ints, minimum=1),
+)}
+FAMILIES = {name: () if row is None else (_PARAMETERS[row[0]],)
+            for name, row in sg.FAMILIES.items()}
 
 _WEIGHTS = Field("weights", _fractions)
 _ALPHA = Field("alpha", _alpha, show=lambda rotation: rotation.to_json_dict()["alpha_num_2pow128"])
@@ -557,7 +555,7 @@ def run_config_file(
             file=sys.stderr,
         )
         return 2
-    except ConfigError as exc:  # NaN, Infinity, -Infinity or a duplicate key
+    except ValueError as exc:  # NaN, Infinity, a duplicate key or an int of over 4,300 digits
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run_config(cfg, out_dir=out_dir, workers=workers, seed_override=seed_override)

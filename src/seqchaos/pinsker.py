@@ -132,7 +132,7 @@ def _lacunary_terms(seq: SequenceSpec, n_terms: int) -> int:
     """How many terms the finite lacunary side has; fewer than ``n_terms`` is refused."""
     if seq.family not in ("Lacunary", "Explicit"):
         raise ConfigError(f"the lacunary sequence must be Lacunary or Explicit, got {seq.describe()}")
-    cap = lacunary_max_terms(seq.base) if seq.family == "Lacunary" else len(seq.explicit_terms)
+    cap = lacunary_max_terms(seq.param) if seq.family == "Lacunary" else len(seq.param)
     if n_terms > cap:
         raise ConfigError(f"{seq.describe()} has only {cap} terms")
     return cap

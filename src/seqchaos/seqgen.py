@@ -35,6 +35,7 @@ of wrapping.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import weakref
 from dataclasses import dataclass
@@ -48,15 +49,25 @@ from .errors import ConfigError, SequenceOverflowError
 
 MAX_TERM = (1 << 63) - 1
 
-# each family and the one parameter field it takes, if any
+
+def _fractions(v) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, v))
+
+
+def _integers(v) -> tuple[int, ...]:
+    return tuple(map(operator.index, v))
+
+
+# Each family, and for one that takes a parameter its config key and the
+# conversion of its value; operator.index refuses a float instead of truncating it.
 FAMILIES = {
     "Naturals": None,
     "Primes": None,
-    "PolynomialFloor": "coefficients",
-    "FractionalPowerFloor": "exponent",
+    "PolynomialFloor": ("coefficients", _fractions),
+    "FractionalPowerFloor": ("exponent", Fraction),
     "ThueMorseReturnTimes": None,
-    "Lacunary": "base",
-    "Explicit": "explicit_terms",
+    "Lacunary": ("base", operator.index),
+    "Explicit": ("terms", _integers),
 }
 
 
@@ -64,101 +75,62 @@ FAMILIES = {
 class SequenceSpec:
     """A named, parameterized, lazily generated stream of positive integers.
 
-    Use the classmethod constructors; they validate family-specific
-    parameters.  Specs are immutable, hashable and cheap to copy around.
+    ``param`` is the value of the family's config key, None for a family that
+    takes none, converted and checked here: ``SequenceSpec("Primes")`` or
+    ``SequenceSpec("PolynomialFloor", ["1/7", "1/3", "1/2"])``.  Specs are hashable.
     """
 
     family: str
-    coefficients: tuple[Fraction, ...] | None = None
-    exponent: Fraction | None = None
-    base: int | None = None
-    explicit_terms: tuple[int, ...] | None = None
+    param: object = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown sequence family {self.family!r}")
-        for name in ("coefficients", "exponent", "base", "explicit_terms"):
-            if getattr(self, name) is not None and name != FAMILIES[self.family]:
-                raise ConfigError(f"{self.family} takes no {name}")
+        if FAMILIES[self.family] is None:
+            if self.param is not None:
+                raise ConfigError(f"{self.family} takes no parameter")
+            return
+        key, convert = FAMILIES[self.family]
+        try:
+            object.__setattr__(self, "param", convert(self.param))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{self.family} {key}: {exc}") from None
+        p = self.param
         if self.family == "PolynomialFloor":
-            c = self.coefficients
-            if not c or len(c) < 2:
+            if len(p) < 2:
                 raise ConfigError("PolynomialFloor needs degree >= 1")
-            if c[-1] <= 0:
+            if p[-1] <= 0:
                 raise ConfigError("PolynomialFloor leading coefficient must be > 0")
         elif self.family == "FractionalPowerFloor":
-            r = self.exponent
-            if r is None or r <= 0:
+            if p <= 0:
                 raise ConfigError("FractionalPowerFloor exponent must be > 0")
-            if r.denominator == 1:
+            if p.denominator == 1:
                 raise ConfigError("FractionalPowerFloor exponent must be non-integer")
         elif self.family == "Lacunary":
-            if self.base is None or self.base < 2:
+            if p < 2:
                 raise ConfigError("Lacunary base must be >= 2")
-        elif self.family == "Explicit":
-            t = self.explicit_terms
-            if not t:
+        else:
+            if not p:
                 raise ConfigError("Explicit sequence must be non-empty")
-            if any(x < 1 for x in t):
+            if any(x < 1 for x in p):
                 raise ConfigError("Explicit terms must be positive integers")
-            if any(x > MAX_TERM for x in t):
-                raise SequenceOverflowError(max(i for i, x in enumerate(t) if x > MAX_TERM) + 1)
-
-    @classmethod
-    def naturals(cls) -> "SequenceSpec":
-        return cls("Naturals")
-
-    @classmethod
-    def primes(cls) -> "SequenceSpec":
-        return cls("Primes")
-
-    @classmethod
-    def polynomial_floor(cls, coefficients: Sequence[Fraction | int | str]) -> "SequenceSpec":
-        """Integer parts of b_0 + b_1 k + ... + b_m k**m; b_m > 0, m >= 1."""
-        return cls("PolynomialFloor", coefficients=tuple(Fraction(c) for c in coefficients))
-
-    @classmethod
-    def fractional_power_floor(cls, exponent: Fraction | int | str) -> "SequenceSpec":
-        """Integer parts of k**r for a non-integer rational r > 0."""
-        return cls("FractionalPowerFloor", exponent=Fraction(exponent))
-
-    @classmethod
-    def thue_morse_return_times(cls) -> "SequenceSpec":
-        """Indices n >= 1 where the Thue-Morse word (parity of binary digit
-        sum, from t_0 = 0) reads 1: the return times of the 1-cylinder."""
-        return cls("ThueMorseReturnTimes")
-
-    @classmethod
-    def lacunary(cls, base: int) -> "SequenceSpec":
-        return cls("Lacunary", base=base)
-
-    @classmethod
-    def explicit(cls, terms: Sequence[int]) -> "SequenceSpec":
-        return cls("Explicit", explicit_terms=tuple(int(x) for x in terms))
+            if any(x > MAX_TERM for x in p):
+                raise SequenceOverflowError(max(i for i, x in enumerate(p) if x > MAX_TERM) + 1)
 
     def describe(self) -> str:
-        if self.family == "PolynomialFloor":
-            return f"PolynomialFloor[{','.join(str(c) for c in self.coefficients)}]"
-        if self.family == "FractionalPowerFloor":
-            return f"FractionalPowerFloor[{self.exponent}]"
-        if self.family == "Lacunary":
-            return f"Lacunary[{self.base}]"
+        p = self.param
         if self.family == "Explicit":
-            return f"Explicit[{len(self.explicit_terms)} terms]"
-        return self.family
+            p = f"{len(p)} terms"
+        elif type(p) is tuple:
+            p = ",".join(map(str, p))
+        return self.family if p is None else f"{self.family}[{p}]"
 
     def to_json_dict(self) -> dict:
-        """The family and its parameters, keyed as in an experiment config."""
-        out: dict = {"family": self.family}
-        if self.coefficients is not None:
-            out["coefficients"] = [str(c) for c in self.coefficients]
-        if self.exponent is not None:
-            out["exponent"] = str(self.exponent)
-        if self.base is not None:
-            out["base"] = self.base
-        if self.explicit_terms is not None:
-            out["terms"] = list(self.explicit_terms)
-        return out
+        """The family and its parameter, keyed as in an experiment config
+        (the JSON writer shows a Fraction as its "p/q" string)."""
+        if self.param is None:
+            return {"family": self.family}
+        return {"family": self.family, FAMILIES[self.family][0]: self.param}
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +266,18 @@ def _power_floors(p: int, q: int, k: np.ndarray, out: np.ndarray | None = None) 
     the exact floor whatever it is.  It runs in place: k becomes k**p, and
     one scratch array holds the float roots and then each step's powers.
     An object block takes Newton steps (`_roots`) on k**p clipped at
-    2**(63q), whose root is 2**63.
+    2**(63q), whose root is 2**63; a k with p * (bits(k) - 1) >= 63q is
+    clipped without forming k**p.
     """
     if out is None:
         out = np.empty(len(k), dtype=k.dtype)
     if k.dtype == object:
+        cap = 1 << 63 * q
+        x = np.full(len(k), cap, dtype=object)
+        small = np.frompyfunc(int.bit_length, 1, 1)(k) <= -(-63 * q // p)  # else k**p >= cap
+        x[small] = np.minimum(k[small] ** p, cap)
         with np.errstate(over="ignore"):  # far past 2**63, the estimate is inf
-            out[:] = _roots(np.minimum(k**p, 1 << 63 * q), q, k.astype(np.float64) ** (p / q))
+            out[:] = _roots(x, q, k.astype(np.float64) ** (p / q))
         return out
     scratch, le = np.empty_like(k), np.empty(len(k), dtype=bool)
     root = scratch.view(np.float64)
@@ -351,8 +328,8 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
     into; each yielded block is a view of it, valid until the next.
     """
     if spec.family == "PolynomialFloor":
-        denom = math.lcm(*(c.denominator for c in spec.coefficients))
-        ints = [int(c * denom) for c in spec.coefficients]
+        denom = math.lcm(*(c.denominator for c in spec.param))
+        ints = [int(c * denom) for c in spec.param]
 
         def fits(k: int) -> bool:  # bounds every Horner partial at k
             return sum(abs(c) * k**i for i, c in enumerate(ints)) <= _INT64_SAFE
@@ -364,7 +341,7 @@ def _floor_blocks(spec: SequenceSpec) -> Iterator[np.ndarray]:
                 out += c
             out //= denom
     else:
-        p, q = spec.exponent.numerator, spec.exponent.denominator
+        p, q = spec.param.numerator, spec.param.denominator
 
         def fits(k: int) -> bool:
             return _power_is_safe(k, p)
@@ -408,12 +385,19 @@ def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
 
     The prime sieve stops at a bound on the count-th prime; every other
     family ignores ``count``.  The first term above MAX_TERM raises
-    SequenceOverflowError with its index; Explicit simply ends.  A floor
+    SequenceOverflowError with its index; Explicit simply ends.  A count
+    that no stream can reach below 2**63 raises before any block is made:
+    past MAX_TERM for an increasing family, past 2**62 for Thue-Morse, and
+    for the primes where the sieve bound passes MAX_TERM + 1.  A floor
     family's blocks are views of one array that its generator reuses, so
     each is valid only until the next one is drawn.
     """
+    reach = {"Explicit": math.inf, "ThueMorseReturnTimes": 2**62}.get(spec.family, MAX_TERM)
+    if count > reach or spec.family == "Primes" and _prime_bound(count) > MAX_TERM + 1:
+        message = f"{spec.describe()} cannot reach term #{count} below 2**63"
+        raise SequenceOverflowError(count, message)
     # k**r with r < 1, whose floors climb by at most one, has the naturals as its terms
-    if spec.family == "Naturals" or (spec.family == "FractionalPowerFloor" and spec.exponent < 1):
+    if spec.family == "Naturals" or (spec.family == "FractionalPowerFloor" and spec.param < 1):
         yield from _natural_blocks()
         raise SequenceOverflowError(MAX_TERM + 1)
     if spec.family == "ThueMorseReturnTimes":
@@ -424,11 +408,11 @@ def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
     elif spec.family in _FLOOR_FAMILIES:
         yield from _floor_blocks(spec)
     elif spec.family == "Lacunary":
-        n = lacunary_max_terms(spec.base)
-        yield from _slices([np.array([spec.base**k for k in range(1, n + 1)], dtype=np.int64)])
+        n = lacunary_max_terms(spec.param)
+        yield from _slices([np.array([spec.param**k for k in range(1, n + 1)], dtype=np.int64)])
         raise SequenceOverflowError(n + 1)
     else:
-        yield from _slices([np.array(spec.explicit_terms, dtype=np.int64)])
+        yield from _slices([np.array(spec.param, dtype=np.int64)])
 
 
 def _prefix(spec: SequenceSpec, count: int) -> np.ndarray:

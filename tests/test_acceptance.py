@@ -36,10 +36,10 @@ from oracles import LinearCombination, generate_prefix, iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
-NATURALS = SequenceSpec.naturals()
-PRIMES = SequenceSpec.primes()
-SQUARES = SequenceSpec.polynomial_floor([0, 0, 1])
-POW32 = SequenceSpec.fractional_power_floor(Fraction(3, 2))
+NATURALS = SequenceSpec("Naturals")
+PRIMES = SequenceSpec("Primes")
+SQUARES = SequenceSpec("PolynomialFloor", [0, 0, 1])
+POW32 = SequenceSpec("FractionalPowerFloor", Fraction(3, 2))
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -184,7 +184,7 @@ def test_criterion_8_fiber_constancy_frozen_rotation():
         sy.Rotation.from_fraction(Fraction(1, 2)),
         [Fraction(0), Fraction(1, 3)],
         f,
-        SequenceSpec.polynomial_floor([0, 2]),
+        SequenceSpec("PolynomialFloor", [0, 2]),
         n_terms=10_000,
         sample_count=100,
         seed=31,

@@ -31,9 +31,9 @@ TWO_SIDED = sy.FullShift.uniform(3, side=sy.TWO_SIDED)
 GOLDEN = sy.Rotation.golden()
 PRODUCT = sy.ProductSystem((BIASED, GOLDEN))
 SEQUENCES = [
-    SequenceSpec.naturals(),
-    SequenceSpec.primes(),
-    SequenceSpec.polynomial_floor([0, 0, 1]),
+    SequenceSpec("Naturals"),
+    SequenceSpec("Primes"),
+    SequenceSpec("PolynomialFloor", [0, 0, 1]),
 ]
 
 EDGES = [0.0, -0.0, 1.0, 0.5, -0.5, math.inf, -math.inf, math.nan, 1e308, -1e308,
@@ -168,7 +168,7 @@ def test_rows_with_zero_totals_take_fsums_zero():
     # a rotation by 1/2 from 0: cos is 1, -1, 1, ... (not 0/1), total 0 for even N
     half = sy.Rotation(1 << 127)
     f = TrigOnRotation(1, "cos")
-    naturals = SequenceSpec.naturals()
+    naturals = SequenceSpec("Naturals")
     for n in (2, 10, 1000):
         assert check_rows(half, [0, 1 << 127, 0], f, naturals, n) == [0.0.hex()] * 3
     cancel = LinearCombination(((0.5, CylinderIndicator(((0, 0),))), (-0.5, Constant(1.0))))
@@ -182,7 +182,7 @@ def test_rows_with_zero_totals_take_fsums_zero():
 def test_rows_with_non_finite_and_near_overflow_values(cells):
     cyl = CylinderIndicator(((0, 1),))
     points = [sy.PeriodicPoint((1,), 2), sy.PeriodicPoint((0,), 2), sy.PeriodicPoint((0, 1), 2)]
-    naturals = SequenceSpec.naturals()
+    naturals = SequenceSpec("Naturals")
     refused_always = [
         LinearCombination(((math.inf, cyl),)),  # inf * 0 is nan
         LinearCombination(((1e308, cyl),)),  # 1e308 alone passes 2**1020
@@ -265,7 +265,7 @@ def test_row_sums_are_the_exact_sum_rounded_once(rows, step):
 def test_sum_error_bound_holds_for_long_sampled_averages():
     f = TrigOnRotation(1, "cos")
     points = [sy.sample_point(GOLDEN, s) for s in range(3)]
-    naturals = SequenceSpec.naturals()
+    naturals = SequenceSpec("Naturals")
     averages = ergodic_average(GOLDEN, points, f, naturals, 20_000)
     ts = times_array(naturals, 20_000)
     for x, a in zip(points, averages):
@@ -280,7 +280,7 @@ def test_sum_error_bound_holds_for_long_sampled_averages():
 def test_sampled_averages_do_not_depend_on_the_worker_count():
     f = CylinderIndicator(((0, 0),))
     points = [sy.sample_point(BIASED, s) for s in range(5)]
-    primes = SequenceSpec.primes()
+    primes = SequenceSpec("Primes")
     serial = sampled_averages(BIASED, points, f, primes, 3000, workers=1)
     assert serial == [oracle_average(BIASED, x, f, primes, 3000) for x in points]
     for workers in (2, 3, 8):
@@ -354,7 +354,7 @@ def test_a_negative_coordinate_first_read_in_a_later_block_raises(same_weights):
     points = [sy.SeededRandomPoint(1, BIASED.weights), sy.SeededRandomPoint(2, weights)]
     f = CylinderIndicator(((-10, 1),))
     times = [10 + k for k in range(40)] + [6]
-    seq = SequenceSpec.explicit(times)
+    seq = SequenceSpec("Explicit", times)
     with mock.patch.object(averaging, "_CELLS", 2 * 8):
         for pts in (points, sy.Rows(points)):
             assert len(ergodic_average(BIASED, pts, f, seq, 40)) == 2
@@ -387,7 +387,7 @@ def test_product_points_find_their_factor_rows_once():
     # or tuple, not once a block: product points hand their factor rows out
     points = [sy.sample_point(PRODUCT, s) for s in range(3)]
     f = ProductOf((CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")))
-    seq = SequenceSpec.primes()
+    seq = SequenceSpec("Primes")
     series = mock.patch.object(ProductOf, "series", autospec=True, side_effect=ProductOf.series)
     distances = mock.patch.object(chaos, "distance_series", wraps=chaos.distance_series)
     with mock.patch.object(averaging, "_CELLS", 3 * 16), facts_computed() as computed:

@@ -29,8 +29,8 @@ from oracles import LinearCombination, generate_prefix, iterate
 
 FAIR = sy.FullShift.uniform(2)
 GOLDEN = sy.Rotation.golden()
-NATURALS = SequenceSpec.naturals()
-PRIMES = SequenceSpec.primes()
+NATURALS = SequenceSpec("Naturals")
+PRIMES = SequenceSpec("Primes")
 
 
 def brute_average(system, x, f, seq, n):
@@ -42,7 +42,7 @@ def brute_average(system, x, f, seq, n):
 def test_fixed_point_average_is_one():
     x = sy.PeriodicPoint((0,), 2)
     f = CylinderIndicator(((0, 0),))
-    for seq in (NATURALS, PRIMES, SequenceSpec.lacunary(2)):
+    for seq in (NATURALS, PRIMES, SequenceSpec("Lacunary", 2)):
         assert ergodic_average(FAIR, [x], f, seq, 20)[0] == 1.0
 
 
@@ -402,7 +402,7 @@ def test_golden_rotation_deviation_with_closed_form_bound():
 def test_fractional_power_deviation_desk_scale():
     f = TrigOnRotation(1, "cos")
     dev = max_deviation(
-        GOLDEN, seeded(GOLDEN, range(5)), f, SequenceSpec.fractional_power_floor(Fraction(3, 2)),
+        GOLDEN, seeded(GOLDEN, range(5)), f, SequenceSpec("FractionalPowerFloor", Fraction(3, 2)),
         20_000,
     )
     assert dev < 0.05

@@ -28,9 +28,9 @@ from seqchaos.seqgen import MAX_TERM, SequenceSpec
 from oracles import ShiftedPoint, generate_prefix, iterate, oracle_series
 
 FAIR = sy.FullShift.uniform(2)
-NATURALS = SequenceSpec.naturals()
-PRIMES = SequenceSpec.primes()
-SQUARES = SequenceSpec.polynomial_floor([0, 0, 1])
+NATURALS = SequenceSpec("Naturals")
+PRIMES = SequenceSpec("Primes")
+SQUARES = SequenceSpec("PolynomialFloor", [0, 0, 1])
 
 
 def zeros(s=2):
@@ -267,7 +267,7 @@ def test_tuple_shares_one_tape_per_point(data, size, window, times):
         p.reads = 0
     cps = sorted({1, len(ts)})
     with mock.patch.object(chaos, "distance_series", wraps=chaos.distance_series) as calls:
-        rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), cps)
+        rep = tuple_distance_averages(system, pts, SequenceSpec("Explicit", times), cps)
     # one block of times up to each checkpoint, and one fsum pass for each
     # row (max, min) whose exact sum is 0 there; each call reads each tape once
     assert len(calls.call_args_list) <= 3 * len(cps)
@@ -323,7 +323,7 @@ def test_tape_chunks_bound_every_read(data, size, window, cells, times, side):
 
     with mock.patch.object(sy, "_TAPE_CELLS", cells):
         assert distance_series(system, xs, ys, ts).tobytes() == np.stack(oracle).tobytes()
-        rep = tuple_distance_averages(system, pts, SequenceSpec.explicit(times), [len(ts)])
+        rep = tuple_distance_averages(system, pts, SequenceSpec("Explicit", times), [len(ts)])
     # a chunk ends at the window that starts before its last cell
     span = metric_terms(system)[1]
     assert max(p.most for p in pts) <= cells + span - 1
@@ -570,7 +570,20 @@ def test_structural_mismatches_raise():
     with pytest.raises(ConfigError):
         build_scrambled_family(NATURALS, 3, growth=4, phase_pairs=1, alphabet_size=2)
     with pytest.raises(ConfigError):
-        build_scrambled_family(SequenceSpec.explicit([5, 2, 9]), 2, growth=2, phase_pairs=1)
+        build_scrambled_family(SequenceSpec("Explicit", [5, 2, 9]), 2, growth=2, phase_pairs=1)
+
+
+def test_a_ladder_past_2_63_terms_is_refused_before_it_is_built():
+    # growth**(2 * phase_pairs) terms exist in no sequence below 2**63; 10**6000
+    # would pass Python's digit limit when a message formats it
+    with mock.patch.object(chaos, "times_array", side_effect=ConfigError("reached")) as times:
+        for growth, phase_pairs in ((2, 31), (3, 19)):  # 2**62, 3**38 <= MAX_TERM
+            with pytest.raises(ConfigError, match="reached"):
+                build_scrambled_family(NATURALS, 2, growth, phase_pairs)
+        for growth, phase_pairs in ((2, 32), (3, 20), (10, 3000), (10, 20_000)):
+            with pytest.raises(ConfigError, match="passes 2\\*\\*63 - 1"):
+                build_scrambled_family(NATURALS, 2, growth, phase_pairs)
+    assert [c.args for c in times.call_args_list] == [(NATURALS, 2**62), (NATURALS, 3**38)]
 
 
 def test_certificate_json_uses_exact_rationals():

@@ -204,6 +204,33 @@ def test_malformed_json_is_status_2(tmp_path, capsys):
     assert "broken.json:1:" in err
 
 
+def test_an_integer_past_the_digit_limit_is_status_2(tmp_path, capsys):
+    # json.loads refuses an int of more than 4,300 digits with a plain ValueError
+    p = tmp_path / "huge.json"
+    p.write_text('{"kind": "ConditionStarProfile", "sequence": {"family": "Primes"}, '
+                 f'"max_gap": 1, "checkpoints": [{"9" * 4401}]}}')
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("phase_pairs", [3000, 20_000])
+def test_a_scrambled_ladder_past_2_63_terms_is_status_2(tmp_path, capsys, phase_pairs):
+    cfg = dict(BASE_CONFIGS["ScrambledBuildVerify"], growth=10, phase_pairs=phase_pairs)
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 2 and not out.exists()
+    assert f"growth**{2 * phase_pairs} passes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["Primes", "Naturals"])
+def test_a_checkpoint_past_2_63_terms_is_status_3(tmp_path, capsys, family):
+    cfg = {"kind": "ConditionStarProfile", "sequence": {"family": family},
+           "max_gap": 1, "checkpoints": [10, 10**30]}
+    status, out = run_tmp(tmp_path, cfg)
+    assert status == 3 and not out.exists()
+    assert f"cannot reach term #{10**30}" in capsys.readouterr().err
+
+
 def test_missing_file_is_status_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 
@@ -421,7 +448,7 @@ def test_overflow_refusal_comes_before_the_times():
         calls.append(n)
         return times_array(seq, n)
 
-    golden, naturals = sy.Rotation.golden(), SequenceSpec.naturals()
+    golden, naturals = sy.Rotation.golden(), SequenceSpec("Naturals")
     with mock.patch.object(averaging, "times_array", counting):
         with pytest.raises(ConfigError):
             averaging.ergodic_average(golden, [0], Constant(1e308), naturals, 1000)
@@ -444,7 +471,7 @@ def test_values_beyond_their_declared_bounds_raise(c):
     # the refusal trusts bounds(); a value beyond them is never summed
     with pytest.raises(DomainError):
         averaging.ergodic_average(sy.Rotation.golden(), [0, 1], Unbounded(c),
-                                  SequenceSpec.naturals(), 10)
+                                  SequenceSpec("Naturals"), 10)
 
 
 def test_failed_assertion_is_status_1(tmp_path):

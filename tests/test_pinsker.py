@@ -18,7 +18,7 @@ from seqchaos.seqgen import SequenceSpec
 
 FAIR = sy.FullShift.uniform(2)
 HALF = sy.Rotation.from_fraction(Fraction(1, 2))
-EVEN = SequenceSpec.polynomial_floor([0, 2])  # a_k = 2k, freezes a rotation by 1/2
+EVEN = SequenceSpec("PolynomialFloor", [0, 2])  # a_k = 2k, freezes a rotation by 1/2
 F_PROD = ProductOf((CylinderIndicator(((0, 0),)), TrigOnRotation(1, "cos")))
 
 
@@ -86,7 +86,7 @@ def test_fiber_values_invariant_under_sample_permutation():
 def test_irrational_alpha_means_near_zero():
     rep = fiber_constancy_report(
         FAIR, sy.Rotation.golden(), [Fraction(0), Fraction(1, 3)], F_PROD,
-        SequenceSpec.naturals(), n_terms=10_000, sample_count=20, seed=2,
+        SequenceSpec("Naturals"), n_terms=10_000, sample_count=20, seed=2,
     )
     assert max(abs(m) for m in rep.fiber_means) < 0.05
 
@@ -97,14 +97,14 @@ def test_irrational_alpha_means_near_zero():
 
 def test_kolmogorov_desk_scale():
     dev = kolmogorov_limit_check(
-        FAIR, CylinderIndicator(((0, 0),)), SequenceSpec.primes(), 10_000, 50, seed=4
+        FAIR, CylinderIndicator(((0, 0),)), SequenceSpec("Primes"), 10_000, 50, seed=4
     )
     assert dev < 0.05
 
 
 def test_kolmogorov_full_space_indicator_exact_zero():
     dev = kolmogorov_limit_check(
-        FAIR, CylinderIndicator(()), SequenceSpec.naturals(), 500, 20, seed=4
+        FAIR, CylinderIndicator(()), SequenceSpec("Naturals"), 500, 20, seed=4
     )
     assert dev == 0.0
 
@@ -115,7 +115,7 @@ def test_kolmogorov_requires_integral():
             return None
 
     with pytest.raises(ConfigError):
-        kolmogorov_limit_check(FAIR, NoIntegral(((0, 0),)), SequenceSpec.naturals(), 10, 2, 0)
+        kolmogorov_limit_check(FAIR, NoIntegral(((0, 0),)), SequenceSpec("Naturals"), 10, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_kolmogorov_requires_integral():
 
 def test_constant_observable_contrast_is_zero():
     good, lac = lacunary_dispersion_contrast(
-        FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2), 60,
+        FAIR, Constant(1.0), SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2), 60,
         sample_points(FAIR, 6, 50),
     )
     assert (good, lac) == (0.0, 0.0)
@@ -133,10 +133,10 @@ def test_constant_observable_contrast_is_zero():
 def test_contrast_deterministic_per_seed():
     f = CylinderIndicator(((0, 0),))
     a = lacunary_dispersion_contrast(
-        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2), 30, sample_points(FAIR, 9, 40)
+        FAIR, f, SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2), 30, sample_points(FAIR, 9, 40)
     )
     b = lacunary_dispersion_contrast(
-        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2), 30, sample_points(FAIR, 9, 40)
+        FAIR, f, SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2), 30, sample_points(FAIR, 9, 40)
     )
     assert a == b
 
@@ -144,7 +144,7 @@ def test_contrast_deterministic_per_seed():
 def test_contrast_matched_band_and_structural_cap():
     f = CylinderIndicator(((0, 0),))
     rep = lacunary_contrast_report(
-        FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+        FAIR, f, SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2),
         n_terms=60, sample_count=200, seed=9, extended_terms=100_000,
     )
     scale = 2 * math.sqrt(0.25 / 60)  # binomial 2-sigma at matched K
@@ -158,7 +158,7 @@ def test_contrast_matched_band_and_structural_cap():
 def test_contrast_rejects_too_many_lacunary_terms():
     with pytest.raises(ConfigError):
         lacunary_dispersion_contrast(
-            FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2), 63,
+            FAIR, Constant(1.0), SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2), 63,
             sample_points(FAIR, 0, 5),
         )
 
@@ -173,7 +173,7 @@ def test_contrast_report_samples_its_points_once(monkeypatch):
 
     monkeypatch.setattr(pinsker, "sample_points", counted)
     rep = lacunary_contrast_report(
-        FAIR, CylinderIndicator(((0, 0),)), SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+        FAIR, CylinderIndicator(((0, 0),)), SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2),
         n_terms=30, sample_count=20, seed=9, extended_terms=1000,
     )
     assert calls == [(FAIR, 9, 20)]
@@ -187,7 +187,7 @@ def test_contrast_report_checks_the_lacunary_cap_before_sampling(monkeypatch):
     monkeypatch.setattr(pinsker, "sample_points", never)
     with pytest.raises(ConfigError, match="has only 62 terms"):
         lacunary_contrast_report(
-            FAIR, Constant(1.0), SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+            FAIR, Constant(1.0), SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2),
             n_terms=63, sample_count=10**9, seed=0,
         )
 
@@ -197,8 +197,8 @@ def test_no_points_are_refused():
     f = CylinderIndicator(((0, 0),))
     with pytest.raises(ConfigError, match="at least one point"):
         lacunary_contrast_report(
-            FAIR, f, SequenceSpec.naturals(), SequenceSpec.lacunary(2),
+            FAIR, f, SequenceSpec("Naturals"), SequenceSpec("Lacunary", 2),
             n_terms=30, sample_count=0, seed=1, extended_terms=1000,
         )
     with pytest.raises(ConfigError, match="at least one point"):
-        kolmogorov_limit_check(FAIR, f, SequenceSpec.naturals(), 10, 0, 1)
+        kolmogorov_limit_check(FAIR, f, SequenceSpec("Naturals"), 10, 0, 1)
