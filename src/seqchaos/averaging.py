@@ -10,10 +10,12 @@ sums every average along a sequence: it reads a block source row by row
 into a row-wise superaccumulator (:class:`_RowSums`; the design follows
 Neal, "Fast exact summation using small and large superaccumulators",
 arXiv:1505.05571), where a block of 0/1 values (indicators) adds its
-count of ones and any other block its mantissas per binary exponent, and
-rounds each row's sum once at each checkpoint.  It is the only summing
-path: an average whose observable's declared bounds, times N, could
-reach 2**1020 is refused before any work, so no partial sum overflows.
+count of ones, a block on the 2**-53 grid of [0, 1] (shift distances)
+its values as integers, and any other block its mantissas per binary
+exponent, and rounds each row's sum once at each checkpoint.  It is the
+only summing path: an average whose observable's declared bounds, times
+N, could reach 2**1020 is refused before any work, so no partial sum
+overflows.
 
 Sampled points are rows: :func:`ergodic_average` evaluates all of its
 points in one :meth:`Observable.series` call per block of times, so the
@@ -60,7 +62,8 @@ _ROUNDER = 1.5 * 2.0**52  # x + _ROUNDER - _ROUNDER rounds |x| < 2**51 to an int
 # Below this, n * max|x| bounds every partial sum of fsum as well as the
 # total, so neither can overflow and the total divides into a finite float.
 _SAFE_SUM = 2.0**1020
-# Per-exponent int64 sums stay exact for this many values between folds.
+# Per-exponent int64 sums stay exact for this many values between folds:
+# each adds less than 2**27 in magnitude.
 _FOLD_EVERY = 1 << 36
 # fsum's exact zero: +0.0, but an all -0.0 row may sum to -0.0 on some
 # Pythons; any other zero-sum row takes +0.0 everywhere.
@@ -72,11 +75,30 @@ def _is_indicator(vals: np.ndarray) -> bool:
     return np.count_nonzero(vals == 1.0) + np.count_nonzero(vals == 0.0) == vals.size
 
 
+def _grid_integers(block: np.ndarray) -> np.ndarray | None:
+    """2**53 * block as int64 when every value lies in [0, 1] on the 2**-53
+    grid, else None.  The first column is tested alone first, so that a
+    block off the grid mostly gives up after one column; the range is
+    checked before the scaling, which then neither overflows nor rounds."""
+    for part in (block[:, :1], block):
+        if not (part.min() >= 0.0 and part.max() <= 1.0):  # NaN fails too
+            return None
+        scaled = part * 2.0**53
+        ints = scaled.astype(np.int64)
+        if not (ints == scaled).all():
+            return None
+    return ints
+
+
 class _RowSums:
     """Exact running sums of the rows of a stream of blocks: a row-wise
     superaccumulator.
 
     A block that holds only 0.0 and 1.0 adds each row's count of ones.
+    A block whose values all lie in [0, 1] on the 2**-53 grid (shift
+    distances at windows up to 53) is the integers k = 2**53 * v, whose
+    high 26 bits and low 27 bits are summed per row as int64 into the
+    exponent-0 sums below (v = k * 2**-53 is m * 2**0 with 2**53 * m = k).
     In any other block each mantissa, scaled to a 53-bit integer and
     split into a high half of 26 bits and a low half of 27, is summed per
     row and binary exponent by ``np.bincount``, in steps of at most
@@ -107,17 +129,28 @@ class _RowSums:
         if _is_indicator(block):
             self.ones += block.sum(axis=1).astype(np.int64)  # exact: below 2**53 ones
             return
+        grid = _grid_integers(block)
+        if grid is not None:
+            self._count(grid.shape[1])
+            self._widen(0, 1)
+            self.parts[0, :, -self.first] += (grid >> _LOW_BITS).sum(axis=1)
+            self.parts[1, :, -self.first] += (grid & ((1 << _LOW_BITS) - 1)).sum(axis=1)
+            return
         step = max(1, _STEP_CELLS // len(block))
         for lo in range(0, block.shape[1], step):
             self._add_exact(block[:, lo : lo + step], n)
+
+    def _count(self, columns: int) -> None:
+        """Fold first if ``columns`` more values could overflow an int64 sum."""
+        if self.pending + columns > _FOLD_EVERY:
+            self._fold()
+        self.pending += columns
 
     def _add_exact(self, block: np.ndarray, n: int) -> None:
         with np.errstate(over="ignore"):
             if not np.max(np.abs(block)) * n < _SAFE_SUM:  # NaN fails too
                 raise DomainError("a value is not finite or could overflow the sum")
-        if self.pending + block.shape[1] > _FOLD_EVERY:
-            self._fold()
-        self.pending += block.shape[1]
+        self._count(block.shape[1])
         mantissas, exponents = np.frexp(block)
         self._widen(int(exponents.min()), int(exponents.max()) + 1)
         rows, width = self.parts.shape[1:]

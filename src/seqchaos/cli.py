@@ -482,7 +482,17 @@ def run_config(
     workers: int = 1,
     seed_override: int | None = None,
 ) -> int:
-    """Execute one experiment config; returns the process exit status."""
+    """Execute one experiment config; returns the process exit status.
+
+    The sequence prefixes the experiment read are released however it
+    ends, so none outlives it."""
+    try:
+        return _run_config(cfg, out_dir, workers, seed_override)
+    finally:
+        sg.release_prefixes()
+
+
+def _run_config(cfg: dict, out_dir: str | None, workers: int, seed_override: int | None) -> int:
     try:
         kind, exp = _variant(cfg, "config", "kind", EXPERIMENTS, "experiment")
         p = SimpleNamespace(**parse_fields(cfg, COMMON + exp.fields, "config", "kind"))

@@ -19,6 +19,9 @@ A prefix (`times_array`) fills one array from it, and
 each term over its few earlier neighbours within the gap, and keeping
 only the terms within the gap of the newest one.  It reads a prefix that
 `times_array` already holds instead of generating the terms again.
+`times_array` keeps its prefixes for one experiment: the CLI calls
+`release_prefixes` when each run ends, so no prefix outlives the run
+that read it.
 
 All arithmetic that feeds a floor function is exact: polynomial values
 are evaluated by Horner's rule over a common integer denominator, and
@@ -38,9 +41,9 @@ import math
 import operator
 import os
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -50,8 +53,15 @@ from .errors import ConfigError, SequenceOverflowError
 MAX_TERM = (1 << 63) - 1
 
 
+def _fraction(v) -> Fraction:
+    """``v`` as a Fraction; a float is refused, not taken at its binary value."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; give it as a string or a Fraction")
+    return Fraction(v)
+
+
 def _fractions(v) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, v))
+    return tuple(map(_fraction, v))
 
 
 def _integers(v) -> tuple[int, ...]:
@@ -59,12 +69,13 @@ def _integers(v) -> tuple[int, ...]:
 
 
 # Each family, and for one that takes a parameter its config key and the
-# conversion of its value; operator.index refuses a float instead of truncating it.
+# conversion of its value; operator.index and _fraction refuse a float instead
+# of truncating it or taking its binary value.
 FAMILIES = {
     "Naturals": None,
     "Primes": None,
     "PolynomialFloor": ("coefficients", _fractions),
-    "FractionalPowerFloor": ("exponent", Fraction),
+    "FractionalPowerFloor": ("exponent", _fraction),
     "ThueMorseReturnTimes": None,
     "Lacunary": ("base", operator.index),
     "Explicit": ("terms", _integers),
@@ -416,9 +427,13 @@ def _blocks(spec: SequenceSpec, count: int) -> Iterator[np.ndarray]:
 
 
 def _prefix(spec: SequenceSpec, count: int) -> np.ndarray:
-    """The first ``count`` terms as a new int64 array."""
+    """The first ``count`` terms as a new int64 array.  An Explicit list
+    shorter than ``count`` is refused before anything is allocated; every
+    other stream reaches ``count`` or raises."""
     if count < 1:
         raise ConfigError("count must be >= 1")
+    if spec.family == "Explicit" and count > len(spec.param):
+        raise ConfigError(f"{spec.describe()} has only {len(spec.param)} terms, {count} requested")
     out = np.empty(count, dtype=np.int64)
     filled = 0
     for block in _blocks(spec, count):
@@ -427,10 +442,7 @@ def _prefix(spec: SequenceSpec, count: int) -> np.ndarray:
         del block  # a view of a sieve segment keeps it alive while the next is sieved
         filled += take
         if filled == count:
-            break
-    else:
-        raise ConfigError(f"{spec.describe()} has only {filled} terms, {count} requested")
-    return out
+            return out
 
 
 def _physical_memory() -> int | None:
@@ -442,36 +454,66 @@ def _physical_memory() -> int | None:
 
 
 def _check_memory(count: int) -> None:
-    """Refuse an int64 array of ``count`` terms that physical memory cannot hold."""
+    """Refuse an int64 array of ``count`` terms that physical memory cannot
+    hold beside the arrays the times cache keeps alive (a held view
+    counts its base once)."""
     budget = _physical_memory()
-    if budget is not None and 8 * count > budget:
+    if budget is None:
+        return
+    bases = {id(b): b.nbytes for a in _times.values() for b in [a if a.base is None else a.base]}
+    cached = sum(bases.values())
+    if 8 * count + cached > budget:
         raise ConfigError(
-            f"{count} terms need {8 * count} bytes, more than the {budget} bytes"
-            " of physical memory"
+            f"{count} terms need {8 * count} bytes, and the times cache holds {cached};"
+            f" together more than the {budget} bytes of physical memory"
         )
 
 
 # The longest prefix of each spec that a times_array result still holds.
 _held: weakref.WeakValueDictionary[SequenceSpec, np.ndarray] = weakref.WeakValueDictionary()
+# The times cache: every times_array result of the running experiment by
+# (spec, count), and its lookup counts, which outlive every release.
+_times: dict[tuple[SequenceSpec, int], np.ndarray] = {}
+_lookups = {"hits": 0, "misses": 0}
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-@lru_cache(maxsize=32)
 def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
-    """First ``count`` terms as a read-only int64 array (cached).
+    """First ``count`` terms as a read-only int64 array (cached until
+    :func:`release_prefixes`).
 
     While a longer prefix of ``spec`` is alive, held by this cache or by
     anyone else, a shorter call returns a view of it instead of
     generating the terms again; such a view keeps the longer prefix
-    alive as long as it is itself held.
+    alive as long as it is itself held.  ``times_array.cache_info()``
+    counts lookups as ``functools.lru_cache`` does (a view is a miss),
+    and ``times_array.cache_clear()`` is :func:`release_prefixes`.
     """
+    arr = _times.get((spec, count))
+    if arr is not None:
+        _lookups["hits"] += 1
+        return arr
+    _lookups["misses"] += 1
     held = _held.get(spec)
     if held is not None and 1 <= count <= len(held):
-        return held[:count]
-    _check_memory(count)
-    arr = _prefix(spec, count)
-    arr.setflags(write=False)
-    _held[spec] = arr
+        arr = held[:count]
+    else:
+        _check_memory(count)
+        arr = _prefix(spec, count)
+        arr.setflags(write=False)
+        _held[spec] = arr
+    _times[spec, count] = arr
     return arr
+
+
+def release_prefixes() -> None:
+    """Empty the times cache, so that it holds no prefix past the experiment
+    that read it; the hit and miss counts stay."""
+    _times.clear()
+
+
+times_array.cache_info = lambda: _CacheInfo(_lookups["hits"], _lookups["misses"], None, len(_times))
+times_array.cache_clear = release_prefixes
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +611,16 @@ def close_pair_profile(
     The terms are read once, in blocks of at most _FLOOR_BLOCK, in their
     increasing order, each adding its pairs with earlier terms
     (`_pair_sums`, O(1) per term with at most _LOOK_BACK of them within
-    ``max_gap``).  When `times_array` holds a prefix of ``spec`` that
-    reaches the last checkpoint, the blocks are slices of it.  Otherwise
-    they are generated as they are read: only the terms within
-    ``max_gap`` of the newest one are kept from block to block, so memory
-    stays at one block's temporaries plus that window (and one prime
-    sieve segment) whatever the largest checkpoint, and the prime sieve
-    stops at a bound on the last checkpoint's prime.  Explicit sequences,
-    finite and possibly unsorted, count each checkpoint's prefix sorted.
+    ``max_gap``).  When a prefix of ``spec`` that reaches the last
+    checkpoint is alive (one that `times_array` returned in the same
+    experiment, or that a caller still holds), the blocks are slices of
+    it.  Otherwise they are generated as they are read: only the terms
+    within ``max_gap`` of the newest one are kept from block to block, so
+    memory stays at one block's temporaries plus that window (and one
+    prime sieve segment) whatever the largest checkpoint, and the prime
+    sieve stops at a bound on the last checkpoint's prime.  Explicit sequences,
+    finite and possibly unsorted, count each checkpoint's prefix sorted;
+    a last checkpoint past the list's length is refused before any work.
     """
     cps = _validate_checkpoints(checkpoints)
     if max_gap < 0:

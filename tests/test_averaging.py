@@ -202,6 +202,43 @@ def test_exact_sums_match_fsum_at_every_end(data, values, block, fold):
         assert outcome(lambda: exact_sums(vals, ends)) == expected_sums(vals, ends)
 
 
+GRID = st.one_of(
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+    st.integers(0, 2**48).map(lambda k: k * 2.0**-48),  # shift distances at window 48
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0**-53, 1 - 2.0**-53]),
+)
+OFF_GRID = st.one_of(
+    st.floats(-1.0, 1.0).filter(lambda v: not (0 <= v <= 1 and (v * 2.0**53).is_integer())),
+    # 1e301 * 2**53 would overflow: the range is checked before the scaling
+    st.sampled_from([-(2.0**-53), 2.0**-54, 5e-324, 1 + 2.0**-52, 2.0, 1e301, -1.0, 0.1]),
+)
+ROWS = {"grid": GRID, "off-grid": OFF_GRID, "mixed": st.one_of(GRID, OFF_GRID)}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    kinds=st.lists(st.sampled_from([*ROWS, "negative-zeros"]), min_size=1, max_size=4),
+    n=st.integers(1, 80),
+    block=st.integers(1, 50),
+    fold=st.sampled_from([averaging._FOLD_EVERY, 1, 2, 5]),
+)
+def test_grid_sums_match_fsum(data, kinds, n, block, fold):
+    # rows of values on the 2**-53 grid of [0, 1], off it, both, or -0.0
+    # only, summed together, with ends across block edges and folds between
+    vals = np.array([[-0.0] * n if kind == "negative-zeros"
+                     else data.draw(st.lists(ROWS[kind], min_size=n, max_size=n))
+                     for kind in kinds])
+    if set(kinds) <= {"grid", "negative-zeros"} and not averaging._is_indicator(vals):
+        assert averaging._grid_integers(vals) is not None
+    ends = draw_ends(data, n)
+    with mock.patch.object(averaging, "_CELLS", block), mock.patch.object(
+        averaging, "_FOLD_EVERY", fold
+    ):
+        got = averaging.checkpoint_sums(lambda lo, hi: vals[:, lo:hi], len(vals), ends)
+    assert [hex_list(row) for row in got] == [hex_list(fsum_sums(row, ends)) for row in vals]
+
+
 @pytest.mark.parametrize("block", [1, 16, 1 << 16])  # 1 << 16: one block for the whole series
 def test_exact_sums_keep_fsums_intermediate_overflow(block):
     # no value reaches 2**1020, but 32 of them reach 2**1024 on the way to a

@@ -1,16 +1,18 @@
 import json
 import math
 import stat
+import tracemalloc
+import weakref
 from unittest import mock
 
 import pytest
 
 import seqchaos.systems as sy
-from seqchaos import averaging, cli, seqgen
+from seqchaos import averaging, chaos, cli, seqgen
 from seqchaos.cli import list_experiments, main, run_config
 from seqchaos.errors import ConfigError, DomainError
 from seqchaos.observables import Constant
-from seqchaos.seqgen import SequenceSpec
+from seqchaos.seqgen import SequenceSpec, times_array
 
 
 def run_tmp(tmp_path, cfg, name="cfg.json", extra_args=()):
@@ -318,6 +320,71 @@ def test_averages_that_could_overflow_are_status_2(tmp_path, capsys, change):
 OUTSIDE = {"kind": "CylinderIndicator", "constraints": {"0": 5}}
 NATURAL_EXTENSION = {"kind": "NaturalExtension",
                      "base": {"kind": "FullShift", "weights": ["1/2", "1/2"]}}
+
+
+def recorded_prefixes(monkeypatch) -> list:
+    """Weak references to every prefix that times_array generates from now on."""
+    refs = []
+    generate = seqgen._prefix
+
+    def prefix(spec, count):
+        arr = generate(spec, count)
+        refs.append(weakref.ref(arr))
+        return arr
+
+    monkeypatch.setattr(seqgen, "_prefix", prefix)
+    return refs
+
+
+@pytest.mark.parametrize("status, cfg", [
+    (0, BASE_CONFIGS["TupleScan"]),
+    (2, dict(BASE_CONFIGS["LacunaryContrast"], observable=OUTSIDE)),
+    # the matched phase reads 30 terms of 2**k; the extended one overflows
+    (3, dict(BASE_CONFIGS["LacunaryContrast"], good_sequence={"family": "Lacunary", "base": 2})),
+], ids=["passed", "config-error", "overflow"])
+def test_a_run_releases_every_prefix_it_read(tmp_path, monkeypatch, status, cfg):
+    refs = recorded_prefixes(monkeypatch)
+    assert run_config(cfg, out_dir=str(tmp_path / "out")) == status
+    assert refs
+    assert times_array.cache_info().currsize == 0
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_a_run_that_raises_releases_its_prefixes(tmp_path):
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    with mock.patch.object(chaos, "distance_series", broken), pytest.raises(RuntimeError):
+        run_config(BASE_CONFIGS["TupleScan"], out_dir=str(tmp_path / "out"))
+    assert times_array.cache_info().currsize == 0
+
+
+def test_times_cache_counts_add_up_across_runs(tmp_path):
+    # the TupleScan's first tuple generates the prefix and the other 99 hit it;
+    # releasing the cache between runs keeps the counts
+    cfg = dict(BASE_CONFIGS["TupleScan"], tuples=100, n_terms=100, min_average_floor=None)
+    before = times_array.cache_info()
+    for run in (1, 2):
+        assert run_config(cfg, out_dir=str(tmp_path / f"out{run}")) == 0
+        info = times_array.cache_info()
+        assert (info.hits - before.hits, info.misses - before.misses) == (99 * run, run)
+        assert info.currsize == 0
+
+
+@pytest.mark.parametrize("last", [10**9, 10**30])
+def test_an_explicit_profile_past_its_list_is_status_2(tmp_path, capsys, last):
+    # refused from the list's length, before a prefix of ``last`` terms is reserved
+    cfg = {"kind": "ConditionStarProfile", "sequence": {"family": "Explicit", "terms": [3, 1]},
+           "max_gap": 1, "checkpoints": [2, last]}
+    tracemalloc.start()
+    try:
+        status, out = run_tmp(tmp_path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2 and not out.exists()
+    assert f"has only 2 terms, {last} requested" in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 def test_cylinder_on_the_natural_extension(tmp_path):

@@ -254,6 +254,19 @@ def test_an_integer_parameter_refuses_a_float_instead_of_truncating_it(family, p
         SequenceSpec(family, param)
 
 
+@pytest.mark.parametrize("family, param", [
+    ("PolynomialFloor", [0.1, 0.3]),
+    ("PolynomialFloor", ["1/7", 0, 0.5]),
+    ("FractionalPowerFloor", 1.5),
+    ("FractionalPowerFloor", np.float64(2.5)),
+])
+def test_a_rational_parameter_refuses_a_float_instead_of_taking_its_binary_value(family, param):
+    # 0.1 would be 3602879701896397/36028797018963968
+    key = seqgen.FAMILIES[family][0]
+    with pytest.raises(ConfigError, match=f"{family} {key}: .* is a float"):
+        SequenceSpec(family, param)
+
+
 def test_a_spec_converts_its_parameter_and_writes_it_under_its_key():
     spec = SequenceSpec("PolynomialFloor", ["1/7", 0, Fraction(1, 2)])
     assert spec == SequenceSpec("PolynomialFloor", (Fraction(1, 7), Fraction(0), Fraction(1, 2)))
@@ -597,6 +610,23 @@ def test_times_array_refuses_more_than_physical_memory(monkeypatch):
     with pytest.raises(ConfigError, match="physical memory"):
         times_array(spec, 1001)
     assert times_array(spec, 1000).tolist() == list(range(4, 1004))
+
+
+def test_the_memory_check_counts_the_prefixes_the_cache_holds(monkeypatch):
+    # of 8000 bytes, a cached prefix of 600 terms leaves 3200; its view adds none
+    spec = SequenceSpec("PolynomialFloor", [3, 1])
+    times_array(spec, 600)
+    times_array(spec, 300)
+    monkeypatch.setattr(seqgen, "_physical_memory", lambda: 8 * 1000)
+    with mock.patch.object(seqgen, "_prefix", wraps=seqgen._prefix) as spy:
+        with pytest.raises(ConfigError, match="the times cache holds 4800"):
+            times_array(SequenceSpec("Naturals"), 401)
+        assert spy.call_count == 0  # refused before anything is allocated
+        assert len(times_array(SequenceSpec("Naturals"), 400)) == 400
+        with pytest.raises(ConfigError, match="physical memory"):
+            times_array(SequenceSpec("Primes"), 1)
+        seqgen.release_prefixes()
+        assert len(times_array(SequenceSpec("Primes"), 1000)) == 1000
 
 
 @pytest.mark.parametrize("spec, count", [
