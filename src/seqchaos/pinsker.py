@@ -12,10 +12,12 @@ effects observable at finite N:
   rational angle paired with a sequence that multiplies it to integers);
 * the Kolmogorov-type collapse: on the Bernoulli factor alone the limit
   is the plain space average for every sampled point;
-* the lacunary contrast: along geometric sequences the per-point
-  averages keep binomial-scale spread no matter how many of the at most
-  62 available terms are used, while catalogued families calm down as N
-  grows.
+* the lacunary contrast, the spread of averages along a catalogued
+  family against a geometric one.  On a Bernoulli shift it measures the
+  sampling, not the sequence: a one-coordinate cylinder's A_K f has the
+  same binomial law along every injective sequence.  So does
+  `DisintegrationConsistency`, whose sample mean of A_N f estimates the
+  integral of f along every sequence, by invariance.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ together with exact counting of close index pairs
     #{(i, j) in [1, N]^2 : |a_i - a_j| <= L},
 
 whose N**-2 density vanishing for every fixed L is the mildness
-condition separating the catalogued families from lacunary ones.
+condition.  A strictly increasing sequence, lacunary or not, has at most
+2L + 1 terms within L of each term, so its count lies in [N, (2L + 1) N]
+and the condition holds; only repeated terms (an Explicit list) can fail it.
 
 Each family has one generator, a source of int64 blocks of at most 2**16
 consecutive terms (`_blocks`); the primes come from an odd-only
@@ -17,9 +19,8 @@ segmented sieve, Thue-Morse from one table of 2**16 digit-sum parities.
 A prefix (`times_array`) fills one array from it, and
 `close_pair_profile` counts pairs one block at a time, looking back from
 each term over its few earlier neighbours within the gap, and keeping
-only the terms within the gap of the newest one.  It reads a prefix that
-`times_array` already holds instead of generating the terms again.
-`times_array` keeps its prefixes for one experiment: the CLI calls
+only the terms within the gap of the newest one.  `times_array` keeps
+the longest prefix of each sequence for one experiment: the CLI calls
 `release_prefixes` when each run ends, so no prefix outlives the run
 that read it.
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -455,13 +455,11 @@ def _physical_memory() -> int | None:
 
 def _check_memory(count: int) -> None:
     """Refuse an int64 array of ``count`` terms that physical memory cannot
-    hold beside the arrays the times cache keeps alive (a held view
-    counts its base once)."""
+    hold beside the prefixes the times cache holds."""
     budget = _physical_memory()
     if budget is None:
         return
-    bases = {id(b): b.nbytes for a in _times.values() for b in [a if a.base is None else a.base]}
-    cached = sum(bases.values())
+    cached = sum(a.nbytes for a in _prefixes.values())
     if 8 * count + cached > budget:
         raise ConfigError(
             f"{count} terms need {8 * count} bytes, and the times cache holds {cached};"
@@ -469,11 +467,9 @@ def _check_memory(count: int) -> None:
         )
 
 
-# The longest prefix of each spec that a times_array result still holds.
-_held: weakref.WeakValueDictionary[SequenceSpec, np.ndarray] = weakref.WeakValueDictionary()
-# The times cache: every times_array result of the running experiment by
-# (spec, count), and its lookup counts, which outlive every release.
-_times: dict[tuple[SequenceSpec, int], np.ndarray] = {}
+# The times cache: the longest prefix of each spec read in the running
+# experiment, and its lookup counts, which outlive every release.
+_prefixes: dict[SequenceSpec, np.ndarray] = {}
 _lookups = {"hits": 0, "misses": 0}
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -482,37 +478,31 @@ def times_array(spec: SequenceSpec, count: int) -> np.ndarray:
     """First ``count`` terms as a read-only int64 array (cached until
     :func:`release_prefixes`).
 
-    While a longer prefix of ``spec`` is alive, held by this cache or by
-    anyone else, a shorter call returns a view of it instead of
-    generating the terms again; such a view keeps the longer prefix
-    alive as long as it is itself held.  ``times_array.cache_info()``
-    counts lookups as ``functools.lru_cache`` does (a view is a miss),
-    and ``times_array.cache_clear()`` is :func:`release_prefixes`.
+    A call for at most as many terms as the cached prefix of ``spec``
+    holds is a hit and returns a view of it; any other call is a miss and
+    generates the prefix, which replaces the shorter one in the cache.
+    ``times_array.cache_info()`` counts lookups as ``functools.lru_cache``
+    does, and ``times_array.cache_clear()`` is :func:`release_prefixes`.
     """
-    arr = _times.get((spec, count))
-    if arr is not None:
+    arr = _prefixes.get(spec)
+    if arr is not None and 1 <= count <= len(arr):
         _lookups["hits"] += 1
-        return arr
+        return arr[:count]
     _lookups["misses"] += 1
-    held = _held.get(spec)
-    if held is not None and 1 <= count <= len(held):
-        arr = held[:count]
-    else:
-        _check_memory(count)
-        arr = _prefix(spec, count)
-        arr.setflags(write=False)
-        _held[spec] = arr
-    _times[spec, count] = arr
+    _check_memory(count)
+    arr = _prefix(spec, count)
+    arr.setflags(write=False)
+    _prefixes[spec] = arr
     return arr
 
 
 def release_prefixes() -> None:
     """Empty the times cache, so that it holds no prefix past the experiment
     that read it; the hit and miss counts stay."""
-    _times.clear()
+    _prefixes.clear()
 
 
-times_array.cache_info = lambda: _CacheInfo(_lookups["hits"], _lookups["misses"], None, len(_times))
+times_array.cache_info = lambda: _CacheInfo(_lookups["hits"], _lookups["misses"], None, len(_prefixes))
 times_array.cache_clear = release_prefixes
 
 
@@ -611,14 +601,12 @@ def close_pair_profile(
     The terms are read once, in blocks of at most _FLOOR_BLOCK, in their
     increasing order, each adding its pairs with earlier terms
     (`_pair_sums`, O(1) per term with at most _LOOK_BACK of them within
-    ``max_gap``).  When a prefix of ``spec`` that reaches the last
-    checkpoint is alive (one that `times_array` returned in the same
-    experiment, or that a caller still holds), the blocks are slices of
-    it.  Otherwise they are generated as they are read: only the terms
-    within ``max_gap`` of the newest one are kept from block to block, so
-    memory stays at one block's temporaries plus that window (and one
-    prime sieve segment) whatever the largest checkpoint, and the prime
-    sieve stops at a bound on the last checkpoint's prime.  Explicit sequences,
+    ``max_gap``).  They are generated as they are read, outside the times
+    cache: only the terms within ``max_gap`` of the newest one are kept
+    from block to block, so memory stays at one block's temporaries plus
+    that window (and one prime sieve segment) whatever the largest
+    checkpoint, and the prime sieve stops at a bound on the last
+    checkpoint's prime.  Explicit sequences,
     finite and possibly unsorted, count each checkpoint's prefix sorted;
     a last checkpoint past the list's length is refused before any work.
     """
@@ -633,12 +621,7 @@ def close_pair_profile(
         counts = []
         total = n0 = 0
         window = np.empty(0, dtype=np.int64)
-        held = _held.get(spec)
-        if held is not None and len(held) >= cps[-1]:
-            blocks = _slices([held])
-        else:
-            blocks = _blocks(spec, cps[-1])
-        for block in blocks:
+        for block in _blocks(spec, cps[-1]):
             block = block[: cps[-1] - n0]
             if len(block):
                 sums, window = _pair_sums(window, block, max_gap)

@@ -789,7 +789,8 @@ def test_close_pair_profile_peak_memory():
 
 
 def test_close_pair_profile_from_a_held_prefix_peak_memory():
-    # the held prefix is read in place: the temporaries of one block
+    # a prefix held in the times cache is not read: the profile streams,
+    # in one sieve segment plus the temporaries of one block
     spec = SequenceSpec("Primes")
     times_array.cache_clear()
     held = times_array(spec, 10**6)
@@ -813,34 +814,33 @@ def test_a_shorter_times_array_call_slices_the_held_prefix():
         assert spy.call_count == 0
         assert shorter.base is longer and not shorter.flags.writeable
         assert shorter.tolist() == longer[:300].tolist() == sieve_oracle(2000)[:300]
-        assert times_array(spec, 5001)[:5000].tolist() == longer.tolist()
+        longest = times_array(spec, 5001)
+        assert longest[:5000].tolist() == longer.tolist()
         assert spy.call_count == 1
-        # the prefix is held only while something holds it
-        del longer, shorter
+        # a released prefix is not read again, though its caller still holds it
         times_array.cache_clear()
-        times_array(spec, 300)
+        again = times_array(spec, 300)
         assert spy.call_count == 2
+        assert again.base is None and again.tolist() == longest[:300].tolist()
     times_array.cache_clear()
 
 
-@pytest.mark.parametrize("spec", [SequenceSpec("Primes"), THUE_MORSE], ids=lambda s: s.family)
-@pytest.mark.parametrize("block", [seqgen._FLOOR_BLOCK, 1000])
-def test_profile_reads_a_held_prefix_without_generating(spec, block):
-    cps, max_gap = [10, 1000, 20_000], 10
-    times_array.cache_clear()
-    with mock.patch.object(seqgen, "_FLOOR_BLOCK", block):
-        streamed = close_pair_profile(spec, max_gap, cps)
-        held = times_array(spec, 30_000)
-        with mock.patch.object(seqgen, "_prime_blocks", wraps=seqgen._prime_blocks) as sieve, \
-                mock.patch.object(seqgen, "_blocks", wraps=seqgen._blocks) as blocks:
-            assert close_pair_profile(spec, max_gap, cps) == streamed
-            assert sieve.call_count == blocks.call_count == 0
-            # a held prefix short of the last checkpoint is not enough
-            longer = close_pair_profile(spec, max_gap, cps + [40_000])
-            assert blocks.call_count == 1
-    assert longer.checkpoints[:3] == streamed.checkpoints
-    del held
-    times_array.cache_clear()
+def test_a_view_of_the_cached_prefix_counts_as_a_hit():
+    spec = SequenceSpec("Primes")
+    times_array(spec, 5000)
+    before = times_array.cache_info()
+    with mock.patch.object(seqgen, "_prefix", wraps=seqgen._prefix) as spy:
+        for count in (300, 5000, 1, 300):
+            times_array(spec, count)
+        assert spy.call_count == 0
+        info = times_array.cache_info()
+        assert (info.hits - before.hits, info.misses - before.misses) == (4, 0)
+        # a longer call generates, and replaces the shorter prefix
+        assert len(times_array(spec, 6000)) == 6000
+        assert spy.call_count == 1
+        assert times_array.cache_info().currsize == 1
+        assert times_array(spec, 5000).base is times_array(spec, 6000).base
+        assert spy.call_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +927,25 @@ def test_profile_lacunary():
     profile = close_pair_profile(SequenceSpec("Lacunary", 2), 1, [50])
     assert profile.checkpoints[0].count == 50
     assert profile.checkpoints[0].density == 1 / 50
+
+
+INCREASING = [SequenceSpec("Naturals"), SequenceSpec("Primes"), THUE_MORSE,
+              SequenceSpec("PolynomialFloor", [0, 0, 1]),
+              SequenceSpec("PolynomialFloor", [Fraction(-7, 2), -1, Fraction(1, 3)]),
+              SequenceSpec("FractionalPowerFloor", Fraction(3, 2)),
+              SequenceSpec("FractionalPowerFloor", Fraction(2, 3)),
+              SequenceSpec("Lacunary", 2), SequenceSpec("Lacunary", 3)]
+
+
+@pytest.mark.parametrize("max_gap", [0, 1, 10, 1000])
+@pytest.mark.parametrize("spec", INCREASING, ids=SequenceSpec.describe)
+def test_an_increasing_sequence_has_density_at_most_2L_plus_1_over_N(spec, max_gap):
+    # each term has at most 2L + 1 terms within L of it, itself included, so
+    # the condition holds along every increasing family, lacunary ones too
+    last = lacunary_max_terms(spec.param) if spec.family == "Lacunary" else 2000
+    for cp in close_pair_profile(spec, max_gap, [10, 30, last]).checkpoints:
+        assert cp.N <= cp.count <= (2 * max_gap + 1) * cp.N
+        assert cp.density <= (2 * max_gap + 1) / cp.N
 
 
 def test_profile_primes_decreasing():
