@@ -11,8 +11,10 @@ into a row-wise superaccumulator (:class:`_RowSums`; the design follows
 Neal, "Fast exact summation using small and large superaccumulators",
 arXiv:1505.05571), where a block of 0/1 values (indicators) adds its
 count of ones, a block on the 2**-53 grid of [0, 1] (shift distances)
-its values as integers, and any other block its mantissas per binary
-exponent, and rounds each row's sum once at each checkpoint.  It is the
+its values as integers, any other block in [-1, 1] (cosines) its values
+as three 26-bit fixed-point limbs, and any other block, or the bits of a
+[-1, 1] block below the limbs, its mantissas per binary exponent, and
+rounds each row's sum once at each checkpoint.  It is the
 only summing path: an average whose observable's declared bounds, times
 N, could reach 2**1020 is refused before any work, so no partial sum
 overflows.
@@ -71,8 +73,10 @@ _NEG_ZERO_SUM = math.fsum([-0.0, -0.0])
 
 
 def _is_indicator(vals: np.ndarray) -> bool:
-    """True when every value is 0.0 or 1.0."""
-    return np.count_nonzero(vals == 1.0) + np.count_nonzero(vals == 0.0) == vals.size
+    """True when every value is 0.0 or 1.0.  The first value is tested alone
+    first, so a block of other values mostly gives up after one read."""
+    return vals.item(0) in (0.0, 1.0) and (
+        np.count_nonzero(vals == 1.0) + np.count_nonzero(vals == 0.0) == vals.size)
 
 
 def _grid_integers(block: np.ndarray) -> np.ndarray | None:
@@ -99,6 +103,13 @@ class _RowSums:
     distances at windows up to 53) is the integers k = 2**53 * v, whose
     high 26 bits and low 27 bits are summed per row as int64 into the
     exponent-0 sums below (v = k * 2**-53 is m * 2**0 with 2**53 * m = k).
+    A block whose values all lie in [-1, 1] is cut into limbs: three times
+    the integer nearest 2**26 times what is left, each at most 2**26 in
+    magnitude, so a row of at most 2**15 of them sums exactly as a float;
+    the sums join the low halves at exponents 27, 1 and -25 (units of
+    2**-26, 2**-52 and 2**-78).  A value of at least 2**-26 in magnitude
+    has no bits below 2**-78, so only smaller ones leave a remainder,
+    which is exact and is summed as any other block.
     In any other block each mantissa, scaled to a 53-bit integer and
     split into a high half of 26 bits and a low half of 27, is summed per
     row and binary exponent by ``np.bincount``, in steps of at most
@@ -136,6 +147,19 @@ class _RowSums:
             self.parts[0, :, -self.first] += (grid >> _LOW_BITS).sum(axis=1)
             self.parts[1, :, -self.first] += (grid & ((1 << _LOW_BITS) - 1)).sum(axis=1)
             return
+        if block.min() >= -1.0 and block.max() <= 1.0:  # NaN fails too
+            self._count(block.shape[1])
+            self._widen(-25, 28)
+            rest = block * 2.0**26
+            limb = np.empty_like(rest)  # one buffer: a third temporary faults its pages in
+            for e in (27, 1, -25):  # limbs in units of 2**-26, 2**-52, 2**-78
+                np.rint(rest, out=limb)
+                rest -= limb
+                self.parts[1, :, e - self.first] += limb.sum(axis=1).astype(np.int64)
+                rest *= 2.0**26
+            if not rest.any():
+                return
+            block = rest * 2.0**-104  # the bits below 2**-78 of values below 2**-26
         step = max(1, _STEP_CELLS // len(block))
         for lo in range(0, block.shape[1], step):
             self._add_exact(block[:, lo : lo + step], n)

@@ -212,10 +212,24 @@ OFF_GRID = st.one_of(
     # 1e301 * 2**53 would overflow: the range is checked before the scaling
     st.sampled_from([-(2.0**-53), 2.0**-54, 5e-324, 1 + 2.0**-52, 2.0, 1e301, -1.0, 0.1]),
 )
-ROWS = {"grid": GRID, "off-grid": OFF_GRID, "mixed": st.one_of(GRID, OFF_GRID)}
+IN_RANGE = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-(2.0**-26), 2.0**-26),  # no bits in the first limb: a remainder
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 2.0**-26, -(2.0**-27), 2.0**-78,
+                     2.0**-79 * (1 + 2.0**-52), 1 - 2.0**-53, -(1 - 2.0**-53)]),
+)
+ROWS = {
+    "grid": GRID,
+    "off-grid": OFF_GRID,
+    "mixed": st.one_of(GRID, OFF_GRID),
+    "in-range": IN_RANGE,  # the limbs, and remainders below 2**-78
+    # a block that holds a value above 1 goes to the frexp steps whole
+    "over-one": st.one_of(IN_RANGE, st.sampled_from([1 + 2.0**-52, 2.0, 3.75, 1e10, -1e10])),
+}
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=250)
 @given(
     data=st.data(),
     kinds=st.lists(st.sampled_from([*ROWS, "negative-zeros"]), min_size=1, max_size=4),
@@ -223,9 +237,10 @@ ROWS = {"grid": GRID, "off-grid": OFF_GRID, "mixed": st.one_of(GRID, OFF_GRID)}
     block=st.integers(1, 50),
     fold=st.sampled_from([averaging._FOLD_EVERY, 1, 2, 5]),
 )
-def test_grid_sums_match_fsum(data, kinds, n, block, fold):
-    # rows of values on the 2**-53 grid of [0, 1], off it, both, or -0.0
-    # only, summed together, with ends across block edges and folds between
+def test_block_kinds_sum_as_fsum(data, kinds, n, block, fold):
+    # rows of values on the 2**-53 grid of [0, 1], off it, both, in [-1, 1]
+    # with values below every limb, with values above 1, or -0.0 only,
+    # summed together, with ends across block edges and folds between
     vals = np.array([[-0.0] * n if kind == "negative-zeros"
                      else data.draw(st.lists(ROWS[kind], min_size=n, max_size=n))
                      for kind in kinds])
@@ -365,6 +380,44 @@ def test_exact_sums_across_real_blocks_match_fsum(seed, n, spread, cuts):
     vals = rng.standard_normal(n) * 2.0 ** rng.integers(-spread, spread + 1, size=n)
     ends = sorted({max(1, round(c * n)) for c in cuts} | {n})
     assert hex_list(exact_sums(vals, ends)) == hex_list(fsum_sums(vals, ends))
+
+
+def spy_exact_steps():
+    """A stand-in for ``_RowSums._add_exact`` that records each block it is given."""
+    seen = []
+    real = averaging._RowSums._add_exact
+
+    def spy(self, block, n):
+        seen.append(block.copy())
+        return real(self, block, n)
+
+    return seen, mock.patch.object(averaging._RowSums, "_add_exact", spy)
+
+
+def test_cos_averages_take_no_frexp_step():
+    # no cos value here lies below 2**-26, so the limbs hold every one and
+    # the exact sum never reaches frexp
+    points = sample_points(GOLDEN, 3, 10)
+    f = TrigOnRotation(1, "cos")
+    seen, spy = spy_exact_steps()
+    with spy:
+        averages = ergodic_average(GOLDEN, points, f, NATURALS, 10**5)
+    assert seen == []
+    series = f.series(GOLDEN, points, np.arange(1, 10**5 + 1, dtype=np.int64))
+    assert hex_list(averages) == hex_list(math.fsum(row) / 10**5 for row in series)
+
+
+def test_a_tiny_value_sends_only_its_remainder_to_frexp():
+    vals = TrigOnRotation(1, "cos").series(GOLDEN, [1, 2, 3], np.arange(1, 51, dtype=np.int64))
+    vals[1, 17] = 1e-30  # below 2**-78: all of it is remainder
+    seen, spy = spy_exact_steps()
+    with spy:
+        got = averaging.checkpoint_sums(lambda lo, hi: vals[:, lo:hi], 3, [50])
+    rest = np.concatenate(seen, axis=1)
+    assert rest.shape == vals.shape
+    assert np.flatnonzero(rest).tolist() == [50 + 17]
+    assert rest[1, 17] == 1e-30
+    assert [hex_list(row) for row in got] == [hex_list([math.fsum(row)]) for row in vals]
 
 
 def test_tuple_checkpoints_equal_fsum_of_the_pair_series():
